@@ -24,7 +24,6 @@ from .cyclotomic import cyclotomic_polynomial, phase_sum_is_zero
 from .weyl_algebra import (
     AlgebraError,
     CoeffExpr,
-    NumericWeylElement,
     WeylElement,
     classical_sup_norm_estimate,
     evaluate_at,

@@ -64,11 +64,11 @@ def main(argv=None):
         if args.seed is not None:
             config["seed"] = args.seed
         validate_config(config)
+        report = run_suite(config)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
-    report = run_suite(config)
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "%s.report.json" % report["suite"])
     with open(report_path, "w", encoding="utf-8") as fh:

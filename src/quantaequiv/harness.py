@@ -211,17 +211,18 @@ def _record(check_id, passed, value=None, tolerance=None, witness=None, saturate
 
 def _worker_count():
     raw = os.environ.get("QUANTAEQUIV_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return min(4, os.cpu_count() or 1)
+    if not raw.strip():
+        return min(4, os.cpu_count() or 1)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError("QUANTAEQUIV_THREADS must be a positive integer, got %r" % raw)
+    return n
 
 
-def _run_checks(checks):
-    workers = _worker_count()
+def _run_checks(checks, workers):
     if workers == 1:
         results = [fn() for _, fn in checks]
     else:
@@ -774,15 +775,8 @@ _SUITE_BUILDERS = {
 def run_suite(config):
     """Execute one suite and return its report dictionary."""
     config = resolve_config(config)
-    builders = _SUITE_BUILDERS[config["suite"]]
-    raw = _run_checks(builders(config))
-    records = []
-    for item in raw:
-        if isinstance(item, list):
-            records.extend(item)
-        else:
-            records.append(item)
-    records.sort(key=lambda rec: rec["id"])
+    workers = _worker_count()
+    records = _run_checks(_SUITE_BUILDERS[config["suite"]](config), workers)
     summary = {
         "total": len(records),
         "passed": sum(1 for r in records if r["status"] == "pass"),

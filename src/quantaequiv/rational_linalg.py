@@ -84,14 +84,6 @@ def transpose(m):
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
-def mat_sub(a, b):
-    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(m):
-    return all(e == 0 for row in m for e in row)
-
-
 def _eliminate(rows):
     # forward elimination with partial (first-nonzero) pivoting; returns the
     # echelon rows and the list of pivot columns

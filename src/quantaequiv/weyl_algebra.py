@@ -362,50 +362,14 @@ def poisson_bracket(a, b):
     return a._rebuild(out)
 
 
-class NumericWeylElement:
-    """Float-coefficient variant used when the parameter is a plain real."""
-
-    __slots__ = ("space", "hbar", "coeffs")
-
-    def __init__(self, space, hbar, coeffs):
-        self.space = space
-        self.hbar = float(hbar)
-        self.coeffs = {space.vector(f): complex(c) for f, c in dict(coeffs).items()}
-
-    def multiply(self, other):
-        if self.space != other.space or self.hbar != other.hbar:
-            raise AlgebraError("numeric elements are not compatible")
-        form = self.space.form
-        out = {}
-        for f, cf in self.coeffs.items():
-            for g, cg in other.coeffs.items():
-                sigma = float(rl.dot(f, rl.mat_vec(form, g)))
-                label = rl.vec_add(f, g)
-                out[label] = out.get(label, 0j) + cf * cg * cexp(-0.5j * self.hbar * sigma)
-        return NumericWeylElement(self.space, self.hbar, out)
-
-    def involution(self):
-        return NumericWeylElement(
-            self.space, self.hbar, {rl.vec_neg(f): c.conjugate() for f, c in self.coeffs.items()}
-        )
-
-    def norm_bounds(self):
-        mags = [abs(c) for c in self.coeffs.values()]
-        return (max(mags), sum(mags)) if mags else (0.0, 0.0)
-
-
 def evaluate_at(a, hbar):
     """Specialize a symbolic element to one parameter value.
 
-    An exact rational (or int) value keeps the coefficients exact; a float
-    value produces a NumericWeylElement with complex coefficients.
+    The value is read as an exact rational, Fraction(hbar), so a float
+    stands for its exact binary value and the coefficients stay exact.
     """
     if a.hbar is not None:
         raise AlgebraError("element is already pinned to a parameter value")
-    if isinstance(hbar, float):
-        return NumericWeylElement(
-            a.space, hbar, {f: c.value_at(hbar) for f, c in a._terms.items()}
-        )
     h = Fraction(hbar)
     if not (0 <= h <= 1):
         raise AlgebraError("exact parameter values must lie in [0, 1]")
@@ -420,8 +384,6 @@ def norm_bounds(a, hbar=None):
     Both collapse to the exact norm for single-generator elements.  Symbolic
     elements need the parameter value; pinned elements ignore it.
     """
-    if isinstance(a, NumericWeylElement):
-        return a.norm_bounds()
     if a.hbar is not None:
         mags = [abs(c.value_at(1.0)) for c in a._terms.values()]
     else:

@@ -7,10 +7,16 @@ limit act as identity-on-data functors between them, and the comparison
 transformations have identity components, so the equivalence checks reduce
 to exact data equalities that the category kernel verifies square by
 square.
+
+An arrow belongs to either category exactly when its linear part
+preserves the forms: bracket preservation and the scaling condition are the
+same identity T^t . form_cod . T = form_dom on the same (character, linear
+map) data, so both categories validate arrows with one predicate.
 """
 
 from .category import ArrowRecord, CategorySpec, FunctorSpec, NatTransSpec
 from .sampling import make_rng, random_character, random_space_pool, random_symplectic_map
+from .symplectic import is_symplectic_map
 from .weyl_functors import (
     ClassicalWeylObject,
     QuantWeylObject,
@@ -19,36 +25,28 @@ from .weyl_functors import (
     classical_limit_object,
     compose_morphisms,
     identity_morphism,
-    poisson_morphism_check,
     quantize_morphism,
     quantize_object,
-    scaling_check,
-    smooth_check,
 )
 
 
-def _record_consistent(record):
-    return record.payload.dom == record.dom and record.payload.cod == record.cod
+def _arrow_is_valid(record):
+    m = record.payload
+    return (
+        m.dom == record.dom
+        and m.cod == record.cod
+        and is_symplectic_map(m.linear, m.dom.space, m.cod.space)
+    )
 
 
 def classical_category():
-    def validate(record):
-        return _record_consistent(record) and poisson_morphism_check(record.payload)
-
     return CategorySpec(
-        "classical-weyl", identity_morphism, compose_morphisms, validate
+        "classical-weyl", identity_morphism, compose_morphisms, _arrow_is_valid
     )
 
 
 def quantum_category():
-    def validate(record):
-        return (
-            _record_consistent(record)
-            and smooth_check(record.payload)
-            and scaling_check(record.payload, 1, "1/2")
-        )
-
-    return CategorySpec("quantum-weyl", identity_morphism, compose_morphisms, validate)
+    return CategorySpec("quantum-weyl", identity_morphism, compose_morphisms, _arrow_is_valid)
 
 
 def quantization_functor(source=None, target=None):

@@ -118,6 +118,20 @@ def test_equivalence_passes(arrow_pool):
     assert report and not violations(report)
 
 
+@pytest.mark.parametrize("quantized", [False, True])
+def test_validators_flag_form_violators_and_inconsistent_records(arrow_pool, quantized):
+    cat, pool = classical_category(), arrow_pool
+    if quantized:
+        cat, pool = quantum_category(), quantize_arrow_pool(arrow_pool)
+    a = next(r for r in pool if r.dom != r.cod)
+    m = a.payload
+    doubled = LinearMapSpec(tuple(tuple(2 * e for e in row) for row in m.linear.matrix))
+    bad_form = WeylMorphismSpec(chi=m.chi, linear=doubled, dom=m.dom, cod=m.cod)
+    assert cat.arrow_is_valid(a)
+    assert not cat.arrow_is_valid(ArrowRecord("form", a.dom, a.cod, bad_form))
+    assert not cat.arrow_is_valid(ArrowRecord("endpoints", a.cod, a.dom, m))
+
+
 def test_corrupted_component_fails():
     # a constant character component is invertible but not natural
     sp = standard_space(1)

@@ -218,6 +218,14 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_thread_setting_exits_two(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QUANTAEQUIV_THREADS", value)
+        code = cli.main(["run", "weyl-sdq", "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: QUANTAEQUIV_THREADS" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_suite_exits_two(self, capsys):
         assert cli.main(["run", "no-such-suite"]) == 2
 

@@ -226,26 +226,11 @@ def test_leibniz_rule_in_the_zero_fiber(a, b, c):
 # --- evaluation and norms ---------------------------------------------------
 
 
-def test_evaluate_at_float_gives_numeric_coefficients():
-    f = weyl_generator(SP1, [1, 0])
-    g = weyl_generator(SP1, [0, 1])
-    prod = multiply(f, g)
-    num = evaluate_at(prod, math.pi)
-    c = num.coeffs[SP1.vector([1, 1])]
-    assert c == pytest.approx(complex(math.cos(math.pi / 2), -math.sin(math.pi / 2)))
-
-
-def test_numeric_multiplication_matches_exact_route():
-    a = weyl_generator(SP1, [1, 0]) + weyl_generator(SP1, ["1/2", 1]).scale_coeff(
-        CoeffExpr.gaussian(0, 1)
-    )
-    b = weyl_generator(SP1, [0, 1]) - weyl_generator(SP1, [1, 1])
-    h = 0.37
-    lhs = evaluate_at(multiply(a, b), h)
-    rhs = evaluate_at(a, h).multiply(evaluate_at(b, h))
-    assert set(lhs.coeffs) == set(rhs.coeffs)
-    for label, c in lhs.coeffs.items():
-        assert c == pytest.approx(rhs.coeffs[label], abs=1e-14)
+def test_evaluate_at_reads_floats_as_exact_rationals():
+    a = multiply(weyl_generator(SP1, [1, 0]), weyl_generator(SP1, [0, 1]))
+    assert evaluate_at(a, 0.5) == evaluate_at(a, Fraction(1, 2))
+    with pytest.raises(AlgebraError):
+        evaluate_at(a, math.pi)
 
 
 def test_norm_bounds_single_term_exact():

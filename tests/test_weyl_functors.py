@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quantaequiv import rational_linalg as rl
+from quantaequiv.sampling import make_rng, random_section
 from quantaequiv.symplectic import CharacterSpec, LinearMapSpec, standard_space
 from quantaequiv.weyl_algebra import (
     AlgebraError,
@@ -270,24 +271,43 @@ def test_classical_limit_round_trip_on_arrows():
     assert quantize_morphism(classical_limit_morphism(qm)) == qm
 
 
-def test_classical_limit_rejects_scaling_violator():
+def test_classical_limit_rejects_scaling_violator(sampled_pools):
     with pytest.raises(FunctorError):
         classical_limit_morphism(doubling_morphism(Q1, Q1))
+    for record in sampled_pools[1]:
+        with pytest.raises(FunctorError):
+            classical_limit_morphism(_perturbed(record.payload))
 
 
 def test_limit_of_identity_is_identity():
     assert classical_limit_morphism(identity_morphism(Q1)) == identity_morphism(C1)
 
 
-def test_intertwining_on_sections_explicitly():
-    m = rotation_morphism(Q1, Q1, theta=("1/4", "1/6"))
-    limit = classical_limit_morphism(m)
-    s = section_mul(
-        section_from_generator(SP1, [1, 0]), section_from_generator(SP1, [0, 1])
-    )
-    assert evaluate_at(apply_morphism(m, s), 0) == apply_morphism(
-        limit, evaluate_at(s, 0)
-    )
+def test_intertwining_on_sections_explicitly(sampled_pools):
+    # mapping a section then evaluating at 0 equals evaluating then mapping
+    # with the limit arrow: on generators, their products and random sections
+    cases = [
+        (
+            rotation_morphism(Q1, Q1, theta=("1/4", "1/6")),
+            [
+                section_mul(
+                    section_from_generator(SP1, [1, 0]), section_from_generator(SP1, [0, 1])
+                )
+            ],
+        )
+    ]
+    rng = make_rng(20260816, "intertwining")
+    for record in sampled_pools[1]:
+        q = record.payload
+        gens = [section_from_generator(q.dom.space, f) for f in _basis(q.dom.space)]
+        randoms = [random_section(rng, q.dom.space) for _ in range(5)]
+        cases.append((q, gens + [section_mul(gens[0], gens[1])] + randoms))
+    for m, sections in cases:
+        limit = classical_limit_morphism(m)
+        for s in sections:
+            assert evaluate_at(apply_morphism(m, s), 0) == apply_morphism(
+                limit, evaluate_at(s, 0)
+            )
 
 
 # --- sections and the vanishing ideal -----------------------------------------
