@@ -23,9 +23,9 @@ import json
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from math import atan2
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
 
@@ -547,17 +547,20 @@ def oscillator_momentum(n_trunc, hbar):
     return m
 
 
-def _mode_exponential(n_trunc, hbar, mode_step, class_key):
-    """exp(i(k1 Q + k2 P)) reduced to a real tridiagonal problem.
+# complex entries per block of the phase table in weyl_transform (8 MiB)
+_PHASE_ENTRIES = 2**19
 
-    The Hermitian tridiagonal k1 Q + k2 P is unitarily similar (diagonal
-    phases) to a real symmetric tridiagonal depending only on |k|, so one
-    eigendecomposition serves every mode with the same |k|^2 class.
-    """
-    absk = mode_step * np.sqrt(float(class_key))
-    off = absk * np.sqrt(0.5 * hbar * np.arange(1, n_trunc))
-    w, v = eigh_tridiagonal(np.zeros(n_trunc), off)
-    return (v * np.exp(1j * w)) @ v.T
+
+def _powers(z, count):
+    """Columns z**0 .. z**(count - 1), by doubling: log2(count) products deep."""
+    out = np.empty((len(z), count), dtype=np.complex128)
+    out[:, 0] = 1.0
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        out[:, done : done + step] = out[:, :step] * (out[:, done - 1] * z)[:, None]
+        done += step
+    return out
 
 
 def weyl_transform(
@@ -576,6 +579,24 @@ def weyl_transform(
     above support_tail means the truncation cannot hold the function's
     phase-space support.  Pass support_tail >= 1 to measure deliberately
     under-resolved truncations (convergence studies).
+
+    Assembly rests on two exact facts.  First, k1 Q + k2 P is unitarily
+    similar to |k| sqrt(hbar/2) J, with J the real Jacobi matrix of
+    off-diagonal sqrt(j) and the similarity U = diag(e^{i phi a}), phi the
+    angle of k.  One eigendecomposition J = W diag(lam) W^T per call then
+    serves every mode:
+        exp(i(k1 Q + k2 P))[a, b]
+            = e^{i phi (a-b)} sum_m W[a, m] W[b, m] e^{i s lam_m},
+    s = |k| sqrt(hbar/2).  Second, inside one |k|^2 class c only the phase
+    e^{i phi (a-b)} still depends on the mode, so the class enters as one
+    Toeplitz symbol T[c, d] = sum_{k in c} F_k e^{i phi_k d},
+    d = a - b = -(n-1) .. n-1, and
+        total[a, b] = sum_m W[a, m] W[b, m] G[m, a-b],
+        G[m, d] = sum_c e^{i s_c lam_m} T[c, d].
+    Per mode that is n powers of e^{i phi_k} (the offsets d < 0 are their
+    conjugates) instead of an n x n update; then one product over the
+    classes and one O(n^3) assembly along the diagonals.  The class k = 0
+    gives F_0 I with no branch of its own.
     """
     if f.grid.n != 1:
         raise GridError("the oscillator representation is built for n = 1")
@@ -600,30 +621,39 @@ def weyl_transform(
             )
     fi, fval = _significant_modes(_modes(f), prune_threshold)
     mvec = _freq_vectors(grid, fi)
-    class_keys = (mvec[:, 0] ** 2 + mvec[:, 1] ** 2).astype(np.int64)
+    keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
+    phi = np.arctan2(mvec[:, 1], mvec[:, 0])
 
-    cache = {}
+    # Row c of `half` holds T[c, d] for d >= 0, row C + c holds conj(T[c, -d]):
+    # the class sums of F_k z_k^d and conj(F_k) z_k^d, z_k = e^{i phi_k}.
+    classes, count = len(keys), len(fi)
+    weights = sparse.csc_array(
+        (
+            np.concatenate([fval, fval.conj()]),
+            (np.concatenate([members, members + classes]), np.tile(np.arange(count), 2)),
+        ),
+        shape=(2 * classes, count),
+    )
+    half = np.zeros((2 * classes, n_trunc), dtype=np.complex128)
+    rows = max(1, _PHASE_ENTRIES // n_trunc)
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        half += weights[:, block] @ _powers(np.exp(1j * phi[block]), n_trunc)
+    symbol = np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
 
-    def class_exponential(key, size):
-        tag = (int(key), size)
-        if tag not in cache:
-            cache[tag] = _mode_exponential(size, hbar, grid.mode_step, key)
-        return cache[tag]
+    # einsum, not BLAS: the sums then do not depend on the BLAS thread count
+    lam, w = eigh_tridiagonal(np.zeros(n_trunc), np.sqrt(np.arange(1.0, n_trunc)))
+    s = grid.mode_step * np.sqrt(0.5 * hbar * keys)
+    g = np.einsum("mc,cd->dm", np.exp(1j * np.multiply.outer(lam, s)), symbol)
 
-    total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    # diagonals d and -d share the products W[a + d, m] W[a, m]
     levels = np.arange(n_trunc)
-    for j in range(len(fi)):
-        key = class_keys[j]
-        if key == 0:
-            total[np.arange(n_trunc), np.arange(n_trunc)] += fval[j]
-            continue
-        base = class_exponential(key, n_trunc)
-        k1 = grid.mode_step * mvec[j, 0]
-        k2 = grid.mode_step * mvec[j, 1]
-        phi = atan2(k2, k1)
-        phases = np.exp(1j * phi * levels)
-        total += fval[j] * (phases[:, None] * base * phases.conj()[None, :])
-
+    total = np.empty((n_trunc, n_trunc), dtype=np.complex128)
+    for d in range(n_trunc):
+        a = levels[: n_trunc - d]
+        pair = w[d:] * w[: n_trunc - d]
+        total[a + d, a] = np.einsum("am,m->a", pair, g[n_trunc - 1 + d])
+        total[a, a + d] = np.einsum("am,m->a", pair, g[n_trunc - 1 - d])
     return WeylMatrix(n_trunc, total)
 
 

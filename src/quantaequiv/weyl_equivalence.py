@@ -19,7 +19,6 @@ from .sampling import make_rng, random_character, random_space_pool, random_symp
 from .symplectic import is_symplectic_map
 from .weyl_functors import (
     ClassicalWeylObject,
-    QuantWeylObject,
     WeylMorphismSpec,
     classical_limit_morphism,
     classical_limit_object,

@@ -4,7 +4,6 @@ from quantaequiv.category import (
     ArrowRecord,
     CategoryError,
     CategorySpec,
-    FunctorSpec,
     NatTransSpec,
     check_category_laws,
     check_equivalence,

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantaequiv import rational_linalg as rl
-from quantaequiv.symplectic import standard_space, symplectic_form
+from quantaequiv.symplectic import standard_space
 from quantaequiv.weyl_algebra import (
     AlgebraError,
     CoeffExpr,

@@ -10,7 +10,6 @@ from quantaequiv.weyl_algebra import (
     AlgebraError,
     CoeffExpr,
     evaluate_at,
-    involution,
     multiply,
     weyl_generator,
     weyl_unit,

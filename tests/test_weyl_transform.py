@@ -1,7 +1,10 @@
 """Oscillator-basis transform tests: matrix anchors, intertwining, detectors."""
 
+from math import atan2
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from quantaequiv.rieffel import (
     Grid2n,
@@ -9,6 +12,9 @@ from quantaequiv.rieffel import (
     GridFunction,
     TruncationError,
     WeylMatrix,
+    _freq_vectors,
+    _modes,
+    _significant_modes,
     moyal_product,
     oscillator_momentum,
     oscillator_position,
@@ -17,6 +23,52 @@ from quantaequiv.rieffel import (
 )
 
 HBAR = 0.1
+
+# the two Gaussian pairs of the weyl-transform suite's wt-03 checks
+TRANSFORM_PAIRS = (
+    (((0.5, 0.0), 1.0), ((-0.4, 0.3), 2.0 / 3.0)),
+    (((0.8, 0.0), 0.5), ((-0.5, 0.4), 1.0 / 3.0)),
+)
+
+
+def _mode_exponential(n_trunc, hbar, mode_step, class_key):
+    """exp(i |k| Q) for one |k|^2 class, from its own tridiagonal eigenproblem."""
+    absk = mode_step * np.sqrt(float(class_key))
+    off = absk * np.sqrt(0.5 * hbar * np.arange(1, n_trunc))
+    w, v = eigh_tridiagonal(np.zeros(n_trunc), off)
+    return (v * np.exp(1j * w)) @ v.T
+
+
+def reference_weyl_transform(f, hbar, n_trunc, bases, prune_threshold=1e-14):
+    """The per-mode assembly weyl_transform replaced, kept as its reference.
+
+    One eigendecomposition per |k|^2 class (memoized in `bases`, keyed by
+    truncation, hbar and class) and one n x n update
+    F_k U_phi base U_phi^dagger per significant mode.
+    """
+    grid = f.grid
+    fi, fval = _significant_modes(_modes(f), prune_threshold)
+    mvec = _freq_vectors(grid, fi)
+    class_keys = (mvec[:, 0] ** 2 + mvec[:, 1] ** 2).astype(np.int64)
+    total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    levels = np.arange(n_trunc)
+    for j in range(len(fi)):
+        key = int(class_keys[j])
+        if key == 0:
+            total[levels, levels] += fval[j]
+            continue
+        tag = (n_trunc, hbar, key)
+        if tag not in bases:
+            bases[tag] = _mode_exponential(n_trunc, hbar, grid.mode_step, key)
+        k1 = grid.mode_step * mvec[j, 0]
+        k2 = grid.mode_step * mvec[j, 1]
+        phases = np.exp(1j * atan2(k2, k1) * levels)
+        total += np.outer(fval[j] * phases, phases.conj()) * bases[tag]
+    return total
+
+
+def _relative_gap(mat, ref):
+    return float(np.abs(mat.entries - ref).max() / np.abs(ref).max())
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +88,23 @@ def window(grid):
 
 @pytest.fixture(scope="module")
 def gaussian_pair(grid):
-    f = GridFunction.gaussian(grid, (0.5, 0.0), 1.0)
-    g = GridFunction.gaussian(grid, (-0.4, 0.3), 2.0 / 3.0)
-    return f, g
+    (c1, a), (c2, b) = TRANSFORM_PAIRS[0]
+    return GridFunction.gaussian(grid, c1, a), GridFunction.gaussian(grid, c2, b)
+
+
+@pytest.fixture(scope="module")
+def pair_operands(grid):
+    """(f, g, f*g) for each pair in TRANSFORM_PAIRS."""
+    out = []
+    for (c1, a), (c2, b) in TRANSFORM_PAIRS:
+        f, g = GridFunction.gaussian(grid, c1, a), GridFunction.gaussian(grid, c2, b)
+        out.append((f, g, moyal_product(f, g, HBAR)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def windowed_coordinate(grid, window):
+    return GridFunction.from_callable(grid, lambda x, p: x) * window
 
 
 class TestOscillatorMatrices:
@@ -74,9 +140,8 @@ class TestWeylTransform:
         block = mat.entries[:10, :10]
         assert np.max(np.abs(block - np.eye(10))) <= 1e-6
 
-    def test_windowed_coordinate_gives_position_block(self, grid, window):
-        xw = GridFunction.from_callable(grid, lambda x, p: x) * window
-        mat = weyl_transform(xw, HBAR, 64)
+    def test_windowed_coordinate_gives_position_block(self, windowed_coordinate):
+        mat = weyl_transform(windowed_coordinate, HBAR, 64)
         ref = oscillator_position(64, HBAR)
         assert np.max(np.abs(mat.entries[:10, :10] - ref[:10, :10])) <= 1e-6
 
@@ -124,9 +189,38 @@ class TestTruncationDetector:
 
 
 @pytest.fixture(scope="module")
-def residuals(gaussian_pair):
-    f, g = gaussian_pair
-    star = moyal_product(f, g, HBAR)
+def class_bases():
+    return {}
+
+
+class TestAgainstReference:
+    """The class-symbol assembly against the per-mode loop, at 1e-12 relative."""
+
+    def test_window_and_windowed_coordinate(self, window, windowed_coordinate, class_bases):
+        for f in (window, windowed_coordinate):
+            ref = reference_weyl_transform(f, HBAR, 64, class_bases)
+            assert _relative_gap(weyl_transform(f, HBAR, 64), ref) <= 1e-12
+
+    @pytest.mark.parametrize("index", range(len(TRANSFORM_PAIRS)))
+    def test_gaussian_pairs_and_products(self, pair_operands, index, class_bases):
+        for n in (32, 64, 128):
+            for h in pair_operands[index]:
+                ref = reference_weyl_transform(h, HBAR, n, class_bases)
+                mat = weyl_transform(h, HBAR, n, support_tail=1.0)
+                assert _relative_gap(mat, ref) <= 1e-12
+
+    def test_complex_input(self, grid, gaussian_pair, class_bases):
+        f, _ = gaussian_pair
+        h = f * GridFunction.from_callable(grid, lambda x, p: np.exp(1j * x))
+        ref = reference_weyl_transform(h, HBAR, 64, class_bases)
+        mat = weyl_transform(h, HBAR, 64)
+        assert mat.hermiticity_defect() > 1e-3
+        assert _relative_gap(mat, ref) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def residuals(pair_operands):
+    f, g, star = pair_operands[0]
     out = {}
     for n in (32, 64, 128):
         wf = weyl_transform(f, HBAR, n, support_tail=1.0)
