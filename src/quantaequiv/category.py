@@ -194,8 +194,8 @@ def check_functor_laws(functor, arrows, max_pairs=400):
                 "F(id) differs from id",
             )
         )
-    for a in arrows:
-        image = functor.apply(a)
+    images = [functor.apply(a) for a in arrows]
+    for a, image in zip(arrows, images):
         report.append(
             _entry(
                 "functor-endpoints",
@@ -207,14 +207,14 @@ def check_functor_laws(functor, arrows, max_pairs=400):
             )
         )
     count = 0
-    for a2 in arrows:
+    for a2, image2 in zip(arrows, images):
         if count >= max_pairs:
             break
-        for a1 in arrows:
+        for a1, image1 in zip(arrows, images):
             if a1.cod != a2.dom:
                 continue
             lhs = functor.apply(src.compose(a2, a1))
-            rhs = dst.compose(functor.apply(a2), functor.apply(a1))
+            rhs = dst.compose(image2, image1)
             report.append(
                 _entry(
                     "functor-composition",

@@ -66,6 +66,7 @@ from .rieffel import (
     dirac_defect_grid,
     equivariance_defect,
     gaussian_star_closed_form,
+    loglog_fit,
     morphism_star_defect,
     moyal_product,
     moyal_quadrature_oracle,
@@ -338,14 +339,10 @@ def _suite_weyl_laws(config):
                 bad += 1
         return _record("law-06-serialization", bad == 0, value=bad, tolerance=0)
 
-    return [
-        ("law-01-associativity", associativity),
-        ("law-02-unit", unit_laws),
-        ("law-03-involution", involution_laws),
-        ("law-04-zero-fiber-commutative", zero_fiber_commutativity),
-        ("law-05-poisson-axioms", poisson_axioms),
-        ("law-06-serialization", serialization_round_trip),
-    ]
+    laws = (associativity, unit_laws, involution_laws, zero_fiber_commutativity,
+            poisson_axioms, serialization_round_trip)
+    # one task: the exact checks hold the GIL, and a thread pool ran them slower
+    return [("law-battery", lambda: [law() for law in laws])]
 
 
 # --- weyl-sdq -----------------------------------------------------------------
@@ -371,12 +368,6 @@ def _normalized_generator_pairs(seed, count):
             sigma = sigma * 2
         pairs.append((space, f, g, sigma))
     return pairs
-
-
-def _fit_slope(hs, ds):
-    xs = np.log(np.asarray(hs, dtype=float))
-    ys = np.log(np.asarray(ds, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def _suite_weyl_sdq(config):
@@ -409,8 +400,8 @@ def _suite_weyl_sdq(config):
                 worst_dirac = max(worst_dirac, abs(di - ref2))
                 dirac_values.append(di)
                 dirac_envelope[k] = max(dirac_envelope[k], di)
-            vn_slopes.append(_fit_slope(hs, vn_values))
-            dirac_slopes.append(_fit_slope(hs, dirac_values))
+            vn_slopes.append(loglog_fit(hs, vn_values)[0])
+            dirac_slopes.append(loglog_fit(hs, dirac_values)[0])
         checks = []
         checks.append(
             _record("sdq-01-von-neumann-closed-form", worst_vn <= 1e-12,

@@ -29,6 +29,23 @@ from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
 
+# Fixed tolerances.  Only boundary_threshold and support_tail are parameters:
+# convergence studies and negative controls waive those guards on purpose.
+_PRUNE_THRESHOLD = 1e-14  # modes below this fraction of the peak are dropped
+_ALIAS_TOLERANCE = 1e-9  # largest aliased share of the pair mass in a product
+_BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
+_SYMPLECTIC_TOLERANCE = 1e-12  # entrywise slack of A^T J A = J
+_SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
+_ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
+# Blocks bound the temporaries of the grid kernels: about 128 bytes per mode
+# pair in moyal_product (32 MiB a block) and 64 bytes per grid-by-mode entry
+# in pullback (64 MiB).  The pair block never changes a product; the
+# synthesis block sets the order of pullback's sums.
+_PAIR_BLOCK = 2**18
+_SYNTHESIS_BLOCK = 2**20
+_MAX_PAIRS = 2**30  # larger products are refused before any pair work
+
+
 class GridError(ValueError):
     """Bad grid parameters or incompatible operands."""
 
@@ -269,20 +286,14 @@ def _freq_vectors(grid, flat_idx):
     return np.stack([freqs[ix] for ix in per_axis], axis=1)
 
 
-def moyal_product(
-    f,
-    g,
-    hbar,
-    prune_threshold=1e-14,
-    alias_tolerance=1e-9,
-    boundary_threshold=1e-12,
-    chunk=256,
-):
+def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
     """Twisted mode-space double sum realizing the deformed product.
 
-    Modes below prune_threshold (relative) are dropped; pair contributions
+    Modes below _PRUNE_THRESHOLD (relative) are dropped; pair contributions
     whose combined frequency leaves the Nyquist box are excluded and their
-    mass is compared against alias_tolerance.
+    mass is compared against _ALIAS_TOLERANCE.  The block size (about
+    _PAIR_BLOCK pairs) never changes the result: np.add.at adds in
+    row-major pair order.
     """
     _require_same_grid(f, g)
     if not (hbar >= 0):
@@ -292,8 +303,14 @@ def moyal_product(
     grid = f.grid
     p = grid.points_per_axis
     half = p // 2
-    fi, fval = _significant_modes(_modes(f), prune_threshold)
-    gi, gval = _significant_modes(_modes(g), prune_threshold)
+    fi, fval = _significant_modes(_modes(f), _PRUNE_THRESHOLD)
+    gi, gval = (fi, fval) if g is f else _significant_modes(_modes(g), _PRUNE_THRESHOLD)
+    pairs = len(fi) * len(gi)
+    if pairs > _MAX_PAIRS:
+        raise GridError(
+            "%d x %d significant modes make %d pairs, above the limit of %d"
+            % (len(fi), len(gi), pairs, _MAX_PAIRS)
+        )
     out = np.zeros(p**grid.dim, dtype=np.complex128)
     if len(fi) == 0 or len(gi) == 0:
         return GridFunction(grid, _from_modes(grid, out.reshape(grid.shape)))
@@ -303,6 +320,7 @@ def moyal_product(
     f_j = fvec.astype(float) @ grid.form_matrix()
     alias_mass = 0.0
     total_mass = 0.0
+    chunk = max(1, _PAIR_BLOCK // len(gi))
     for start in range(0, len(fi), chunk):
         stop = min(start + chunk, len(fi))
         sigma = f_j[start:stop] @ gvec.T.astype(float)
@@ -315,26 +333,26 @@ def moyal_product(
         kept = combined[in_range] % p
         flat = np.ravel_multi_index(tuple(kept.T), grid.shape)
         np.add.at(out, flat, contrib[in_range])
-    if total_mass > 0.0 and alias_mass / total_mass > alias_tolerance:
+    if total_mass > 0.0 and alias_mass / total_mass > _ALIAS_TOLERANCE:
         raise AliasError(
             "aliased mass ratio %.3e exceeds %.1e; refine the grid or widen the domain"
-            % (alias_mass / total_mass, alias_tolerance)
+            % (alias_mass / total_mass, _ALIAS_TOLERANCE)
         )
     return GridFunction(grid, _from_modes(grid, out.reshape(grid.shape)))
 
 
-def von_neumann_defect_grid(f, g, hbar, **kwargs):
+def von_neumann_defect_grid(f, g, hbar):
     """Sup norm of f*g minus the pointwise product."""
-    star = moyal_product(f, g, hbar, **kwargs)
+    star = moyal_product(f, g, hbar)
     return (star - f * g).sup_norm()
 
 
-def dirac_defect_grid(f, g, hbar, **kwargs):
+def dirac_defect_grid(f, g, hbar):
     """Sup norm of (f*g - g*f)/(i hbar) minus the Poisson bracket."""
     if not (hbar > 0):
         raise GridError("the commutator comparison needs a positive parameter")
-    forward = moyal_product(f, g, hbar, **kwargs)
-    backward = moyal_product(g, f, hbar, **kwargs)
+    forward = moyal_product(f, g, hbar)
+    backward = moyal_product(g, f, hbar)
     commutator_scaled = (forward - backward) * (1.0 / (1j * hbar))
     return (commutator_scaled - poisson_bracket_grid(f, g)).sup_norm()
 
@@ -373,10 +391,10 @@ class AffineSymplecticMap:
     def dim(self):
         return self.linear.shape[0]
 
-    def is_symplectic(self, tol=1e-12):
+    def is_symplectic(self):
         j = _standard_form(self.dim)
         defect = self.linear.T @ j @ self.linear - j
-        return float(np.abs(defect).max()) <= tol
+        return float(np.abs(defect).max()) <= _SYMPLECTIC_TOLERANCE
 
     def __call__(self, z):
         return self.linear @ np.asarray(z, dtype=float) + self.offset
@@ -413,7 +431,7 @@ class AffineSymplecticMap:
         return cls(m)
 
 
-def pullback(f, phi, prune_threshold=1e-14, boundary_threshold=1e-12, chunk=4096):
+def pullback(f, phi, boundary_threshold=_BOUNDARY_THRESHOLD):
     """Composition with an affine map via exact trigonometric synthesis.
 
     f(Az + b) = sum_k F_k e^{i k.b} e^{i (A^T k).z}, evaluated by rank-one
@@ -424,7 +442,7 @@ def pullback(f, phi, prune_threshold=1e-14, boundary_threshold=1e-12, chunk=4096
         raise GridError("map dimension does not match the grid")
     _require_interior_support(f, boundary_threshold)
     grid = f.grid
-    fi, fval = _significant_modes(_modes(f), prune_threshold)
+    fi, fval = _significant_modes(_modes(f), _PRUNE_THRESHOLD)
     if len(fi) == 0:
         return GridFunction(grid, np.zeros(grid.shape))
     kvec = _freq_vectors(grid, fi).astype(float) * grid.mode_step
@@ -434,6 +452,7 @@ def pullback(f, phi, prune_threshold=1e-14, boundary_threshold=1e-12, chunk=4096
     half_axes = grid.dim // 2
     rows = grid.points_per_axis**half_axes
     result = np.zeros((rows, rows), dtype=np.complex128)
+    chunk = max(1, _SYNTHESIS_BLOCK // rows)
     for start in range(0, len(coeff), chunk):
         stop = min(start + chunk, len(coeff))
         left = np.ones((rows, stop - start), dtype=np.complex128)
@@ -456,15 +475,7 @@ def _half_axis_indices(points, half_axes, axis):
     return (idx // points ** (half_axes - axis - 1)) % points
 
 
-def morphism_star_defect(
-    phi,
-    f,
-    g,
-    hbar,
-    prune_threshold=1e-14,
-    alias_tolerance=1e-9,
-    boundary_threshold=1e-12,
-):
+def morphism_star_defect(phi, f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
     """Relative sup defect of pullback against the deformed product.
 
     Small for symplectic affine maps (the product only sees the form),
@@ -473,24 +484,13 @@ def morphism_star_defect(
     a little periodic leakage near the boundary, so callers measuring at
     coarse tolerances may relax boundary_threshold accordingly.
     """
-    star = moyal_product(
-        f,
-        g,
-        hbar,
-        prune_threshold=prune_threshold,
-        alias_tolerance=alias_tolerance,
-        boundary_threshold=boundary_threshold,
-    )
-    star_then_pull = pullback(
-        star, phi, prune_threshold=prune_threshold, boundary_threshold=boundary_threshold
-    )
+    star = moyal_product(f, g, hbar, boundary_threshold)
+    star_then_pull = pullback(star, phi, boundary_threshold)
     pull_then_star = moyal_product(
-        pullback(f, phi, prune_threshold=prune_threshold, boundary_threshold=boundary_threshold),
-        pullback(g, phi, prune_threshold=prune_threshold, boundary_threshold=boundary_threshold),
+        pullback(f, phi, boundary_threshold),
+        pullback(g, phi, boundary_threshold),
         hbar,
-        prune_threshold=prune_threshold,
-        alias_tolerance=alias_tolerance,
-        boundary_threshold=boundary_threshold,
+        boundary_threshold,
     )
     scale = star_then_pull.sup_norm()
     if scale == 0.0:
@@ -498,19 +498,11 @@ def morphism_star_defect(
     return (pull_then_star - star_then_pull).sup_norm() / scale
 
 
-def equivariance_defect(phi, f, direction, prune_threshold=1e-14, boundary_threshold=1e-12):
+def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOLD):
     """Relative sup defect of pullback(translate(f, A X)) vs translate(pullback(f), X)."""
     direction = np.asarray(direction, dtype=float)
-    lhs = pullback(
-        translate(f, phi.linear @ direction),
-        phi,
-        prune_threshold=prune_threshold,
-        boundary_threshold=boundary_threshold,
-    )
-    rhs = translate(
-        pullback(f, phi, prune_threshold=prune_threshold, boundary_threshold=boundary_threshold),
-        direction,
-    )
+    lhs = pullback(translate(f, phi.linear @ direction), phi, boundary_threshold)
+    rhs = translate(pullback(f, phi, boundary_threshold), direction)
     scale = f.sup_norm()
     if scale == 0.0:
         return (lhs - rhs).sup_norm()
@@ -563,14 +555,7 @@ def _powers(z, count):
     return out
 
 
-def weyl_transform(
-    f,
-    hbar,
-    n_trunc,
-    prune_threshold=1e-14,
-    boundary_threshold=1e-12,
-    support_tail=1e-3,
-):
+def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     """Matrix of the phase-space function in the truncated oscillator basis.
 
     Builds sum_k F_k exp(i(k1 Q + k2 P)) over significant modes.  Before
@@ -604,7 +589,7 @@ def weyl_transform(
         raise GridError("truncation size must be at least 16")
     if not (hbar > 0):
         raise GridError("the deformation parameter must be positive")
-    _require_interior_support(f, boundary_threshold)
+    _require_interior_support(f, _BOUNDARY_THRESHOLD)
     grid = f.grid
 
     # trace of |f|^2 beyond the turning radius of the top basis state
@@ -619,7 +604,7 @@ def weyl_transform(
                 "phase-space mass fraction %.3e beyond the truncation reach %.3f; "
                 "increase the truncation" % (tail, reach)
             )
-    fi, fval = _significant_modes(_modes(f), prune_threshold)
+    fi, fval = _significant_modes(_modes(f), _PRUNE_THRESHOLD)
     mvec = _freq_vectors(grid, fi)
     keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
     phi = np.arctan2(mvec[:, 1], mvec[:, 0])
@@ -684,21 +669,22 @@ def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix, block=
 # --- quadrature oracle and closed form ---------------------------------------
 
 
-def moyal_quadrature_oracle(f_callable, g_callable, hbar, points, radius=9.0, nodes=2048):
+def moyal_quadrature_oracle(f_callable, g_callable, hbar, points):
     """Direct oscillatory-integral evaluation of the deformed product (n=1).
 
     (f*g)(z) = (pi hbar)^{-2} iint f(z+u) g(z+v) e^{(2i/hbar) sigma(u,v)} du dv
     over u, v in R^2, with sigma(u,v) = u1 v2 - u2 v1.  The phase splits per
     axis pair, so for per-axis separable f and g the quadruple integral is a
     product of two double integrals over (u1,v2) and (u2,v1); each is done on
-    a uniform midpoint grid of `nodes` points per axis.  Independent of every
-    grid code path; slow on purpose.
+    a uniform midpoint grid of _ORACLE_NODES points per axis over
+    [-_ORACLE_RADIUS, _ORACLE_RADIUS].  Independent of every grid code path;
+    slow on purpose.
     """
     if not (hbar > 0):
         raise GridError("the deformation parameter must be positive")
-    step = 2.0 * radius / nodes
-    u = -radius + step * (np.arange(nodes) + 0.5)
-    wu = np.full(nodes, step)
+    step = 2.0 * _ORACLE_RADIUS / _ORACLE_NODES
+    u = -_ORACLE_RADIUS + step * (np.arange(_ORACLE_NODES) + 0.5)
+    wu = np.full(_ORACLE_NODES, step)
     kernel = np.exp((2j / hbar) * np.outer(u, u))
     rows = []
     for z in np.atleast_2d(np.asarray(points, dtype=float)):
@@ -740,7 +726,17 @@ def gaussian_star_closed_form(decay_a, decay_b, hbar):
 # --- schedules and convergence tables ----------------------------------------
 
 
-def convergence_study(defect_fn, f, g, schedule, floor=1e-12):
+def loglog_fit(hs, ds):
+    """Least-squares line through (log h, log d): (slope, rms residual)."""
+    logh = np.log(np.asarray(hs, dtype=float))
+    logd = np.log(np.asarray(ds, dtype=float))
+    design = np.stack([logh, np.ones_like(logh)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, logd, rcond=None)
+    residual = float(np.sqrt(np.mean((logd - design @ coef) ** 2)))
+    return float(coef[0]), residual
+
+
+def convergence_study(defect_fn, f, g, schedule):
     """Defect table along a decreasing schedule with a log-log slope fit."""
     schedule = [float(h) for h in schedule]
     if len(schedule) < 4:
@@ -748,20 +744,10 @@ def convergence_study(defect_fn, f, g, schedule, floor=1e-12):
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise GridError("schedule must be strictly decreasing")
     rows = [(h, float(defect_fn(f, g, h))) for h in schedule]
-    if any(d < floor for _, d in rows):
+    if any(d < _SATURATION_FLOOR for _, d in rows):
         return {"rows": rows, "slope": None, "residual": None, "saturated": True}
-    logh = np.log([h for h, _ in rows])
-    logd = np.log([d for _, d in rows])
-    design = np.stack([logh, np.ones_like(logh)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, logd, rcond=None)
-    fit = design @ coef
-    residual = float(np.sqrt(np.mean((logd - fit) ** 2)))
-    return {
-        "rows": rows,
-        "slope": float(coef[0]),
-        "residual": residual,
-        "saturated": False,
-    }
+    slope, residual = loglog_fit(*zip(*rows))
+    return {"rows": rows, "slope": slope, "residual": residual, "saturated": False}
 
 
 # --- serialization -----------------------------------------------------------

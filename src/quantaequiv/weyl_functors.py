@@ -399,7 +399,10 @@ def dirac_defect(space, f, g, hbar):
     return norm_bounds(defect)[1]
 
 
-def rieffel_condition_check(a, schedule, tol=1e-12):
+_NORM_SPREAD_TOLERANCE = 1e-12  # largest spread of norms across a schedule
+
+
+def rieffel_condition_check(a, schedule):
     """True iff the quantized norm of a classical element is schedule-constant.
 
     Exact norms are available for at most one label (the generators are
@@ -412,4 +415,4 @@ def rieffel_condition_check(a, schedule, tol=1e-12):
     norms = [norm_bounds(rescale(a, 0, _fiber(h)))[1] for h in schedule]
     if not norms:
         return True
-    return max(norms) - min(norms) <= tol
+    return max(norms) - min(norms) <= _NORM_SPREAD_TOLERANCE

@@ -4,6 +4,7 @@ from quantaequiv.category import (
     ArrowRecord,
     CategoryError,
     CategorySpec,
+    FunctorSpec,
     NatTransSpec,
     check_category_laws,
     check_equivalence,
@@ -71,6 +72,22 @@ def test_missing_component_raises():
     )
     with pytest.raises(CategoryError):
         trans.component_record("pt")
+
+
+def test_functor_laws_map_each_sampled_arrow_once():
+    calls = []
+
+    def doubled(value):
+        calls.append(value)
+        return 2 * value
+
+    cat = int_add_category()
+    functor = FunctorSpec("double", cat, cat, lambda obj: obj, doubled)
+    report = check_functor_laws(functor, toy_arrows([1, 2, 5]))
+    assert report and not violations(report)
+    # one identity, three sampled arrows, nine composites (one image each)
+    assert len(calls) == 1 + 3 + 9
+    assert sorted(calls[1:4]) == [1, 2, 5]
 
 
 # --- Weyl instances ---------------------------------------------------------

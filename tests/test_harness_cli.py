@@ -137,6 +137,11 @@ class TestRunSuite:
         serial = run_suite(default_config("weyl-sdq"))
         assert serial["checks"] == sdq_report["checks"]
 
+    def test_weyl_laws_run_as_one_task(self):
+        # the exact law checks hold the GIL: one task keeps them off the pool
+        tasks = harness._SUITE_BUILDERS["weyl-laws"](default_config("weyl-laws"))
+        assert [name for name, _ in tasks] == ["law-battery"]
+
     def test_environment_stamp_fields(self, sdq_report):
         env = sdq_report["environment"]
         assert set(env) == {"numpy", "scipy", "python", "platform", "machine"}

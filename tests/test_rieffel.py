@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from quantaequiv import rieffel
+from quantaequiv.harness import GAUSSIAN_PAIRS
 from quantaequiv.rieffel import (
     AffineSymplecticMap,
     AliasError,
@@ -273,6 +275,53 @@ class TestMoyalProduct:
         g = GridFunction.gaussian(grid, (0.0, 0.0), 1.0)
         with pytest.raises(SupportError):
             moyal_product(wide, g, HBAR)
+
+
+class TestBlocksAndLimits:
+    def test_block_size_never_changes_the_product(self, grid, monkeypatch):
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
+        f = GridFunction.gaussian(grid, c1, a)
+        g = GridFunction.gaussian(grid, c2, b)
+        default = moyal_product(f, g, HBAR)
+        monkeypatch.setattr(rieffel, "_PAIR_BLOCK", 2**12)
+        assert np.array_equal(moyal_product(f, g, HBAR).samples, default.samples)
+
+    def test_block_size_moves_the_pullback_only_at_round_off(self, grid, monkeypatch):
+        (c1, a), _ = GAUSSIAN_PAIRS[1]
+        f = GridFunction.gaussian(grid, c1, a)
+        phi = AffineSymplecticMap.shear(0.3)
+        default = pullback(f, phi)
+        monkeypatch.setattr(rieffel, "_SYNTHESIS_BLOCK", 2**12)
+        small = pullback(f, phi)
+        assert (small - default).sup_norm() <= 1e-13 * default.sup_norm()
+
+    def test_oversize_product_is_refused_before_pair_work(self, monkeypatch):
+        # a narrow bump on the coarse 4-dimensional grid: about 1e6 significant
+        # modes, so about 1e12 pairs, and it passes the boundary guard
+        grid4 = Grid2n(2, 32, 10.0)
+        f = GridFunction.gaussian(grid4, (0.0,) * 4, 2.0)
+        assert f.boundary_ratio() <= 1e-12
+        count = len(rieffel._significant_modes(rieffel._modes(f), rieffel._PRUNE_THRESHOLD)[0])
+        assert count * count > rieffel._MAX_PAIRS
+
+        transforms = []
+        modes = rieffel._modes
+
+        def counted_modes(h):
+            transforms.append(h)
+            return modes(h)
+
+        def no_pairs(*args):
+            raise AssertionError("pair work started")
+
+        monkeypatch.setattr(rieffel, "_modes", counted_modes)
+        monkeypatch.setattr(rieffel, "_freq_vectors", no_pairs)
+        with pytest.raises(GridError) as info:
+            moyal_product(f, f, HBAR)
+        assert type(info.value) is GridError
+        assert str(count * count) in str(info.value)
+        assert str(rieffel._MAX_PAIRS) in str(info.value)
+        assert len(transforms) == 1
 
 
 class TestDefectsAndConvergence:

@@ -12,6 +12,7 @@ from quantaequiv.rieffel import (
     GridFunction,
     TruncationError,
     WeylMatrix,
+    _PRUNE_THRESHOLD,
     _freq_vectors,
     _modes,
     _significant_modes,
@@ -39,7 +40,7 @@ def _mode_exponential(n_trunc, hbar, mode_step, class_key):
     return (v * np.exp(1j * w)) @ v.T
 
 
-def reference_weyl_transform(f, hbar, n_trunc, bases, prune_threshold=1e-14):
+def reference_weyl_transform(f, hbar, n_trunc, bases):
     """The per-mode assembly weyl_transform replaced, kept as its reference.
 
     One eigendecomposition per |k|^2 class (memoized in `bases`, keyed by
@@ -47,7 +48,7 @@ def reference_weyl_transform(f, hbar, n_trunc, bases, prune_threshold=1e-14):
     F_k U_phi base U_phi^dagger per significant mode.
     """
     grid = f.grid
-    fi, fval = _significant_modes(_modes(f), prune_threshold)
+    fi, fval = _significant_modes(_modes(f), _PRUNE_THRESHOLD)
     mvec = _freq_vectors(grid, fi)
     class_keys = (mvec[:, 0] ** 2 + mvec[:, 1] ** 2).astype(np.int64)
     total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
