@@ -25,7 +25,6 @@ from .weyl_algebra import (
     AlgebraError,
     CoeffExpr,
     WeylElement,
-    classical_sup_norm_estimate,
     evaluate_at,
     involution,
     multiply,

@@ -9,10 +9,11 @@ exactly up to round-off.  The deformed product follows the plane-wave rule
 
 with sigma(k,l) = k.J l for the standard block form J, the normalization
 that expands as  f*g = fg + (i hbar/2){f,g} + O(hbar^2)  against the grid
-Poisson bracket.  Because the twist blocks the plain convolution theorem,
-products are computed as direct twisted double sums over pruned
-significant modes; contributions that would wrap past the Nyquist box are
-dropped and accounted by an aliasing detector.
+Poisson bracket.  The twist blocks the plain convolution theorem, but for
+fixed momentum frequencies (k_p, l_p) it splits into one factor per
+operand, so products are sums of linear q-convolutions over the pruned
+significant modes, done by FFT; contributions that would wrap past the
+Nyquist box are dropped and accounted by an aliasing detector.
 
 Test functions must decay below a threshold at the domain boundary (the
 grid is a torus; the detector keeps wrap-around artifacts out of norms).
@@ -37,13 +38,14 @@ _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
 _SYMPLECTIC_TOLERANCE = 1e-12  # entrywise slack of A^T J A = J
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
-# Blocks bound the temporaries of the grid kernels: about 128 bytes per mode
-# pair in moyal_product (32 MiB a block) and 64 bytes per grid-by-mode entry
-# in pullback (64 MiB).  The pair block never changes a product; the
-# synthesis block sets the order of pullback's sums.
-_PAIR_BLOCK = 2**18
+# Blocks bound the temporaries of the grid kernels: complex entries per
+# q-FFT array in moyal_product (8 MiB each, two live per block) and 64
+# bytes per grid-by-mode entry in pullback (64 MiB).  The momentum block
+# never changes a product; the synthesis block sets the order of
+# pullback's sums.
+_MOMENTUM_BLOCK = 2**19
 _SYNTHESIS_BLOCK = 2**20
-_MAX_PAIRS = 2**30  # larger products are refused before any pair work
+_MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
 
 
 class GridError(ValueError):
@@ -270,75 +272,106 @@ def poisson_bracket_grid(f, g):
     return GridFunction(f.grid, total)
 
 
-def _significant_modes(mode_array, threshold):
-    flat = mode_array.reshape(-1)
-    mags = np.abs(flat)
-    peak = mags.max()
-    if peak == 0.0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128)
-    idx = np.nonzero(mags > peak * threshold)[0]
-    return idx, flat[idx]
+def _significant(modes):
+    """Signed frequency vectors and values of the modes above _PRUNE_THRESHOLD (relative)."""
+    mags = np.abs(modes)
+    mask = mags > mags.max() * _PRUNE_THRESHOLD
+    freqs = _int_freqs(modes.shape[0])
+    return np.stack([freqs[ix] for ix in np.nonzero(mask)], axis=1), modes[mask]
 
 
-def _freq_vectors(grid, flat_idx):
-    per_axis = np.unravel_index(flat_idx, grid.shape)
-    freqs = _int_freqs(grid.points_per_axis)
-    return np.stack([freqs[ix] for ix in per_axis], axis=1)
+def _fft_length(n):
+    """Smallest 2**a 3**b 5**c at least n: a length numpy's FFT does fast."""
+    r = range(int(n).bit_length() + 1)
+    return min(m for m in (2**a * 3**b * 5**c for a in r for b in r for c in r) if m >= n)
+
+
+def _mode_box(vecs, values, lo, size):
+    """The modes on the signed frequency box from lo, zero where none is given."""
+    box = np.zeros(tuple(size), dtype=np.complex128)
+    box[tuple((vecs - lo).T)] = values
+    return box
+
+
+def _twist(momenta, lo, size, scale):
+    """e^{i scale m.q} for each momentum row m and each q of the box lo + size."""
+    q = np.stack(np.meshgrid(*[np.arange(a, a + s) for a, s in zip(lo, size)], indexing="ij"))
+    return np.exp(1j * scale * np.tensordot(momenta, q, 1))
 
 
 def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
-    """Twisted mode-space double sum realizing the deformed product.
+    """Deformed product as q-convolutions, one per pair of momentum frequencies.
 
-    Modes below _PRUNE_THRESHOLD (relative) are dropped; pair contributions
-    whose combined frequency leaves the Nyquist box are excluded and their
-    mass is compared against _ALIAS_TOLERANCE.  The block size (about
-    _PAIR_BLOCK pairs) never changes the result: np.add.at adds in
-    row-major pair order.
+    sigma(k, l) = k_q.l_p - k_p.l_q, so for fixed (k_p, l_p) the twist
+    e^{-ic sigma}, c = hbar dk^2 / 2, is e^{-ic k_q.l_p} e^{+ic k_p.l_q}, one
+    factor per operand: the pairs sum to one zero-padded FFT convolution
+    along q of two twisted columns of the significant-mode boxes, and the
+    terms sharing m_p = k_p + l_p add up before one inverse FFT.  A pair
+    weighs |F_k||G_l| whatever hbar, so the aliased share (pairs leaving the
+    Nyquist box) is the out-of-box part of |F| * |G|.  Work above _MAX_WORK
+    (momentum pairs x q-FFT entries) is refused before any box is built.
+    The k_p rows go in blocks of about _MOMENTUM_BLOCK entries and enter the
+    m_p sums in row order, so the block never changes the result.
     """
     _require_same_grid(f, g)
     if not (hbar >= 0):
         raise GridError("the deformation parameter must be nonnegative")
     _require_interior_support(f, boundary_threshold)
     _require_interior_support(g, boundary_threshold)
-    grid = f.grid
-    p = grid.points_per_axis
-    half = p // 2
-    fi, fval = _significant_modes(_modes(f), _PRUNE_THRESHOLD)
-    gi, gval = (fi, fval) if g is f else _significant_modes(_modes(g), _PRUNE_THRESHOLD)
-    pairs = len(fi) * len(gi)
-    if pairs > _MAX_PAIRS:
+    grid, n, p = f.grid, f.grid.n, f.grid.points_per_axis
+    fvec, fval = _significant(_modes(f))
+    gvec, gval = (fvec, fval) if g is f else _significant(_modes(g))
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    if len(fval) == 0 or len(gval) == 0:
+        return GridFunction(grid, out)
+    flo, glo = fvec.min(axis=0), gvec.min(axis=0)
+    fsize, gsize = fvec.max(axis=0) - flo + 1, gvec.max(axis=0) - glo + 1
+    span = fsize + gsize - 1  # linear convolution length per axis
+    fft_shape = tuple(_fft_length(s) for s in span)
+    fmomenta, gmomenta = int(np.prod(fsize[n:])), int(np.prod(gsize[n:]))
+    q_entries = int(np.prod(fft_shape[:n]))
+    if fmomenta * gmomenta * q_entries > _MAX_WORK:
         raise GridError(
-            "%d x %d significant modes make %d pairs, above the limit of %d"
-            % (len(fi), len(gi), pairs, _MAX_PAIRS)
+            "%d x %d momentum frequencies times %d q-FFT entries make %d, above the limit of %d"
+            % (fmomenta, gmomenta, q_entries, fmomenta * gmomenta * q_entries, _MAX_WORK)
         )
-    out = np.zeros(p**grid.dim, dtype=np.complex128)
-    if len(fi) == 0 or len(gi) == 0:
-        return GridFunction(grid, _from_modes(grid, out.reshape(grid.shape)))
-    fvec = _freq_vectors(grid, fi)
-    gvec = _freq_vectors(grid, gi)
-    twist_scale = 0.5 * hbar * grid.mode_step**2
-    f_j = fvec.astype(float) @ grid.form_matrix()
-    alias_mass = 0.0
-    total_mass = 0.0
-    chunk = max(1, _PAIR_BLOCK // len(gi))
-    for start in range(0, len(fi), chunk):
-        stop = min(start + chunk, len(fi))
-        sigma = f_j[start:stop] @ gvec.T.astype(float)
-        contrib = fval[start:stop, None] * gval[None, :] * np.exp(-1j * twist_scale * sigma)
-        combined = fvec[start:stop, None, :] + gvec[None, :, :]
-        in_range = np.all((combined >= -half) & (combined < half), axis=2)
-        mags = np.abs(contrib)
-        total_mass += float(mags.sum())
-        alias_mass += float(mags[~in_range].sum())
-        kept = combined[in_range] % p
-        flat = np.ravel_multi_index(tuple(kept.T), grid.shape)
-        np.add.at(out, flat, contrib[in_range])
-    if total_mass > 0.0 and alias_mass / total_mass > _ALIAS_TOLERANCE:
+    fbox, gbox = _mode_box(fvec, fval, flo, fsize), _mode_box(gvec, gval, glo, gsize)
+
+    # result frequency lo + i lies inside the Nyquist box for i in keep
+    lo = flo + glo
+    keep = tuple(slice(max(0, -p // 2 - a), max(0, min(s, p // 2 - a))) for a, s in zip(lo, span))
+    axes = tuple(range(grid.dim))
+    fmass, gmass = (np.fft.rfftn(np.abs(box), fft_shape, axes) for box in (fbox, gbox))
+    inside = np.fft.irfftn(fmass * gmass, fft_shape, axes)[keep].sum()
+    aliased = 1.0 - float(inside) / (float(np.abs(fval).sum()) * float(np.abs(gval).sum()))
+    if aliased > _ALIAS_TOLERANCE:
         raise AliasError(
             "aliased mass ratio %.3e exceeds %.1e; refine the grid or widen the domain"
-            % (alias_mass / total_mass, _ALIAS_TOLERANCE)
+            % (aliased, _ALIAS_TOLERANCE)
         )
-    return GridFunction(grid, _from_modes(grid, out.reshape(grid.shape)))
+
+    # operands as (momentum row, q...), each with its own twist factor
+    frows = np.moveaxis(fbox.reshape(tuple(fsize[:n]) + (-1,)), -1, 0)
+    grows = np.moveaxis(gbox.reshape(tuple(gsize[:n]) + (-1,)), -1, 0)
+    fcorner = np.indices(fsize[n:]).reshape(n, -1).T
+    gcorner = np.indices(gsize[n:]).reshape(n, -1).T
+    scale = 0.5 * hbar * grid.mode_step**2
+    ftwist = _twist(glo[n:] + gcorner, flo[:n], fsize[:n], -scale)
+    gtwist = _twist(flo[n:] + fcorner, glo[:n], gsize[:n], scale)
+    q_fft, q_axes = fft_shape[:n], tuple(range(2, 2 + n))
+    acc = np.zeros(tuple(span[n:]) + q_fft, dtype=np.complex128)
+    rows = max(1, _MOMENTUM_BLOCK // (gmomenta * q_entries))
+    for start in range(0, fmomenta, rows):
+        block = slice(start, start + rows)
+        terms = np.fft.fftn(frows[block, None] * ftwist, q_fft, q_axes)
+        terms *= np.fft.fftn(grows * gtwist[block, None], q_fft, q_axes)
+        for corner, row in zip(fcorner[block], terms):
+            target = tuple(slice(c, c + s) for c, s in zip(corner, gsize[n:]))
+            acc[target] += row.reshape(tuple(gsize[n:]) + q_fft)
+    acc = np.fft.ifftn(acc, axes=tuple(range(n, 2 * n)))[(Ellipsis,) + tuple(map(slice, span[:n]))]
+    index = np.ix_(*[np.arange(a + k.start, a + k.stop) % p for a, k in zip(lo, keep)])
+    out[index] = acc.transpose(tuple(range(n, 2 * n)) + tuple(range(n)))[keep]
+    return GridFunction(grid, _from_modes(grid, out))
 
 
 def von_neumann_defect_grid(f, g, hbar):
@@ -442,10 +475,10 @@ def pullback(f, phi, boundary_threshold=_BOUNDARY_THRESHOLD):
         raise GridError("map dimension does not match the grid")
     _require_interior_support(f, boundary_threshold)
     grid = f.grid
-    fi, fval = _significant_modes(_modes(f), _PRUNE_THRESHOLD)
-    if len(fi) == 0:
+    fvec, fval = _significant(_modes(f))
+    if len(fval) == 0:
         return GridFunction(grid, np.zeros(grid.shape))
-    kvec = _freq_vectors(grid, fi).astype(float) * grid.mode_step
+    kvec = fvec.astype(float) * grid.mode_step
     alpha = kvec @ phi.linear
     coeff = fval * np.exp(1j * (kvec @ phi.offset))
     x = grid.axis_coordinates()
@@ -604,14 +637,13 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
                 "phase-space mass fraction %.3e beyond the truncation reach %.3f; "
                 "increase the truncation" % (tail, reach)
             )
-    fi, fval = _significant_modes(_modes(f), _PRUNE_THRESHOLD)
-    mvec = _freq_vectors(grid, fi)
+    mvec, fval = _significant(_modes(f))
     keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
     phi = np.arctan2(mvec[:, 1], mvec[:, 0])
 
     # Row c of `half` holds T[c, d] for d >= 0, row C + c holds conj(T[c, -d]):
     # the class sums of F_k z_k^d and conj(F_k) z_k^d, z_k = e^{i phi_k}.
-    classes, count = len(keys), len(fi)
+    classes, count = len(keys), len(fval)
     weights = sparse.csc_array(
         (
             np.concatenate([fval, fval.conj()]),
@@ -686,14 +718,13 @@ def moyal_quadrature_oracle(f_callable, g_callable, hbar, points):
     u = -_ORACLE_RADIUS + step * (np.arange(_ORACLE_NODES) + 0.5)
     wu = np.full(_ORACLE_NODES, step)
     kernel = np.exp((2j / hbar) * np.outer(u, u))
+    kernel_conj = kernel.conj()
     rows = []
     for z in np.atleast_2d(np.asarray(points, dtype=float)):
-        fu = f_callable(z[0] + u[:, None], z[1] + u[None, :])
-        gv = g_callable(z[0] + u[:, None], z[1] + u[None, :])
-        fa, fb = _separate(fu)
-        ga, gb = _separate(gv)
+        fa, fb = _separate(f_callable(z[0] + u[:, None], z[1] + u[None, :]))
+        ga, gb = _separate(g_callable(z[0] + u[:, None], z[1] + u[None, :]))
         ia = (wu * fa) @ kernel @ (wu * gb)
-        ib = (wu * fb) @ kernel.conj() @ (wu * ga)
+        ib = (wu * fb) @ kernel_conj @ (wu * ga)
         rows.append(ia * ib / (np.pi * hbar) ** 2)
     return np.array(rows)
 
@@ -704,7 +735,7 @@ def _separate(values, tol=1e-9):
     pivot = values[idx]
     if pivot == 0:
         return np.zeros(values.shape[0]), np.zeros(values.shape[1])
-    col = values[:, idx[1]]
+    col = values[:, idx[1]].copy()  # a view would keep the whole matrix alive
     row = values[idx[0], :] / pivot
     approx = np.outer(col, row)
     if np.abs(approx - values).max() > tol * np.abs(pivot):

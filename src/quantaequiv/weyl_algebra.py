@@ -19,7 +19,7 @@ generators is {W(f), W(g)} = sigma(f,g) W(f+g).
 import json
 from cmath import exp as cexp
 from fractions import Fraction
-from math import lcm, pi
+from math import pi
 
 from . import rational_linalg as rl
 from .cyclotomic import phase_sum_is_zero
@@ -391,49 +391,6 @@ def norm_bounds(a, hbar=None):
             raise AlgebraError("norm of a symbolic element needs a parameter value")
         mags = [abs(c.value_at(float(hbar))) for c in a._terms.values()]
     return (max(mags), sum(mags)) if mags else (0.0, 0.0)
-
-
-def classical_sup_norm_estimate(a, resolution=256):
-    """Grid maximum of |sum_f c_f e^{i t(f)}| over the closure torus.
-
-    The labels span a rational lattice of some rank k; the almost periodic
-    function is scanned on a k-torus grid.  Resolutions are snapped to powers
-    of two so that finer grids contain coarser ones (monotone estimates).
-    """
-    import numpy as np
-
-    if a.hbar not in (None, Fraction(0)) or any(
-        not c.is_constant for c in a._terms.values()
-    ):
-        raise AlgebraError("sup-norm estimate needs a parameter-free element")
-    if not a._terms:
-        return 0.0
-    labels = sorted(a._terms)
-    coeffs = np.array([a._terms[f].value_at(0.0) for f in labels])
-    basis = rl.row_space_basis(labels)
-    k = len(basis)
-    if k == 0:
-        return float(abs(coeffs.sum()))
-    coords = [rl.coordinates_in_basis(f, basis) for f in labels]
-    scaled = [lcm(*(row[c].denominator for row in coords)) for c in range(k)]
-    u = np.array(
-        [[int(row[c] * scaled[c]) for c in range(k)] for row in coords], dtype=float
-    )
-    res = 32
-    while res < resolution:
-        res *= 2
-    if k >= 3:
-        res = min(res, 64)
-    t = 2.0 * np.pi * np.arange(res) / res
-    grids = np.meshgrid(*([t] * k), indexing="ij")
-    total = np.zeros(grids[0].shape, dtype=complex)
-    for j, cj in enumerate(coeffs):
-        phase = np.zeros(grids[0].shape)
-        for c in range(k):
-            if u[j, c]:
-                phase = phase + u[j, c] * grids[c]
-        total += cj * np.exp(1j * phase)
-    return float(np.abs(total).max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Grid-side deformation tests: torus discretization, deformed product, defects."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,18 @@ import pytest
 from quantaequiv import rieffel
 from quantaequiv.harness import GAUSSIAN_PAIRS
 from quantaequiv.rieffel import (
+    _ALIAS_TOLERANCE,
+    _BOUNDARY_THRESHOLD,
     AffineSymplecticMap,
     AliasError,
     Grid2n,
     GridError,
     GridFunction,
     SupportError,
+    _from_modes,
+    _modes,
+    _require_interior_support,
+    _significant,
     convergence_study,
     dirac_defect_grid,
     equivariance_defect,
@@ -34,6 +41,58 @@ from quantaequiv.rieffel import (
 )
 
 HBAR = 0.1
+SCHEDULE = (0.4, 0.2, 0.1, 0.05)
+
+# mode pairs per block of the reference pair sum (about 32 MiB of temporaries)
+_PAIR_BLOCK = 2**18
+
+
+def reference_moyal_product(f, g, hbars, boundary_threshold=_BOUNDARY_THRESHOLD):
+    """The twisted double sum moyal_product replaced, kept as its reference.
+
+    One complex exponential per pair of significant modes, accumulated with
+    np.add.at in row-major pair order, blocks of about _PAIR_BLOCK pairs,
+    and the aliased mass summed per block.  The pair structure is shared
+    across the values of hbar; returns one product per value.
+    """
+    _require_interior_support(f, boundary_threshold)
+    _require_interior_support(g, boundary_threshold)
+    grid = f.grid
+    p = grid.points_per_axis
+    half = p // 2
+    fvec, fval = _significant(_modes(f))
+    gvec, gval = _significant(_modes(g))
+    f_j = fvec.astype(float) @ grid.form_matrix()
+    outs = [np.zeros(p**grid.dim, dtype=np.complex128) for _ in hbars]
+    alias_mass = [0.0] * len(hbars)
+    total_mass = [0.0] * len(hbars)
+    chunk = max(1, _PAIR_BLOCK // len(gval))
+    for start in range(0, len(fval), chunk):
+        stop = min(start + chunk, len(fval))
+        sigma = f_j[start:stop] @ gvec.T.astype(float)
+        weights = fval[start:stop, None] * gval[None, :]
+        combined = fvec[start:stop, None, :] + gvec[None, :, :]
+        in_range = np.all((combined >= -half) & (combined < half), axis=2)
+        kept = combined[in_range] % p
+        flat = np.ravel_multi_index(tuple(kept.T), grid.shape)
+        for i, hbar in enumerate(hbars):
+            contrib = weights * np.exp(-1j * (0.5 * hbar * grid.mode_step**2) * sigma)
+            mags = np.abs(contrib)
+            total_mass[i] += float(mags.sum())
+            alias_mass[i] += float(mags[~in_range].sum())
+            np.add.at(outs[i], flat, contrib[in_range])
+    products = []
+    for out, aliased, total in zip(outs, alias_mass, total_mass):
+        if total > 0.0 and aliased / total > _ALIAS_TOLERANCE:
+            raise AliasError(
+                "aliased mass ratio %.3e exceeds %.1e" % (aliased / total, _ALIAS_TOLERANCE)
+            )
+        products.append(GridFunction(grid, _from_modes(grid, out.reshape(grid.shape))))
+    return products
+
+
+def _relative_gap(got, ref):
+    return float(np.abs(got.samples - ref.samples).max() / np.abs(ref.samples).max())
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +328,8 @@ class TestMoyalProduct:
         assert fast.boundary_ratio() <= 1e-12
         with pytest.raises(AliasError):
             moyal_product(fast, fast, HBAR)
+        with pytest.raises(AliasError):
+            reference_moyal_product(fast, fast, (HBAR,))
 
     def test_boundary_detector_fires_for_edge_support(self, grid):
         wide = GridFunction.gaussian(grid, (8.0, 0.0), 0.5)
@@ -277,13 +338,60 @@ class TestMoyalProduct:
             moyal_product(wide, g, HBAR)
 
 
+class TestAgainstReference:
+    @pytest.mark.parametrize("index", range(len(GAUSSIAN_PAIRS)))
+    @pytest.mark.parametrize("order", ["fg", "gf"])
+    def test_gaussian_pairs_over_the_schedule(self, grid, index, order):
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[index]
+        f = GridFunction.gaussian(grid, c1, a)
+        g = GridFunction.gaussian(grid, c2, b)
+        if order == "gf":
+            f, g = g, f
+        refs = reference_moyal_product(f, g, SCHEDULE)
+        for hbar, ref in zip(SCHEDULE, refs):
+            assert _relative_gap(moyal_product(f, g, hbar), ref) <= 1e-13
+
+    def test_closed_form_pair(self, grid):
+        f = GridFunction.gaussian(grid, (0.0, 0.0), 0.5)
+        g = GridFunction.gaussian(grid, (0.0, 0.0), 1.0 / 3.0)
+        (ref,) = reference_moyal_product(f, g, (HBAR,))
+        assert _relative_gap(moyal_product(f, g, HBAR), ref) <= 1e-13
+
+    def test_complex_input(self, grid):
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
+        wave = GridFunction.from_callable(grid, lambda x, p: np.exp(1j * x))
+        f = GridFunction.gaussian(grid, c1, a) * wave
+        g = GridFunction.gaussian(grid, c2, b)
+        for left, right in ((f, g), (g, f)):
+            (ref,) = reference_moyal_product(left, right, (HBAR,))
+            assert _relative_gap(moyal_product(left, right, HBAR), ref) <= 1e-13
+
+    def test_two_degrees_of_freedom(self, grid4):
+        # random trigonometric polynomials of 20 modes, |k_i| <= 4: any
+        # Gaussian on this grid has about 1e6 significant modes, too many
+        # for the pair sum
+        rng = np.random.default_rng(20260816)
+
+        def polynomial():
+            modes = np.zeros(grid4.shape, dtype=np.complex128)
+            for k in rng.integers(-4, 5, size=(20, 4)):
+                modes[tuple(k % grid4.points_per_axis)] = rng.normal() + 1j * rng.normal()
+            return GridFunction(grid4, _from_modes(grid4, modes))
+
+        f, g = polynomial(), polynomial()
+        inf = float("inf")
+        for left, right in ((f, g), (g, f)):
+            (ref,) = reference_moyal_product(left, right, (HBAR,), inf)
+            assert _relative_gap(moyal_product(left, right, HBAR, inf), ref) <= 1e-13
+
+
 class TestBlocksAndLimits:
     def test_block_size_never_changes_the_product(self, grid, monkeypatch):
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
         f = GridFunction.gaussian(grid, c1, a)
         g = GridFunction.gaussian(grid, c2, b)
         default = moyal_product(f, g, HBAR)
-        monkeypatch.setattr(rieffel, "_PAIR_BLOCK", 2**12)
+        monkeypatch.setattr(rieffel, "_MOMENTUM_BLOCK", 1)  # one k_p row per block
         assert np.array_equal(moyal_product(f, g, HBAR).samples, default.samples)
 
     def test_block_size_moves_the_pullback_only_at_round_off(self, grid, monkeypatch):
@@ -295,14 +403,37 @@ class TestBlocksAndLimits:
         small = pullback(f, phi)
         assert (small - default).sup_norm() <= 1e-13 * default.sup_norm()
 
+    @pytest.mark.parametrize(
+        "operands, limit_mib",
+        [
+            (GAUSSIAN_PAIRS[1], 33),  # 4117 x 4117 modes; the pair sum peaked at 33 MiB
+            ((((-5.0, 0.0), 4.0), ((5.0, 0.0), 4.0)), 64),  # the disjoint pair below
+        ],
+        ids=["pair2", "disjoint"],
+    )
+    def test_product_temporaries_stay_bounded(self, grid, operands, limit_mib):
+        (c1, a), (c2, b) = operands
+        f = GridFunction.gaussian(grid, c1, a)
+        g = GridFunction.gaussian(grid, c2, b)
+        tracemalloc.start()
+        try:
+            moyal_product(f, g, HBAR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
+
     def test_oversize_product_is_refused_before_pair_work(self, monkeypatch):
         # a narrow bump on the coarse 4-dimensional grid: about 1e6 significant
-        # modes, so about 1e12 pairs, and it passes the boundary guard
+        # modes filling every axis, so 32**2 x 32**2 momentum pairs times 64**2
+        # q-FFT entries, and it passes the boundary guard
         grid4 = Grid2n(2, 32, 10.0)
         f = GridFunction.gaussian(grid4, (0.0,) * 4, 2.0)
         assert f.boundary_ratio() <= 1e-12
-        count = len(rieffel._significant_modes(rieffel._modes(f), rieffel._PRUNE_THRESHOLD)[0])
-        assert count * count > rieffel._MAX_PAIRS
+        vecs, _ = rieffel._significant(rieffel._modes(f))
+        assert list(vecs.max(axis=0) - vecs.min(axis=0) + 1) == [32] * 4
+        work = (32 * 32) ** 2 * 64**2
+        assert work > rieffel._MAX_WORK
 
         transforms = []
         modes = rieffel._modes
@@ -311,16 +442,16 @@ class TestBlocksAndLimits:
             transforms.append(h)
             return modes(h)
 
-        def no_pairs(*args):
-            raise AssertionError("pair work started")
+        def no_box(*args):
+            raise AssertionError("box work started")
 
         monkeypatch.setattr(rieffel, "_modes", counted_modes)
-        monkeypatch.setattr(rieffel, "_freq_vectors", no_pairs)
+        monkeypatch.setattr(rieffel, "_mode_box", no_box)
         with pytest.raises(GridError) as info:
             moyal_product(f, f, HBAR)
         assert type(info.value) is GridError
-        assert str(count * count) in str(info.value)
-        assert str(rieffel._MAX_PAIRS) in str(info.value)
+        assert str(work) in str(info.value)
+        assert str(rieffel._MAX_WORK) in str(info.value)
         assert len(transforms) == 1
 
 

@@ -10,7 +10,6 @@ from quantaequiv.weyl_algebra import (
     AlgebraError,
     CoeffExpr,
     WeylElement,
-    classical_sup_norm_estimate,
     evaluate_at,
     involution,
     multiply,
@@ -245,37 +244,6 @@ def test_norm_bounds_two_terms():
     assert lo == pytest.approx(1.0)
     assert hi == pytest.approx(2.0)
     assert norm_bounds(weyl_unit(SP1) - weyl_unit(SP1), hbar=0.0) == (0.0, 0.0)
-
-
-def test_sup_norm_independent_generators_reach_sum():
-    a = weyl_generator(SP1, [1, 0]) + weyl_generator(SP1, [0, 1])
-    est = classical_sup_norm_estimate(a, resolution=128)
-    assert est == pytest.approx(2.0, abs=1e-12)
-
-
-def test_sup_norm_dependent_generators():
-    # f and 3f lie on one line: sup_t |e^{it} + e^{3it}| = 2 at t = 0
-    a = weyl_generator(SP1, [1, 0]) + weyl_generator(SP1, [3, 0])
-    est = classical_sup_norm_estimate(a, resolution=256)
-    assert est == pytest.approx(2.0, abs=1e-12)
-    # destructive pair never reaches the coefficient sum:
-    # |e^{it} - e^{2it}| has maximum sqrt(3) ... actually max over t of
-    # |1 - e^{it}| = 2 at t = pi; use the frozen value 2
-    b = weyl_generator(SP1, [1, 0]) - weyl_generator(SP1, [2, 0])
-    est_b = classical_sup_norm_estimate(b, resolution=256)
-    assert est_b == pytest.approx(2.0, abs=1e-10)
-
-
-def test_sup_norm_monotone_in_resolution():
-    a = (
-        weyl_generator(SP1, [1, 0])
-        + weyl_generator(SP1, [0, 1]).scale_coeff(CoeffExpr.gaussian(0, 1))
-        + weyl_generator(SP1, ["1/2", "1/2"]).scale_coeff(CoeffExpr.rational(2))
-    )
-    coarse = classical_sup_norm_estimate(a, resolution=32)
-    fine = classical_sup_norm_estimate(a, resolution=128)
-    assert fine >= coarse - 1e-15
-    assert fine <= 4.0 + 1e-12  # never exceeds the coefficient sum
 
 
 # --- serialization -----------------------------------------------------------

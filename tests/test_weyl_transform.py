@@ -12,10 +12,8 @@ from quantaequiv.rieffel import (
     GridFunction,
     TruncationError,
     WeylMatrix,
-    _PRUNE_THRESHOLD,
-    _freq_vectors,
     _modes,
-    _significant_modes,
+    _significant,
     moyal_product,
     oscillator_momentum,
     oscillator_position,
@@ -48,12 +46,11 @@ def reference_weyl_transform(f, hbar, n_trunc, bases):
     F_k U_phi base U_phi^dagger per significant mode.
     """
     grid = f.grid
-    fi, fval = _significant_modes(_modes(f), _PRUNE_THRESHOLD)
-    mvec = _freq_vectors(grid, fi)
+    mvec, fval = _significant(_modes(f))
     class_keys = (mvec[:, 0] ** 2 + mvec[:, 1] ** 2).astype(np.int64)
     total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
     levels = np.arange(n_trunc)
-    for j in range(len(fi)):
+    for j in range(len(fval)):
         key = int(class_keys[j])
         if key == 0:
             total[levels, levels] += fval[j]
