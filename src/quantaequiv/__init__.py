@@ -13,7 +13,6 @@ from .symplectic import (
     LinearMapSpec,
     SpaceError,
     SymplecticSpace,
-    character_eval,
     compose_characters,
     darboux_basis,
     is_symplectic_map,
@@ -48,15 +47,11 @@ from .weyl_functors import (
     identity_morphism,
     k0_membership,
     poisson_morphism_check,
-    quantize_element,
     quantize_morphism,
     quantize_object,
     rescale,
     rieffel_condition_check,
     scaling_check,
-    section_from_generator,
-    section_mul,
-    section_scale,
     smooth_check,
     von_neumann_defect,
 )
@@ -89,24 +84,17 @@ from .rieffel import (
     GridFunction,
     SupportError,
     TruncationError,
-    WeylMatrix,
     convergence_study,
     dirac_defect_grid,
     equivariance_defect,
     gaussian_star_closed_form,
-    grid_function_descriptor,
-    grid_function_from_bytes,
-    grid_function_to_bytes,
     lie_derivative,
-    load_grid_function,
     morphism_star_defect,
     moyal_product,
     moyal_quadrature_oracle,
-    oscillator_momentum,
     oscillator_position,
     poisson_bracket_grid,
     pullback,
-    save_grid_function,
     translate,
     von_neumann_defect_grid,
     weyl_homomorphism_residual,

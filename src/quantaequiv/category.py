@@ -125,8 +125,12 @@ def _sample_objects(arrows):
     return [seen[k] for k in sorted(seen)]
 
 
-def check_category_laws(cat, arrows, max_pairs=400, max_triples=400):
-    """Identity and associativity over the sampled arrow pool."""
+def check_category_laws(cat, arrows, max_pairs=400):
+    """Identity and associativity over the sampled arrow pool.
+
+    At most max_pairs composable pairs are taken, and at most max_pairs
+    composable triples are checked for associativity.
+    """
     report = []
     for a in arrows:
         left = cat.compose(cat.identity_arrow(a.cod), a)
@@ -158,7 +162,7 @@ def check_category_laws(cat, arrows, max_pairs=400, max_triples=400):
             break
     triples = 0
     for a3, a2 in pairs:
-        if triples >= max_triples:
+        if triples >= max_pairs:
             break
         for a1 in arrows:
             if a1.cod != a2.dom:
@@ -174,7 +178,7 @@ def check_category_laws(cat, arrows, max_pairs=400, max_triples=400):
                 )
             )
             triples += 1
-            if triples >= max_triples:
+            if triples >= max_pairs:
                 break
     return report
 

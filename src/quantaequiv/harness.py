@@ -169,6 +169,11 @@ def validate_config(config):
             raise ConfigError("schedule entries must be positive")
         if any(b >= a for a, b in zip(values, values[1:])):
             raise ConfigError("schedule must be strictly decreasing")
+    # the schema takes integral floats such as 64.0 for integers
+    for field in ("seed", "sample_count", "grid_points", "max_pairs", "truncations"):
+        raw = config.get(field, [])
+        if not all(isinstance(v, int) for v in (raw if isinstance(raw, list) else [raw])):
+            raise ConfigError("%s must hold integers, got %r" % (field, raw))
     if "truncations" in config:
         t = config["truncations"]
         if any(b <= a for a, b in zip(t, t[1:])):
@@ -225,10 +230,10 @@ def _worker_count():
 
 def _run_checks(checks, workers):
     if workers == 1:
-        results = [fn() for _, fn in checks]
+        results = [fn() for fn in checks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda item: item[1](), checks))
+            results = list(pool.map(lambda fn: fn(), checks))
     flat = []
     for item in results:
         if isinstance(item, list):
@@ -342,7 +347,7 @@ def _suite_weyl_laws(config):
     laws = (associativity, unit_laws, involution_laws, zero_fiber_commutativity,
             poisson_axioms, serialization_round_trip)
     # one task: the exact checks hold the GIL, and a thread pool ran them slower
-    return [("law-battery", lambda: [law() for law in laws])]
+    return [lambda: [law() for law in laws]]
 
 
 # --- weyl-sdq -----------------------------------------------------------------
@@ -465,11 +470,7 @@ def _suite_weyl_sdq(config):
                 bad += 1
         return _record("sdq-06-rieffel-constancy", bad == 0, value=bad, tolerance=0)
 
-    return [
-        ("sdq-closed-forms", closed_forms),
-        ("sdq-05-k0-brute-force", k0_brute_force),
-        ("sdq-06-rieffel-constancy", rieffel_constancy),
-    ]
+    return [closed_forms, k0_brute_force, rieffel_constancy]
 
 
 def _limit_magnitude(coeff):
@@ -498,49 +499,24 @@ def _suite_equivalence_weyl(config):
     def run_battery():
         arrows = sample_classical_arrows(seed, count)
         quantized = quantize_arrow_pool(arrows)
+        reports = (
+            ("eq-01-classical-category",
+             check_category_laws(classical_category(), arrows, max_pairs)),
+            ("eq-02-quantum-category",
+             check_category_laws(quantum_category(), quantized, max_pairs)),
+            ("eq-03-quantization-functor",
+             check_functor_laws(quantization_functor(), arrows, max_pairs)),
+            ("eq-04-limit-functor",
+             check_functor_laws(limit_functor(), quantized, max_pairs)),
+            ("eq-05-naturality-invertibility",
+             check_equivalence(quantization_functor(), limit_functor(), unit_transformation(),
+                               counit_transformation(), arrows, quantized)),
+        )
         checks = []
-
-        report = check_category_laws(classical_category(), arrows, max_pairs, max_pairs)
-        bad = violations(report)
-        checks.append(
-            _record("eq-01-classical-category", not bad, value=len(bad), tolerance=0,
-                    witness=_violation_witness(bad))
-        )
-
-        report = check_category_laws(quantum_category(), quantized, max_pairs, max_pairs)
-        bad = violations(report)
-        checks.append(
-            _record("eq-02-quantum-category", not bad, value=len(bad), tolerance=0,
-                    witness=_violation_witness(bad))
-        )
-
-        report = check_functor_laws(quantization_functor(), arrows, max_pairs)
-        bad = violations(report)
-        checks.append(
-            _record("eq-03-quantization-functor", not bad, value=len(bad), tolerance=0,
-                    witness=_violation_witness(bad))
-        )
-
-        report = check_functor_laws(limit_functor(), quantized, max_pairs)
-        bad = violations(report)
-        checks.append(
-            _record("eq-04-limit-functor", not bad, value=len(bad), tolerance=0,
-                    witness=_violation_witness(bad))
-        )
-
-        report = check_equivalence(
-            quantization_functor(),
-            limit_functor(),
-            unit_transformation(),
-            counit_transformation(),
-            arrows,
-            quantized,
-        )
-        bad = violations(report)
-        checks.append(
-            _record("eq-05-naturality-invertibility", not bad, value=len(bad),
-                    tolerance=0, witness=_violation_witness(bad))
-        )
+        for check_id, report in reports:
+            bad = violations(report)
+            checks.append(_record(check_id, not bad, value=len(bad), tolerance=0,
+                                  witness=_violation_witness(bad)))
 
         round_trip_bad = 0
         for record in arrows:
@@ -557,7 +533,7 @@ def _suite_equivalence_weyl(config):
         )
         return checks
 
-    return [("eq-battery", run_battery)]
+    return [run_battery]
 
 
 # --- rieffel-sdq ----------------------------------------------------------------
@@ -630,17 +606,10 @@ def _suite_rieffel_sdq(config):
         return _record(check_id, passed, value=slope, tolerance=[low, high],
                        witness=witness, saturated=study["saturated"])
 
-    checks = [
-        ("rsdq-01-closed-form", closed_form_check),
-        ("rsdq-02-quadrature-oracle", oracle_check),
-    ]
+    checks = [closed_form_check, oracle_check]
     for idx in range(3):
-        checks.append(
-            ("rsdq-03-vn-%d" % idx, lambda kind="vn", i=idx: study_check(kind, i))
-        )
-        checks.append(
-            ("rsdq-04-dirac-%d" % idx, lambda kind="dirac", i=idx: study_check(kind, i))
-        )
+        checks.append(lambda i=idx: study_check("vn", i))
+        checks.append(lambda i=idx: study_check("dirac", i))
     return checks
 
 
@@ -680,13 +649,8 @@ def _suite_rieffel_morphisms(config):
         return _record("morph-03-equivariance", value <= 1e-8, value=value,
                        tolerance=1e-8)
 
-    checks = [
-        ("morph-01-%s" % name, lambda n=name, p=phi: symplectic_check(n, p))
-        for name, phi in symplectic_maps
-    ]
-    checks.append(("morph-02-control", control_check))
-    checks.append(("morph-03-equivariance", equivariance_check))
-    return checks
+    checks = [lambda n=name, p=phi: symplectic_check(n, p) for name, phi in symplectic_maps]
+    return checks + [control_check, equivariance_check]
 
 
 # --- weyl-transform -------------------------------------------------------------
@@ -705,7 +669,7 @@ def _suite_weyl_transform(config):
     def window_identity():
         w = GridFunction.from_callable(grid, window_fn)
         mat = weyl_transform(w, hbar, reference)
-        value = float(np.max(np.abs(mat.entries[:10, :10] - np.eye(10))))
+        value = float(np.max(np.abs(mat[:10, :10] - np.eye(10))))
         return _record("wt-01-window-identity", value <= 1e-6, value=value,
                        tolerance=1e-6)
 
@@ -714,7 +678,7 @@ def _suite_weyl_transform(config):
         xw = GridFunction.from_callable(grid, lambda x, p: x) * w
         mat = weyl_transform(xw, hbar, reference)
         ref = oscillator_position(reference, hbar)
-        value = float(np.max(np.abs(mat.entries[:10, :10] - ref[:10, :10])))
+        value = float(np.max(np.abs(mat[:10, :10] - ref[:10, :10])))
         return _record("wt-02-windowed-position", value <= 1e-6, value=value,
                        tolerance=1e-6)
 
@@ -741,12 +705,9 @@ def _suite_weyl_transform(config):
         return _record("wt-03-intertwining-pair%d" % (index + 1), monotone and small,
                        value=residuals[reference], tolerance=1e-3, witness=witness)
 
-    checks = [
-        ("wt-01-window-identity", window_identity),
-        ("wt-02-windowed-position", windowed_position),
-    ]
+    checks = [window_identity, windowed_position]
     for idx in range(len(transform_pairs)):
-        checks.append(("wt-03-pair%d" % idx, lambda i=idx: intertwining(i)))
+        checks.append(lambda i=idx: intertwining(i))
     return checks
 
 

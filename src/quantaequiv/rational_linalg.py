@@ -170,29 +170,3 @@ def row_space_basis(vectors):
         return []
     rows, pivots = _eliminate(vecs)
     return [tuple(rows[i]) for i in range(len(pivots))]
-
-
-def coordinates_in_basis(v, basis):
-    """Exact coordinates of v in the given independent basis (rows).
-
-    Raises ValueError if v lies outside the span.
-    """
-    if not basis:
-        if any(e != 0 for e in v):
-            raise ValueError("vector outside span of empty basis")
-        return ()
-    # solve basis^T c = v by elimination on the augmented system
-    n_cols = len(v)
-    aug = [[basis[j][i] for j in range(len(basis))] + [v[i]] for i in range(n_cols)]
-    rows, pivots = _eliminate(aug)
-    k = len(basis)
-    coords = [Fraction(0)] * k
-    for r, c in enumerate(pivots):
-        if c == k:
-            raise ValueError("vector outside span of basis")
-        coords[c] = rows[r][k]
-    # consistency: rows past the pivots must have zero rhs
-    for r in range(len(pivots), len(rows)):
-        if rows[r][k] != 0:
-            raise ValueError("vector outside span of basis")
-    return tuple(coords)

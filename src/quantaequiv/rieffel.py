@@ -19,9 +19,6 @@ Test functions must decay below a threshold at the domain boundary (the
 grid is a torus; the detector keeps wrap-around artifacts out of norms).
 """
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +35,7 @@ _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
 _SYMPLECTIC_TOLERANCE = 1e-12  # entrywise slack of A^T J A = J
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
+_RANK_ONE_TOLERANCE = 1e-9  # relative slack of the oracle's per-axis factorization
 # Blocks bound the temporaries of the grid kernels: complex entries per
 # q-FFT array in moyal_product (8 MiB each, two live per block) and 64
 # bytes per grid-by-mode entry in pullback (64 MiB).  The momentum block
@@ -545,30 +543,11 @@ def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOL
 # --- oscillator-basis transform (n = 1) -------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylMatrix:
-    dim: int
-    entries: object
-
-    def hermiticity_defect(self):
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-
 def oscillator_position(n_trunc, hbar):
     off = np.sqrt(0.5 * hbar * np.arange(1, n_trunc))
     m = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
     m[np.arange(n_trunc - 1), np.arange(1, n_trunc)] = off
     m[np.arange(1, n_trunc), np.arange(n_trunc - 1)] = off
-    return m
-
-
-def oscillator_momentum(n_trunc, hbar):
-    # commutator [Q, P] = +i hbar; plane-wave composition then reproduces
-    # the product twist e^{-i hbar sigma/2} used by moyal_product
-    off = np.sqrt(0.5 * hbar * np.arange(1, n_trunc))
-    m = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
-    m[np.arange(n_trunc - 1), np.arange(1, n_trunc)] = -1j * off
-    m[np.arange(1, n_trunc), np.arange(n_trunc - 1)] = 1j * off
     return m
 
 
@@ -589,7 +568,7 @@ def _powers(z, count):
 
 
 def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
-    """Matrix of the phase-space function in the truncated oscillator basis.
+    """The n_trunc x n_trunc complex matrix of f in the oscillator basis.
 
     Builds sum_k F_k exp(i(k1 Q + k2 P)) over significant modes.  Before
     assembling, a trace-residual detector integrates |f|^2 outside the
@@ -671,27 +650,23 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
         pair = w[d:] * w[: n_trunc - d]
         total[a + d, a] = np.einsum("am,m->a", pair, g[n_trunc - 1 + d])
         total[a, a + d] = np.einsum("am,m->a", pair, g[n_trunc - 1 - d])
-    return WeylMatrix(n_trunc, total)
+    return total
 
 
-def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix, block=None):
+def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix):
     """Frobenius residual of the transform against the operator product.
 
-    Compared on the leading block (default three quarters of the dimension):
-    rows within ~|k|sqrt(hbar N) of the truncation edge never converge
-    entrywise, so the intertwining statement is a statement about the
-    interior.  At the default block the residual is the edge-band overlap,
-    which shrinks steadily as the truncation grows.
+    Compared on the leading three quarters of the dimension: rows within
+    ~|k|sqrt(hbar N) of the truncation edge never converge entrywise, so
+    the intertwining statement is a statement about the interior.  On that
+    block the residual is the edge-band overlap, which shrinks steadily as
+    the truncation grows.
     """
-    dim = product_matrix.dim
-    if not (left_matrix.dim == right_matrix.dim == dim):
+    if not (product_matrix.shape == left_matrix.shape == right_matrix.shape):
         raise GridError("matrices must share one truncation size")
-    if block is None:
-        block = (3 * dim) // 4
-    if not 1 <= block <= dim:
-        raise GridError("comparison block must fit inside the matrices")
-    composed = (left_matrix.entries @ right_matrix.entries)[:block, :block]
-    defect = product_matrix.entries[:block, :block] - composed
+    block = (3 * product_matrix.shape[0]) // 4
+    composed = (left_matrix @ right_matrix)[:block, :block]
+    defect = product_matrix[:block, :block] - composed
     scale = np.linalg.norm(composed)
     if scale == 0.0:
         return float(np.linalg.norm(defect))
@@ -729,7 +704,7 @@ def moyal_quadrature_oracle(f_callable, g_callable, hbar, points):
     return np.array(rows)
 
 
-def _separate(values, tol=1e-9):
+def _separate(values):
     """Split a rank-one sample matrix M[i,j] = a[i] b[j]."""
     idx = np.unravel_index(np.argmax(np.abs(values)), values.shape)
     pivot = values[idx]
@@ -738,7 +713,7 @@ def _separate(values, tol=1e-9):
     col = values[:, idx[1]].copy()  # a view would keep the whole matrix alive
     row = values[idx[0], :] / pivot
     approx = np.outer(col, row)
-    if np.abs(approx - values).max() > tol * np.abs(pivot):
+    if np.abs(approx - values).max() > _RANK_ONE_TOLERANCE * np.abs(pivot):
         raise GridError("oracle inputs must factor per axis")
     return col, row
 
@@ -779,54 +754,3 @@ def convergence_study(defect_fn, f, g, schedule):
         return {"rows": rows, "slope": None, "residual": None, "saturated": True}
     slope, residual = loglog_fit(*zip(*rows))
     return {"rows": rows, "slope": slope, "residual": residual, "saturated": False}
-
-
-# --- serialization -----------------------------------------------------------
-
-_HEADER = struct.Struct("<3d")
-
-
-def grid_function_to_bytes(f):
-    header = _HEADER.pack(
-        float(f.grid.n), float(f.grid.points_per_axis), f.grid.extent
-    )
-    return header + np.ascontiguousarray(f.samples).tobytes()
-
-
-def grid_function_from_bytes(data):
-    n, points, extent = _HEADER.unpack_from(data, 0)
-    grid = Grid2n(int(n), int(points), extent)
-    expected = _HEADER.size + 16 * grid.points_per_axis**grid.dim
-    if len(data) != expected:
-        raise GridError("payload length does not match the header")
-    samples = np.frombuffer(data, dtype=np.complex128, offset=_HEADER.size)
-    return GridFunction(grid, samples.reshape(grid.shape))
-
-
-def grid_function_descriptor(f):
-    payload = grid_function_to_bytes(f)
-    return {
-        "schema_version": 1,
-        "kind": "grid-function",
-        "n": f.grid.n,
-        "points_per_axis": f.grid.points_per_axis,
-        "extent": f.grid.extent,
-        "byte_length": len(payload),
-        "header": "n,points,extent as little-endian float64",
-        "payload": "row-major complex128",
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
-
-
-def save_grid_function(f, path):
-    path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(grid_function_to_bytes(f))
-    with open(path + ".json", "w") as fh:
-        json.dump(grid_function_descriptor(f), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_grid_function(path):
-    with open(str(path), "rb") as fh:
-        return grid_function_from_bytes(fh.read())

@@ -42,10 +42,8 @@ def random_fraction(rng, max_abs=3, max_den=4, allow_zero=True):
             return value
 
 
-def random_label(rng, space, max_abs=2, max_den=3):
-    return space.vector(
-        [random_fraction(rng, max_abs, max_den) for _ in range(space.dim)]
-    )
+def random_label(rng, space):
+    return space.vector([random_fraction(rng, 2, 3) for _ in range(space.dim)])
 
 
 def random_space(rng, dim):
@@ -90,16 +88,16 @@ def _block(top_left, top_right, bottom_left, bottom_right):
     return rl.matrix(rows)
 
 
-def random_standard_symplectic(rng, n, factors=3):
+def random_standard_symplectic(rng, n):
     """A random element of the symplectic group for the standard form.
 
-    Built as a product of shears and block-diagonal scalings, each of which
-    preserves the standard form exactly.
+    Built as a product of three shears and block-diagonal scalings, each of
+    which preserves the standard form exactly.
     """
     eye = rl.identity(n)
     zero = rl.matrix([[Fraction(0)] * n for _ in range(n)])
     total = rl.identity(2 * n)
-    for _ in range(factors):
+    for _ in range(3):
         kind = rng.randrange(3)
         if kind == 0:
             total = rl.mat_mul(_block(eye, _random_symmetric(rng, n), zero, eye), total)
@@ -126,10 +124,8 @@ def random_symplectic_map(rng, dom, cod):
     return spec
 
 
-def random_character(rng, dim, max_abs=2, max_den=4):
-    return CharacterSpec(
-        tuple(random_fraction(rng, max_abs, max_den) for _ in range(dim))
-    )
+def random_character(rng, dim):
+    return CharacterSpec(tuple(random_fraction(rng, 2, 4) for _ in range(dim)))
 
 
 def random_coeff(rng, max_terms=2, with_parameter=True):
@@ -142,17 +138,17 @@ def random_coeff(rng, max_terms=2, with_parameter=True):
     return CoeffExpr(terms)
 
 
-def random_element(rng, space, max_terms=3, with_parameter=True, hbar=None):
+def random_element(rng, space, max_terms=3, with_parameter=True):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         label = random_label(rng, space)
         coeff = random_coeff(rng, with_parameter=with_parameter)
         terms[label] = terms.get(label, CoeffExpr.zero()) + coeff
-    return WeylElement(space, terms, hbar=hbar)
+    return WeylElement(space, terms)
 
 
-def random_section(rng, space, max_terms=3):
-    return random_element(rng, space, max_terms=max_terms, with_parameter=True)
+def random_section(rng, space):
+    return random_element(rng, space)
 
 
 def random_space_pool(rng, count, dims=(2, 4, 6)):

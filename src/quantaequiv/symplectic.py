@@ -17,32 +17,6 @@ class SpaceError(ValueError):
 
 
 @dataclass(frozen=True)
-class Phase:
-    """An exact root of unity e^{i pi s} with rational s taken mod 2."""
-
-    s: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", Fraction(self.s) % 2)
-
-    def __mul__(self, other):
-        return Phase(self.s + other.s)
-
-    def conjugate(self):
-        return Phase(-self.s)
-
-    def value(self):
-        """Numeric complex value (floats; the exact datum is ``s``)."""
-        from cmath import exp, pi
-
-        return exp(1j * pi * float(self.s))
-
-    @property
-    def is_one(self):
-        return self.s == 0
-
-
-@dataclass(frozen=True)
 class SymplecticSpace:
     """Even-dimensional rational space with a fixed symplectic form matrix."""
 
@@ -135,13 +109,6 @@ def is_symplectic_map(t, dom, cod):
     m = t.matrix
     pulled = rl.mat_mul(rl.transpose(m), rl.mat_mul(cod.form, m))
     return pulled == dom.form
-
-
-def character_eval(chi, f):
-    """Exact phase chi(f); multiplicative in f by construction."""
-    if len(chi.theta) != len(f):
-        raise SpaceError("character and vector dimension mismatch")
-    return Phase(rl.dot(chi.theta, rl.vector(f)))
 
 
 def compose_characters(chi2, t1, chi1):

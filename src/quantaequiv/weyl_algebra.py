@@ -378,18 +378,16 @@ def evaluate_at(a, hbar):
     )
 
 
-def norm_bounds(a, hbar=None):
+def norm_bounds(a):
     """(max_f |c_f|, sum_f |c_f|): lower and upper bounds for the norm.
 
-    Both collapse to the exact norm for single-generator elements.  Symbolic
-    elements need the parameter value; pinned elements ignore it.
+    Both collapse to the exact norm for single-generator elements.  The
+    element must be pinned to one fiber: a symbolic element has no norm
+    until evaluate_at fixes the parameter.
     """
-    if a.hbar is not None:
-        mags = [abs(c.value_at(1.0)) for c in a._terms.values()]
-    else:
-        if hbar is None:
-            raise AlgebraError("norm of a symbolic element needs a parameter value")
-        mags = [abs(c.value_at(float(hbar))) for c in a._terms.values()]
+    if a.hbar is None:
+        raise AlgebraError("norm of a symbolic element needs a parameter value")
+    mags = [abs(c.value_at(1.0)) for c in a._terms.values()]
     return (max(mags), sum(mags)) if mags else (0.0, 0.0)
 
 

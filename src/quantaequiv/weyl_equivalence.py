@@ -48,21 +48,21 @@ def quantum_category():
     return CategorySpec("quantum-weyl", identity_morphism, compose_morphisms, _arrow_is_valid)
 
 
-def quantization_functor(source=None, target=None):
+def quantization_functor():
     return FunctorSpec(
         "quantize",
-        source or classical_category(),
-        target or quantum_category(),
+        classical_category(),
+        quantum_category(),
         quantize_object,
         quantize_morphism,
     )
 
 
-def limit_functor(source=None, target=None):
+def limit_functor():
     return FunctorSpec(
         "limit",
-        source or quantum_category(),
-        target or classical_category(),
+        quantum_category(),
+        classical_category(),
         classical_limit_object,
         classical_limit_morphism,
     )
@@ -90,14 +90,15 @@ def counit_transformation():
     )
 
 
-def sample_classical_arrows(seed, count, space_count=10, dims=(2, 4, 6)):
+def sample_classical_arrows(seed, count):
     """A deterministic pool of valid classical arrows, identities included.
 
-    Arrows connect spaces of equal dimension, so the pool contains genuine
+    The arrows run between ten random spaces of dimension 2, 4 or 6, and
+    connect spaces of equal dimension, so the pool contains genuine
     cross-space isomorphisms whenever the space pool has dimension twins.
     """
     rng = make_rng(seed, "classical-arrows")
-    spaces = random_space_pool(rng, space_count, dims)
+    spaces = random_space_pool(rng, 10)
     objects = [ClassicalWeylObject(s) for s in spaces]
     arrows = []
     for k in range(count):

@@ -24,8 +24,8 @@ character is multiplicative and nonzero, so it cancels from both sides,
 and rescaling and the involution are retags, so they commute with every
 arrow by construction.  For the same reason the limit arrow intertwines
 evaluation at 0 with no further check, and well-shaped data is smooth.
-The element-level computations remain as the path taken for explicit
-generators or pairs, and serve as the reference the tests compare against.
+The element-level computations of both conditions live in the tests, as
+the reference this identity is compared against.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,6 @@ from .weyl_algebra import (
     WeylElement,
     evaluate_at,
     multiply,
-    involution,
     norm_bounds,
     poisson_bracket,
     weyl_generator,
@@ -122,21 +121,14 @@ def _fiber(value):
     return v
 
 
-def apply_morphism(m, a, hbar=None):
+def apply_morphism(m, a):
     """Extend W(f) -> chi(f) W(Tf) linearly over the coefficients.
 
-    With no fiber argument the element is mapped as it stands (symbolic or
-    pinned); a fiber argument pins a symbolic element first and must agree
-    with the tag of an already pinned one.
+    The element is mapped as it stands, symbolic or pinned: the arrow
+    ignores the fiber tag.
     """
     if a.space != m.dom.space:
         raise AlgebraError("element does not live on the arrow's domain")
-    if hbar is not None:
-        h = _fiber(hbar)
-        if a.hbar is None:
-            a = evaluate_at(a, h)
-        elif a.hbar != h:
-            raise AlgebraError("element is pinned to a different fiber")
     out = {}
     for f, coeff in a.terms.items():
         label = m.cod.space.vector(m.linear.apply(f))
@@ -176,16 +168,7 @@ def rescale(a, src, dst):
     return WeylElement(a.space, a.terms, hbar=dst)
 
 
-def quantize_element(a, hbar):
-    """The quantization map on a classical (fiber 0) combination."""
-    return rescale(a, 0, hbar)
-
-
 # --- morphism checks ---------------------------------------------------------
-
-
-def _basis_labels(space):
-    return [rl.identity(space.dim)[i] for i in range(space.dim)]
 
 
 def smooth_check(m, generators=None):
@@ -195,7 +178,7 @@ def smooth_check(m, generators=None):
     the wrong length, a linear part that cannot act) comes back False.
     """
     if generators is None:
-        generators = _basis_labels(m.dom.space)
+        generators = rl.identity(m.dom.space.dim)
     try:
         for f in generators:
             image = apply_morphism(m, weyl_generator(m.dom.space, f))
@@ -209,83 +192,38 @@ def smooth_check(m, generators=None):
     return True
 
 
-def scaling_check(m, hbar, hbar2, generators=None, pairs=None):
+def scaling_check(m, hbar, hbar2):
     """Conjugating by rescaling maps must reproduce the arrow at the new fiber.
 
     The conditions are: the conjugated generator images equal the direct
     formula at hbar2, products of generator pairs are preserved, and the
     involution is preserved.  Both fibers must be nonzero.
 
-    With neither generators nor pairs given, the property is decided by
-    T^t . form_cod . T = form_dom, which is exact: rescaling is a retag
-    and the arrow ignores the fiber tag, so conjugation reproduces the
-    direct images by construction; the involution sends chi(f) W(Tf) to
-    chi(-f) W(T(-f)) for every character; and the image of W(f) W(g)
-    carries the twist of sigma_dom(f, g) where the product of the images
-    carries that of sigma_cod(Tf, Tg), the character factors agreeing by
-    multiplicativity.  Explicit generators or pairs run the element-level
-    computation on exactly those.
+    The property is decided by T^t . form_cod . T = form_dom, which is
+    exact: rescaling is a retag and the arrow ignores the fiber tag, so
+    conjugation reproduces the direct images by construction; the
+    involution sends chi(f) W(Tf) to chi(-f) W(T(-f)) for every character;
+    and the image of W(f) W(g) carries the twist of sigma_dom(f, g) where
+    the product of the images carries that of sigma_cod(Tf, Tg), the
+    character factors agreeing by multiplicativity.
     """
     h1 = _fiber(hbar)
     h2 = _fiber(hbar2)
     if h1 == 0 or h2 == 0:
         raise FunctorError("scaling compares fibers away from the classical one")
-    if generators is None and pairs is None:
-        return is_symplectic_map(m.linear, m.dom.space, m.cod.space)
-    if generators is None:
-        generators = _basis_labels(m.dom.space)
-    if pairs is None:
-        pairs = [(f, g) for i, f in enumerate(generators) for g in generators[i:]]
-    try:
-        quant = {}
-        for f in generators:
-            base = evaluate_at(weyl_generator(m.dom.space, f), 0)
-            quant[m.dom.space.vector(f)] = rescale(base, 0, h2)
-        for f in generators:
-            at_h2 = quant[m.dom.space.vector(f)]
-            conjugated = rescale(apply_morphism(m, rescale(at_h2, h2, h1)), h1, h2)
-            if conjugated != apply_morphism(m, at_h2):
-                return False
-            if involution(apply_morphism(m, at_h2)) != apply_morphism(m, involution(at_h2)):
-                return False
-        for f, g in pairs:
-            a = quant[m.dom.space.vector(f)]
-            b = quant[m.dom.space.vector(g)]
-            if apply_morphism(m, multiply(a, b)) != multiply(
-                apply_morphism(m, a), apply_morphism(m, b)
-            ):
-                return False
-    except (AlgebraError, SpaceError, ValueError):
-        return False
-    return True
+    return is_symplectic_map(m.linear, m.dom.space, m.cod.space)
 
 
-def poisson_morphism_check(m, pairs=None):
-    """Exact bracket preservation on generator pairs.
+def poisson_morphism_check(m):
+    """Exact bracket preservation, decided for the whole space at once.
 
-    With no pairs given, the property is decided for the whole space by
-    T^t . form_cod . T = form_dom.  This is exact: the image of
-    {W(f), W(g)} is sigma_dom(f, g) chi(f+g) W(T(f+g)) and the bracket of
-    the images is sigma_cod(Tf, Tg) chi(f) chi(g) W(T(f+g)); the character
-    is multiplicative and nonzero, so the two agree on every pair of basis
-    vectors exactly when the pulled-back form equals the domain form, and
-    by bilinearity that decides all pairs.  Explicit pairs run the
-    element-level computation on exactly those.
+    The test is T^t . form_cod . T = form_dom, which is exact: the image of {W(f), W(g)} is sigma_dom(f, g) chi(f+g) W(T(f+g))
+    and the bracket of the images is sigma_cod(Tf, Tg) chi(f) chi(g)
+    W(T(f+g)); the character is multiplicative and nonzero, so the two agree
+    on every pair of basis vectors exactly when the pulled-back form equals
+    the domain form, and by bilinearity that decides all pairs.
     """
-    if pairs is None:
-        return is_symplectic_map(m.linear, m.dom.space, m.cod.space)
-    space = m.dom.space
-    try:
-        for f, g in pairs:
-            a = evaluate_at(weyl_generator(space, f), 0)
-            b = evaluate_at(weyl_generator(space, g), 0)
-            lhs = apply_morphism(m, poisson_bracket(a, b))
-            rhs = poisson_bracket(apply_morphism(m, a), apply_morphism(m, b))
-            if lhs != rhs:
-                return False
-    except (AlgebraError, SpaceError, ValueError):
-        return False
-    return True
+    return is_symplectic_map(m.linear, m.dom.space, m.cod.space)
 
 
 # --- functor actions on arrows ----------------------------------------------
@@ -323,42 +261,18 @@ def classical_limit_morphism(m):
     )
 
 
-# --- sections and the vanishing ideal ---------------------------------------
-
-# A section is a symbolic element: its coefficient tables are functions of
-# the deformation parameter, and evaluation at each fiber is a *-map.
-Section = WeylElement
-
-
-def _require_section(s):
-    if s.hbar is not None:
-        raise AlgebraError("sections must stay symbolic in the parameter")
-
-
-def section_from_generator(space, f):
-    return weyl_generator(space, f)
-
-
-def section_mul(s1, s2):
-    _require_section(s1)
-    _require_section(s2)
-    return multiply(s1, s2)
-
-
-def section_scale(s, coeff):
-    _require_section(s)
-    if not isinstance(coeff, CoeffExpr):
-        coeff = CoeffExpr.rational(coeff)
-    return s.scale_coeff(coeff)
+# --- the vanishing ideal -----------------------------------------------------
 
 
 def k0_membership(s):
     """True iff every coefficient is an exact zero at parameter 0.
 
     Membership in the vanishing ideal is a coefficient statement because
-    max_f |c_f(0)| and sum_f |c_f(0)| pinch the limiting norm.
+    max_f |c_f(0)| and sum_f |c_f(0)| pinch the limiting norm.  Sections
+    are symbolic elements: their coefficients are functions of the parameter.
     """
-    _require_section(s)
+    if s.hbar is not None:
+        raise AlgebraError("sections must stay symbolic in the parameter")
     return all(c.vanishes_at_zero() for c in s.terms.values())
 
 

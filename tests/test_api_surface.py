@@ -1,0 +1,76 @@
+"""Guards on the package surface: no dead imports, no export nothing uses.
+
+Both scans read the source with ``ast``, so they see what a module binds
+and references, not what happens to be importable at run time.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "quantaequiv"
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_names(tree):
+    """Names bound by import statements, with the line of each."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.append((alias.asname or alias.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                out.append((alias.asname or alias.name, node.lineno))
+    return out
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _referenced_names(node):
+    """Bare names and attribute names (``rl.dot`` references ``dot``)."""
+    return _names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_no_unused_imports():
+    # the package __init__ imports in order to export; the export guard covers it
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in files:
+        tree = _tree(path)
+        used = _names(tree)
+        for name, line in _imported_names(tree):
+            if name not in used:
+                unused.append("%s:%d %s" % (path.relative_to(ROOT), line, name))
+    assert not unused, "imported but never referenced: %s" % ", ".join(unused)
+
+
+def _references_outside_own_definition(tree):
+    """Referenced names, leaving out each top-level def or class's own body."""
+    used = set()
+    for stmt in tree.body:
+        names = _referenced_names(stmt)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    return used
+
+
+def test_every_export_is_used():
+    exports = [name for name, _ in _imported_names(_tree(PACKAGE / "__init__.py"))]
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _references_outside_own_definition(_tree(path))
+    text = [(ROOT / "README.md").read_text(encoding="utf-8")]
+    text += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    words = set(re.findall(r"\w+", "\n".join(text)))
+    idle = [name for name in exports if name not in used and name not in words]
+    assert not idle, "exported but used by no module, perfbench or README: %s" % idle

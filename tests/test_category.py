@@ -105,7 +105,7 @@ def test_classical_category_laws(arrow_pool):
 
 def test_quantum_category_laws(arrow_pool):
     report = check_category_laws(
-        quantum_category(), quantize_arrow_pool(arrow_pool), max_pairs=60, max_triples=60
+        quantum_category(), quantize_arrow_pool(arrow_pool), max_pairs=60
     )
     assert not violations(report)
 

@@ -1,6 +1,5 @@
 """Grid-side deformation tests: torus discretization, deformed product, defects."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -25,17 +24,12 @@ from quantaequiv.rieffel import (
     dirac_defect_grid,
     equivariance_defect,
     gaussian_star_closed_form,
-    grid_function_descriptor,
-    grid_function_from_bytes,
-    grid_function_to_bytes,
     lie_derivative,
-    load_grid_function,
     morphism_star_defect,
     moyal_product,
     moyal_quadrature_oracle,
     poisson_bracket_grid,
     pullback,
-    save_grid_function,
     translate,
     von_neumann_defect_grid,
 )
@@ -690,33 +684,3 @@ class TestTwoDegreesOfFreedom:
             )
 
         assert (got - GridFunction.from_callable(grid4, ref_fn)).sup_norm() <= 1e-12
-
-
-class TestSerialization:
-    def test_round_trip_is_bit_exact(self, grid, offset_product):
-        payload = grid_function_to_bytes(offset_product)
-        back = grid_function_from_bytes(payload)
-        assert back.grid == grid
-        assert np.array_equal(back.samples, offset_product.samples)
-        assert grid_function_to_bytes(back) == payload
-
-    def test_descriptor_digest_tracks_payload(self, offset_product):
-        desc = grid_function_descriptor(offset_product)
-        assert desc["schema_version"] == 1
-        import hashlib
-
-        digest = hashlib.sha256(grid_function_to_bytes(offset_product)).hexdigest()
-        assert desc["sha256"] == digest
-
-    def test_truncated_payload_rejected(self, offset_product):
-        payload = grid_function_to_bytes(offset_product)
-        with pytest.raises(GridError):
-            grid_function_from_bytes(payload[:-8])
-
-    def test_file_round_trip(self, tmp_path, offset_product):
-        target = tmp_path / "product.gridfn"
-        save_grid_function(offset_product, target)
-        desc = json.loads((tmp_path / "product.gridfn.json").read_text())
-        assert desc["schema_version"] == 1
-        back = load_grid_function(target)
-        assert np.array_equal(back.samples, offset_product.samples)

@@ -6,10 +6,8 @@ from quantaequiv import rational_linalg as rl
 from quantaequiv.symplectic import (
     CharacterSpec,
     LinearMapSpec,
-    Phase,
     SpaceError,
     SymplecticSpace,
-    character_eval,
     compose_characters,
     darboux_basis,
     is_symplectic_map,
@@ -67,37 +65,16 @@ def test_rotation_like_rational_symplectic_map():
     assert is_symplectic_map(t, sp, sp)
 
 
-def test_character_eval_half_turn():
-    chi = CharacterSpec((Fraction(1), Fraction(0)))
-    ph = character_eval(chi, (Fraction(1), Fraction(0)))
-    assert ph == Phase(Fraction(1))  # e^{i pi} = -1
-    assert abs(ph.value() + 1.0) < 1e-15
-
-
-def test_character_quarter_turn_squares_to_minus_one():
-    chi = CharacterSpec((Fraction(1, 2), Fraction(0)))
-    f = (Fraction(1), Fraction(0))
-    ph = character_eval(chi, f)
-    assert (ph * ph) == Phase(Fraction(1))
-
-
-def test_character_multiplicative():
-    chi = CharacterSpec((Fraction(1, 3), Fraction(-1, 2)))
-    f = (Fraction(2), Fraction(1, 2))
-    g = (Fraction(-1, 3), Fraction(4))
-    combined = character_eval(chi, rl.vec_add(f, g))
-    assert combined == character_eval(chi, f) * character_eval(chi, g)
-
-
 def test_compose_characters_matches_pointwise():
     t1 = LinearMapSpec(rl.matrix([[1, 1], [0, 1]]))
     chi1 = CharacterSpec((Fraction(1, 2), Fraction(0)))
     chi2 = CharacterSpec((Fraction(0), Fraction(1, 3)))
     chi = compose_characters(chi2, t1, chi1)
     for f in [(1, 0), (0, 1), (Fraction(1, 2), Fraction(3))]:
-        f = tuple(Fraction(x) for x in f)
-        expected = character_eval(chi1, f) * character_eval(chi2, t1.apply(f))
-        assert character_eval(chi, f) == expected
+        f = rl.vector(f)
+        # chi(f) = e^{i pi <theta, f>}: the composite phase is the sum of both
+        expected = rl.dot(chi1.theta, f) + rl.dot(chi2.theta, t1.apply(f))
+        assert rl.dot(chi.theta, f) == expected
 
 
 def test_darboux_basis_standardizes_random_forms():

@@ -233,17 +233,19 @@ def test_evaluate_at_reads_floats_as_exact_rationals():
 
 def test_norm_bounds_single_term_exact():
     a = weyl_generator(SP1, [1, 0]).scale_coeff(CoeffExpr.gaussian(3, 4))
-    lo, hi = norm_bounds(a, hbar=Fraction(1, 2))
+    lo, hi = norm_bounds(evaluate_at(a, Fraction(1, 2)))
     assert lo == pytest.approx(5.0)
     assert hi == pytest.approx(5.0)
+    with pytest.raises(AlgebraError):
+        norm_bounds(a)
 
 
 def test_norm_bounds_two_terms():
     a = weyl_generator(SP1, [1, 0]) + weyl_generator(SP1, [0, 1])
-    lo, hi = norm_bounds(a, hbar=0.0)
+    lo, hi = norm_bounds(evaluate_at(a, 0))
     assert lo == pytest.approx(1.0)
     assert hi == pytest.approx(2.0)
-    assert norm_bounds(weyl_unit(SP1) - weyl_unit(SP1), hbar=0.0) == (0.0, 0.0)
+    assert norm_bounds(weyl_unit(SP1, 0) - weyl_unit(SP1, 0)) == (0.0, 0.0)
 
 
 # --- serialization -----------------------------------------------------------

@@ -10,7 +10,9 @@ from quantaequiv.weyl_algebra import (
     AlgebraError,
     CoeffExpr,
     evaluate_at,
+    involution,
     multiply,
+    poisson_bracket,
     weyl_generator,
     weyl_unit,
 )
@@ -28,15 +30,11 @@ from quantaequiv.weyl_functors import (
     identity_morphism,
     k0_membership,
     poisson_morphism_check,
-    quantize_element,
     quantize_morphism,
     quantize_object,
     rescale,
     rieffel_condition_check,
     scaling_check,
-    section_from_generator,
-    section_mul,
-    section_scale,
     smooth_check,
     von_neumann_defect,
 )
@@ -72,11 +70,12 @@ def test_object_round_trips():
 
 
 def test_quantize_element_is_a_retag():
+    # quantization is the rescaling out of the classical fiber
     a = evaluate_at(weyl_generator(SP1, [1, 0]), 0)
-    q = quantize_element(a, Fraction(1, 2))
+    q = rescale(a, 0, Fraction(1, 2))
     assert q.hbar == Fraction(1, 2)
     assert q.terms == a.terms
-    assert quantize_element(a, 0) == a
+    assert rescale(a, 0, 0) == a
 
 
 def test_apply_character_sign_flip():
@@ -93,14 +92,14 @@ def test_apply_character_sign_flip():
 
 def test_apply_identity_fixes_everything():
     m = identity_morphism(C1)
-    s = section_from_generator(SP1, [1, 2]) + section_from_generator(SP1, ["1/2", -1])
+    s = weyl_generator(SP1, [1, 2]) + weyl_generator(SP1, ["1/2", -1])
     assert apply_morphism(m, s) == s
 
 
 def test_apply_morphism_is_multiplicative_at_one():
     m = rotation_morphism(Q1, Q1, theta=("1/3", "-1/2"))
-    f = quantize_element(evaluate_at(weyl_generator(SP1, [1, 0]), 0), 1)
-    g = quantize_element(evaluate_at(weyl_generator(SP1, [0, 1]), 0), 1)
+    f = rescale(evaluate_at(weyl_generator(SP1, [1, 0]), 0), 0, 1)
+    g = rescale(evaluate_at(weyl_generator(SP1, [0, 1]), 0), 0, 1)
     assert apply_morphism(m, multiply(f, g)) == multiply(
         apply_morphism(m, f), apply_morphism(m, g)
     )
@@ -117,7 +116,7 @@ def test_apply_morphism_space_mismatch():
 
 
 def test_rescale_identity_and_inverse():
-    a = quantize_element(evaluate_at(weyl_generator(SP1, [1, 0]), 0), 1)
+    a = rescale(evaluate_at(weyl_generator(SP1, [1, 0]), 0), 0, 1)
     assert rescale(a, 1, 1) == a
     assert rescale(rescale(a, 1, Fraction(1, 2)), Fraction(1, 2), 1) == a
 
@@ -131,7 +130,7 @@ def test_rescale_moves_scaled_generator():
 
 
 def test_rescale_rejects_untagged_and_mismatched():
-    sym = section_from_generator(SP1, [1, 0])
+    sym = weyl_generator(SP1, [1, 0])
     with pytest.raises(FunctorError):
         rescale(sym, 1, Fraction(1, 2))
     pinned = evaluate_at(sym, Fraction(1, 4))
@@ -141,10 +140,10 @@ def test_rescale_rejects_untagged_and_mismatched():
 
 def test_rescale_does_not_commute_with_multiplication():
     # quantization is not multiplicative: the twist lives at its own fiber
-    f0 = evaluate_at(section_from_generator(SP1, [1, 0]), 0)
-    g0 = evaluate_at(section_from_generator(SP1, [0, 1]), 0)
-    lhs = multiply(quantize_element(f0, 1), quantize_element(g0, 1))
-    rhs = quantize_element(multiply(f0, g0), 1)
+    f0 = evaluate_at(weyl_generator(SP1, [1, 0]), 0)
+    g0 = evaluate_at(weyl_generator(SP1, [0, 1]), 0)
+    lhs = multiply(rescale(f0, 0, 1), rescale(g0, 0, 1))
+    rhs = rescale(multiply(f0, g0), 0, 1)
     assert lhs != rhs
 
 
@@ -172,18 +171,46 @@ def test_poisson_check():
     assert not poisson_morphism_check(doubling_morphism(C1, C1))
 
 
+# --- element-level reference for the form identity ---------------------------
+
+
 def _basis(space):
     return list(rl.identity(space.dim))
 
 
 def _element_level_poisson(m):
-    basis = _basis(m.dom.space)
-    pairs = [(f, g) for i, f in enumerate(basis) for g in basis[i + 1 :]]
-    return poisson_morphism_check(m, pairs=pairs)
+    """Bracket preservation on basis generator pairs, by element arithmetic."""
+    gens = [evaluate_at(weyl_generator(m.dom.space, f), 0) for f in _basis(m.dom.space)]
+    for i, a in enumerate(gens):
+        for b in gens[i + 1 :]:
+            lhs = apply_morphism(m, poisson_bracket(a, b))
+            if lhs != poisson_bracket(apply_morphism(m, a), apply_morphism(m, b)):
+                return False
+    return True
 
 
 def _element_level_scaling(m, hbar, hbar2):
-    return scaling_check(m, hbar, hbar2, generators=_basis(m.dom.space))
+    """The scaling condition on basis generators, by element arithmetic.
+
+    At fiber hbar2 the images must survive conjugation by the rescaling to
+    hbar, commute with the involution, and preserve every product of two
+    generators.
+    """
+    space = m.dom.space
+    gens = [rescale(evaluate_at(weyl_generator(space, f), 0), 0, hbar2) for f in _basis(space)]
+    for a in gens:
+        image = apply_morphism(m, a)
+        if rescale(apply_morphism(m, rescale(a, hbar2, hbar)), hbar, hbar2) != image:
+            return False
+        if involution(image) != apply_morphism(m, involution(a)):
+            return False
+    for i, a in enumerate(gens):
+        for b in gens[i:]:
+            if apply_morphism(m, multiply(a, b)) != multiply(
+                apply_morphism(m, a), apply_morphism(m, b)
+            ):
+                return False
+    return True
 
 
 def _perturbed(m):
@@ -289,18 +316,16 @@ def test_intertwining_on_sections_explicitly(sampled_pools):
         (
             rotation_morphism(Q1, Q1, theta=("1/4", "1/6")),
             [
-                section_mul(
-                    section_from_generator(SP1, [1, 0]), section_from_generator(SP1, [0, 1])
-                )
+                multiply(weyl_generator(SP1, [1, 0]), weyl_generator(SP1, [0, 1]))
             ],
         )
     ]
     rng = make_rng(20260816, "intertwining")
     for record in sampled_pools[1]:
         q = record.payload
-        gens = [section_from_generator(q.dom.space, f) for f in _basis(q.dom.space)]
+        gens = [weyl_generator(q.dom.space, f) for f in _basis(q.dom.space)]
         randoms = [random_section(rng, q.dom.space) for _ in range(5)]
-        cases.append((q, gens + [section_mul(gens[0], gens[1])] + randoms))
+        cases.append((q, gens + [multiply(gens[0], gens[1])] + randoms))
     for m, sections in cases:
         limit = classical_limit_morphism(m)
         for s in sections:
@@ -313,40 +338,34 @@ def test_intertwining_on_sections_explicitly(sampled_pools):
 
 
 def test_section_product_carries_symbolic_twist():
-    s = section_mul(
-        section_from_generator(SP1, [1, 0]), section_from_generator(SP1, [0, 1])
-    )
+    s = multiply(weyl_generator(SP1, [1, 0]), weyl_generator(SP1, [0, 1]))
     assert s.coefficient([1, 1]) == CoeffExpr.phase(0, Fraction(-1, 2))
     # inverse pair collapses to the unit section
-    t = section_mul(
-        section_from_generator(SP1, [2, 1]), section_from_generator(SP1, [-2, -1])
-    )
+    t = multiply(weyl_generator(SP1, [2, 1]), weyl_generator(SP1, [-2, -1]))
     assert t == weyl_unit(SP1)
 
 
 def test_k0_membership_cases():
-    s = section_from_generator(SP1, [1, 0])
+    s = weyl_generator(SP1, [1, 0])
     assert not k0_membership(s)
-    vanishing = section_scale(s, CoeffExpr.phase(0, Fraction(1)) - CoeffExpr.one())
+    vanishing = s.scale_coeff(CoeffExpr.phase(0, Fraction(1)) - CoeffExpr.one())
     assert k0_membership(vanishing)
     assert k0_membership(s - s)
     # cyclotomic cancellation that is invisible to formal equality
     c = CoeffExpr.phase(Fraction(0)) + CoeffExpr.phase(Fraction(2, 3)) + CoeffExpr.phase(
         Fraction(4, 3)
     )
-    assert k0_membership(section_scale(s, c))
+    assert k0_membership(s.scale_coeff(c))
 
 
 def test_k0_membership_needs_sections():
     with pytest.raises(AlgebraError):
-        k0_membership(evaluate_at(section_from_generator(SP1, [1, 0]), 0))
+        k0_membership(evaluate_at(weyl_generator(SP1, [1, 0]), 0))
 
 
 def test_quotient_of_section_product_loses_the_twist():
-    s = section_mul(
-        section_from_generator(SP1, [1, 0]), section_from_generator(SP1, [0, 1])
-    )
-    assert evaluate_at(s, 0) == evaluate_at(section_from_generator(SP1, [1, 1]), 0)
+    s = multiply(weyl_generator(SP1, [1, 0]), weyl_generator(SP1, [0, 1]))
+    assert evaluate_at(s, 0) == evaluate_at(weyl_generator(SP1, [1, 1]), 0)
 
 
 # --- defect scalars -----------------------------------------------------------
@@ -391,7 +410,7 @@ def test_dirac_defect_rejects_zero_fiber():
 
 def test_rieffel_condition():
     schedule = [Fraction(1, 2**k) for k in range(6)]
-    gen = evaluate_at(section_from_generator(SP1, [1, 0]), 0)
+    gen = evaluate_at(weyl_generator(SP1, [1, 0]), 0)
     assert rieffel_condition_check(gen, schedule)
     zero = gen - gen
     assert rieffel_condition_check(zero, schedule)

@@ -11,11 +11,9 @@ from quantaequiv.rieffel import (
     GridError,
     GridFunction,
     TruncationError,
-    WeylMatrix,
     _modes,
     _significant,
     moyal_product,
-    oscillator_momentum,
     oscillator_position,
     weyl_homomorphism_residual,
     weyl_transform,
@@ -66,7 +64,21 @@ def reference_weyl_transform(f, hbar, n_trunc, bases):
 
 
 def _relative_gap(mat, ref):
-    return float(np.abs(mat.entries - ref).max() / np.abs(ref).max())
+    return float(np.abs(mat - ref).max() / np.abs(ref).max())
+
+
+def oscillator_momentum(n_trunc, hbar):
+    # commutator [Q, P] = +i hbar; plane-wave composition then reproduces
+    # the product twist e^{-i hbar sigma/2} used by moyal_product
+    off = np.sqrt(0.5 * hbar * np.arange(1, n_trunc))
+    m = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    m[np.arange(n_trunc - 1), np.arange(1, n_trunc)] = -1j * off
+    m[np.arange(1, n_trunc), np.arange(n_trunc - 1)] = 1j * off
+    return m
+
+
+def hermiticity_defect(mat):
+    return float(np.abs(mat - mat.conj().T).max())
 
 
 @pytest.fixture(scope="module")
@@ -127,31 +139,31 @@ class TestOscillatorMatrices:
 class TestWeylMatrix:
     def test_hermiticity_defect(self):
         entries = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 3.0]])
-        assert WeylMatrix(2, entries).hermiticity_defect() == 0.0
+        assert hermiticity_defect(entries) == 0.0
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert WeylMatrix(2, skew).hermiticity_defect() == pytest.approx(2.0)
+        assert hermiticity_defect(skew) == pytest.approx(2.0)
 
 
 class TestWeylTransform:
     def test_window_gives_identity_block(self, window):
         mat = weyl_transform(window, HBAR, 64)
-        block = mat.entries[:10, :10]
+        block = mat[:10, :10]
         assert np.max(np.abs(block - np.eye(10))) <= 1e-6
 
     def test_windowed_coordinate_gives_position_block(self, windowed_coordinate):
         mat = weyl_transform(windowed_coordinate, HBAR, 64)
         ref = oscillator_position(64, HBAR)
-        assert np.max(np.abs(mat.entries[:10, :10] - ref[:10, :10])) <= 1e-6
+        assert np.max(np.abs(mat[:10, :10] - ref[:10, :10])) <= 1e-6
 
     def test_real_input_gives_hermitian_matrix(self, gaussian_pair):
         f, _ = gaussian_pair
         mat = weyl_transform(f, HBAR, 48)
-        assert mat.hermiticity_defect() <= 1e-12
+        assert hermiticity_defect(mat) <= 1e-12
 
     def test_zero_function(self, grid):
         zero = GridFunction.from_callable(grid, lambda x, p: np.zeros_like(x))
         mat = weyl_transform(zero, HBAR, 32)
-        assert np.max(np.abs(mat.entries)) == 0.0
+        assert np.max(np.abs(mat)) == 0.0
 
     def test_input_validation(self, gaussian_pair):
         f, _ = gaussian_pair
@@ -183,7 +195,7 @@ class TestTruncationDetector:
     def test_threshold_is_overridable(self, gaussian_pair):
         f, _ = gaussian_pair
         mat = weyl_transform(f, HBAR, 16, support_tail=1.0)
-        assert mat.dim == 16
+        assert mat.shape == (16, 16)
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +224,7 @@ class TestAgainstReference:
         h = f * GridFunction.from_callable(grid, lambda x, p: np.exp(1j * x))
         ref = reference_weyl_transform(h, HBAR, 64, class_bases)
         mat = weyl_transform(h, HBAR, 64)
-        assert mat.hermiticity_defect() > 1e-3
+        assert hermiticity_defect(mat) > 1e-3
         assert _relative_gap(mat, ref) <= 1e-12
 
 
@@ -241,15 +253,13 @@ class TestIntertwining:
         assert residuals[128] <= 1e-9
 
     def test_residual_validation(self):
-        a = WeylMatrix(4, np.eye(4, dtype=complex))
-        b = WeylMatrix(6, np.eye(6, dtype=complex))
+        a = np.eye(4, dtype=complex)
+        b = np.eye(6, dtype=complex)
         with pytest.raises(GridError):
             weyl_homomorphism_residual(a, a, b)
-        with pytest.raises(GridError):
-            weyl_homomorphism_residual(a, a, a, block=9)
 
     def test_exact_for_matching_products(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        a, b = WeylMatrix(16, m), WeylMatrix(16, m @ m)
+        a, b = m, m @ m
         assert weyl_homomorphism_residual(b, a, a) <= 1e-12
