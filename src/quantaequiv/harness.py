@@ -55,7 +55,6 @@ from .sampling import (
     random_coeff,
     random_element,
     random_label,
-    random_section,
     random_space_pool,
 )
 from .rieffel import (
@@ -438,7 +437,7 @@ def _suite_weyl_sdq(config):
         witness = None
         for i in range(count):
             space = spaces[i % len(spaces)]
-            section = random_section(rng, space)
+            section = random_element(rng, space)
             if i % 2 == 0:
                 section = section.scale_coeff(vanishing_factor)
             claimed = k0_membership(section)

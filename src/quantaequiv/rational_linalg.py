@@ -3,9 +3,16 @@
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Both are
 hashable, so vectors can serve as dictionary keys elsewhere.  Every routine
 here is exact; nothing ever touches a float.
+
+``dot`` scales each of its two vectors to integer numerators over one common
+denominator (the lcm of its denominators), takes one Python-int dot product
+and builds one Fraction from it.  Summing Fractions term by term would run a
+gcd after every + and *; the values are the same either way.  ``mat_vec`` and
+``mat_mul`` take each result entry as one ``dot``.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def frac(x):
@@ -64,7 +71,16 @@ def vec_scale(c, u):
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("vector length mismatch: %d vs %d" % (len(u), len(v)))
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    # entries are int or Fraction; both carry .numerator and .denominator
+    du = lcm(*[a.denominator for a in u])
+    dv = lcm(*[b.denominator for b in v])
+    num = sum(
+        [
+            a.numerator * (du // a.denominator) * (b.numerator * (dv // b.denominator))
+            for a, b in zip(u, v)
+        ]
+    )
+    return Fraction(num, du * dv)
 
 
 def mat_vec(m, v):

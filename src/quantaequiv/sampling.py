@@ -138,17 +138,13 @@ def random_coeff(rng, max_terms=2, with_parameter=True):
     return CoeffExpr(terms)
 
 
-def random_element(rng, space, max_terms=3, with_parameter=True):
+def random_element(rng, space, max_terms=3):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         label = random_label(rng, space)
-        coeff = random_coeff(rng, with_parameter=with_parameter)
+        coeff = random_coeff(rng)
         terms[label] = terms.get(label, CoeffExpr.zero()) + coeff
     return WeylElement(space, terms)
-
-
-def random_section(rng, space):
-    return random_element(rng, space)
 
 
 def random_space_pool(rng, count, dims=(2, 4, 6)):

@@ -133,11 +133,7 @@ class CoeffExpr:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        items = []
-        for (p1, q1), a1 in self._terms.items():
-            for (p2, q2), a2 in other._terms.items():
-                items.append(((p1 + p2, q1 + q2), a1 * a2))
-        return CoeffExpr._raw(_norm_items(items))
+        return self._times_phase(other, 0)
 
     __rmul__ = __mul__
 
@@ -146,6 +142,19 @@ class CoeffExpr:
         if c == 0:
             return CoeffExpr.zero()
         return CoeffExpr._raw({k: a * c for k, a in self._terms.items()})
+
+    def _times_phase(self, other, dq):
+        # self * other * e^{i dq t}, normalized once; shifting the keys of
+        # other is a bijection, so the merged terms and their order match
+        # (self * other).shift(0, dq)
+        shifted = [((p2, q2 + dq), a2) for (p2, q2), a2 in other._terms.items()]
+        return CoeffExpr._raw(
+            _norm_items(
+                ((p1 + p2, q1 + q2), a1 * a2)
+                for (p1, q1), a1 in self._terms.items()
+                for (p2, q2), a2 in shifted
+            )
+        )
 
     def shift(self, dp, dq):
         """Multiply by the unit phase e^{i pi dp} e^{i dq t}."""
@@ -309,12 +318,13 @@ def multiply(a, b):
     form = a.space.form
     # the twist multiplies the parameter slot by the fiber value when pinned
     scale = Fraction(1) if a.hbar is None else a.hbar
+    # omega.g once per label of b, not once per pair
+    right = [(g, cg, rl.mat_vec(form, g)) for g, cg in b._terms.items()]
     out = {}
     for f, cf in a._terms.items():
-        jg = {}
-        for g, cg in b._terms.items():
-            sigma = rl.dot(f, rl.mat_vec(form, g))
-            piece = (cf * cg).shift(0, -sigma * scale / 2)
+        for g, cg, wg in right:
+            sigma = rl.dot(f, wg)
+            piece = cf._times_phase(cg, -sigma * scale / 2)
             label = rl.vec_add(f, g)
             acc = out.get(label)
             total = piece if acc is None else acc + piece
@@ -345,10 +355,11 @@ def poisson_bracket(a, b):
         if any(not c.is_constant for c in elt._terms.values()):
             raise AlgebraError("poisson_bracket needs parameter-free coefficients")
     form = a.space.form
+    right = [(g, cg, rl.mat_vec(form, g)) for g, cg in b._terms.items()]
     out = {}
     for f, cf in a._terms.items():
-        for g, cg in b._terms.items():
-            sigma = rl.dot(f, rl.mat_vec(form, g))
+        for g, cg, wg in right:
+            sigma = rl.dot(f, wg)
             if sigma == 0:
                 continue
             piece = (cf * cg).scale(sigma)

@@ -1,8 +1,96 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantaequiv import rational_linalg as rl
+
+
+# --- slow reference: one Fraction + and * per term ----------------------------
+
+
+def reference_dot(u, v):
+    if len(u) != len(v):
+        raise ValueError("vector length mismatch")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def reference_mat_vec(m, v):
+    return tuple(reference_dot(row, v) for row in m)
+
+
+def reference_mat_mul(a, b):
+    if not b:
+        return ()
+    bt = rl.transpose(b)
+    return tuple(tuple(reference_dot(row, col) for col in bt) for row in a)
+
+
+# ints and Fractions with zeros, negatives and denominators up to about 1e10
+entries = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**10),
+    st.sampled_from([0, Fraction(0), -1, Fraction(-1, 9999999967)]),
+)
+lengths = st.integers(min_value=0, max_value=6)
+
+
+def vectors(n):
+    return st.lists(entries, min_size=n, max_size=n).map(tuple)
+
+
+def matrices(rows, cols):
+    return st.lists(vectors(cols), min_size=rows, max_size=rows).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths.flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
+def test_dot_matches_fraction_sum(uv):
+    u, v = uv
+    got = rl.dot(u, v)
+    assert got == reference_dot(u, v)
+    assert type(got) is Fraction
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(lengths, lengths).flatmap(
+        lambda rc: st.tuples(matrices(*rc), vectors(rc[1]))
+    )
+)
+def test_mat_vec_matches_row_dots(mv):
+    m, v = mv
+    got = rl.mat_vec(m, v)
+    assert got == reference_mat_vec(m, v)
+    assert all(type(e) is Fraction for e in got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(lengths, lengths, lengths).flatmap(
+        lambda rkc: st.tuples(matrices(rkc[0], rkc[1]), matrices(rkc[1], rkc[2]))
+    )
+)
+def test_mat_mul_matches_row_column_dots(ab):
+    a, b = ab
+    got = rl.mat_mul(a, b)
+    assert got == reference_mat_mul(a, b)
+    assert all(type(e) is Fraction for row in got for e in row)
+
+
+def test_products_refuse_length_mismatch():
+    with pytest.raises(ValueError):
+        rl.dot(rl.vector([1, 2]), rl.vector([1]))
+    with pytest.raises(ValueError):
+        rl.mat_vec(rl.matrix([[1, 2], [3, 4]]), rl.vector([1, 2, 3]))
+    with pytest.raises(ValueError):
+        rl.mat_vec(((Fraction(1), Fraction(2)), (Fraction(3),)), rl.vector([1, 2]))
+    b = rl.matrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        rl.mat_mul(rl.matrix([[1, 2, 3]]), b)
+    with pytest.raises(ValueError):
+        rl.mat_mul(((Fraction(1), Fraction(2)), (Fraction(1),)), b)
 
 
 def test_vector_coercion_exact():

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantaequiv.symplectic import standard_space
+from quantaequiv import rational_linalg as rl
+from quantaequiv.sampling import (
+    make_rng,
+    random_coeff,
+    random_element,
+    random_label,
+    random_space_pool,
+)
+from quantaequiv.symplectic import symplectic_form, standard_space
 from quantaequiv.weyl_algebra import (
     AlgebraError,
     CoeffExpr,
@@ -275,3 +283,122 @@ def test_json_fiber_tag_preserved():
     back = weyl_from_json(weyl_to_json(a))
     assert back == a
     assert back.hbar == Fraction(1, 2)
+
+
+# --- per-pair reference for multiply and poisson_bracket ---------------------
+
+
+def reference_coeff_product(c1, c2):
+    # one term per pair of terms, normalized by the constructor
+    return CoeffExpr(
+        ((p1 + p2, q1 + q2), a1 * a2)
+        for (p1, q1), a1 in c1.terms.items()
+        for (p2, q2), a2 in c2.terms.items()
+    )
+
+
+def _reference_loop(a, b, piece_of):
+    # omega.g once per pair (f, g); pieces merged in the kernels' order
+    form = a.space.form
+    out = {}
+    for f, cf in a.terms.items():
+        for g, cg in b.terms.items():
+            piece = piece_of(cf, cg, rl.dot(f, rl.mat_vec(form, g)))
+            if piece is None:
+                continue
+            label = rl.vec_add(f, g)
+            acc = out.get(label)
+            total = piece if acc is None else acc + piece
+            if total:
+                out[label] = total
+            else:
+                out.pop(label, None)
+    return WeylElement(a.space, out, hbar=a.hbar)
+
+
+def reference_multiply(a, b):
+    scale = Fraction(1) if a.hbar is None else a.hbar
+
+    def twisted(cf, cg, sigma):
+        return reference_coeff_product(cf, cg).shift(0, -sigma * scale / 2)
+
+    return _reference_loop(a, b, twisted)
+
+
+def reference_poisson_bracket(a, b):
+    def bracketed(cf, cg, sigma):
+        return reference_coeff_product(cf, cg).scale(sigma) if sigma else None
+
+    return _reference_loop(a, b, bracketed)
+
+
+def assert_same_element(got, want):
+    # equal, and built in the same label and term order
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    for label, coeff in got.terms.items():
+        assert list(coeff.terms.items()) == list(want.terms[label].terms.items())
+
+
+def _cancelling_pair(space, rng, classical):
+    # a = W(f1) + W(f2), b = W(g1) + d W(g2) with f1 + g2 = f2 + g1 and d chosen
+    # so that the two products landing on that label cancel; returns the label too
+    while True:
+        f1, f2, g1 = (random_label(rng, space) for _ in range(3))
+        g2 = rl.vec_sub(rl.vec_add(f2, g1), f1)
+        s12 = symplectic_form(space, f1, g2)
+        s21 = symplectic_form(space, f2, g1)
+        if len({f1, f2}) == 2 and len({g1, g2}) == 2 and s12 != 0 and s21 != 0:
+            break
+    if classical:
+        d = CoeffExpr.rational(-s21 / s12)
+    else:
+        d = -CoeffExpr.phase(0, (s12 - s21) / 2)
+    a = weyl_generator(space, f1) + weyl_generator(space, f2)
+    b = weyl_generator(space, g1) + weyl_generator(space, g2).scale_coeff(d)
+    return a, b, rl.vec_add(f1, g2)
+
+
+def _pool():
+    rng = make_rng(20260816, "tests", "multiply-reference")
+    spaces = random_space_pool(rng, 6)
+    assert {sp.dim for sp in spaces} == {2, 4, 6}
+    return rng, spaces
+
+
+def test_multiply_matches_per_pair_reference():
+    rng, spaces = _pool()
+    for space in spaces:
+        pairs = [
+            (random_element(rng, space), random_element(rng, space)) for _ in range(12)
+        ]
+        a, b, cancelled = _cancelling_pair(space, rng, classical=False)
+        pairs.append((a, b))
+        for a, b in pairs:
+            assert_same_element(multiply(a, b), reference_multiply(a, b))
+            for h in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                ah, bh = evaluate_at(a, h), evaluate_at(b, h)
+                assert_same_element(multiply(ah, bh), reference_multiply(ah, bh))
+        assert cancelled not in multiply(a, b).terms
+        assert len(multiply(a, b).terms) == 2
+
+
+def test_poisson_bracket_matches_per_pair_reference():
+    rng, spaces = _pool()
+
+    def constant_element(space):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            terms[random_label(rng, space)] = random_coeff(rng, with_parameter=False)
+        return WeylElement(space, terms)
+
+    for space in spaces:
+        pairs = [(constant_element(space), constant_element(space)) for _ in range(12)]
+        for _ in range(6):
+            a, b = random_element(rng, space), random_element(rng, space)
+            pairs.append((evaluate_at(a, 0), evaluate_at(b, 0)))
+        a, b, cancelled = _cancelling_pair(space, rng, classical=True)
+        pairs.append((a, b))
+        for a, b in pairs:
+            assert_same_element(poisson_bracket(a, b), reference_poisson_bracket(a, b))
+        assert cancelled not in poisson_bracket(a, b).terms

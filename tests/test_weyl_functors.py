@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quantaequiv import rational_linalg as rl
-from quantaequiv.sampling import make_rng, random_section
+from quantaequiv.sampling import make_rng, random_element
 from quantaequiv.symplectic import CharacterSpec, LinearMapSpec, standard_space
 from quantaequiv.weyl_algebra import (
     AlgebraError,
@@ -324,7 +324,7 @@ def test_intertwining_on_sections_explicitly(sampled_pools):
     for record in sampled_pools[1]:
         q = record.payload
         gens = [weyl_generator(q.dom.space, f) for f in _basis(q.dom.space)]
-        randoms = [random_section(rng, q.dom.space) for _ in range(5)]
+        randoms = [random_element(rng, q.dom.space) for _ in range(5)]
         cases.append((q, gens + [multiply(gens[0], gens[1])] + randoms))
     for m, sections in cases:
         limit = classical_limit_morphism(m)
