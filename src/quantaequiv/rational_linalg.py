@@ -9,6 +9,11 @@ denominator (the lcm of its denominators), takes one Python-int dot product
 and builds one Fraction from it.  Summing Fractions term by term would run a
 gcd after every + and *; the values are the same either way.  ``mat_vec`` and
 ``mat_mul`` take each result entry as one ``dot``.
+
+``integer_vector`` and ``integer_matrix`` do that scaling once for callers
+that reuse a vector or a matrix across many products: the symplectic twist
+in ``weyl_algebra`` and the form identity in ``symplectic`` work on the
+scaled ints and build a Fraction only for a result they keep.
 """
 
 from fractions import Fraction
@@ -81,6 +86,18 @@ def dot(u, v):
         ]
     )
     return Fraction(num, du * dv)
+
+
+def integer_vector(v):
+    """(nums, d) with v[i] == nums[i] / d; d is the lcm of v's denominators."""
+    d = lcm(*[a.denominator for a in v])
+    return [a.numerator * (d // a.denominator) for a in v], d
+
+
+def integer_matrix(m):
+    """(rows, d) with m[i][j] == rows[i][j] / d; one d for the whole matrix."""
+    d = lcm(*[a.denominator for row in m for a in row])
+    return [[a.numerator * (d // a.denominator) for a in row] for row in m], d
 
 
 def mat_vec(m, v):

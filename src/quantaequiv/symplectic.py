@@ -106,9 +106,19 @@ def is_symplectic_map(t, dom, cod):
     """True iff T^t . form_cod . T equals form_dom exactly."""
     if t.dim_in != dom.dim or t.dim_out != cod.dim:
         return False
-    m = t.matrix
-    pulled = rl.mat_mul(rl.transpose(m), rl.mat_mul(cod.form, m))
-    return pulled == dom.form
+    # with T = tm/dt, form_cod = w/dw and form_dom = v/dv (int entries) the
+    # identity reads dv * (tm^t w tm) == dt^2 dw * v, decided entry by entry
+    tm, dt = rl.integer_matrix(t.matrix)
+    w, dw = rl.integer_matrix(cod.form)
+    v, dv = rl.integer_matrix(dom.form)
+    cols = list(zip(*tm))
+    w_cols = [[sum([a * b for a, b in zip(row, col)]) for row in w] for col in cols]
+    scale = dt * dt * dw
+    for col, v_row in zip(cols, v):
+        for w_col, vij in zip(w_cols, v_row):
+            if dv * sum([a * b for a, b in zip(col, w_col)]) != scale * vij:
+                return False
+    return True
 
 
 def compose_characters(chi2, t1, chi1):

@@ -14,12 +14,19 @@ Generator products twist by the symplectic form:
 W(f) W(g) carries the extra phase e^{-i t sigma(f,g) / 2} on W(f+g), the
 involution sends (f, c) to (-f, conj c), and the classical bracket of
 generators is {W(f), W(g)} = sigma(f,g) W(f+g).
+
+The exact work runs on Python ints.  A coefficient table is keyed by the
+lowest-terms int pairs (pn, pd, qn, qd) of its exponents, with p folded into
+[0, 1), so merging terms hashes and adds ints; only the amplitudes are
+Fractions, and ``CoeffExpr.terms`` reads the keys back as Fractions in the
+same order.  ``multiply`` and ``poisson_bracket`` scale the form and each
+label to ints once, so sigma(f, g) is one int sum per pair of labels.
 """
 
 import json
 from cmath import exp as cexp
 from fractions import Fraction
-from math import pi
+from math import gcd, pi
 
 from . import rational_linalg as rl
 from .cyclotomic import phase_sum_is_zero
@@ -29,36 +36,58 @@ class AlgebraError(ValueError):
     """Operands that do not live in a common algebra."""
 
 
+def _add(an, ad, bn, bd):
+    # an/ad + bn/bd in lowest terms, denominators positive
+    n = an * bd + bn * ad
+    d = ad * bd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 def _norm_items(items):
-    # canonical term dict: p reduced into [0, 1) with the sign folded into amp
+    # canonical term dict keyed by (pn, pd, qn, qd): p = pn/pd reduced into
+    # [0, 1) with the sign folded into amp, q = qn/qd in lowest terms
     out = {}
-    for (p, q), amp in items:
-        if amp == 0:
+    for (pn, pd, qn, qd), amp in items:
+        if not amp:
             continue
-        p = p % 2
-        if p >= 1:
-            p -= 1
+        pn %= 2 * pd
+        if pn >= pd:
+            pn -= pd
             amp = -amp
-        key = (p, q)
-        acc = out.get(key, Fraction(0)) + amp
-        if acc == 0:
-            out.pop(key, None)
+        key = (pn, pd, qn, qd)
+        acc = out.get(key)
+        if acc is None:
+            out[key] = amp
         else:
-            out[key] = acc
+            acc += amp
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
     return out
 
 
+def _key(p, q):
+    p = Fraction(p)
+    q = Fraction(q)
+    return (p.numerator, p.denominator, q.numerator, q.denominator)
+
+
 class CoeffExpr:
-    """Finite sum of exact phases  amp * e^{i pi p} * e^{i q t}."""
+    """Finite sum of exact phases  amp * e^{i pi p} * e^{i q t}.
+
+    The rational exponents p and q are kept as pairs of ints in lowest
+    terms, so merging terms hashes and adds ints; ``terms`` reads them back
+    as Fractions.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
         if isinstance(terms, dict):
             terms = terms.items()
-        self._terms = _norm_items(
-            ((Fraction(p), Fraction(q)), Fraction(a)) for (p, q), a in terms
-        )
+        self._terms = _norm_items([(_key(p, q), Fraction(a)) for (p, q), a in terms])
 
     @classmethod
     def _raw(cls, normalized):
@@ -72,7 +101,7 @@ class CoeffExpr:
 
     @classmethod
     def one(cls):
-        return cls._raw({(Fraction(0), Fraction(0)): Fraction(1)})
+        return cls._raw({(0, 1, 0, 1): Fraction(1)})
 
     @classmethod
     def rational(cls, c):
@@ -95,7 +124,10 @@ class CoeffExpr:
 
     @property
     def terms(self):
-        return dict(self._terms)
+        return {
+            (Fraction(pn, pd), Fraction(qn, qd)): amp
+            for (pn, pd, qn, qd), amp in self._terms.items()
+        }
 
     def __bool__(self):
         return bool(self._terms)
@@ -110,18 +142,22 @@ class CoeffExpr:
         if not self._terms:
             return "CoeffExpr(0)"
         bits = []
-        for (p, q), amp in sorted(self._terms.items()):
+        for (p, q), amp in sorted(self.terms.items()):
             bits.append("%s*e^(i pi %s + i %s t)" % (amp, p, q))
         return "CoeffExpr(%s)" % " + ".join(bits)
 
     def __add__(self, other):
         merged = dict(self._terms)
         for key, amp in other._terms.items():
-            acc = merged.get(key, Fraction(0)) + amp
-            if acc == 0:
-                merged.pop(key, None)
+            acc = merged.get(key)
+            if acc is None:
+                merged[key] = amp
             else:
-                merged[key] = acc
+                acc += amp
+                if acc:
+                    merged[key] = acc
+                else:
+                    del merged[key]
         return CoeffExpr._raw(merged)
 
     def __neg__(self):
@@ -133,7 +169,7 @@ class CoeffExpr:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return self._times_phase(other, 0)
+        return self._times_phase(other, 0, 1)
 
     __rmul__ = __mul__
 
@@ -143,57 +179,74 @@ class CoeffExpr:
             return CoeffExpr.zero()
         return CoeffExpr._raw({k: a * c for k, a in self._terms.items()})
 
-    def _times_phase(self, other, dq):
-        # self * other * e^{i dq t}, normalized once; shifting the keys of
-        # other is a bijection, so the merged terms and their order match
-        # (self * other).shift(0, dq)
-        shifted = [((p2, q2 + dq), a2) for (p2, q2), a2 in other._terms.items()]
+    def _times_phase(self, other, dqn, dqd):
+        # self * other * e^{i (dqn/dqd) t}, normalized once; shifting the keys
+        # of other is a bijection, so the merged terms and their order match
+        # (self * other).shift(0, dqn/dqd)
+        shifted = [
+            (p2n, p2d) + _add(q2n, q2d, dqn, dqd) + (a2,)
+            for (p2n, p2d, q2n, q2d), a2 in other._terms.items()
+        ]
         return CoeffExpr._raw(
             _norm_items(
-                ((p1 + p2, q1 + q2), a1 * a2)
-                for (p1, q1), a1 in self._terms.items()
-                for (p2, q2), a2 in shifted
+                [
+                    (_add(p1n, p1d, p2n, p2d) + _add(q1n, q1d, q2n, q2d), a1 * a2)
+                    for (p1n, p1d, q1n, q1d), a1 in self._terms.items()
+                    for p2n, p2d, q2n, q2d, a2 in shifted
+                ]
             )
         )
 
     def shift(self, dp, dq):
         """Multiply by the unit phase e^{i pi dp} e^{i dq t}."""
-        dp = Fraction(dp)
-        dq = Fraction(dq)
+        dpn, dpd, dqn, dqd = _key(dp, dq)
         return CoeffExpr._raw(
-            _norm_items((((p + dp, q + dq), a) for (p, q), a in self._terms.items()))
+            _norm_items(
+                [
+                    (_add(pn, pd, dpn, dpd) + _add(qn, qd, dqn, dqd), a)
+                    for (pn, pd, qn, qd), a in self._terms.items()
+                ]
+            )
         )
 
     def conjugate(self):
         return CoeffExpr._raw(
-            _norm_items((((-p, -q), a) for (p, q), a in self._terms.items()))
+            _norm_items(
+                [((-pn, pd, -qn, qd), a) for (pn, pd, qn, qd), a in self._terms.items()]
+            )
         )
 
     def substitute(self, h):
         """Freeze the parameter: q picks up the factor h and becomes an angle."""
         h = Fraction(h)
-        return CoeffExpr._raw(
-            _norm_items((((p, q * h), a) for (p, q), a in self._terms.items()))
-        )
+        hn, hd = h.numerator, h.denominator
+        out = []
+        for (pn, pd, qn, qd), a in self._terms.items():
+            qn *= hn
+            qd *= hd
+            g = gcd(qn, qd)
+            out.append(((pn, pd, qn // g, qd // g), a))
+        return CoeffExpr._raw(_norm_items(out))
 
     @property
     def is_constant(self):
-        return all(q == 0 for (_, q) in self._terms)
+        return all(qn == 0 for (_, _, qn, _) in self._terms)
 
     def value_at(self, t):
         """Numeric complex value with the parameter slot set to the float t."""
         t = float(t)
         total = 0j
-        for (p, q), amp in sorted(self._terms.items()):
+        for (p, q), amp in sorted(self.terms.items()):
             total += float(amp) * cexp(1j * (pi * float(p) + float(q) * t))
         return total
 
     def at_zero_exponents(self):
         # value at t = 0 as a root-of-unity sum: exponent p -> rational amp
         out = {}
-        for (p, _), amp in self._terms.items():
-            out[p] = out.get(p, Fraction(0)) + amp
-        return out
+        for (pn, pd, _, _), amp in self._terms.items():
+            acc = out.get((pn, pd))
+            out[(pn, pd)] = amp if acc is None else acc + amp
+        return {Fraction(pn, pd): amp for (pn, pd), amp in out.items()}
 
     def vanishes_at_zero(self):
         """Exact (cyclotomic) zero test of the value at parameter 0."""
@@ -312,19 +365,25 @@ def weyl_unit(space, hbar=None):
     return weyl_generator(space, rl.zeros(space.dim), hbar=hbar)
 
 
-def multiply(a, b):
-    """Product with the exact symplectic twist on each generator pair."""
-    a._require_compatible(b)
-    form = a.space.form
-    # the twist multiplies the parameter slot by the fiber value when pinned
-    scale = Fraction(1) if a.hbar is None else a.hbar
-    # omega.g once per label of b, not once per pair
-    right = [(g, cg, rl.mat_vec(form, g)) for g, cg in b._terms.items()]
+def _pair_sum(a, b, piece_of):
+    # sum over label pairs of piece_of(cf, cg, num, den) W(f+g), where
+    # sigma(f, g) = num / den; a piece of None is skipped.  With the form
+    # scaled to ints w / dw and each label to ints over its lcm d, sigma is
+    # f . (w g) / (df dg dw): w g and dg dw once per label of b, one int
+    # sum per pair
+    w, dw = rl.integer_matrix(a.space.form)
+    right = []
+    for g, cg in b._terms.items():
+        gi, dg = rl.integer_vector(g)
+        wg = [sum([x * y for x, y in zip(row, gi)]) for row in w]
+        right.append((g, cg, wg, dg * dw))
     out = {}
     for f, cf in a._terms.items():
-        for g, cg, wg in right:
-            sigma = rl.dot(f, wg)
-            piece = cf._times_phase(cg, -sigma * scale / 2)
+        fi, df = rl.integer_vector(f)
+        for g, cg, wg, den in right:
+            piece = piece_of(cf, cg, sum([x * y for x, y in zip(fi, wg)]), df * den)
+            if piece is None:
+                continue
             label = rl.vec_add(f, g)
             acc = out.get(label)
             total = piece if acc is None else acc + piece
@@ -333,6 +392,22 @@ def multiply(a, b):
             else:
                 out.pop(label, None)
     return a._rebuild(out)
+
+
+def multiply(a, b):
+    """Product with the exact symplectic twist on each generator pair."""
+    a._require_compatible(b)
+    # the twist multiplies the parameter slot by the fiber value when pinned
+    hn, hd = (1, 1) if a.hbar is None else (a.hbar.numerator, a.hbar.denominator)
+
+    def twisted(cf, cg, num, den):
+        # cf cg e^{-i sigma h t / 2}
+        n = -num * hn
+        d = 2 * den * hd
+        k = gcd(n, d)
+        return cf._times_phase(cg, n // k, d // k)
+
+    return _pair_sum(a, b, twisted)
 
 
 def involution(a):
@@ -354,23 +429,11 @@ def poisson_bracket(a, b):
             raise AlgebraError("poisson_bracket needs classical elements")
         if any(not c.is_constant for c in elt._terms.values()):
             raise AlgebraError("poisson_bracket needs parameter-free coefficients")
-    form = a.space.form
-    right = [(g, cg, rl.mat_vec(form, g)) for g, cg in b._terms.items()]
-    out = {}
-    for f, cf in a._terms.items():
-        for g, cg, wg in right:
-            sigma = rl.dot(f, wg)
-            if sigma == 0:
-                continue
-            piece = (cf * cg).scale(sigma)
-            label = rl.vec_add(f, g)
-            acc = out.get(label)
-            total = piece if acc is None else acc + piece
-            if total:
-                out[label] = total
-            else:
-                out.pop(label, None)
-    return a._rebuild(out)
+
+    def bracketed(cf, cg, num, den):
+        return (cf * cg).scale(Fraction(num, den)) if num else None
+
+    return _pair_sum(a, b, bracketed)
 
 
 def evaluate_at(a, hbar):
@@ -409,7 +472,7 @@ def norm_bounds(a):
 
 def _coeff_to_payload(coeff):
     grouped = {}
-    for (p, q), amp in coeff._terms.items():
+    for (p, q), amp in coeff.terms.items():
         base = p % Fraction(1, 2)
         quadrant = int((p - base) * 2)  # 0 or 1 since p is canonical in [0, 1)
         key = (base, q)

@@ -171,16 +171,15 @@ def rescale(a, src, dst):
 # --- morphism checks ---------------------------------------------------------
 
 
-def smooth_check(m, generators=None):
-    """True iff each generator lands on a finite combination of generators.
+def smooth_check(m):
+    """True iff each basis generator lands on a finite combination of generators.
 
-    True by construction for well-formed data; shape corruption (labels of
-    the wrong length, a linear part that cannot act) comes back False.
+    True by construction for well-formed data; shape corruption (a linear
+    part that cannot act on the domain or lands outside the codomain) comes
+    back False.
     """
-    if generators is None:
-        generators = rl.identity(m.dom.space.dim)
     try:
-        for f in generators:
+        for f in rl.identity(m.dom.space.dim):
             image = apply_morphism(m, weyl_generator(m.dom.space, f))
             if image.space != m.cod.space:
                 return False

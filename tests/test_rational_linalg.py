@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,23 @@ def test_mat_vec_matches_row_dots(mv):
     got = rl.mat_vec(m, v)
     assert got == reference_mat_vec(m, v)
     assert all(type(e) is Fraction for e in got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(lengths, lengths).flatmap(
+        lambda rc: st.tuples(matrices(*rc), vectors(rc[1]))
+    )
+)
+def test_integer_scaling_is_exact_over_the_lcm(mv):
+    m, v = mv
+    rows, dm = rl.integer_matrix(m)
+    nums, dv = rl.integer_vector(v)
+    assert [[Fraction(x, dm) for x in row] for row in rows] == [list(row) for row in m]
+    assert [Fraction(x, dv) for x in nums] == list(v)
+    assert all(type(x) is int for x in nums) and all(type(x) is int for r in rows for x in r)
+    assert dm == lcm(*[Fraction(e).denominator for row in m for e in row])
+    assert dv == lcm(*[Fraction(e).denominator for e in v])
 
 
 @settings(max_examples=50, deadline=None)

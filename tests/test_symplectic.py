@@ -101,3 +101,59 @@ def test_darboux_basis_standardizes_random_forms():
             )
             assert pulled == std.form
             assert is_symplectic_map(b, std, space)
+
+
+# --- the integer form identity against Fraction matrix products -------------
+
+
+def reference_is_symplectic_map(t, dom, cod):
+    # T^t . form_cod . T == form_dom by two Fraction mat_mul
+    if t.dim_in != dom.dim or t.dim_out != cod.dim:
+        return False
+    m = t.matrix
+    return rl.mat_mul(rl.transpose(m), rl.mat_mul(cod.form, m)) == dom.form
+
+
+def _nudged(t, k):
+    # the same map with one entry, picked by k, moved by 1/7
+    rows = [list(r) for r in t.matrix]
+    i, j = k % len(rows), (k // len(rows)) % len(rows[0])
+    rows[i][j] += Fraction(1, 7)
+    return LinearMapSpec(rl.matrix(rows))
+
+
+def _agree(t, dom, cod):
+    got = is_symplectic_map(t, dom, cod)
+    assert got == reference_is_symplectic_map(t, dom, cod)
+    return got
+
+
+def test_form_identity_matches_reference_on_sampled_arrows():
+    from quantaequiv.weyl_equivalence import sample_classical_arrows
+
+    arrows = [a.payload for a in sample_classical_arrows(20260816, 100)]
+    assert all(_agree(m.linear, m.dom.space, m.cod.space) for m in arrows)
+    nudged = [_agree(_nudged(m.linear, k), m.dom.space, m.cod.space) for k, m in enumerate(arrows)]
+    # a nudge on an entry whose cofactors vanish can keep the identity
+    assert nudged.count(False) > 90
+
+
+def test_form_identity_matches_reference_on_hand_cases():
+    sp1, sp2 = standard_space(1), standard_space(2)
+    # the doubling map scales the form by 4
+    assert not _agree(LinearMapSpec(rl.matrix([[2, 0], [0, 2]])), sp1, sp1)
+    # Q^2 -> Q^4, (x, y) -> (3/5 x, 0, 5/3 y, 0): not square, and symplectic
+    embed = LinearMapSpec(rl.matrix([["3/5", 0], [0, 0], [0, "5/3"], [0, 0]]))
+    assert _agree(embed, sp1, sp2)
+    # nudges in the rows that pair with a zero row keep the identity
+    assert {_agree(_nudged(embed, k), sp1, sp2) for k in range(8)} == {False, True}
+    # shapes that do not fit the spaces
+    assert not _agree(embed, sp2, sp1)
+    assert not _agree(LinearMapSpec(rl.identity(2)), sp2, sp2)
+    # forms with non-unit denominators: for 2x2 maps T^t J T = det(T) J
+    dom = SymplecticSpace(2, rl.matrix([[0, "2/3"], ["-2/3", 0]]))
+    cod = SymplecticSpace(2, rl.matrix([[0, "5/7"], ["-5/7", 0]]))
+    assert _agree(LinearMapSpec(rl.matrix([["1/3", 0], [0, 2]])), dom, sp1)
+    assert _agree(LinearMapSpec(rl.matrix([["7/4", 0], [0, "4/5"]])), sp1, cod)
+    assert _agree(LinearMapSpec(rl.matrix([["14/15", "1/9"], [0, 1]])), dom, cod)
+    assert not _agree(LinearMapSpec(rl.matrix([["14/15", "1/9"], [0, "9/10"]])), dom, cod)

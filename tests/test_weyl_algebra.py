@@ -1,4 +1,5 @@
 import math
+from cmath import exp as cexp
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantaequiv import rational_linalg as rl
+from quantaequiv.cyclotomic import phase_sum_is_zero
 from quantaequiv.sampling import (
     make_rng,
     random_coeff,
@@ -18,6 +20,8 @@ from quantaequiv.weyl_algebra import (
     AlgebraError,
     CoeffExpr,
     WeylElement,
+    _coeff_from_payload,
+    _coeff_to_payload,
     evaluate_at,
     involution,
     multiply,
@@ -402,3 +406,187 @@ def test_poisson_bracket_matches_per_pair_reference():
         for a, b in pairs:
             assert_same_element(poisson_bracket(a, b), reference_poisson_bracket(a, b))
         assert cancelled not in poisson_bracket(a, b).terms
+
+
+# --- Fraction-keyed reference for CoeffExpr ------------------------------------
+
+
+def _reference_norm_items(items):
+    # canonical term dict: p reduced into [0, 1) with the sign folded into amp
+    out = {}
+    for (p, q), amp in items:
+        if amp == 0:
+            continue
+        p = p % 2
+        if p >= 1:
+            p -= 1
+            amp = -amp
+        key = (p, q)
+        acc = out.get(key, Fraction(0)) + amp
+        if acc == 0:
+            out.pop(key, None)
+        else:
+            out[key] = acc
+    return out
+
+
+class ReferenceCoeff:
+    """CoeffExpr with its terms keyed by Fraction pairs (p, q)."""
+
+    def __init__(self, terms=()):
+        if isinstance(terms, dict):
+            terms = terms.items()
+        self._terms = _reference_norm_items(
+            ((Fraction(p), Fraction(q)), Fraction(a)) for (p, q), a in terms
+        )
+
+    @classmethod
+    def _raw(cls, normalized):
+        obj = cls.__new__(cls)
+        obj._terms = normalized
+        return obj
+
+    @property
+    def terms(self):
+        return dict(self._terms)
+
+    def __repr__(self):
+        if not self._terms:
+            return "CoeffExpr(0)"
+        bits = []
+        for (p, q), amp in sorted(self._terms.items()):
+            bits.append("%s*e^(i pi %s + i %s t)" % (amp, p, q))
+        return "CoeffExpr(%s)" % " + ".join(bits)
+
+    def __add__(self, other):
+        merged = dict(self._terms)
+        for key, amp in other._terms.items():
+            acc = merged.get(key, Fraction(0)) + amp
+            if acc == 0:
+                merged.pop(key, None)
+            else:
+                merged[key] = acc
+        return ReferenceCoeff._raw(merged)
+
+    def __neg__(self):
+        return ReferenceCoeff._raw({k: -a for k, a in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return self._times_phase(other, 0)
+
+    def scale(self, c):
+        c = Fraction(c)
+        if c == 0:
+            return ReferenceCoeff._raw({})
+        return ReferenceCoeff._raw({k: a * c for k, a in self._terms.items()})
+
+    def _times_phase(self, other, dq):
+        shifted = [((p2, q2 + dq), a2) for (p2, q2), a2 in other._terms.items()]
+        return ReferenceCoeff._raw(
+            _reference_norm_items(
+                ((p1 + p2, q1 + q2), a1 * a2)
+                for (p1, q1), a1 in self._terms.items()
+                for (p2, q2), a2 in shifted
+            )
+        )
+
+    def shift(self, dp, dq):
+        dp = Fraction(dp)
+        dq = Fraction(dq)
+        return ReferenceCoeff._raw(
+            _reference_norm_items(
+                ((p + dp, q + dq), a) for (p, q), a in self._terms.items()
+            )
+        )
+
+    def conjugate(self):
+        return ReferenceCoeff._raw(
+            _reference_norm_items(((-p, -q), a) for (p, q), a in self._terms.items())
+        )
+
+    def substitute(self, h):
+        h = Fraction(h)
+        return ReferenceCoeff._raw(
+            _reference_norm_items(((p, q * h), a) for (p, q), a in self._terms.items())
+        )
+
+    @property
+    def is_constant(self):
+        return all(q == 0 for (_, q) in self._terms)
+
+    def value_at(self, t):
+        t = float(t)
+        total = 0j
+        for (p, q), amp in sorted(self._terms.items()):
+            total += float(amp) * cexp(1j * (math.pi * float(p) + float(q) * t))
+        return total
+
+    def at_zero_exponents(self):
+        out = {}
+        for (p, _), amp in self._terms.items():
+            out[p] = out.get(p, Fraction(0)) + amp
+        return out
+
+
+# exponents outside [0, 2), negative, with denominators up to 1e6; a small
+# pool of shared values and unit amplitudes makes terms merge and cancel
+exponent = st.one_of(
+    st.fractions(min_value=-7, max_value=7, max_denominator=10**6),
+    st.sampled_from([Fraction(v) for v in (0, 1, -1, "1/2", "3/2", 2, "-5/2", "7/3")]),
+)
+amplitude = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(0)]),
+)
+term_list = st.lists(st.tuples(exponent, exponent, amplitude), max_size=5).map(
+    # e^{i pi (p + 1)} = -e^{i pi p}: the appended copy of the first term cancels it
+    lambda ts: [((p, q), a) for p, q, a in ts]
+    + [((p + 1, q), a) for p, q, a in ts[:1] if len(ts) % 2]
+)
+
+
+def assert_same_coeff(got, ref):
+    # equal Fraction keys and amplitudes, in the same order
+    assert isinstance(got, CoeffExpr)
+    assert list(got.terms.items()) == list(ref.terms.items())
+    assert bool(got) == bool(ref.terms)
+    assert repr(got) == repr(ref)
+
+
+def _same_float_bits(z, w):
+    return (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_list, term_list, exponent, exponent, amplitude, st.floats(-4, 4))
+def test_coeff_matches_fraction_keyed_reference(t1, t2, dp, dq, c, t):
+    a, b = CoeffExpr(t1), CoeffExpr(t2)
+    ra, rb = ReferenceCoeff(t1), ReferenceCoeff(t2)
+    assert_same_coeff(a, ra)
+    assert_same_coeff(CoeffExpr(dict(t1)), ReferenceCoeff(dict(t1)))
+    assert_same_coeff(a + b, ra + rb)
+    assert_same_coeff(a - b, ra - rb)
+    assert_same_coeff(a - a, ra - ra)
+    assert_same_coeff(a * b, ra * rb)
+    assert_same_coeff(a * c, ra * c)
+    assert_same_coeff(a.scale(c), ra.scale(c))
+    assert_same_coeff(a._times_phase(b, dq.numerator, dq.denominator), ra._times_phase(rb, dq))
+    assert_same_coeff(a.shift(dp, dq), ra.shift(dp, dq))
+    assert_same_coeff(a.conjugate(), ra.conjugate())
+    assert_same_coeff(a.substitute(dq), ra.substitute(dq))
+    assert a.is_constant == ra.is_constant
+    assert _same_float_bits(a.value_at(t), ra.value_at(t))
+    assert list(a.at_zero_exponents().items()) == list(ra.at_zero_exponents().items())
+    # the cyclotomic test builds a polynomial of degree 2 lcm(denominators of p)
+    small = [((p.limit_denominator(6), q), x) for (p, q), x in t1 + t2]
+    assert CoeffExpr(small).vanishes_at_zero() == phase_sum_is_zero(
+        ReferenceCoeff(small).at_zero_exponents()
+    )
+    payload = _coeff_to_payload(a)
+    assert payload == _coeff_to_payload(ra)
+    assert _coeff_from_payload(payload) == a

@@ -153,7 +153,13 @@ def test_rescale_does_not_commute_with_multiplication():
 def test_smooth_check_accepts_morphisms_and_flags_corruption():
     assert smooth_check(rotation_morphism(Q1, Q1))
     assert smooth_check(identity_morphism(Q1))
-    assert not smooth_check(identity_morphism(Q1), generators=[(1, 0, 0)])
+    # shapes are validated in __post_init__, so corrupt a spec past it
+    wide = identity_morphism(Q1)
+    object.__setattr__(wide, "linear", LinearMapSpec(rl.matrix([[1, 0, 0], [0, 1, 0]])))
+    assert not smooth_check(wide)
+    tall = identity_morphism(Q1)
+    object.__setattr__(tall, "linear", LinearMapSpec(rl.matrix([[1, 0], [0, 1], [0, 0]])))
+    assert not smooth_check(tall)
 
 
 def test_scaling_check_symplectic_passes():
