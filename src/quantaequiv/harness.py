@@ -15,9 +15,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-import jsonschema
 import numpy as np
-import scipy
 
 from .weyl_algebra import (
     CoeffExpr,
@@ -154,11 +152,66 @@ def _parse_schedule(raw):
     return out
 
 
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+}
+
+
+def _schema_violation(value, schema, path):
+    """The first way `value` breaks `schema` (the keywords CONFIG_SCHEMA uses), or None.
+
+    Booleans are neither integers nor numbers, "integer" takes no integral
+    float such as 64.0, and "number" takes no NaN or infinity (which
+    Python's json module reads).
+    """
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and (
+        isinstance(value, bool) or not isinstance(value, tuple(_JSON_TYPES[t] for t in types))
+    ):
+        return "%s: %r is not of type %s" % (path, value, " or ".join(types))
+    if isinstance(value, float) and not math.isfinite(value):
+        return "%s: %r is not a finite number" % (path, value)
+    if "const" in schema and (isinstance(value, bool) or value != schema["const"]):
+        return "%s: %r is not %r" % (path, value, schema["const"])
+    if "enum" in schema and value not in schema["enum"]:
+        return "%s: %r is not one of %r" % (path, value, schema["enum"])
+    if "minimum" in schema and value < schema["minimum"]:
+        return "%s: %r is less than %r" % (path, value, schema["minimum"])
+    if "maximum" in schema and value > schema["maximum"]:
+        return "%s: %r is greater than %r" % (path, value, schema["maximum"])
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        return "%s: %r is not greater than %r" % (path, value, schema["exclusiveMinimum"])
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        return "%s: %r has fewer than %d items" % (path, value, schema["minItems"])
+    if "items" in schema:
+        for k, item in enumerate(value):
+            found = _schema_violation(item, schema["items"], "%s[%d]" % (path, k))
+            if found:
+                return found
+    for field in schema.get("required", []):
+        if field not in value:
+            return "%s: missing required field %r" % (path, field)
+    if "properties" in schema:
+        properties = schema["properties"]
+        for field, item in value.items():
+            if field in properties:
+                found = _schema_violation(item, properties[field], field)
+                if found:
+                    return found
+            elif schema.get("additionalProperties") is False:
+                return "%s: unknown field %r" % (path, field)
+    return None
+
+
 def validate_config(config):
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError("config schema violation: %s" % exc.message) from exc
+    found = _schema_violation(config, CONFIG_SCHEMA, "config")
+    if found:
+        raise ConfigError("config schema violation: %s" % found)
     if "schedule" in config:
         try:
             values = [float(v) for v in _parse_schedule(config["schedule"])]
@@ -168,11 +221,6 @@ def validate_config(config):
             raise ConfigError("schedule entries must be positive")
         if any(b >= a for a, b in zip(values, values[1:])):
             raise ConfigError("schedule must be strictly decreasing")
-    # the schema takes integral floats such as 64.0 for integers
-    for field in ("seed", "sample_count", "grid_points", "max_pairs", "truncations"):
-        raw = config.get(field, [])
-        if not all(isinstance(v, int) for v in (raw if isinstance(raw, list) else [raw])):
-            raise ConfigError("%s must hold integers, got %r" % (field, raw))
     if "truncations" in config:
         t = config["truncations"]
         if any(b <= a for a, b in zip(t, t[1:])):
@@ -243,12 +291,18 @@ def _run_checks(checks, workers):
 
 
 def _environment_stamp():
+    import importlib.metadata  # loads the email package: keep it off import time
+
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
     return {
         "numpy": np.__version__,
         "platform": sys.platform,
         "machine": platform.machine(),
         "python": platform.python_version(),
-        "scipy": scipy.__version__,
+        "scipy": scipy_version,
     }
 
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
 
 
 # Fixed tolerances.  Only boundary_threshold and support_tail are parameters:
@@ -567,6 +565,43 @@ def _powers(z, count):
     return out
 
 
+def _class_symbols(members, phi, fval, n_trunc):
+    """Rows T[c, d] = sum_{k in class c} F_k e^{i phi_k d}, d = -(n-1) .. n-1.
+
+    members[k] is the class of mode k.  Classes of one size m share a
+    (classes, m) table of their modes in mode order; one einsum per half
+    then sums each class, in blocks of at most _PHASE_ENTRIES powers.
+    """
+    # Row c of `half` holds T[c, d] for d >= 0, row C + c holds conj(T[c, -d]):
+    # the class sums of F_k z_k^d and conj(F_k) z_k^d, z_k = e^{i phi_k}.
+    sizes = np.bincount(members)
+    classes = len(sizes)
+    order = np.argsort(members, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    z = np.exp(1j * phi)
+    half = np.empty((2 * classes, n_trunc), dtype=np.complex128)
+    for m in np.unique(sizes):
+        same = np.nonzero(sizes == m)[0]
+        table = order[starts[same][:, None] + np.arange(m)]
+        rows = max(1, _PHASE_ENTRIES // (m * n_trunc))
+        for start in range(0, len(same), rows):
+            c, modes = same[start : start + rows], table[start : start + rows]
+            powers = _powers(z[modes.ravel()], n_trunc).reshape(len(c), m, n_trunc)
+            half[c] = np.einsum("cm,cmd->cd", fval[modes], powers)
+            half[classes + c] = np.einsum("cm,cmd->cd", fval[modes].conj(), powers)
+    return np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
+
+
+@lru_cache(maxsize=32)
+def _jacobi_eigenpairs(n_trunc):
+    """Read-only eigenvalues and eigenvectors of the Jacobi matrix J."""
+    off = np.sqrt(np.arange(1.0, n_trunc))
+    lam, w = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    lam.flags.writeable = False
+    w.flags.writeable = False
+    return lam, w
+
+
 def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     """The n_trunc x n_trunc complex matrix of f in the oscillator basis.
 
@@ -580,8 +615,8 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     Assembly rests on two exact facts.  First, k1 Q + k2 P is unitarily
     similar to |k| sqrt(hbar/2) J, with J the real Jacobi matrix of
     off-diagonal sqrt(j) and the similarity U = diag(e^{i phi a}), phi the
-    angle of k.  One eigendecomposition J = W diag(lam) W^T per call then
-    serves every mode:
+    angle of k.  One eigendecomposition J = W diag(lam) W^T per truncation
+    (cached) serves every mode:
         exp(i(k1 Q + k2 P))[a, b]
             = e^{i phi (a-b)} sum_m W[a, m] W[b, m] e^{i s lam_m},
     s = |k| sqrt(hbar/2).  Second, inside one |k|^2 class c only the phase
@@ -619,26 +654,10 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     mvec, fval = _significant(_modes(f))
     keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
     phi = np.arctan2(mvec[:, 1], mvec[:, 0])
-
-    # Row c of `half` holds T[c, d] for d >= 0, row C + c holds conj(T[c, -d]):
-    # the class sums of F_k z_k^d and conj(F_k) z_k^d, z_k = e^{i phi_k}.
-    classes, count = len(keys), len(fval)
-    weights = sparse.csc_array(
-        (
-            np.concatenate([fval, fval.conj()]),
-            (np.concatenate([members, members + classes]), np.tile(np.arange(count), 2)),
-        ),
-        shape=(2 * classes, count),
-    )
-    half = np.zeros((2 * classes, n_trunc), dtype=np.complex128)
-    rows = max(1, _PHASE_ENTRIES // n_trunc)
-    for start in range(0, count, rows):
-        block = slice(start, start + rows)
-        half += weights[:, block] @ _powers(np.exp(1j * phi[block]), n_trunc)
-    symbol = np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
+    symbol = _class_symbols(members, phi, fval, n_trunc)
+    lam, w = _jacobi_eigenpairs(n_trunc)
 
     # einsum, not BLAS: the sums then do not depend on the BLAS thread count
-    lam, w = eigh_tridiagonal(np.zeros(n_trunc), np.sqrt(np.arange(1.0, n_trunc)))
     s = grid.mode_step * np.sqrt(0.5 * hbar * keys)
     g = np.einsum("mc,cd->dm", np.exp(1j * np.multiply.outer(lam, s)), symbol)
 
@@ -693,13 +712,13 @@ def moyal_quadrature_oracle(f_callable, g_callable, hbar, points):
     u = -_ORACLE_RADIUS + step * (np.arange(_ORACLE_NODES) + 0.5)
     wu = np.full(_ORACLE_NODES, step)
     kernel = np.exp((2j / hbar) * np.outer(u, u))
-    kernel_conj = kernel.conj()
     rows = []
     for z in np.atleast_2d(np.asarray(points, dtype=float)):
         fa, fb = _separate(f_callable(z[0] + u[:, None], z[1] + u[None, :]))
         ga, gb = _separate(g_callable(z[0] + u[:, None], z[1] + u[None, :]))
         ia = (wu * fa) @ kernel @ (wu * gb)
-        ib = (wu * fb) @ kernel_conj @ (wu * ga)
+        # x @ conj(K) @ y, exactly, with no conjugate copy of the kernel
+        ib = np.conj(np.conj(wu * fb) @ kernel @ np.conj(wu * ga))
         rows.append(ia * ib / (np.pi * hbar) ** 2)
     return np.array(rows)
 

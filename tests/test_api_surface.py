@@ -1,11 +1,16 @@
 """Guards on the package surface: no dead imports, no export nothing uses.
 
 Both scans read the source with ``ast``, so they see what a module binds
-and references, not what happens to be importable at run time.
+and references, not what happens to be importable at run time.  A fresh
+interpreter checks what ``import quantaequiv`` loads: numpy, not scipy or
+jsonschema.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,3 +79,15 @@ def test_every_export_is_used():
     words = set(re.findall(r"\w+", "\n".join(text)))
     idle = [name for name in exports if name not in used and name not in words]
     assert not idle, "exported but used by no module, perfbench or README: %s" % idle
+
+
+def test_import_loads_neither_scipy_nor_jsonschema():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quantaequiv; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [m for m in proc.stdout.split() if m.startswith(("scipy", "jsonschema"))]
+    assert not loaded, "import quantaequiv loaded %s" % ", ".join(loaded)

@@ -70,6 +70,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
+    @pytest.mark.parametrize(
+        "suite, field, value",
+        [
+            ("weyl-laws", "seed", True),
+            ("weyl-laws", "schema_version", 2),
+            ("weyl-laws", "seed", 2**64),
+            ("rieffel-sdq", "grid_extent", 0),
+            ("rieffel-sdq", "hbar", -0.1),
+            ("weyl-transform", "truncations", [8, 32]),
+            ("rieffel-sdq", "schedule", [0.4, 0.2, 0.1]),
+        ],
+    )
+    def test_out_of_bounds_field_rejected(self, suite, field, value):
+        cfg = dict(default_config(suite), **{field: value})
+        with pytest.raises(ConfigError, match="^config schema violation: "):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "suite, field, value",
+        [
+            ("rieffel-sdq", "hbar", float("nan")),
+            ("weyl-transform", "grid_extent", float("inf")),
+            ("rieffel-sdq", "schedule", [float("inf"), 0.2, 0.1, 0.05]),
+        ],
+    )
+    def test_non_finite_number_rejected(self, suite, field, value):
+        # json.load reads NaN and Infinity; the run must not start on them
+        cfg = dict(default_config(suite), **{field: value})
+        with pytest.raises(ConfigError, match="%s.*not a finite number" % field):
+            validate_config(cfg)
+
     def test_truncations_must_increase(self):
         cfg = default_config("weyl-transform")
         cfg["truncations"] = [64, 32, 128]
@@ -146,6 +177,15 @@ class TestRunSuite:
         env = sdq_report["environment"]
         assert set(env) == {"numpy", "scipy", "python", "platform", "machine"}
 
+    def test_environment_stamp_without_scipy(self, monkeypatch):
+        import importlib.metadata
+
+        def not_installed(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", not_installed)
+        assert harness._environment_stamp()["scipy"] is None
+
 
 class TestEmitTables:
     def test_csv_rows_and_header(self, sdq_report, tmp_path):
@@ -215,6 +255,16 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_list_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([default_config("weyl-sdq")]))
+        code = cli.main(
+            ["run", "weyl-sdq", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "config error: config schema violation" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_suite_config_mismatch_exits_two(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(default_config("weyl-laws")))
@@ -244,7 +294,7 @@ class TestCli:
     def test_integral_float_in_integer_field_exits_two(
         self, suite, field, value, tmp_path, capsys
     ):
-        # the schema's "integer" admits 64.0; the run must not start on it
+        # 64.0 is not an integer: the run must not start on it
         cfg = dict(default_config(suite), **{field: value})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

@@ -298,6 +298,30 @@ class TestMoyalProduct:
         for value, (i, j) in zip(oracle, idx):
             assert abs(value - offset_product.samples[i, j]) <= 1e-12
 
+    def test_oracle_matches_the_conjugate_kernel_form(self):
+        # the oracle conjugates its operands instead of copying the kernel;
+        # sign flips are exact, so it equals x @ kernel.conj() @ y bit for bit
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
+
+        def f(x, p):
+            return np.exp(-a * ((x - c1[0]) ** 2 + (p - c1[1]) ** 2))
+
+        def g(x, p):
+            return np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2))
+
+        z = (0.3, -0.2)
+        (got,) = moyal_quadrature_oracle(f, g, HBAR, [z])
+        nodes, radius = rieffel._ORACLE_NODES, rieffel._ORACLE_RADIUS
+        step = 2.0 * radius / nodes
+        u = -radius + step * (np.arange(nodes) + 0.5)
+        wu = np.full(nodes, step)
+        kernel = np.exp((2j / HBAR) * np.outer(u, u))
+        fa, fb = rieffel._separate(f(z[0] + u[:, None], z[1] + u[None, :]))
+        ga, gb = rieffel._separate(g(z[0] + u[:, None], z[1] + u[None, :]))
+        ia = (wu * fa) @ kernel @ (wu * gb)
+        ib = (wu * fb) @ kernel.conj() @ (wu * ga)
+        assert got == ia * ib / (np.pi * HBAR) ** 2
+
     def test_associativity(self, grid, offset_pair, offset_product):
         f, g = offset_pair
         h = GridFunction.gaussian(grid, (0.2, -0.6), 0.4)

@@ -1,16 +1,21 @@
 """Oscillator-basis transform tests: matrix anchors, intertwining, detectors."""
 
+import tracemalloc
 from math import atan2
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
+from quantaequiv import rieffel
 from quantaequiv.rieffel import (
     Grid2n,
     GridError,
     GridFunction,
     TruncationError,
+    _class_symbols,
+    _jacobi_eigenpairs,
     _modes,
     _significant,
     moyal_product,
@@ -61,6 +66,31 @@ def reference_weyl_transform(f, hbar, n_trunc, bases):
         phases = np.exp(1j * atan2(k2, k1) * levels)
         total += np.outer(fval[j] * phases, phases.conj()) * bases[tag]
     return total
+
+
+def _class_inputs(f):
+    """(members, phi, fval) of f's significant modes, as weyl_transform builds them."""
+    mvec, fval = _significant(_modes(f))
+    _, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
+    return members, np.arctan2(mvec[:, 1], mvec[:, 0]), fval
+
+
+def reference_class_symbols(members, phi, fval, n_trunc):
+    """The sparse class-by-mode product _class_symbols replaced, kept as its reference."""
+    classes, count = len(np.bincount(members)), len(fval)
+    weights = sparse.csc_array(
+        (
+            np.concatenate([fval, fval.conj()]),
+            (np.concatenate([members, members + classes]), np.tile(np.arange(count), 2)),
+        ),
+        shape=(2 * classes, count),
+    )
+    half = np.zeros((2 * classes, n_trunc), dtype=np.complex128)
+    rows = max(1, rieffel._PHASE_ENTRIES // n_trunc)
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        half += weights[:, block] @ rieffel._powers(np.exp(1j * phi[block]), n_trunc)
+    return np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
 
 
 def _relative_gap(mat, ref):
@@ -196,6 +226,44 @@ class TestTruncationDetector:
         f, _ = gaussian_pair
         mat = weyl_transform(f, HBAR, 16, support_tail=1.0)
         assert mat.shape == (16, 16)
+
+
+class TestClassSymbolsAndEigenpairs:
+    @pytest.mark.parametrize("n_trunc", (32, 64, 128))
+    def test_class_sum_matches_the_sparse_product(
+        self, window, windowed_coordinate, pair_operands, n_trunc
+    ):
+        gaussians = [h for f, g, _ in pair_operands for h in (f, g)]
+        for f in [window, windowed_coordinate] + gaussians:
+            args = _class_inputs(f)
+            ref = reference_class_symbols(*args, n_trunc)
+            assert _relative_gap(_class_symbols(*args, n_trunc), ref) <= 1e-15
+
+    @pytest.mark.parametrize("n_trunc", (32, 64, 128))
+    def test_eigenpairs_match_the_tridiagonal_solver(self, n_trunc):
+        lam, w = _jacobi_eigenpairs(n_trunc)
+        ref_lam, ref_w = eigh_tridiagonal(np.zeros(n_trunc), np.sqrt(np.arange(1.0, n_trunc)))
+        assert np.array_equal(lam, ref_lam)
+        # eigenvectors agree up to sign, which cancels in W[a, m] W[b, m]
+        assert np.array_equal(np.abs(w), np.abs(ref_w))
+
+    def test_cached_eigenpairs_are_read_only(self):
+        lam, w = _jacobi_eigenpairs(32)
+        assert _jacobi_eigenpairs(32)[1] is w
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+
+    def test_window_transform_temporaries_stay_bounded(self, window):
+        tracemalloc.start()
+        try:
+            weyl_transform(window, HBAR, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # with the sparse class sum this transform peaked at 77.1 MiB
+        assert peak <= 77.1 * 2**20
 
 
 @pytest.fixture(scope="module")
