@@ -8,16 +8,19 @@ here is exact; nothing ever touches a float.
 denominator (the lcm of its denominators), takes one Python-int dot product
 and builds one Fraction from it.  Summing Fractions term by term would run a
 gcd after every + and *; the values are the same either way.  ``mat_vec`` and
-``mat_mul`` take each result entry as one ``dot``.
+``mat_mul`` take each result entry as one ``dot``; ``dot`` and ``mat_mul``
+are the reference kernels that the tests hold the integer kernels to.
 
-``integer_vector`` and ``integer_matrix`` do that scaling once for callers
-that reuse a vector or a matrix across many products: the symplectic twist
-in ``weyl_algebra`` and the form identity in ``symplectic`` work on the
-scaled ints and build a Fraction only for a result they keep.
+``integer_vector`` and ``integer_matrix`` do that scaling once.  Spaces and
+maps (``symplectic``) carry their integer form from construction, so
+composition, the form identity and the symplectic twist in ``weyl_algebra``
+work on ints: ``integer_product`` multiplies two integer forms and reduces
+the result by one gcd, and a Fraction is built only for a result that is
+kept.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def frac(x):
@@ -95,9 +98,23 @@ def integer_vector(v):
 
 
 def integer_matrix(m):
-    """(rows, d) with m[i][j] == rows[i][j] / d; one d for the whole matrix."""
+    """(rows, d) with m[i][j] == rows[i][j] / d; one d for the whole matrix.
+
+    d is the lcm of the denominators, so the form is canonical: d and the
+    entries of rows have no common factor.
+    """
     d = lcm(*[a.denominator for row in m for a in row])
-    return [[a.numerator * (d // a.denominator) for a in row] for row in m], d
+    return tuple(tuple(a.numerator * (d // a.denominator) for a in row) for row in m), d
+
+
+def integer_product(a, b):
+    """The canonical integer form of the product of two integer forms."""
+    (ra, da), (rb, db) = a, b
+    cols = list(zip(*rb))
+    rows = [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in ra]
+    d = da * db
+    g = gcd(d, *[x for row in rows for x in row])
+    return tuple(tuple(x // g for x in row) for row in rows), d // g
 
 
 def mat_vec(m, v):

@@ -15,6 +15,7 @@ from . import rational_linalg as rl
 from .symplectic import (
     CharacterSpec,
     LinearMapSpec,
+    SpaceError,
     SymplecticSpace,
     darboux_basis,
     is_symplectic_map,
@@ -85,42 +86,50 @@ def _block(top_left, top_right, bottom_left, bottom_right):
         rows.append(tuple(top_left[i]) + tuple(top_right[i]))
     for i in range(n):
         rows.append(tuple(bottom_left[i]) + tuple(bottom_right[i]))
-    return rl.matrix(rows)
+    return LinearMapSpec(rows)
 
 
 def random_standard_symplectic(rng, n):
     """A random element of the symplectic group for the standard form.
 
     Built as a product of three shears and block-diagonal scalings, each of
-    which preserves the standard form exactly.
+    which preserves the standard form exactly; returned as a LinearMapSpec.
     """
     eye = rl.identity(n)
     zero = rl.matrix([[Fraction(0)] * n for _ in range(n)])
-    total = rl.identity(2 * n)
+    total = LinearMapSpec(rl.identity(2 * n))
     for _ in range(3):
         kind = rng.randrange(3)
         if kind == 0:
-            total = rl.mat_mul(_block(eye, _random_symmetric(rng, n), zero, eye), total)
+            total = _block(eye, _random_symmetric(rng, n), zero, eye).compose(total)
         elif kind == 1:
-            total = rl.mat_mul(_block(eye, zero, _random_symmetric(rng, n), eye), total)
+            total = _block(eye, zero, _random_symmetric(rng, n), eye).compose(total)
         else:
             a = _random_invertible(rng, n)
             a_inv_t = rl.transpose(rl.inverse(a))
-            total = rl.mat_mul(_block(a, zero, zero, a_inv_t), total)
+            total = _block(a, zero, zero, a_inv_t).compose(total)
     return total
 
 
-def random_symplectic_map(rng, dom, cod):
-    """A random exact form-preserving isomorphism dom -> cod (equal dims)."""
+def darboux_frame(space):
+    """(B, B^-1) as LinearMapSpecs, B the space's darboux_basis."""
+    basis = darboux_basis(space)
+    return basis, LinearMapSpec(rl.inverse(basis.matrix))
+
+
+def random_symplectic_map(rng, dom, cod, dom_frame, cod_frame):
+    """A random exact form-preserving isomorphism dom -> cod (equal dims).
+
+    The frames are the darboux_frame of each space; the map is
+    B_cod . S . B_dom^-1 for a random standard symplectic S, checked
+    against the forms before it is returned.
+    """
     if dom.dim != cod.dim:
         raise ValueError("symplectic isomorphisms need equal dimensions")
-    n = dom.dim // 2
-    basis_dom = darboux_basis(dom).matrix
-    basis_cod = darboux_basis(cod).matrix
-    middle = random_standard_symplectic(rng, n)
-    t = rl.mat_mul(basis_cod, rl.mat_mul(middle, rl.inverse(basis_dom)))
-    spec = LinearMapSpec(t)
-    assert is_symplectic_map(spec, dom, cod)
+    middle = random_standard_symplectic(rng, dom.dim // 2)
+    spec = cod_frame[0].compose(middle.compose(dom_frame[1]))
+    if not is_symplectic_map(spec, dom, cod):
+        raise SpaceError("the frames do not carry the spaces' forms to the standard form")
     return spec
 
 

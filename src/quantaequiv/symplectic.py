@@ -4,6 +4,12 @@ A space is a rational coordinate space of even dimension together with an
 exact antisymmetric nondegenerate bilinear form.  Characters are restricted
 to the family chi(f) = e^{i pi <theta, f>} with rational theta, so that every
 phase that ever appears is an exact root of unity.
+
+Spaces and maps keep the integer form of their matrix (``form_ints``,
+``matrix_ints``: rows of ints over one common denominator, see
+``rational_linalg.integer_matrix``) from construction.  It is not a
+dataclass field, so equality and hashing stay on the Fraction data;
+composition, composed characters and the form identity run on it.
 """
 
 from dataclasses import dataclass
@@ -36,6 +42,7 @@ class SymplecticSpace:
         if rl.det(form) == 0:
             raise SpaceError("form matrix must be nondegenerate")
         object.__setattr__(self, "form", form)
+        object.__setattr__(self, "form_ints", rl.integer_matrix(form))
 
     def vector(self, entries):
         v = rl.vector(entries)
@@ -51,7 +58,18 @@ class LinearMapSpec:
     matrix: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", rl.matrix(self.matrix))
+        matrix = rl.matrix(self.matrix)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix_ints", rl.integer_matrix(matrix))
+
+    @classmethod
+    def _from_ints(cls, ints):
+        # the map of a canonical integer form, its Fractions built once
+        rows, d = ints
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "matrix", tuple(tuple(Fraction(x, d) for x in row) for row in rows))
+        object.__setattr__(obj, "matrix_ints", ints)
+        return obj
 
     @property
     def dim_in(self):
@@ -70,7 +88,7 @@ class LinearMapSpec:
         """self after ``first``: (self.compose(first)).apply(v) = self(first(v))."""
         if first.dim_out != self.dim_in:
             raise SpaceError("composition dimension mismatch")
-        return LinearMapSpec(rl.mat_mul(self.matrix, first.matrix))
+        return LinearMapSpec._from_ints(rl.integer_product(self.matrix_ints, first.matrix_ints))
 
 
 @dataclass(frozen=True)
@@ -106,19 +124,10 @@ def is_symplectic_map(t, dom, cod):
     """True iff T^t . form_cod . T equals form_dom exactly."""
     if t.dim_in != dom.dim or t.dim_out != cod.dim:
         return False
-    # with T = tm/dt, form_cod = w/dw and form_dom = v/dv (int entries) the
-    # identity reads dv * (tm^t w tm) == dt^2 dw * v, decided entry by entry
-    tm, dt = rl.integer_matrix(t.matrix)
-    w, dw = rl.integer_matrix(cod.form)
-    v, dv = rl.integer_matrix(dom.form)
-    cols = list(zip(*tm))
-    w_cols = [[sum([a * b for a, b in zip(row, col)]) for row in w] for col in cols]
-    scale = dt * dt * dw
-    for col, v_row in zip(cols, v):
-        for w_col, vij in zip(w_cols, v_row):
-            if dv * sum([a * b for a, b in zip(col, w_col)]) != scale * vij:
-                return False
-    return True
+    # integer forms are canonical, so the matrices are equal iff their forms are
+    tm, dt = t.matrix_ints
+    pulled = rl.integer_product((tuple(zip(*tm)), dt), cod.form_ints)
+    return rl.integer_product(pulled, t.matrix_ints) == dom.form_ints
 
 
 def compose_characters(chi2, t1, chi1):
@@ -126,8 +135,17 @@ def compose_characters(chi2, t1, chi1):
 
     Returns the CharacterSpec with theta = theta1 + T1^t theta2.
     """
-    pulled = rl.mat_vec(rl.transpose(t1.matrix), chi2.theta)
-    return CharacterSpec(rl.vec_add(chi1.theta, pulled))
+    if len(chi1.theta) != t1.dim_in or len(chi2.theta) != t1.dim_out:
+        raise SpaceError("characters do not fit the map's dimensions")
+    # with T1 = rows/dt and theta_k = n_k/d_k the sum is
+    # (n1 dt d2 + d1 rows^t n2) / (d1 dt d2)
+    rows, dt = t1.matrix_ints
+    n1, d1 = rl.integer_vector(chi1.theta)
+    n2, d2 = rl.integer_vector(chi2.theta)
+    scale = dt * d2
+    pulled = [sum([r * x for r, x in zip(col, n2)]) for col in zip(*rows)]
+    d = d1 * scale
+    return CharacterSpec(tuple(Fraction(a * scale + d1 * b, d) for a, b in zip(n1, pulled)))
 
 
 def darboux_basis(space):

@@ -19,14 +19,16 @@ The exact work runs on Python ints.  A coefficient table is keyed by the
 lowest-terms int pairs (pn, pd, qn, qd) of its exponents, with p folded into
 [0, 1), so merging terms hashes and adds ints; only the amplitudes are
 Fractions, and ``CoeffExpr.terms`` reads the keys back as Fractions in the
-same order.  ``multiply`` and ``poisson_bracket`` scale the form and each
-label to ints once, so sigma(f, g) is one int sum per pair of labels.
+same order.  ``multiply`` and ``poisson_bracket`` read the space's integer
+form and scale the labels to ints over one common denominator once, so
+sigma(f, g) is one int sum per pair of labels and f + g is summed and keyed
+as ints.
 """
 
 import json
 from cmath import exp as cexp
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, lcm, pi
 
 from . import rational_linalg as rl
 from .cyclotomic import phase_sum_is_zero
@@ -367,31 +369,34 @@ def weyl_unit(space, hbar=None):
 
 def _pair_sum(a, b, piece_of):
     # sum over label pairs of piece_of(cf, cg, num, den) W(f+g), where
-    # sigma(f, g) = num / den; a piece of None is skipped.  With the form
-    # scaled to ints w / dw and each label to ints over its lcm d, sigma is
-    # f . (w g) / (df dg dw): w g and dg dw once per label of b, one int
-    # sum per pair
-    w, dw = rl.integer_matrix(a.space.form)
+    # sigma(f, g) = num / den; a piece of None is skipped.  Every label of a
+    # and b is scaled to ints over one common denominator d, so f + g is an
+    # int tuple over d: the sums are keyed by it, which maps one to one onto
+    # the labels (same dict order), and one Fraction label is built per
+    # output label.  With the form w / dw, sigma is f . (w g) / (d^2 dw):
+    # w g once per label of b, one int sum per pair
+    w, dw = a.space.form_ints
+    d = lcm(*[x.denominator for f in (*a._terms, *b._terms) for x in f])
+    den = d * d * dw
     right = []
     for g, cg in b._terms.items():
-        gi, dg = rl.integer_vector(g)
-        wg = [sum([x * y for x, y in zip(row, gi)]) for row in w]
-        right.append((g, cg, wg, dg * dw))
+        gi = [x.numerator * (d // x.denominator) for x in g]
+        right.append((gi, cg, [sum([x * y for x, y in zip(row, gi)]) for row in w]))
     out = {}
     for f, cf in a._terms.items():
-        fi, df = rl.integer_vector(f)
-        for g, cg, wg, den in right:
-            piece = piece_of(cf, cg, sum([x * y for x, y in zip(fi, wg)]), df * den)
+        fi = [x.numerator * (d // x.denominator) for x in f]
+        for gi, cg, wg in right:
+            piece = piece_of(cf, cg, sum([x * y for x, y in zip(fi, wg)]), den)
             if piece is None:
                 continue
-            label = rl.vec_add(f, g)
-            acc = out.get(label)
+            key = tuple([x + y for x, y in zip(fi, gi)])
+            acc = out.get(key)
             total = piece if acc is None else acc + piece
             if total:
-                out[label] = total
+                out[key] = total
             else:
-                out.pop(label, None)
-    return a._rebuild(out)
+                out.pop(key, None)
+    return a._rebuild({tuple([Fraction(x, d) for x in key]): c for key, c in out.items()})
 
 
 def multiply(a, b):
@@ -494,8 +499,9 @@ def _coeff_from_payload(payload):
     for entry in payload:
         p = Fraction(entry["p"])
         q = Fraction(entry["q"])
-        re = Fraction(entry["amp"][0])
-        im = Fraction(entry["amp"][1])
+        if len(entry["amp"]) != 2:
+            raise AlgebraError("amp must be [re, im], got %r" % (entry["amp"],))
+        re, im = (Fraction(x) for x in entry["amp"])
         if re:
             terms[(p, q)] = terms.get((p, q), Fraction(0)) + re
         if im:
@@ -522,18 +528,26 @@ def weyl_to_json(a):
 
 
 def weyl_from_json(text):
+    """Parse weyl_to_json's format; a document of another shape raises AlgebraError."""
     from .symplectic import SymplecticSpace
 
     doc = json.loads(text)
-    if doc.get("schema_version") != 1:
+    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
         raise AlgebraError("unsupported serialization schema")
-    space = SymplecticSpace(
-        doc["space"]["dim"],
-        tuple(tuple(Fraction(e) for e in row) for row in doc["space"]["form"]),
-    )
-    hbar = None if doc["hbar"] is None else Fraction(doc["hbar"])
-    terms = {}
-    for entry in doc["terms"]:
-        label = space.vector(Fraction(e) for e in entry["label"])
-        terms[label] = _coeff_from_payload(entry["coeff"])
+    try:
+        space = SymplecticSpace(
+            doc["space"]["dim"],
+            tuple(tuple(Fraction(e) for e in row) for row in doc["space"]["form"]),
+        )
+        hbar = None if doc["hbar"] is None else Fraction(doc["hbar"])
+        terms = {}
+        for entry in doc["terms"]:
+            label = space.vector(Fraction(e) for e in entry["label"])
+            if label in terms:
+                raise AlgebraError("label %s appears twice" % (list(map(str, label)),))
+            terms[label] = _coeff_from_payload(entry["coeff"])
+    except AlgebraError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise AlgebraError("malformed serialization: %s: %s" % (type(exc).__name__, exc)) from exc
     return WeylElement(space, terms, hbar=hbar)

@@ -15,7 +15,13 @@ map) data, so both categories validate arrows with one predicate.
 """
 
 from .category import ArrowRecord, CategorySpec, FunctorSpec, NatTransSpec
-from .sampling import make_rng, random_character, random_space_pool, random_symplectic_map
+from .sampling import (
+    darboux_frame,
+    make_rng,
+    random_character,
+    random_space_pool,
+    random_symplectic_map,
+)
 from .symplectic import is_symplectic_map
 from .weyl_functors import (
     ClassicalWeylObject,
@@ -96,18 +102,20 @@ def sample_classical_arrows(seed, count):
     The arrows run between ten random spaces of dimension 2, 4 or 6, and
     connect spaces of equal dimension, so the pool contains genuine
     cross-space isomorphisms whenever the space pool has dimension twins.
+    Each space's Darboux frame is built once, when the spaces are drawn.
     """
     rng = make_rng(seed, "classical-arrows")
     spaces = random_space_pool(rng, 10)
     objects = [ClassicalWeylObject(s) for s in spaces]
+    framed = [(obj, darboux_frame(obj.space)) for obj in objects]
     arrows = []
     for k in range(count):
-        dom = rng.choice(objects)
-        cods = [o for o in objects if o.space.dim == dom.space.dim]
-        cod = rng.choice(cods)
+        dom, dom_frame = rng.choice(framed)
+        cods = [entry for entry in framed if entry[0].space.dim == dom.space.dim]
+        cod, cod_frame = rng.choice(cods)
         payload = WeylMorphismSpec(
             chi=random_character(rng, dom.space.dim),
-            linear=random_symplectic_map(rng, dom.space, cod.space),
+            linear=random_symplectic_map(rng, dom.space, cod.space, dom_frame, cod_frame),
             dom=dom,
             cod=cod,
         )

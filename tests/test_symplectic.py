@@ -157,3 +157,58 @@ def test_form_identity_matches_reference_on_hand_cases():
     assert _agree(LinearMapSpec(rl.matrix([["7/4", 0], [0, "4/5"]])), sp1, cod)
     assert _agree(LinearMapSpec(rl.matrix([["14/15", "1/9"], [0, 1]])), dom, cod)
     assert not _agree(LinearMapSpec(rl.matrix([["14/15", "1/9"], [0, "9/10"]])), dom, cod)
+
+
+# --- integer composition against Fraction matrix products --------------------
+
+
+def _pool_payloads():
+    from quantaequiv.weyl_equivalence import sample_classical_arrows
+
+    return [a.payload for a in sample_classical_arrows(20260816, 100)]
+
+
+def _composable_pairs(payloads, limit=400):
+    pairs = [(m2, m1) for m2 in payloads for m1 in payloads if m1.cod == m2.dom]
+    return pairs[:limit]
+
+
+def test_compose_matches_mat_mul_reference_on_sampled_arrows():
+    pairs = _composable_pairs(_pool_payloads())
+    assert len(pairs) == 400
+    for m2, m1 in pairs:
+        got = m2.linear.compose(m1.linear)
+        want = LinearMapSpec(rl.mat_mul(m2.linear.matrix, m1.linear.matrix))
+        assert got == want and hash(got) == hash(want)
+        assert all(type(e) is Fraction for row in got.matrix for e in row)
+        # the stored integer form is the canonical one the constructor builds
+        assert got.matrix_ints == want.matrix_ints == rl.integer_matrix(want.matrix)
+
+
+def test_compose_characters_matches_mat_vec_reference_on_sampled_arrows():
+    for m2, m1 in _composable_pairs(_pool_payloads()):
+        got = compose_characters(m2.chi, m1.linear, m1.chi)
+        pulled = rl.mat_vec(rl.transpose(m1.linear.matrix), m2.chi.theta)
+        want = CharacterSpec(rl.vec_add(m1.chi.theta, pulled))
+        assert got == want and hash(got) == hash(want)
+        assert all(type(e) is Fraction for e in got.theta)
+
+
+def test_compose_characters_refuses_mismatched_lengths():
+    t = LinearMapSpec(rl.matrix([["3/5", 0], [0, 0], [0, "5/3"], [0, 0]]))
+    chi2, chi4 = CharacterSpec((1, 2)), CharacterSpec((1, 2, 3, 4))
+    assert compose_characters(chi4, t, chi2).theta == rl.vector(["8/5", 7])
+    with pytest.raises(SpaceError):
+        compose_characters(chi2, t, chi2)
+    with pytest.raises(SpaceError):
+        compose_characters(chi4, t, chi4)
+
+
+def test_integer_forms_are_not_fields():
+    sp = SymplecticSpace(2, rl.matrix([[0, "2/3"], ["-2/3", 0]]))
+    assert sp.form_ints == (((0, 2), (-2, 0)), 3)
+    assert sp == SymplecticSpace(2, ((0, Fraction(2, 3)), (Fraction(-2, 3), 0)))
+    assert "form_ints" not in repr(sp)
+    t = LinearMapSpec(rl.matrix([["1/2", 1], [0, 2]]))
+    assert t.matrix_ints == (((1, 2), (0, 4)), 2)
+    assert "matrix_ints" not in repr(t)

@@ -1,3 +1,4 @@
+import json
 import math
 from cmath import exp as cexp
 from fractions import Fraction
@@ -21,6 +22,7 @@ from quantaequiv.weyl_algebra import (
     CoeffExpr,
     WeylElement,
     _coeff_from_payload,
+    _pair_sum,
     _coeff_to_payload,
     evaluate_at,
     involution,
@@ -289,6 +291,75 @@ def test_json_fiber_tag_preserved():
     assert back.hbar == Fraction(1, 2)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"schema_version": 1, "hbar": None, "terms": []},
+        {"schema_version": 1, "space": {"dim": 2}, "hbar": None, "terms": []},
+        {"schema_version": 1, "space": {"dim": 2, "form": [["0", "1"], ["-1", "0"]]}, "terms": []},
+        {
+            "schema_version": 1,
+            "space": {"dim": 2, "form": [["0", "1"], ["-1", "0"]]},
+            "hbar": None,
+            "terms": [{"label": ["1", "0"], "coeff": [{"amp": ["1"], "p": "0", "q": "0"}]}],
+        },
+        {
+            "schema_version": 1,
+            "space": {"dim": 2, "form": [["0", "1"], ["-1", "0"]]},
+            "hbar": None,
+            "terms": [{"label": ["1", "0"], "coeff": [{"amp": ["1", "0", "2"], "p": "0", "q": "0"}]}],
+        },
+        {
+            "schema_version": 1,
+            "space": {"dim": 2, "form": [["0", "1"], ["-1", "0"]]},
+            "hbar": None,
+            "terms": [{"label": ["1", "0"]}],
+        },
+        {
+            "schema_version": 1,
+            "space": ["dim", "form"],
+            "hbar": None,
+            "terms": [],
+        },
+        {
+            "schema_version": 1,
+            "space": {"dim": 2, "form": [["0", "1"], ["-1", "0"]]},
+            "hbar": None,
+            "terms": [{"label": ["1", "0"], "coeff": [{"amp": ["x", "0"], "p": "0", "q": "0"}]}],
+        },
+        {
+            "schema_version": 1,
+            "space": {"dim": 2, "form": [["0", "1"], ["1", "0"]]},
+            "hbar": None,
+            "terms": [],
+        },
+    ],
+    ids=[
+        "list", "no-space", "no-form", "no-hbar", "one-entry-amp", "three-entry-amp",
+        "no-coeff", "space-as-list", "bad-number", "symmetric-form",
+    ],
+)
+def test_json_refuses_malformed_documents(doc):
+    with pytest.raises(AlgebraError):
+        weyl_from_json(json.dumps(doc))
+
+
+def test_json_refuses_a_repeated_label():
+    a = weyl_generator(SP1, [1, 0]) + weyl_generator(SP1, [0, 1]).scale_coeff(
+        CoeffExpr.gaussian(2, 1)
+    )
+    doc = json.loads(weyl_to_json(a))
+    doc["terms"][1]["label"] = doc["terms"][0]["label"]
+    with pytest.raises(AlgebraError, match="appears twice"):
+        weyl_from_json(json.dumps(doc))
+    # the equivalent spelling "2/2" of a label is the same label
+    doc["terms"][1]["label"] = ["0", "2/2"]
+    doc["terms"][0]["label"] = ["0", "1"]
+    with pytest.raises(AlgebraError, match="appears twice"):
+        weyl_from_json(json.dumps(doc))
+
+
 # --- per-pair reference for multiply and poisson_bracket ---------------------
 
 
@@ -406,6 +477,31 @@ def test_poisson_bracket_matches_per_pair_reference():
         for a, b in pairs:
             assert_same_element(poisson_bracket(a, b), reference_poisson_bracket(a, b))
         assert cancelled not in poisson_bracket(a, b).terms
+
+
+def reference_pair_sum(a, b, piece_of):
+    # labels summed by rl.vec_add and keyed by the Fraction tuples, sigma by rl.dot
+    return _reference_loop(
+        a, b, lambda cf, cg, sigma: piece_of(cf, cg, sigma.numerator, sigma.denominator)
+    )
+
+
+def test_pair_sum_matches_fraction_keyed_reference():
+    rng, spaces = _pool()
+
+    def weighted(cf, cg, num, den):
+        # depends on sigma's value, and skips the pairs with sigma = 0
+        return (cf * cg).scale(Fraction(num, den) + 1) if num else None
+
+    for space in spaces:
+        empty = WeylElement(space)
+        pairs = [(random_element(rng, space), random_element(rng, space)) for _ in range(12)]
+        pairs += [(empty, random_element(rng, space)), (random_element(rng, space), empty)]
+        pairs.append(_cancelling_pair(space, rng, classical=False)[:2])
+        for a, b in pairs:
+            got = _pair_sum(a, b, weighted)
+            assert_same_element(got, reference_pair_sum(a, b, weighted))
+            assert all(type(e) is Fraction for label in got.terms for e in label)
 
 
 # --- Fraction-keyed reference for CoeffExpr ------------------------------------

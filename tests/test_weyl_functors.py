@@ -4,8 +4,16 @@ from fractions import Fraction
 import pytest
 
 from quantaequiv import rational_linalg as rl
-from quantaequiv.sampling import make_rng, random_element
-from quantaequiv.symplectic import CharacterSpec, LinearMapSpec, standard_space
+from quantaequiv import sampling, weyl_equivalence
+from quantaequiv.category import ArrowRecord
+from quantaequiv.sampling import darboux_frame, make_rng, random_element
+from quantaequiv.symplectic import (
+    CharacterSpec,
+    LinearMapSpec,
+    SpaceError,
+    darboux_basis,
+    standard_space,
+)
 from quantaequiv.weyl_algebra import (
     AlgebraError,
     CoeffExpr,
@@ -270,6 +278,68 @@ def test_scaling_check_identity_path_still_rejects_zero_fiber():
         scaling_check(identity_morphism(Q1), 0, Fraction(1, 2))
     with pytest.raises(FunctorError):
         scaling_check(identity_morphism(Q1), 1, 0)
+
+
+# --- the sampled arrow pool against a per-arrow reference ---------------------
+
+
+def reference_standard_symplectic(rng, n):
+    # random_standard_symplectic's draws, multiplied by Fraction mat_mul
+    eye = rl.identity(n)
+    zero = rl.matrix([[0] * n for _ in range(n)])
+    total = rl.identity(2 * n)
+    for _ in range(3):
+        kind = rng.randrange(3)
+        if kind == 0:
+            block = sampling._block(eye, sampling._random_symmetric(rng, n), zero, eye)
+        elif kind == 1:
+            block = sampling._block(eye, zero, sampling._random_symmetric(rng, n), eye)
+        else:
+            a = sampling._random_invertible(rng, n)
+            block = sampling._block(a, zero, zero, rl.transpose(rl.inverse(a)))
+        total = rl.mat_mul(block.matrix, total)
+    return total
+
+
+def reference_classical_arrows(seed, count):
+    # darboux_basis and its inverse recomputed for every arrow
+    rng = make_rng(seed, "classical-arrows")
+    objects = [ClassicalWeylObject(s) for s in sampling.random_space_pool(rng, 10)]
+    arrows = []
+    for k in range(count):
+        dom = rng.choice(objects)
+        cod = rng.choice([o for o in objects if o.space.dim == dom.space.dim])
+        chi = sampling.random_character(rng, dom.space.dim)
+        middle = reference_standard_symplectic(rng, dom.space.dim // 2)
+        basis_dom = darboux_basis(dom.space).matrix
+        basis_cod = darboux_basis(cod.space).matrix
+        t = rl.mat_mul(basis_cod, rl.mat_mul(middle, rl.inverse(basis_dom)))
+        payload = WeylMorphismSpec(chi=chi, linear=LinearMapSpec(t), dom=dom, cod=cod)
+        arrows.append(ArrowRecord("m%d" % k, dom, cod, payload))
+    for j, obj in enumerate(objects[:3]):
+        arrows.append(ArrowRecord("id%d" % j, obj, obj, identity_morphism(obj)))
+    return arrows
+
+
+@pytest.mark.parametrize("seed", [20260816, 7])
+def test_arrow_pool_matches_per_arrow_frames(seed):
+    got = sample_classical_arrows(seed, 60)
+    want = reference_classical_arrows(seed, 60)
+    assert got == want
+    assert [hash(a.payload) for a in got] == [hash(a.payload) for a in want]
+    # the pool connects distinct spaces, so frames of different spaces are used
+    assert any(a.dom != a.cod for a in got)
+
+
+def test_random_symplectic_map_refuses_a_corrupted_frame(monkeypatch):
+    def doubled_basis(space):
+        # the basis doubled but not its inverse: B_cod S B_dom^-1 scales the forms by 4
+        basis, inverse = darboux_frame(space)
+        return LinearMapSpec(rl.vec_scale(2, row) for row in basis.matrix), inverse
+
+    monkeypatch.setattr(weyl_equivalence, "darboux_frame", doubled_basis)
+    with pytest.raises(SpaceError, match="frames"):
+        sample_classical_arrows(20260816, 1)
 
 
 # --- functors on arrows ---------------------------------------------------
