@@ -85,7 +85,6 @@ from .rieffel import (
     SupportError,
     TruncationError,
     convergence_study,
-    dirac_defect_grid,
     equivariance_defect,
     gaussian_star_closed_form,
     lie_derivative,
@@ -95,8 +94,8 @@ from .rieffel import (
     oscillator_position,
     poisson_bracket_grid,
     pullback,
+    star_defects,
     translate,
-    von_neumann_defect_grid,
     weyl_homomorphism_residual,
     weyl_transform,
 )

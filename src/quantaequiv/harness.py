@@ -60,7 +60,6 @@ from .rieffel import (
     Grid2n,
     GridFunction,
     convergence_study,
-    dirac_defect_grid,
     equivariance_defect,
     gaussian_star_closed_form,
     loglog_fit,
@@ -68,7 +67,7 @@ from .rieffel import (
     moyal_product,
     moyal_quadrature_oracle,
     oscillator_position,
-    von_neumann_defect_grid,
+    star_defects,
     weyl_homomorphism_residual,
     weyl_transform,
 )
@@ -641,28 +640,28 @@ def _suite_rieffel_sdq(config):
         return _record("rsdq-02-quadrature-oracle", value <= 1e-6, value=value,
                        tolerance=1e-6)
 
-    def study_check(kind, index):
+    def study_check(index):
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[index]
         f = GridFunction.gaussian(grid, c1, a)
         g = GridFunction.gaussian(grid, c2, b)
-        if kind == "vn":
-            study = convergence_study(von_neumann_defect_grid, f, g, schedule)
-            low, high, target = 0.8, 1.2, 1.0
-            check_id = "rsdq-03-von-neumann-slope-pair%d" % (index + 1)
-        else:
-            study = convergence_study(dirac_defect_grid, f, g, schedule)
-            low, high, target = 1.8, 2.2, 2.0
-            check_id = "rsdq-04-dirac-slope-pair%d" % (index + 1)
-        slope = study["slope"]
-        passed = (low <= slope <= high) and not study["saturated"]
-        witness = {"rows": [[h, d] for h, d in study["rows"]], "target": target}
-        return _record(check_id, passed, value=slope, tolerance=[low, high],
-                       witness=witness, saturated=study["saturated"])
+        studies = convergence_study(star_defects, f, g, schedule)
+        kinds = (
+            ("rsdq-03-von-neumann-slope-pair%d", 0.8, 1.2, 1.0),
+            ("rsdq-04-dirac-slope-pair%d", 1.8, 2.2, 2.0),
+        )
+        records = []
+        for study, (check_id, low, high, target) in zip(studies, kinds):
+            slope = study["slope"]
+            passed = not study["saturated"] and low <= slope <= high
+            witness = {"rows": [[h, d] for h, d in study["rows"]], "target": target}
+            records.append(_record(check_id % (index + 1), passed, value=slope,
+                                   tolerance=[low, high], witness=witness,
+                                   saturated=study["saturated"]))
+        return records
 
     checks = [closed_form_check, oracle_check]
     for idx in range(3):
-        checks.append(lambda i=idx: study_check("vn", i))
-        checks.append(lambda i=idx: study_check("dirac", i))
+        checks.append(lambda i=idx: study_check(i))
     return checks
 
 

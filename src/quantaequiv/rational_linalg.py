@@ -164,13 +164,6 @@ def _eliminate(rows):
     return rows, pivots
 
 
-def rank(m):
-    if not m:
-        return 0
-    _, pivots = _eliminate(m)
-    return len(pivots)
-
-
 def det(m):
     n = len(m)
     if any(len(r) != n for r in m):
@@ -206,11 +199,6 @@ def inverse(m):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
-def solve(m, rhs):
-    """Solve m x = rhs exactly; raises ValueError if singular."""
-    return mat_vec(inverse(m), rhs)
 
 
 def row_space_basis(vectors):

@@ -17,6 +17,12 @@ Nyquist box are dropped and accounted by an aliasing detector.
 
 Test functions must decay below a threshold at the domain boundary (the
 grid is a torus; the detector keeps wrap-around artifacts out of norms).
+
+The classical-limit defects take one f*g per (pair, hbar): star_defects
+reads the von Neumann and the Dirac defect from it, and for real operands
+the reversed product is g*f = conj(f*g), the involution rule
+(f*g)^* = g^* * f^*, so convergence_study fits both slopes from one pass
+over the schedule.
 """
 
 from dataclasses import dataclass
@@ -35,12 +41,14 @@ _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
 _RANK_ONE_TOLERANCE = 1e-9  # relative slack of the oracle's per-axis factorization
 # Blocks bound the temporaries of the grid kernels: complex entries per
-# q-FFT array in moyal_product (8 MiB each, two live per block) and 64
-# bytes per grid-by-mode entry in pullback (64 MiB).  The momentum block
-# never changes a product; the synthesis block sets the order of
-# pullback's sums.
+# q-FFT array in moyal_product (8 MiB each, two live per block), 64
+# bytes per grid-by-mode entry in pullback (64 MiB), and entries per row
+# block of the oracle's rank-one check (at most 256 KiB per temporary, so
+# they stay in cache).  The momentum and rank-one blocks never change a
+# result; the synthesis block sets the order of pullback's sums.
 _MOMENTUM_BLOCK = 2**19
 _SYNTHESIS_BLOCK = 2**20
+_RANK_ONE_BLOCK = 2**14
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
 
 
@@ -370,20 +378,27 @@ def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
     return GridFunction(grid, _from_modes(grid, out))
 
 
-def von_neumann_defect_grid(f, g, hbar):
-    """Sup norm of f*g minus the pointwise product."""
-    star = moyal_product(f, g, hbar)
-    return (star - f * g).sup_norm()
+def star_defects(f, g, hbar):
+    """Von Neumann and Dirac defects, both read from one f*g.
 
-
-def dirac_defect_grid(f, g, hbar):
-    """Sup norm of (f*g - g*f)/(i hbar) minus the Poisson bracket."""
+    The von Neumann defect is sup |f*g - fg|, the Dirac defect
+    sup |(f*g - g*f)/(i hbar) - {f, g}|.  The product respects the
+    involution, (f*g)^* = g^* * f^*, so when the samples of both operands
+    are real g*f is conj(f*g) and only one product is made; complex
+    operands get their own g*f.  Either way both products pass the same
+    support and alias guards: they see the same operands and the same pair
+    mass.
+    """
     if not (hbar > 0):
         raise GridError("the commutator comparison needs a positive parameter")
     forward = moyal_product(f, g, hbar)
-    backward = moyal_product(g, f, hbar)
+    if f.samples.imag.any() or g.samples.imag.any():
+        backward = moyal_product(g, f, hbar)
+    else:
+        backward = forward.conjugate()
+    von_neumann = (forward - f * g).sup_norm()
     commutator_scaled = (forward - backward) * (1.0 / (1j * hbar))
-    return (commutator_scaled - poisson_bracket_grid(f, g)).sup_norm()
+    return von_neumann, (commutator_scaled - poisson_bracket_grid(f, g)).sup_norm()
 
 
 # --- affine symplectic morphisms ---------------------------------------------
@@ -724,16 +739,24 @@ def moyal_quadrature_oracle(f_callable, g_callable, hbar, points):
 
 
 def _separate(values):
-    """Split a rank-one sample matrix M[i,j] = a[i] b[j]."""
+    """Split a rank-one sample matrix M[i,j] = a[i] b[j].
+
+    The check |a[i] b[j] - M[i,j]| <= tol |pivot| runs over blocks of about
+    _RANK_ONE_BLOCK entries of rows, never on a whole-matrix outer product;
+    the max is exact, so the verdict does not depend on the block.
+    """
     idx = np.unravel_index(np.argmax(np.abs(values)), values.shape)
     pivot = values[idx]
     if pivot == 0:
         return np.zeros(values.shape[0]), np.zeros(values.shape[1])
     col = values[:, idx[1]].copy()  # a view would keep the whole matrix alive
     row = values[idx[0], :] / pivot
-    approx = np.outer(col, row)
-    if np.abs(approx - values).max() > _RANK_ONE_TOLERANCE * np.abs(pivot):
-        raise GridError("oracle inputs must factor per axis")
+    bound = _RANK_ONE_TOLERANCE * np.abs(pivot)
+    block_rows = max(1, _RANK_ONE_BLOCK // len(row))
+    for start in range(0, len(col), block_rows):
+        block = slice(start, start + block_rows)
+        if np.abs(np.outer(col[block], row) - values[block]).max() > bound:
+            raise GridError("oracle inputs must factor per axis")
     return col, row
 
 
@@ -762,13 +785,21 @@ def loglog_fit(hs, ds):
 
 
 def convergence_study(defect_fn, f, g, schedule):
-    """Defect table along a decreasing schedule with a log-log slope fit."""
+    """Defect tables along a decreasing schedule with log-log slope fits.
+
+    defect_fn(f, g, h) returns a sequence of defects; one pass over the
+    schedule gives one table (rows, slope fit) per entry, in that order.
+    """
     schedule = [float(h) for h in schedule]
     if len(schedule) < 4:
         raise GridError("schedule needs at least 4 points")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise GridError("schedule must be strictly decreasing")
-    rows = [(h, float(defect_fn(f, g, h))) for h in schedule]
+    defects = [[float(d) for d in defect_fn(f, g, h)] for h in schedule]
+    return [_slope_table(list(zip(schedule, column))) for column in zip(*defects)]
+
+
+def _slope_table(rows):
     if any(d < _SATURATION_FLOOR for _, d in rows):
         return {"rows": rows, "slope": None, "residual": None, "saturated": True}
     slope, residual = loglog_fit(*zip(*rows))

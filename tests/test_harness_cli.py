@@ -11,7 +11,7 @@ import pytest
 
 import quantaequiv
 from quantaequiv import cli
-from quantaequiv import harness
+from quantaequiv import harness, rieffel
 from quantaequiv.harness import (
     SUITE_NAMES,
     ConfigError,
@@ -129,6 +129,11 @@ def sdq_report():
     return run_suite(default_config("weyl-sdq"))
 
 
+@pytest.fixture(scope="module")
+def rsdq_report():
+    return run_suite(default_config("rieffel-sdq"))
+
+
 class TestRunSuite:
     def test_report_shape(self, sdq_report):
         assert sdq_report["schema_version"] == 1
@@ -167,6 +172,26 @@ class TestRunSuite:
         monkeypatch.setenv("QUANTAEQUIV_THREADS", "1")
         serial = run_suite(default_config("weyl-sdq"))
         assert serial["checks"] == sdq_report["checks"]
+
+    def test_thread_cap_does_not_change_rieffel_results(self, rsdq_report, monkeypatch):
+        monkeypatch.setenv("QUANTAEQUIV_THREADS", "1")
+        serial = run_suite(default_config("rieffel-sdq"))
+        assert serial["checks"] == rsdq_report["checks"]
+
+    def test_rieffel_sdq_makes_one_product_per_pair_and_hbar(self, rsdq_report, monkeypatch):
+        # closed form 1, oracle 1, and one f*g per pair and hbar: 3 x 4
+        calls = []
+        product = rieffel.moyal_product
+
+        def counted_product(*args, **kwargs):
+            calls.append(args[2])
+            return product(*args, **kwargs)
+
+        monkeypatch.setattr(rieffel, "moyal_product", counted_product)
+        monkeypatch.setattr(harness, "moyal_product", counted_product)
+        report = run_suite(default_config("rieffel-sdq"))
+        assert len(calls) == 14
+        assert report["checks"] == rsdq_report["checks"]
 
     def test_weyl_laws_run_as_one_task(self):
         # the exact law checks hold the GIL: one task keeps them off the pool

@@ -21,7 +21,6 @@ from quantaequiv.rieffel import (
     _require_interior_support,
     _significant,
     convergence_study,
-    dirac_defect_grid,
     equivariance_defect,
     gaussian_star_closed_form,
     lie_derivative,
@@ -30,8 +29,8 @@ from quantaequiv.rieffel import (
     moyal_quadrature_oracle,
     poisson_bracket_grid,
     pullback,
+    star_defects,
     translate,
-    von_neumann_defect_grid,
 )
 
 HBAR = 0.1
@@ -83,6 +82,44 @@ def reference_moyal_product(f, g, hbars, boundary_threshold=_BOUNDARY_THRESHOLD)
             )
         products.append(GridFunction(grid, _from_modes(grid, out.reshape(grid.shape))))
     return products
+
+
+def von_neumann_defect_grid(f, g, hbar):
+    """Sup norm of f*g minus the pointwise product (reference of star_defects)."""
+    star = moyal_product(f, g, hbar)
+    return (star - f * g).sup_norm()
+
+
+def dirac_defect_grid(f, g, hbar):
+    """Sup norm of (f*g - g*f)/(i hbar) minus the Poisson bracket, from two products.
+
+    The reference of star_defects, which reads g*f as conj(f*g) for real operands.
+    """
+    forward = moyal_product(f, g, hbar)
+    backward = moyal_product(g, f, hbar)
+    commutator_scaled = (forward - backward) * (1.0 / (1j * hbar))
+    return (commutator_scaled - poisson_bracket_grid(f, g)).sup_norm()
+
+
+def whole_matrix_separate(values):
+    """The oracle's rank-one split with one whole-matrix outer product (reference)."""
+    idx = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    pivot = values[idx]
+    if pivot == 0:
+        return np.zeros(values.shape[0]), np.zeros(values.shape[1])
+    col = values[:, idx[1]].copy()
+    row = values[idx[0], :] / pivot
+    if np.abs(np.outer(col, row) - values).max() > rieffel._RANK_ONE_TOLERANCE * np.abs(pivot):
+        raise GridError("oracle inputs must factor per axis")
+    return col, row
+
+
+def _oracle_samples(fn, z):
+    """fn on the oracle's quadrature nodes around z, as _separate receives it."""
+    nodes, radius = rieffel._ORACLE_NODES, rieffel._ORACLE_RADIUS
+    step = 2.0 * radius / nodes
+    u = -radius + step * (np.arange(nodes) + 0.5)
+    return fn(z[0] + u[:, None], z[1] + u[None, :])
 
 
 def _relative_gap(got, ref):
@@ -322,6 +359,58 @@ class TestMoyalProduct:
         ib = (wu * fb) @ kernel.conj() @ (wu * ga)
         assert got == ia * ib / (np.pi * HBAR) ** 2
 
+    def test_oracle_refuses_a_non_separable_operand(self):
+        (c2, b) = GAUSSIAN_PAIRS[0][1]
+        with pytest.raises(GridError, match="must factor per axis"):
+            moyal_quadrature_oracle(
+                lambda x, p: np.exp(-((x - p) ** 2)),
+                lambda x, p: np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2)),
+                HBAR,
+                [(0.3, -0.2)],
+            )
+
+    def test_oracle_refuses_a_violation_in_the_last_row_block(self):
+        # a separable Gaussian plus a step on the far corner that only the
+        # last quadrature row and column reach: the rank-one check must see
+        # the last block
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
+
+        def gaussian(x, p):
+            return np.exp(-a * ((x - c1[0]) ** 2 + (p - c1[1]) ** 2))
+
+        def cornered(x, p):
+            return gaussian(x, p) + 1e-6 * ((x > 8.99) & (p > 8.99))
+
+        values = _oracle_samples(cornered, (0.0, 0.0))
+        residual = np.abs(values - _oracle_samples(gaussian, (0.0, 0.0)))
+        assert np.nonzero(residual.max(axis=1))[0].tolist() == [rieffel._ORACLE_NODES - 1]
+        with pytest.raises(GridError, match="must factor per axis"):
+            moyal_quadrature_oracle(
+                cornered,
+                lambda x, p: np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2)),
+                HBAR,
+                [(0.0, 0.0)],
+            )
+
+    @pytest.mark.parametrize("block", [None, 1, 3 * 2048 + 5, 2**22])
+    def test_blocked_split_equals_the_whole_matrix_split(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(rieffel, "_RANK_ONE_BLOCK", block)
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[2]
+        for fn, z in (
+            (lambda x, p: np.exp(-a * ((x - c1[0]) ** 2 + (p - c1[1]) ** 2)), (0.3, -0.2)),
+            (lambda x, p: np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2) + 1j * x), (-0.6, 0.1)),
+            (lambda x, p: 0.0 * x * p, (0.0, 0.0)),
+        ):
+            values = _oracle_samples(fn, z)
+            col, row = rieffel._separate(values)
+            ref_col, ref_row = whole_matrix_separate(values)
+            assert np.array_equal(col, ref_col) and np.array_equal(row, ref_row)
+        bent = _oracle_samples(lambda x, p: np.exp(-((x - p) ** 2)), (0.0, 0.0))
+        for split in (rieffel._separate, whole_matrix_separate):
+            with pytest.raises(GridError, match="must factor per axis"):
+                split(bent)
+
     def test_associativity(self, grid, offset_pair, offset_product):
         f, g = offset_pair
         h = GridFunction.gaussian(grid, (0.2, -0.6), 0.4)
@@ -476,50 +565,114 @@ class TestBlocksAndLimits:
 class TestDefectsAndConvergence:
     def test_frozen_defect_anchors(self, offset_pair):
         f, g = offset_pair
-        assert von_neumann_defect_grid(f, g, 0.4) == pytest.approx(
-            0.05704109168640791, rel=1e-6
-        )
-        assert dirac_defect_grid(f, g, 0.4) == pytest.approx(
-            0.010145434930611485, rel=1e-6
-        )
+        von_neumann, dirac = star_defects(f, g, 0.4)
+        assert von_neumann == pytest.approx(0.05704109168640791, rel=1e-6)
+        assert dirac == pytest.approx(0.010145434930611485, rel=1e-6)
+
+    @pytest.mark.parametrize("index", range(len(GAUSSIAN_PAIRS)))
+    def test_one_product_matches_the_two_product_references(self, grid, index, monkeypatch):
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[index]
+        f = GridFunction.gaussian(grid, c1, a)
+        g = GridFunction.gaussian(grid, c2, b)
+        products = []
+        product = rieffel.moyal_product
+
+        def counted_product(*args):
+            products.append(args[2])
+            return product(*args)
+
+        # the defect is a difference of terms of the size of {f, g}: the two
+        # routes agree to round-off on that scale (up to 1.7e-12 of the defect
+        # itself, pair 1 at hbar = 0.05)
+        scale = poisson_bracket_grid(f, g).sup_norm()
+        for hbar in SCHEDULE:
+            ref_dirac = dirac_defect_grid(f, g, hbar)
+            ref_von_neumann = von_neumann_defect_grid(f, g, hbar)
+            with monkeypatch.context() as patch:
+                patch.setattr(rieffel, "moyal_product", counted_product)
+                von_neumann, dirac = star_defects(f, g, hbar)
+            assert von_neumann == ref_von_neumann
+            assert abs(dirac - ref_dirac) <= 1e-12 * scale
+        assert products == list(SCHEDULE)  # real operands: g*f = conj(f*g)
+
+    def test_complex_operand_takes_two_products(self, grid, monkeypatch):
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
+        wave = GridFunction.from_callable(grid, lambda x, p: np.exp(1j * x))
+        f = GridFunction.gaussian(grid, c1, a) * wave
+        g = GridFunction.gaussian(grid, c2, b)
+        products = []
+        product = rieffel.moyal_product
+
+        def counted_product(*args):
+            products.append(args[:2])
+            return product(*args)
+
+        for left, right in ((f, g), (g, f)):
+            ref = (von_neumann_defect_grid(left, right, HBAR), dirac_defect_grid(left, right, HBAR))
+            with monkeypatch.context() as patch:
+                patch.setattr(rieffel, "moyal_product", counted_product)
+                got = star_defects(left, right, HBAR)
+            assert got == ref
+        assert products == [(f, g), (g, f), (g, f), (f, g)]
 
     def test_von_neumann_study_slope_near_one(self, offset_pair):
         f, g = offset_pair
-        study = convergence_study(von_neumann_defect_grid, f, g, (0.4, 0.2, 0.1, 0.05))
+        study, _ = convergence_study(star_defects, f, g, (0.4, 0.2, 0.1, 0.05))
         assert not study["saturated"]
         assert study["slope"] == pytest.approx(0.9871245860330254, abs=0.02)
         assert [h for h, _ in study["rows"]] == [0.4, 0.2, 0.1, 0.05]
 
     def test_dirac_study_slope_near_two(self, offset_pair):
         f, g = offset_pair
-        study = convergence_study(dirac_defect_grid, f, g, (0.4, 0.2, 0.1, 0.05))
+        _, study = convergence_study(star_defects, f, g, (0.4, 0.2, 0.1, 0.05))
         assert not study["saturated"]
         assert study["slope"] == pytest.approx(1.9878870931493478, abs=0.02)
         assert study["residual"] <= 0.05
 
+    def test_one_pass_fits_each_defect_on_its_own(self, offset_pair):
+        f, g = offset_pair
+        both = convergence_study(star_defects, f, g, SCHEDULE)
+        for k, defect_fn in enumerate((von_neumann_defect_grid, dirac_defect_grid)):
+            (alone,) = convergence_study(lambda *a: (defect_fn(*a),), f, g, SCHEDULE)
+            assert [h for h, _ in both[k]["rows"]] == list(SCHEDULE)
+            assert both[k]["slope"] == pytest.approx(alone["slope"], rel=1e-10)
+
     def test_equal_pair_commutator_saturates(self, offset_pair):
         f, _ = offset_pair
-        study = convergence_study(dirac_defect_grid, f, f, (0.4, 0.2, 0.1, 0.05))
+        _, study = convergence_study(star_defects, f, f, (0.4, 0.2, 0.1, 0.05))
         assert study["saturated"]
         assert study["rows"][0][1] <= 1e-12
 
     def test_disjoint_pair_saturates(self, grid):
         far1 = GridFunction.gaussian(grid, (-5.0, 0.0), 4.0)
         far2 = GridFunction.gaussian(grid, (5.0, 0.0), 4.0)
-        study = convergence_study(von_neumann_defect_grid, far1, far2, (0.4, 0.2, 0.1, 0.05))
+        study, _ = convergence_study(star_defects, far1, far2, (0.4, 0.2, 0.1, 0.05))
         assert study["saturated"]
 
     def test_schedule_validation(self, offset_pair):
         f, g = offset_pair
         with pytest.raises(GridError):
-            convergence_study(von_neumann_defect_grid, f, g, (0.4, 0.2, 0.1))
+            convergence_study(star_defects, f, g, (0.4, 0.2, 0.1))
         with pytest.raises(GridError):
-            convergence_study(von_neumann_defect_grid, f, g, (0.1, 0.2, 0.3, 0.4))
+            convergence_study(star_defects, f, g, (0.1, 0.2, 0.3, 0.4))
 
     def test_dirac_defect_rejects_zero_parameter(self, offset_pair):
         f, g = offset_pair
         with pytest.raises(GridError):
-            dirac_defect_grid(f, g, 0.0)
+            star_defects(f, g, 0.0)
+
+    def test_guards_stay_loud_on_both_paths(self, grid):
+        wide = GridFunction.gaussian(grid, (8.0, 0.0), 0.5)
+        g = GridFunction.gaussian(grid, (0.0, 0.0), 1.0)
+        carrier = GridFunction.from_callable(grid, lambda x, p: np.cos(32.0 * x))
+        fast = GridFunction.gaussian(grid, (0.0, 0.0), 1.0) * carrier
+        twisted = fast * GridFunction.from_callable(grid, lambda x, p: np.exp(1j * p))
+        for left, right in ((wide, g), (g, wide), (wide, g * (1 + 1j))):
+            with pytest.raises(SupportError):
+                star_defects(left, right, HBAR)
+        for left, right in ((fast, fast), (twisted, fast)):
+            with pytest.raises(AliasError):
+                star_defects(left, right, HBAR)
 
 
 class TestAffineSymplecticMap:
