@@ -5,7 +5,6 @@ or invocation was invalid.
 """
 
 import argparse
-import os
 import sys
 
 from .harness import (
@@ -14,7 +13,6 @@ from .harness import (
     default_config,
     emit_tables,
     load_config,
-    report_to_json,
     run_suite,
 )
 
@@ -67,11 +65,10 @@ def main(argv=None):
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
-    report_path = os.path.join(args.out, "%s.report.json" % report["suite"])
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
-    written = emit_tables(report, args.out, args.table_format)
+    # the json "tables" are the report itself: write it once either way
+    written = emit_tables(report, args.out, "json")
+    if args.table_format == "csv":
+        written += emit_tables(report, args.out, "csv")
 
     summary = report["summary"]
     print(
@@ -84,7 +81,7 @@ def main(argv=None):
             summary["saturated"],
         )
     )
-    for path in [report_path] + written:
+    for path in written:
         print("wrote %s" % path)
     return 1 if summary["failed"] else 0
 

@@ -213,11 +213,17 @@ def validate_config(config):
         raise ConfigError("config schema violation: %s" % found)
     if "schedule" in config:
         try:
-            values = [float(v) for v in _parse_schedule(config["schedule"])]
+            parsed = _parse_schedule(config["schedule"])
+            values = [float(v) for v in parsed]
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError("unreadable schedule entry: %s" % exc) from exc
         if any(v <= 0 for v in values):
             raise ConfigError("schedule entries must be positive")
+        if config["suite"] == "weyl-sdq":
+            # the exact defects live on the fibers hbar in (0, 1]
+            for raw, v in zip(config["schedule"], parsed):
+                if v > 1:
+                    raise ConfigError("weyl-sdq schedule entry %r is above 1" % (raw,))
         if any(b >= a for a, b in zip(values, values[1:])):
             raise ConfigError("schedule must be strictly decreasing")
     if "truncations" in config:
@@ -601,7 +607,7 @@ GAUSSIAN_PAIRS = (
 def _suite_rieffel_sdq(config):
     grid = Grid2n(1, config["grid_points"], config["grid_extent"])
     hbar = config["hbar"]
-    schedule = tuple(float(v) for v in config["schedule"])
+    schedule = tuple(float(v) for v in _parse_schedule(config["schedule"]))
 
     def closed_form_check():
         a, b = 0.5, 1.0 / 3.0
@@ -629,8 +635,8 @@ def _suite_rieffel_sdq(config):
         ]
         pts = [(float(ax[i]), float(ax[j])) for i, j in idx]
         oracle = moyal_quadrature_oracle(
-            lambda x, p: np.exp(-a * ((x - c1[0]) ** 2 + (p - c1[1]) ** 2)),
-            lambda x, p: np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2)),
+            (lambda x: np.exp(-a * (x - c1[0]) ** 2), lambda p: np.exp(-a * (p - c1[1]) ** 2)),
+            (lambda x: np.exp(-b * (x - c2[0]) ** 2), lambda p: np.exp(-b * (p - c2[1]) ** 2)),
             hbar,
             pts,
         )

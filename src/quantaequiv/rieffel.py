@@ -23,6 +23,10 @@ reads the von Neumann and the Dirac defect from it, and for real operands
 the reversed product is g*f = conj(f*g), the involution rule
 (f*g)^* = g^* * f^*, so convergence_study fits both slopes from one pass
 over the schedule.
+
+The quadrature oracle, the independent reference for the grid product,
+takes each operand as its pair of per-axis factors (f_q, f_p): the
+separability it needs is stated by the caller, not recovered from samples.
 """
 
 from dataclasses import dataclass
@@ -39,16 +43,13 @@ _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
 _SYMPLECTIC_TOLERANCE = 1e-12  # entrywise slack of A^T J A = J
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
-_RANK_ONE_TOLERANCE = 1e-9  # relative slack of the oracle's per-axis factorization
 # Blocks bound the temporaries of the grid kernels: complex entries per
-# q-FFT array in moyal_product (8 MiB each, two live per block), 64
-# bytes per grid-by-mode entry in pullback (64 MiB), and entries per row
-# block of the oracle's rank-one check (at most 256 KiB per temporary, so
-# they stay in cache).  The momentum and rank-one blocks never change a
-# result; the synthesis block sets the order of pullback's sums.
+# q-FFT array in moyal_product (8 MiB each, two live per block) and 64
+# bytes per grid-by-mode entry in pullback (64 MiB).  The momentum block
+# never changes a result; the synthesis block sets the order of pullback's
+# sums.
 _MOMENTUM_BLOCK = 2**19
 _SYNTHESIS_BLOCK = 2**20
-_RANK_ONE_BLOCK = 2**14
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
 
 
@@ -259,21 +260,23 @@ def lie_derivative(f, direction):
     )
 
 
-def _partial(f, axis):
-    direction = np.zeros(f.grid.dim)
-    direction[axis] = 1.0
-    return lie_derivative(f, direction)
-
-
 def poisson_bracket_grid(f, g):
-    """Canonical bracket sum_j (d_qj f d_pj g - d_pj f d_qj g)."""
+    """Canonical bracket sum_j (d_qj f d_pj g - d_pj f d_qj g), one spectrum per operand."""
     _require_same_grid(f, g)
-    n = f.grid.n
-    total = np.zeros(f.grid.shape, dtype=np.complex128)
+    grid = f.grid
+    freqs = _int_freqs(grid.points_per_axis).astype(float)
+    modes_f, modes_g = _modes(f), _modes(g)
+
+    def partial(modes, axis):
+        factor = 1j * grid.mode_step * _axis_broadcast(freqs, axis, grid.dim)
+        return _from_modes(grid, modes * factor)
+
+    n = grid.n
+    total = np.zeros(grid.shape, dtype=np.complex128)
     for j in range(n):
-        total += _partial(f, j).samples * _partial(g, n + j).samples
-        total -= _partial(f, n + j).samples * _partial(g, j).samples
-    return GridFunction(f.grid, total)
+        total += partial(modes_f, j) * partial(modes_g, n + j)
+        total -= partial(modes_f, n + j) * partial(modes_g, j)
+    return GridFunction(grid, total)
 
 
 def _significant(modes):
@@ -710,54 +713,40 @@ def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix):
 # --- quadrature oracle and closed form ---------------------------------------
 
 
-def moyal_quadrature_oracle(f_callable, g_callable, hbar, points):
+def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
     """Direct oscillatory-integral evaluation of the deformed product (n=1).
 
     (f*g)(z) = (pi hbar)^{-2} iint f(z+u) g(z+v) e^{(2i/hbar) sigma(u,v)} du dv
-    over u, v in R^2, with sigma(u,v) = u1 v2 - u2 v1.  The phase splits per
-    axis pair, so for per-axis separable f and g the quadruple integral is a
-    product of two double integrals over (u1,v2) and (u2,v1); each is done on
-    a uniform midpoint grid of _ORACLE_NODES points per axis over
-    [-_ORACLE_RADIUS, _ORACLE_RADIUS].  Independent of every grid code path;
-    slow on purpose.
+    over u, v in R^2, with sigma(u,v) = u1 v2 - u2 v1.  Each operand is a
+    pair of 1-D callables (f_q, f_p) with f(x, p) = f_q(x) f_p(p).  The
+    phase splits per axis pair, so the quadruple integral is a product of
+    two double integrals over (u1,v2) and (u2,v1); each is done on a uniform
+    midpoint grid of _ORACLE_NODES points per axis over
+    [-_ORACLE_RADIUS, _ORACLE_RADIUS], and each factor is sampled once per
+    point, on the nodes z + u.  Independent of every grid code path; slow
+    on purpose.
     """
     if not (hbar > 0):
         raise GridError("the deformation parameter must be positive")
+    (f_q, f_p), (g_q, g_p) = f_factors, g_factors
     step = 2.0 * _ORACLE_RADIUS / _ORACLE_NODES
     u = -_ORACLE_RADIUS + step * (np.arange(_ORACLE_NODES) + 0.5)
     wu = np.full(_ORACLE_NODES, step)
     kernel = np.exp((2j / hbar) * np.outer(u, u))
     rows = []
     for z in np.atleast_2d(np.asarray(points, dtype=float)):
-        fa, fb = _separate(f_callable(z[0] + u[:, None], z[1] + u[None, :]))
-        ga, gb = _separate(g_callable(z[0] + u[:, None], z[1] + u[None, :]))
+        samples = []
+        for factor, origin in ((f_q, z[0]), (f_p, z[1]), (g_q, z[0]), (g_p, z[1])):
+            values = np.asarray(factor(origin + u))
+            if values.shape != u.shape or not np.all(np.isfinite(values)):
+                raise GridError("oracle factors must give finite samples, one per node")
+            samples.append(values)
+        fa, fb, ga, gb = samples
         ia = (wu * fa) @ kernel @ (wu * gb)
         # x @ conj(K) @ y, exactly, with no conjugate copy of the kernel
         ib = np.conj(np.conj(wu * fb) @ kernel @ np.conj(wu * ga))
         rows.append(ia * ib / (np.pi * hbar) ** 2)
     return np.array(rows)
-
-
-def _separate(values):
-    """Split a rank-one sample matrix M[i,j] = a[i] b[j].
-
-    The check |a[i] b[j] - M[i,j]| <= tol |pivot| runs over blocks of about
-    _RANK_ONE_BLOCK entries of rows, never on a whole-matrix outer product;
-    the max is exact, so the verdict does not depend on the block.
-    """
-    idx = np.unravel_index(np.argmax(np.abs(values)), values.shape)
-    pivot = values[idx]
-    if pivot == 0:
-        return np.zeros(values.shape[0]), np.zeros(values.shape[1])
-    col = values[:, idx[1]].copy()  # a view would keep the whole matrix alive
-    row = values[idx[0], :] / pivot
-    bound = _RANK_ONE_TOLERANCE * np.abs(pivot)
-    block_rows = max(1, _RANK_ONE_BLOCK // len(row))
-    for start in range(0, len(col), block_rows):
-        block = slice(start, start + block_rows)
-        if np.abs(np.outer(col[block], row) - values[block]).max() > bound:
-            raise GridError("oracle inputs must factor per axis")
-    return col, row
 
 
 def gaussian_star_closed_form(decay_a, decay_b, hbar):

@@ -64,6 +64,31 @@ class TestConfigValidation:
         cfg["schedule"] = ["1/2", "1/4", "1/8", "1/16"]
         validate_config(cfg)
 
+    def test_weyl_sdq_schedule_above_one_rejected(self):
+        # the exact fibers are hbar in (0, 1]; "1" itself is one of them
+        cfg = default_config("weyl-sdq")
+        validate_config(dict(cfg, schedule=["1", "1/2", "1/4", "1/8"]))
+        with pytest.raises(ConfigError, match="weyl-sdq schedule entry '2' is above 1"):
+            validate_config(dict(cfg, schedule=["2", "1", "1/2", "1/4"]))
+        with pytest.raises(ConfigError, match="entry 1.5 is above 1"):
+            validate_config(dict(cfg, schedule=[1.5, 0.5, 0.25, 0.125]))
+
+    def test_rieffel_sdq_reads_fraction_strings(self, monkeypatch):
+        # the suite's checks are built from the config, and the study gets
+        # the schedule as floats; the products themselves are not run
+        schedules = []
+
+        def recorded_study(defect_fn, f, g, schedule):
+            schedules.append(schedule)
+            return [{"rows": [], "slope": 1.0, "residual": 0.0, "saturated": False}] * 2
+
+        monkeypatch.setattr(harness, "convergence_study", recorded_study)
+        cfg = dict(default_config("rieffel-sdq"), schedule=["2/5", "1/5", "1/10", "1/20"])
+        checks = harness._suite_rieffel_sdq(harness.resolve_config(cfg))
+        assert len(checks) == 5
+        checks[2]()
+        assert schedules == [(0.4, 0.2, 0.1, 0.05)]
+
     def test_unreadable_fraction_rejected(self):
         cfg = default_config("weyl-sdq")
         cfg["schedule"] = ["1/2", "1/4", "1/8", "one"]
@@ -260,6 +285,38 @@ class TestCli:
         report = json.loads((tmp_path / "weyl-sdq.report.json").read_text())
         assert report["summary"]["failed"] == 0
         assert (tmp_path / "weyl-sdq.sdq-02-dirac-closed-form.csv").exists()
+
+    @pytest.mark.parametrize("fmt", [None, "json", "csv"])
+    def test_report_is_written_once(self, fmt, tmp_path, monkeypatch, capsys):
+        rendered = []
+        to_json = harness.report_to_json
+
+        def counted(report):
+            rendered.append(report["suite"])
+            return to_json(report)
+
+        monkeypatch.setattr(harness, "report_to_json", counted)
+        argv = ["run", "weyl-sdq", "--out", str(tmp_path)]
+        code = cli.main(argv + (["--format", fmt] if fmt else []))
+        assert code == 0
+        assert rendered == ["weyl-sdq"]
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+        assert len(wrote) == len(set(wrote))
+        assert wrote[0] == "wrote %s" % (tmp_path / "weyl-sdq.report.json")
+        assert sorted(os.path.basename(line[len("wrote "):]) for line in wrote) == sorted(
+            os.listdir(tmp_path)
+        )
+        assert len(wrote) == (3 if fmt == "csv" else 1)
+
+    def test_weyl_sdq_schedule_above_one_exits_two(self, tmp_path, capsys):
+        cfg = dict(default_config("weyl-sdq"), schedule=["2", "1", "1/2", "1/4"])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = cli.main(["run", "weyl-sdq", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "config error: weyl-sdq schedule entry '2' is above 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override(self, tmp_path):
         code = cli.main(

@@ -101,25 +101,23 @@ def dirac_defect_grid(f, g, hbar):
     return (commutator_scaled - poisson_bracket_grid(f, g)).sup_norm()
 
 
-def whole_matrix_separate(values):
-    """The oracle's rank-one split with one whole-matrix outer product (reference)."""
-    idx = np.unravel_index(np.argmax(np.abs(values)), values.shape)
-    pivot = values[idx]
-    if pivot == 0:
-        return np.zeros(values.shape[0]), np.zeros(values.shape[1])
-    col = values[:, idx[1]].copy()
-    row = values[idx[0], :] / pivot
-    if np.abs(np.outer(col, row) - values).max() > rieffel._RANK_ONE_TOLERANCE * np.abs(pivot):
-        raise GridError("oracle inputs must factor per axis")
-    return col, row
+def reference_poisson_bracket(f, g):
+    """The bracket from one lie_derivative per operand and axis, kept as the reference."""
+    n = f.grid.n
+    axes = np.eye(f.grid.dim)
+    total = np.zeros(f.grid.shape, dtype=np.complex128)
+    for j in range(n):
+        total += lie_derivative(f, axes[j]).samples * lie_derivative(g, axes[n + j]).samples
+        total -= lie_derivative(f, axes[n + j]).samples * lie_derivative(g, axes[j]).samples
+    return GridFunction(f.grid, total)
 
 
-def _oracle_samples(fn, z):
-    """fn on the oracle's quadrature nodes around z, as _separate receives it."""
-    nodes, radius = rieffel._ORACLE_NODES, rieffel._ORACLE_RADIUS
-    step = 2.0 * radius / nodes
-    u = -radius + step * (np.arange(nodes) + 0.5)
-    return fn(z[0] + u[:, None], z[1] + u[None, :])
+def gaussian_factors(center, decay):
+    """The per-axis factors of exp(-decay |z - center|^2), as the oracle takes them."""
+    return (
+        lambda x: np.exp(-decay * (x - center[0]) ** 2),
+        lambda p: np.exp(-decay * (p - center[1]) ** 2),
+    )
 
 
 def _relative_gap(got, ref):
@@ -244,6 +242,14 @@ class TestTranslationAndDerivatives:
 
 
 class TestPoissonBracket:
+    @pytest.mark.parametrize("pair", range(len(GAUSSIAN_PAIRS)))
+    def test_matches_the_lie_derivative_bracket_bit_for_bit(self, grid, pair):
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[pair]
+        f = GridFunction.gaussian(grid, c1, a)
+        g = GridFunction.gaussian(grid, c2, b)
+        got = poisson_bracket_grid(f, g).samples
+        assert np.array_equal(got, reference_poisson_bracket(f, g).samples)
+
     def test_matches_analytic_gaussian_bracket(self, grid, offset_pair):
         f, g = offset_pair
         a, b = 0.5, 1.0 / 3.0
@@ -327,10 +333,7 @@ class TestMoyalProduct:
         idx = [(128, 128), (134, 124), (115, 138)]
         pts = [(float(ax[i]), float(ax[j])) for i, j in idx]
         oracle = moyal_quadrature_oracle(
-            lambda x, p: np.exp(-a * ((x - c1[0]) ** 2 + (p - c1[1]) ** 2)),
-            lambda x, p: np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2)),
-            HBAR,
-            pts,
+            gaussian_factors(c1, a), gaussian_factors(c2, b), HBAR, pts
         )
         for value, (i, j) in zip(oracle, idx):
             assert abs(value - offset_product.samples[i, j]) <= 1e-12
@@ -339,77 +342,59 @@ class TestMoyalProduct:
         # the oracle conjugates its operands instead of copying the kernel;
         # sign flips are exact, so it equals x @ kernel.conj() @ y bit for bit
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
-
-        def f(x, p):
-            return np.exp(-a * ((x - c1[0]) ** 2 + (p - c1[1]) ** 2))
-
-        def g(x, p):
-            return np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2))
-
+        (f_q, f_p), (g_q, g_p) = gaussian_factors(c1, a), gaussian_factors(c2, b)
         z = (0.3, -0.2)
-        (got,) = moyal_quadrature_oracle(f, g, HBAR, [z])
+        (got,) = moyal_quadrature_oracle((f_q, f_p), (g_q, g_p), HBAR, [z])
         nodes, radius = rieffel._ORACLE_NODES, rieffel._ORACLE_RADIUS
         step = 2.0 * radius / nodes
         u = -radius + step * (np.arange(nodes) + 0.5)
         wu = np.full(nodes, step)
         kernel = np.exp((2j / HBAR) * np.outer(u, u))
-        fa, fb = rieffel._separate(f(z[0] + u[:, None], z[1] + u[None, :]))
-        ga, gb = rieffel._separate(g(z[0] + u[:, None], z[1] + u[None, :]))
+        fa, fb, ga, gb = f_q(z[0] + u), f_p(z[1] + u), g_q(z[0] + u), g_p(z[1] + u)
         ia = (wu * fa) @ kernel @ (wu * gb)
         ib = (wu * fb) @ kernel.conj() @ (wu * ga)
         assert got == ia * ib / (np.pi * HBAR) ** 2
 
-    def test_oracle_refuses_a_non_separable_operand(self):
-        (c2, b) = GAUSSIAN_PAIRS[0][1]
-        with pytest.raises(GridError, match="must factor per axis"):
-            moyal_quadrature_oracle(
-                lambda x, p: np.exp(-((x - p) ** 2)),
-                lambda x, p: np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2)),
-                HBAR,
-                [(0.3, -0.2)],
-            )
-
-    def test_oracle_refuses_a_violation_in_the_last_row_block(self):
-        # a separable Gaussian plus a step on the far corner that only the
-        # last quadrature row and column reach: the rank-one check must see
-        # the last block
+    def test_oracle_samples_each_factor_once_per_point_on_the_nodes(self):
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
+        calls = []
 
-        def gaussian(x, p):
-            return np.exp(-a * ((x - c1[0]) ** 2 + (p - c1[1]) ** 2))
+        def recording(name, factor):
+            def sampled(x):
+                calls.append((name, np.ndim(x), np.shape(x)))
+                return factor(x)
 
-        def cornered(x, p):
-            return gaussian(x, p) + 1e-6 * ((x > 8.99) & (p > 8.99))
+            return sampled
 
-        values = _oracle_samples(cornered, (0.0, 0.0))
-        residual = np.abs(values - _oracle_samples(gaussian, (0.0, 0.0)))
-        assert np.nonzero(residual.max(axis=1))[0].tolist() == [rieffel._ORACLE_NODES - 1]
-        with pytest.raises(GridError, match="must factor per axis"):
-            moyal_quadrature_oracle(
-                cornered,
-                lambda x, p: np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2)),
-                HBAR,
-                [(0.0, 0.0)],
-            )
+        (f_q, f_p), (g_q, g_p) = gaussian_factors(c1, a), gaussian_factors(c2, b)
+        points = [(0.3, -0.2), (-0.1, 0.4)]
+        got = moyal_quadrature_oracle(
+            (recording("f_q", f_q), recording("f_p", f_p)),
+            (recording("g_q", g_q), recording("g_p", g_p)),
+            HBAR,
+            points,
+        )
+        nodes = rieffel._ORACLE_NODES
+        assert calls == [(name, 1, (nodes,)) for name in ("f_q", "f_p", "g_q", "g_p")] * 2
+        assert np.array_equal(
+            got, moyal_quadrature_oracle((f_q, f_p), (g_q, g_p), HBAR, points)
+        )
 
-    @pytest.mark.parametrize("block", [None, 1, 3 * 2048 + 5, 2**22])
-    def test_blocked_split_equals_the_whole_matrix_split(self, monkeypatch, block):
-        if block is not None:
-            monkeypatch.setattr(rieffel, "_RANK_ONE_BLOCK", block)
-        (c1, a), (c2, b) = GAUSSIAN_PAIRS[2]
-        for fn, z in (
-            (lambda x, p: np.exp(-a * ((x - c1[0]) ** 2 + (p - c1[1]) ** 2)), (0.3, -0.2)),
-            (lambda x, p: np.exp(-b * ((x - c2[0]) ** 2 + (p - c2[1]) ** 2) + 1j * x), (-0.6, 0.1)),
-            (lambda x, p: 0.0 * x * p, (0.0, 0.0)),
-        ):
-            values = _oracle_samples(fn, z)
-            col, row = rieffel._separate(values)
-            ref_col, ref_row = whole_matrix_separate(values)
-            assert np.array_equal(col, ref_col) and np.array_equal(row, ref_row)
-        bent = _oracle_samples(lambda x, p: np.exp(-((x - p) ** 2)), (0.0, 0.0))
-        for split in (rieffel._separate, whole_matrix_separate):
-            with pytest.raises(GridError, match="must factor per axis"):
-                split(bent)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda x: np.where(x > 8.0, np.nan, np.exp(-(x**2))),
+            lambda x: np.full_like(x, np.inf),
+            lambda x: np.exp(-(x**2))[:-1],
+            lambda x: np.stack([x, x]),
+            lambda x: 1.0,
+        ],
+        ids=["nan", "inf", "short", "matrix", "scalar"],
+    )
+    def test_oracle_refuses_bad_factor_samples(self, bad):
+        good = gaussian_factors(*GAUSSIAN_PAIRS[0][1])
+        with pytest.raises(GridError, match="finite samples, one per node"):
+            moyal_quadrature_oracle((good[0], bad), good, HBAR, [(0.0, 0.0)])
 
     def test_associativity(self, grid, offset_pair, offset_product):
         f, g = offset_pair
@@ -836,6 +821,7 @@ class TestTwoDegreesOfFreedom:
         ref = GridFunction.from_callable(grid4, brk)
         got = poisson_bracket_grid(f, g)
         assert (got - ref).sup_norm() / ref.sup_norm() <= 1e-8
+        assert np.array_equal(got.samples, reference_poisson_bracket(f, g).samples)
 
     def test_pullback_with_four_dimensional_map(self, grid4):
         th = 0.7
