@@ -1,7 +1,8 @@
 """Command line entry point for the suite runner.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the config
-or invocation was invalid.
+or invocation was invalid, including a grid guard (`GridError`) raised while
+a suite runs under a `--config` file.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from .harness import (
     load_config,
     run_suite,
 )
+from .rieffel import GridError
 
 
 def _build_parser():
@@ -63,6 +65,11 @@ def main(argv=None):
         report = run_suite(config)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return 2
+    except GridError as exc:
+        if not args.config:
+            raise  # the default configs are fixed inputs: a guard there is a bug
+        print("config error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 
     # the json "tables" are the report itself: write it once either way

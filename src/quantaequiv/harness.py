@@ -6,6 +6,7 @@ Every check is deterministic given the config seed; reports differ between
 identical runs only in their timestamp field.
 """
 
+import copy
 import datetime
 import json
 import math
@@ -58,11 +59,11 @@ from .sampling import (
 from .rieffel import (
     AffineSymplecticMap,
     Grid2n,
+    GridError,
     GridFunction,
     convergence_study,
     equivariance_defect,
     gaussian_star_closed_form,
-    loglog_fit,
     morphism_star_defect,
     moyal_product,
     moyal_quadrature_oracle,
@@ -73,181 +74,6 @@ from .rieffel import (
 )
 
 SCHEMA_VERSION = 1
-
-SUITE_NAMES = (
-    "weyl-laws",
-    "weyl-sdq",
-    "equivalence-weyl",
-    "rieffel-sdq",
-    "rieffel-morphisms",
-    "weyl-transform",
-)
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "suite": {"enum": list(SUITE_NAMES)},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "sample_count": {"type": "integer", "minimum": 1},
-        "schedule": {
-            "type": "array",
-            "items": {"type": ["number", "string"]},
-            "minItems": 4,
-        },
-        "grid_points": {"type": "integer", "minimum": 32},
-        "grid_extent": {"type": "number", "exclusiveMinimum": 0},
-        "hbar": {"type": "number", "exclusiveMinimum": 0},
-        "truncations": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 16},
-            "minItems": 2,
-        },
-        "max_pairs": {"type": "integer", "minimum": 1},
-    },
-    "required": ["suite", "seed"],
-    "additionalProperties": False,
-}
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def default_config(suite):
-    base = {"schema_version": SCHEMA_VERSION, "suite": suite, "seed": 20260816}
-    if suite == "weyl-laws":
-        base["sample_count"] = 1002
-    elif suite == "weyl-sdq":
-        base["sample_count"] = 100
-        base["schedule"] = ["1/2", "1/4", "1/8", "1/16"]
-    elif suite == "equivalence-weyl":
-        base["sample_count"] = 100
-        base["max_pairs"] = 200
-    elif suite == "rieffel-sdq":
-        base.update(
-            {"grid_points": 256, "grid_extent": 20.0, "hbar": 0.1,
-             "schedule": [0.4, 0.2, 0.1, 0.05]}
-        )
-    elif suite == "rieffel-morphisms":
-        base.update({"grid_points": 256, "grid_extent": 20.0, "hbar": 0.1})
-    elif suite == "weyl-transform":
-        base.update(
-            {"grid_points": 256, "grid_extent": 20.0, "hbar": 0.1,
-             "truncations": [32, 64, 128]}
-        )
-    else:
-        raise ConfigError("unknown suite %r" % (suite,))
-    return base
-
-
-def _parse_schedule(raw):
-    out = []
-    for item in raw:
-        if isinstance(item, str):
-            out.append(Fraction(item))
-        else:
-            out.append(item)
-    return out
-
-
-_JSON_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-}
-
-
-def _schema_violation(value, schema, path):
-    """The first way `value` breaks `schema` (the keywords CONFIG_SCHEMA uses), or None.
-
-    Booleans are neither integers nor numbers, "integer" takes no integral
-    float such as 64.0, and "number" takes no NaN or infinity (which
-    Python's json module reads).
-    """
-    types = schema.get("type", [])
-    types = [types] if isinstance(types, str) else types
-    if types and (
-        isinstance(value, bool) or not isinstance(value, tuple(_JSON_TYPES[t] for t in types))
-    ):
-        return "%s: %r is not of type %s" % (path, value, " or ".join(types))
-    if isinstance(value, float) and not math.isfinite(value):
-        return "%s: %r is not a finite number" % (path, value)
-    if "const" in schema and (isinstance(value, bool) or value != schema["const"]):
-        return "%s: %r is not %r" % (path, value, schema["const"])
-    if "enum" in schema and value not in schema["enum"]:
-        return "%s: %r is not one of %r" % (path, value, schema["enum"])
-    if "minimum" in schema and value < schema["minimum"]:
-        return "%s: %r is less than %r" % (path, value, schema["minimum"])
-    if "maximum" in schema and value > schema["maximum"]:
-        return "%s: %r is greater than %r" % (path, value, schema["maximum"])
-    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-        return "%s: %r is not greater than %r" % (path, value, schema["exclusiveMinimum"])
-    if "minItems" in schema and len(value) < schema["minItems"]:
-        return "%s: %r has fewer than %d items" % (path, value, schema["minItems"])
-    if "items" in schema:
-        for k, item in enumerate(value):
-            found = _schema_violation(item, schema["items"], "%s[%d]" % (path, k))
-            if found:
-                return found
-    for field in schema.get("required", []):
-        if field not in value:
-            return "%s: missing required field %r" % (path, field)
-    if "properties" in schema:
-        properties = schema["properties"]
-        for field, item in value.items():
-            if field in properties:
-                found = _schema_violation(item, properties[field], field)
-                if found:
-                    return found
-            elif schema.get("additionalProperties") is False:
-                return "%s: unknown field %r" % (path, field)
-    return None
-
-
-def validate_config(config):
-    found = _schema_violation(config, CONFIG_SCHEMA, "config")
-    if found:
-        raise ConfigError("config schema violation: %s" % found)
-    if "schedule" in config:
-        try:
-            parsed = _parse_schedule(config["schedule"])
-            values = [float(v) for v in parsed]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError("unreadable schedule entry: %s" % exc) from exc
-        if any(v <= 0 for v in values):
-            raise ConfigError("schedule entries must be positive")
-        if config["suite"] == "weyl-sdq":
-            # the exact defects live on the fibers hbar in (0, 1]
-            for raw, v in zip(config["schedule"], parsed):
-                if v > 1:
-                    raise ConfigError("weyl-sdq schedule entry %r is above 1" % (raw,))
-        if any(b >= a for a, b in zip(values, values[1:])):
-            raise ConfigError("schedule must be strictly decreasing")
-    if "truncations" in config:
-        t = config["truncations"]
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ConfigError("truncations must be strictly increasing")
-    return config
-
-
-def load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
-    return validate_config(raw)
-
-
-def resolve_config(config):
-    """Fill defaults for the config's suite; explicit fields win."""
-    validate_config(config)
-    merged = default_config(config["suite"])
-    merged.update(config)
-    return merged
 
 
 # --- check plumbing -----------------------------------------------------------
@@ -286,13 +112,7 @@ def _run_checks(checks, workers):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda fn: fn(), checks))
-    flat = []
-    for item in results:
-        if isinstance(item, list):
-            flat.extend(item)
-        else:
-            flat.append(item)
-    return sorted(flat, key=lambda rec: rec["id"])
+    return sorted((rec for records in results for rec in records), key=lambda rec: rec["id"])
 
 
 def _environment_stamp():
@@ -439,54 +259,33 @@ def _suite_weyl_sdq(config):
     schedule = _parse_schedule(config["schedule"])
 
     def closed_forms():
-        pairs = _normalized_generator_pairs(seed, count)
-        hs = [float(h) for h in schedule]
-        worst_vn = 0.0
-        worst_dirac = 0.0
-        vn_slopes = []
-        dirac_slopes = []
-        vn_envelope = [0.0] * len(hs)
-        dirac_envelope = [0.0] * len(hs)
-        for space, f, g, sigma in pairs:
-            s = float(sigma)
-            vn_values = []
-            dirac_values = []
-            for k, h in enumerate(schedule):
-                hf = float(h)
-                vn = von_neumann_defect(space, f, g, h)
-                ref = 2.0 * abs(math.sin(hf * s / 4.0))
-                worst_vn = max(worst_vn, abs(vn - ref))
-                vn_values.append(vn)
-                vn_envelope[k] = max(vn_envelope[k], vn)
-                di = dirac_defect(space, f, g, h)
-                ref2 = abs((2.0 / hf) * math.sin(hf * s / 2.0) - s)
-                worst_dirac = max(worst_dirac, abs(di - ref2))
-                dirac_values.append(di)
-                dirac_envelope[k] = max(dirac_envelope[k], di)
-            vn_slopes.append(loglog_fit(hs, vn_values)[0])
-            dirac_slopes.append(loglog_fit(hs, dirac_values)[0])
-        checks = []
-        checks.append(
-            _record("sdq-01-von-neumann-closed-form", worst_vn <= 1e-12,
-                    value=worst_vn, tolerance=1e-12,
-                    witness={"rows": [[h, d] for h, d in zip(hs, vn_envelope)]})
+        studies = []
+        for space, f, g, sigma in _normalized_generator_pairs(seed, count):
+            # the entries reach the defects as they are: exact fibers stay Fractions
+            tables = convergence_study(
+                lambda a, b, h: (von_neumann_defect(space, a, b, h), dirac_defect(space, a, b, h)),
+                f, g, schedule,
+            )
+            studies.append((float(sigma), tables))
+        kinds = (
+            ("sdq-01-von-neumann-closed-form", "sdq-03-von-neumann-order", 1.0,
+             lambda h, s: 2.0 * abs(math.sin(h * s / 4.0))),
+            ("sdq-02-dirac-closed-form", "sdq-04-dirac-order", 2.0,
+             lambda h, s: abs((2.0 / h) * math.sin(h * s / 2.0) - s)),
         )
-        checks.append(
-            _record("sdq-02-dirac-closed-form", worst_dirac <= 1e-12,
-                    value=worst_dirac, tolerance=1e-12,
-                    witness={"rows": [[h, d] for h, d in zip(hs, dirac_envelope)]})
-        )
-        vn_dev = max(abs(s - 1.0) for s in vn_slopes)
-        dirac_dev = max(abs(s - 2.0) for s in dirac_slopes)
-        checks.append(
-            _record("sdq-03-von-neumann-order", vn_dev <= 0.05,
-                    value=vn_dev, tolerance=0.05)
-        )
-        checks.append(
-            _record("sdq-04-dirac-order", dirac_dev <= 0.05,
-                    value=dirac_dev, tolerance=0.05)
-        )
-        return checks
+        records = []
+        for k, (form_id, order_id, target, closed_form) in enumerate(kinds):
+            per_pair = [(s, tables[k]) for s, tables in studies]
+            error = max(abs(d - closed_form(h, s)) for s, t in per_pair for h, d in t["rows"])
+            envelope = [[h, max(t["rows"][i][1] for _, t in per_pair)]
+                        for i, (h, _) in enumerate(per_pair[0][1]["rows"])]
+            records.append(_record(form_id, error <= 1e-12, value=error, tolerance=1e-12,
+                                   witness={"rows": envelope}))
+            saturated = any(t["saturated"] for _, t in per_pair)
+            dev = None if saturated else max(abs(t["slope"] - target) for _, t in per_pair)
+            records.append(_record(order_id, not saturated and dev <= 0.05, value=dev,
+                                   tolerance=0.05, saturated=saturated))
+        return records
 
     def k0_brute_force():
         rng = make_rng(seed, "weyl-sdq", "k0")
@@ -510,10 +309,10 @@ def _suite_weyl_sdq(config):
                     "claimed": claimed,
                     "measured": measured,
                 }
-        return _record(
+        return [_record(
             "sdq-05-k0-brute-force", disagreements == 0,
             value=disagreements, tolerance=0, witness=witness,
-        )
+        )]
 
     def rieffel_constancy():
         rng = make_rng(seed, "weyl-sdq", "rieffel")
@@ -526,7 +325,7 @@ def _suite_weyl_sdq(config):
             element = base.scale_coeff(coeff)
             if not rieffel_condition_check(element, schedule):
                 bad += 1
-        return _record("sdq-06-rieffel-constancy", bad == 0, value=bad, tolerance=0)
+        return [_record("sdq-06-rieffel-constancy", bad == 0, value=bad, tolerance=0)]
 
     return [closed_forms, k0_brute_force, rieffel_constancy]
 
@@ -597,6 +396,10 @@ def _suite_equivalence_weyl(config):
 # --- rieffel-sdq ----------------------------------------------------------------
 
 
+def _grid(config):
+    return Grid2n(1, config["grid_points"], config["grid_extent"])
+
+
 GAUSSIAN_PAIRS = (
     (((0.8, 0.0), 0.5), ((-0.5, 0.4), 1.0 / 3.0)),
     (((0.5, 0.0), 1.0), ((-0.4, 0.3), 1.0)),
@@ -605,7 +408,7 @@ GAUSSIAN_PAIRS = (
 
 
 def _suite_rieffel_sdq(config):
-    grid = Grid2n(1, config["grid_points"], config["grid_extent"])
+    grid = _grid(config)
     hbar = config["hbar"]
     schedule = tuple(float(v) for v in _parse_schedule(config["schedule"]))
 
@@ -617,7 +420,7 @@ def _suite_rieffel_sdq(config):
         amp, decay = gaussian_star_closed_form(a, b, hbar)
         ref = GridFunction.gaussian(grid, (0.0, 0.0), decay, amplitude=amp)
         value = (got - ref).sup_norm() / ref.sup_norm()
-        return _record("rsdq-01-closed-form", value <= 1e-6, value=value, tolerance=1e-6)
+        return [_record("rsdq-01-closed-form", value <= 1e-6, value=value, tolerance=1e-6)]
 
     def oracle_check():
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
@@ -643,8 +446,8 @@ def _suite_rieffel_sdq(config):
         diffs = [abs(o - product.samples[i, j]) for o, (i, j) in zip(oracle, idx)]
         scale = max(abs(product.samples[i, j]) for i, j in idx)
         value = max(diffs) / scale
-        return _record("rsdq-02-quadrature-oracle", value <= 1e-6, value=value,
-                       tolerance=1e-6)
+        return [_record("rsdq-02-quadrature-oracle", value <= 1e-6, value=value,
+                        tolerance=1e-6)]
 
     def study_check(index):
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[index]
@@ -675,7 +478,7 @@ def _suite_rieffel_sdq(config):
 
 
 def _suite_rieffel_morphisms(config):
-    grid = Grid2n(1, config["grid_points"], config["grid_extent"])
+    grid = _grid(config)
     hbar = config["hbar"]
     f = GridFunction.gaussian(grid, (0.5, 0.0), 1.0)
     g = GridFunction.gaussian(grid, (-0.4, 0.3), 1.0)
@@ -690,22 +493,22 @@ def _suite_rieffel_morphisms(config):
 
     def symplectic_check(name, phi):
         value = morphism_star_defect(phi, f, g, hbar, boundary_threshold=1e-9)
-        return _record("morph-01-star-%s" % name, value <= 1e-3, value=value,
-                       tolerance=1e-3)
+        return [_record("morph-01-star-%s" % name, value <= 1e-3, value=value,
+                        tolerance=1e-3)]
 
     def control_check():
         phi = AffineSymplecticMap(np.diag([2.0, 2.0]))
         value = morphism_star_defect(phi, f, g, hbar,
                                      boundary_threshold=float("inf"))
-        return _record("morph-02-scaling-control", value >= 1e-1, value=value,
-                       tolerance=1e-1,
-                       witness={"expectation": "defect stays large"})
+        return [_record("morph-02-scaling-control", value >= 1e-1, value=value,
+                        tolerance=1e-1,
+                        witness={"expectation": "defect stays large"})]
 
     def equivariance_check():
         phi = AffineSymplecticMap.rotation(math.pi / 6)
         value = equivariance_defect(phi, f, (0.6, -0.4), boundary_threshold=1e-9)
-        return _record("morph-03-equivariance", value <= 1e-8, value=value,
-                       tolerance=1e-8)
+        return [_record("morph-03-equivariance", value <= 1e-8, value=value,
+                        tolerance=1e-8)]
 
     checks = [lambda n=name, p=phi: symplectic_check(n, p) for name, phi in symplectic_maps]
     return checks + [control_check, equivariance_check]
@@ -715,7 +518,7 @@ def _suite_rieffel_morphisms(config):
 
 
 def _suite_weyl_transform(config):
-    grid = Grid2n(1, config["grid_points"], config["grid_extent"])
+    grid = _grid(config)
     hbar = config["hbar"]
     truncations = config["truncations"]
     reference = truncations[min(1, len(truncations) - 1)]
@@ -728,8 +531,8 @@ def _suite_weyl_transform(config):
         w = GridFunction.from_callable(grid, window_fn)
         mat = weyl_transform(w, hbar, reference)
         value = float(np.max(np.abs(mat[:10, :10] - np.eye(10))))
-        return _record("wt-01-window-identity", value <= 1e-6, value=value,
-                       tolerance=1e-6)
+        return [_record("wt-01-window-identity", value <= 1e-6, value=value,
+                        tolerance=1e-6)]
 
     def windowed_position():
         w = GridFunction.from_callable(grid, window_fn)
@@ -737,8 +540,8 @@ def _suite_weyl_transform(config):
         mat = weyl_transform(xw, hbar, reference)
         ref = oscillator_position(reference, hbar)
         value = float(np.max(np.abs(mat[:10, :10] - ref[:10, :10])))
-        return _record("wt-02-windowed-position", value <= 1e-6, value=value,
-                       tolerance=1e-6)
+        return [_record("wt-02-windowed-position", value <= 1e-6, value=value,
+                        tolerance=1e-6)]
 
     transform_pairs = (
         (((0.5, 0.0), 1.0), ((-0.4, 0.3), 2.0 / 3.0)),
@@ -760,8 +563,8 @@ def _suite_weyl_transform(config):
         monotone = all(a > b for a, b in zip(ordered, ordered[1:]))
         small = residuals[reference] <= 1e-3
         witness = {"residuals": [[n, residuals[n]] for n in truncations]}
-        return _record("wt-03-intertwining-pair%d" % (index + 1), monotone and small,
-                       value=residuals[reference], tolerance=1e-3, witness=witness)
+        return [_record("wt-03-intertwining-pair%d" % (index + 1), monotone and small,
+                        value=residuals[reference], tolerance=1e-3, witness=witness)]
 
     checks = [window_identity, windowed_position]
     for idx in range(len(transform_pairs)):
@@ -769,24 +572,194 @@ def _suite_weyl_transform(config):
     return checks
 
 
-# --- runner and tables ----------------------------------------------------------
+# --- suites and configs --------------------------------------------------------
 
 
-_SUITE_BUILDERS = {
-    "weyl-laws": _suite_weyl_laws,
-    "weyl-sdq": _suite_weyl_sdq,
-    "equivalence-weyl": _suite_equivalence_weyl,
-    "rieffel-sdq": _suite_rieffel_sdq,
-    "rieffel-morphisms": _suite_rieffel_morphisms,
-    "weyl-transform": _suite_weyl_transform,
+_GRID_DEFAULTS = {"grid_points": 256, "grid_extent": 20.0, "hbar": 0.1}
+
+# Each suite's check builder and the defaults of the config fields it reads.
+# A config holds these fields, "schema_version", "suite" and "seed", and no
+# other field.
+_SUITES = {
+    "weyl-laws": (_suite_weyl_laws, {"sample_count": 1002}),
+    "weyl-sdq": (
+        _suite_weyl_sdq, {"sample_count": 100, "schedule": ["1/2", "1/4", "1/8", "1/16"]}
+    ),
+    "equivalence-weyl": (_suite_equivalence_weyl, {"sample_count": 100, "max_pairs": 200}),
+    "rieffel-sdq": (_suite_rieffel_sdq, dict(_GRID_DEFAULTS, schedule=[0.4, 0.2, 0.1, 0.05])),
+    "rieffel-morphisms": (_suite_rieffel_morphisms, _GRID_DEFAULTS),
+    "weyl-transform": (_suite_weyl_transform, dict(_GRID_DEFAULTS, truncations=[32, 64, 128])),
 }
+
+_COMMON_FIELDS = ("schema_version", "suite", "seed")
+
+SUITE_NAMES = tuple(_SUITES)
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "suite": {"enum": list(SUITE_NAMES)},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
+        "sample_count": {"type": "integer", "minimum": 1},
+        "schedule": {
+            "type": "array",
+            "items": {"type": ["number", "string"]},
+            "minItems": 4,
+        },
+        "grid_points": {"type": "integer", "minimum": 32},
+        "grid_extent": {"type": "number", "exclusiveMinimum": 0},
+        "hbar": {"type": "number", "exclusiveMinimum": 0},
+        "truncations": {
+            "type": "array",
+            "items": {"type": "integer", "minimum": 16},
+            "minItems": 2,
+        },
+        "max_pairs": {"type": "integer", "minimum": 1},
+    },
+    "required": ["suite", "seed"],
+}
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def default_config(suite):
+    if suite not in _SUITES:
+        raise ConfigError("unknown suite %r" % (suite,))
+    config = {"schema_version": SCHEMA_VERSION, "suite": suite, "seed": 20260816}
+    config.update(copy.deepcopy(_SUITES[suite][1]))
+    return config
+
+
+def _parse_schedule(raw):
+    out = []
+    for item in raw:
+        if isinstance(item, str):
+            out.append(Fraction(item))
+        else:
+            out.append(item)
+    return out
+
+
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+}
+
+
+def _schema_violation(value, schema, path):
+    """The first way `value` breaks `schema` (the keywords CONFIG_SCHEMA uses), or None.
+
+    Booleans are neither integers nor numbers, "integer" takes no integral
+    float such as 64.0, and "number" takes no NaN or infinity (which
+    Python's json module reads).
+    """
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and (
+        isinstance(value, bool) or not isinstance(value, tuple(_JSON_TYPES[t] for t in types))
+    ):
+        return "%s: %r is not of type %s" % (path, value, " or ".join(types))
+    if isinstance(value, float) and not math.isfinite(value):
+        return "%s: %r is not a finite number" % (path, value)
+    if "const" in schema and (isinstance(value, bool) or value != schema["const"]):
+        return "%s: %r is not %r" % (path, value, schema["const"])
+    if "enum" in schema and value not in schema["enum"]:
+        return "%s: %r is not one of %r" % (path, value, schema["enum"])
+    if "minimum" in schema and value < schema["minimum"]:
+        return "%s: %r is less than %r" % (path, value, schema["minimum"])
+    if "maximum" in schema and value > schema["maximum"]:
+        return "%s: %r is greater than %r" % (path, value, schema["maximum"])
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        return "%s: %r is not greater than %r" % (path, value, schema["exclusiveMinimum"])
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        return "%s: %r has fewer than %d items" % (path, value, schema["minItems"])
+    if "items" in schema:
+        for k, item in enumerate(value):
+            found = _schema_violation(item, schema["items"], "%s[%d]" % (path, k))
+            if found:
+                return found
+    for field in schema.get("required", []):
+        if field not in value:
+            return "%s: missing required field %r" % (path, field)
+    if "properties" in schema:
+        properties = schema["properties"]
+        for field, item in value.items():
+            if field in properties:
+                found = _schema_violation(item, properties[field], field)
+                if found:
+                    return found
+    return None
+
+
+def validate_config(config):
+    """`config` as given if its suite can run on it; a ConfigError otherwise."""
+    found = _schema_violation(config, CONFIG_SCHEMA, "config")
+    if not found:
+        suite_fields = _SUITES[config["suite"]][1]
+        for field in config:
+            if field not in _COMMON_FIELDS and field not in suite_fields:
+                found = "%s: suite %r takes no such field" % (field, config["suite"])
+                break
+    if found:
+        raise ConfigError("config schema violation: %s" % found)
+    if "schedule" in config:
+        try:
+            parsed = _parse_schedule(config["schedule"])
+            values = [float(v) for v in parsed]
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError("unreadable schedule entry: %s" % exc) from exc
+        if any(v <= 0 for v in values):
+            raise ConfigError("schedule entries must be positive")
+        if config["suite"] == "weyl-sdq":
+            # the exact defects live on the fibers hbar in (0, 1]
+            for raw, v in zip(config["schedule"], parsed):
+                if v > 1:
+                    raise ConfigError("weyl-sdq schedule entry %r is above 1" % (raw,))
+        if any(b >= a for a, b in zip(values, values[1:])):
+            raise ConfigError("schedule must be strictly decreasing")
+    if "truncations" in config:
+        t = config["truncations"]
+        if any(b <= a for a, b in zip(t, t[1:])):
+            raise ConfigError("truncations must be strictly increasing")
+    if "grid_points" in suite_fields:
+        try:
+            _grid(dict(suite_fields, **config))
+        except GridError as exc:
+            raise ConfigError("%s: %s" % (type(exc).__name__, exc)) from exc
+    return config
+
+
+def load_config(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
+    return validate_config(raw)
+
+
+def resolve_config(config):
+    """Fill defaults for the config's suite; explicit fields win."""
+    validate_config(config)
+    merged = default_config(config["suite"])
+    merged.update(config)
+    return merged
+
+
+# --- runner and tables ----------------------------------------------------------
 
 
 def run_suite(config):
     """Execute one suite and return its report dictionary."""
     config = resolve_config(config)
-    workers = _worker_count()
-    records = _run_checks(_SUITE_BUILDERS[config["suite"]](config), workers)
+    build_checks, _ = _SUITES[config["suite"]]
+    records = _run_checks(build_checks(config), _worker_count())
     summary = {
         "total": len(records),
         "passed": sum(1 for r in records if r["status"] == "pass"),

@@ -776,16 +776,20 @@ def loglog_fit(hs, ds):
 def convergence_study(defect_fn, f, g, schedule):
     """Defect tables along a decreasing schedule with log-log slope fits.
 
-    defect_fn(f, g, h) returns a sequence of defects; one pass over the
-    schedule gives one table (rows, slope fit) per entry, in that order.
+    defect_fn(f, g, h) gets each schedule entry h as it is (an exact
+    Fraction stays a Fraction) and returns a sequence of defects.  One pass
+    over the schedule gives one table per entry of that sequence, in its
+    order: rows of (float(h), defect), the slope and rms residual of the
+    log-log fit, and `saturated`, set (with no fit) when a defect falls
+    below the saturation floor.
     """
-    schedule = [float(h) for h in schedule]
-    if len(schedule) < 4:
+    hs = [float(h) for h in schedule]
+    if len(hs) < 4:
         raise GridError("schedule needs at least 4 points")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+    if any(b >= a for a, b in zip(hs, hs[1:])):
         raise GridError("schedule must be strictly decreasing")
     defects = [[float(d) for d in defect_fn(f, g, h)] for h in schedule]
-    return [_slope_table(list(zip(schedule, column))) for column in zip(*defects)]
+    return [_slope_table(list(zip(hs, column))) for column in zip(*defects)]
 
 
 def _slope_table(rows):

@@ -95,6 +95,61 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("entry", ["1e400", 10**400], ids=["string", "integer"])
+    def test_overflowing_schedule_entry_rejected(self, entry):
+        cfg = dict(default_config("rieffel-sdq"), schedule=[entry, "1", "1/2", "1/4"])
+        with pytest.raises(ConfigError, match="unreadable schedule entry: .*too large"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "suite, field, value",
+        [
+            ("weyl-laws", "hbar", 0.5),
+            ("weyl-laws", "truncations", [16, 32]),
+            ("weyl-sdq", "max_pairs", 10),
+            ("equivalence-weyl", "schedule", ["1/2", "1/4", "1/8", "1/16"]),
+            ("rieffel-sdq", "sample_count", 10),
+            ("rieffel-morphisms", "schedule", [0.4, 0.2, 0.1, 0.05]),
+            ("weyl-transform", "schedule", [0.4, 0.2, 0.1, 0.05]),
+        ],
+    )
+    def test_field_the_suite_does_not_read_rejected(self, suite, field, value):
+        cfg = dict(default_config(suite), **{field: value})
+        with pytest.raises(
+            ConfigError,
+            match="^config schema violation: %s: suite '%s' takes no such field$" % (field, suite),
+        ):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("suite", ["rieffel-sdq", "rieffel-morphisms", "weyl-transform"])
+    @pytest.mark.parametrize("points", [100, 48])
+    def test_grid_points_not_a_power_of_two_rejected(self, suite, points):
+        with pytest.raises(ConfigError, match="^GridError: points_per_axis must be a power of two"):
+            validate_config({"suite": suite, "seed": 1, "grid_points": points})
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_default_config_lists_are_fresh(self, suite):
+        expected = json.loads(json.dumps(default_config(suite)))
+        for value in default_config(suite).values():
+            if isinstance(value, list):
+                value.clear()
+        assert default_config(suite) == expected
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_builder_reads_every_field_its_entry_declares(self, suite):
+        # build the suite's tasks from a config that records its reads;
+        # the tasks themselves are not run
+        reads = set()
+
+        class RecordingConfig(dict):
+            def __getitem__(self, field):
+                reads.add(field)
+                return dict.__getitem__(self, field)
+
+        build_checks, fields = harness._SUITES[suite]
+        build_checks(RecordingConfig(harness.resolve_config(default_config(suite))))
+        assert reads - {"seed"} == set(fields)
+
     @pytest.mark.parametrize(
         "suite, field, value",
         [
@@ -218,9 +273,20 @@ class TestRunSuite:
         assert len(calls) == 14
         assert report["checks"] == rsdq_report["checks"]
 
+    def test_saturated_weyl_sdq_study_is_saturated(self, monkeypatch):
+        # a defect below the saturation floor leaves no slope to compare
+        monkeypatch.setattr(harness, "dirac_defect", lambda space, f, g, h: 0.0)
+        report = run_suite(dict(default_config("weyl-sdq"), sample_count=4))
+        checks = {c["id"]: c for c in report["checks"]}
+        assert checks["sdq-04-dirac-order"]["status"] == "saturated"
+        assert "value" not in checks["sdq-04-dirac-order"]
+        assert checks["sdq-03-von-neumann-order"]["status"] == "pass"
+        assert checks["sdq-02-dirac-closed-form"]["status"] == "fail"
+
     def test_weyl_laws_run_as_one_task(self):
         # the exact law checks hold the GIL: one task keeps them off the pool
-        tasks = harness._SUITE_BUILDERS["weyl-laws"](default_config("weyl-laws"))
+        build_checks, _ = harness._SUITES["weyl-laws"]
+        tasks = build_checks(default_config("weyl-laws"))
         assert len(tasks) == 1
 
     def test_environment_stamp_fields(self, sdq_report):
@@ -387,14 +453,54 @@ class TestCli:
         assert "config error:" in err and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "suite, field, value, message",
+        [
+            ("weyl-laws", "hbar", 0.5,
+             "config schema violation: hbar: suite 'weyl-laws' takes no such field"),
+            ("weyl-transform", "schedule", [0.4, 0.2, 0.1, 0.05],
+             "config schema violation: schedule: suite 'weyl-transform' takes no such field"),
+            ("rieffel-sdq", "grid_points", 100,
+             "GridError: points_per_axis must be a power of two"),
+            ("rieffel-sdq", "schedule", ["1e400", "1", "1/2", "1/4"],
+             "unreadable schedule entry: integer division result too large for a float"),
+            ("weyl-transform", "hbar", 0.001, "TruncationError: "),
+            ("rieffel-morphisms", "grid_extent", 2.0, "SupportError: "),
+        ],
+    )
+    def test_unusable_config_exits_two(self, suite, field, value, message, tmp_path, capsys):
+        # refused at validation, or by a grid guard once the suite runs
+        cfg = dict(default_config(suite), **{field: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = cli.main(["run", suite, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "config error: %s" % message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_guard_under_default_config_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # the default configs are fixed inputs: a guard raised there stays loud
+        def guarded_builder(config):
+            def task():
+                raise rieffel.SupportError("image support escapes the domain")
+            return [task]
+
+        _, fields = harness._SUITES["rieffel-morphisms"]
+        monkeypatch.setitem(harness._SUITES, "rieffel-morphisms", (guarded_builder, fields))
+        with pytest.raises(rieffel.SupportError):
+            cli.main(["run", "rieffel-morphisms", "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_suite_exits_two(self, capsys):
         assert cli.main(["run", "no-such-suite"]) == 2
 
     def test_failing_check_exits_one(self, tmp_path, monkeypatch):
         def stub_builder(config):
-            return [lambda: harness._record("stub-1", False, value=1.0, tolerance=0.0)]
+            return [lambda: [harness._record("stub-1", False, value=1.0, tolerance=0.0)]]
 
-        monkeypatch.setitem(harness._SUITE_BUILDERS, "weyl-sdq", stub_builder)
+        _, fields = harness._SUITES["weyl-sdq"]
+        monkeypatch.setitem(harness._SUITES, "weyl-sdq", (stub_builder, fields))
         code = cli.main(["run", "weyl-sdq", "--out", str(tmp_path)])
         assert code == 1
 

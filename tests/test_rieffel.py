@@ -1,6 +1,7 @@
 """Grid-side deformation tests: torus discretization, deformed product, defects."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -640,6 +641,23 @@ class TestDefectsAndConvergence:
             convergence_study(star_defects, f, g, (0.4, 0.2, 0.1))
         with pytest.raises(GridError):
             convergence_study(star_defects, f, g, (0.1, 0.2, 0.3, 0.4))
+
+    def test_schedule_entries_reach_the_defect_unchanged(self):
+        # an exact Fraction fiber stays one; the table rows hold floats
+        schedule = (Fraction(1, 2), 0.25, Fraction(1, 8), Fraction(1, 16))
+        seen = []
+
+        def defects(f, g, h):
+            seen.append(h)
+            return (h, h * h)
+
+        first, second = convergence_study(defects, None, None, schedule)
+        assert [type(h) for h in seen] == [Fraction, float, Fraction, Fraction]
+        assert seen == list(schedule)
+        for study, slope in ((first, 1.0), (second, 2.0)):
+            assert study["rows"] == [(h, h**slope) for h in (0.5, 0.25, 0.125, 0.0625)]
+            assert all(type(h) is float and type(d) is float for h, d in study["rows"])
+            assert study["slope"] == pytest.approx(slope, abs=1e-12)
 
     def test_dirac_defect_rejects_zero_parameter(self, offset_pair):
         f, g = offset_pair
