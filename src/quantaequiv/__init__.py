@@ -87,7 +87,6 @@ from .rieffel import (
     convergence_study,
     equivariance_defect,
     gaussian_star_closed_form,
-    lie_derivative,
     morphism_star_defect,
     moyal_product,
     moyal_quadrature_oracle,

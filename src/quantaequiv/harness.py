@@ -714,8 +714,13 @@ def validate_config(config):
             values = [float(v) for v in parsed]
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError("unreadable schedule entry: %s" % exc) from exc
-        if any(v <= 0 for v in values):
+        if any(v <= 0 for v in parsed):
             raise ConfigError("schedule entries must be positive")
+        for raw, v in zip(config["schedule"], values):
+            if v == 0.0:
+                raise ConfigError(
+                    "schedule entry %r is too small for the float table rows" % (raw,)
+                )
         if config["suite"] == "weyl-sdq":
             # the exact defects live on the fibers hbar in (0, 1]
             for raw, v in zip(config["schedule"], parsed):

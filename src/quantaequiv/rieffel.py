@@ -40,7 +40,6 @@ import numpy as np
 _PRUNE_THRESHOLD = 1e-14  # modes below this fraction of the peak are dropped
 _ALIAS_TOLERANCE = 1e-9  # largest aliased share of the pair mass in a product
 _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
-_SYMPLECTIC_TOLERANCE = 1e-12  # entrywise slack of A^T J A = J
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
 # Blocks bound the temporaries of the grid kernels: complex entries per
@@ -107,17 +106,6 @@ class Grid2n:
     def coordinate_mesh(self):
         return np.meshgrid(*([self.axis_coordinates()] * self.dim), indexing="ij")
 
-    def form_matrix(self):
-        return _standard_form(self.dim)
-
-
-def _standard_form(dim):
-    n = dim // 2
-    j = np.zeros((dim, dim))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return j
-
 
 @lru_cache(maxsize=32)
 def _int_freqs(points):
@@ -163,10 +151,6 @@ class GridFunction:
         mesh = grid.coordinate_mesh()
         r2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
         return cls(grid, amplitude * np.exp(-float(decay) * r2))
-
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return GridFunction(self.grid, self.samples + other.samples)
 
     def __sub__(self, other):
         _require_same_grid(self, other)
@@ -240,24 +224,6 @@ def translate(f, x):
         phase = np.exp(1j * f.grid.mode_step * freqs * x[axis])
         modes = modes * _axis_broadcast(phase, axis, f.grid.dim)
     return GridFunction(f.grid, _from_modes(f.grid, modes))
-
-
-def lie_derivative(f, direction):
-    """Directional derivative along the translation flow, spectrally."""
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (f.grid.dim,):
-        raise GridError("direction must be a phase-space vector")
-    modes = _modes(f)
-    freqs = _int_freqs(f.grid.points_per_axis)
-    factor = np.zeros(f.grid.shape)
-    for axis in range(f.grid.dim):
-        if direction[axis] != 0.0:
-            factor = factor + direction[axis] * _axis_broadcast(
-                freqs.astype(float), axis, f.grid.dim
-            )
-    return GridFunction(
-        f.grid, _from_modes(f.grid, modes * (1j * f.grid.mode_step * factor))
-    )
 
 
 def poisson_bracket_grid(f, g):
@@ -408,7 +374,7 @@ def star_defects(f, g, hbar):
 
 
 class AffineSymplecticMap:
-    """z -> A z + b with A invertible; symplecticity is queried, not forced.
+    """z -> A z + b with A invertible; symplecticity is not required.
 
     Keeping non-symplectic maps constructible is deliberate: the morphism
     defect measurements use them as negative controls.
@@ -437,31 +403,6 @@ class AffineSymplecticMap:
     @property
     def dim(self):
         return self.linear.shape[0]
-
-    def is_symplectic(self):
-        j = _standard_form(self.dim)
-        defect = self.linear.T @ j @ self.linear - j
-        return float(np.abs(defect).max()) <= _SYMPLECTIC_TOLERANCE
-
-    def __call__(self, z):
-        return self.linear @ np.asarray(z, dtype=float) + self.offset
-
-    def inverse(self):
-        inv = np.linalg.inv(self.linear)
-        return AffineSymplecticMap(inv, -inv @ self.offset)
-
-    def compose(self, first):
-        return AffineSymplecticMap(
-            self.linear @ first.linear, self.linear @ first.offset + self.offset
-        )
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(np.eye(dim))
-
-    @classmethod
-    def translation(cls, offset):
-        return cls(np.eye(len(offset)), offset)
 
     @classmethod
     def rotation(cls, angle):

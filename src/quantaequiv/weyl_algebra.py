@@ -288,13 +288,6 @@ class WeylElement:
     def terms(self):
         return dict(self._terms)
 
-    @property
-    def labels(self):
-        return sorted(self._terms)
-
-    def coefficient(self, label):
-        return self._terms.get(self.space.vector(label), CoeffExpr.zero())
-
     def __bool__(self):
         return bool(self._terms)
 

@@ -1,9 +1,11 @@
-"""Guards on the package surface: no dead imports, no export nothing uses.
+"""Guards on the package surface: no dead imports, no export or method nothing uses.
 
-Both scans read the source with ``ast``, so they see what a module binds
-and references, not what happens to be importable at run time.  A fresh
-interpreter checks what ``import quantaequiv`` loads: numpy, not scipy or
-jsonschema.
+The scans read the source with ``ast``, so they see what a module binds
+and references, not what happens to be importable at run time.  A use is
+a reference from ``src/`` or a name in a ``perfbench/`` module; tests and
+docs do not count, so code only a test calls does not stay in the package.
+A fresh interpreter checks what ``import quantaequiv`` loads: numpy, not
+scipy or jsonschema.
 """
 
 import ast
@@ -11,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,17 +71,44 @@ def _references_outside_own_definition(tree):
     return used
 
 
+def _perfbench_words():
+    """Every word of the benchmark's own modules (its traced names), not its tests."""
+    text = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return set(re.findall(r"\w+", "\n".join(text)))
+
+
 def test_every_export_is_used():
     exports = [name for name, _ in _imported_names(_tree(PACKAGE / "__init__.py"))]
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             used |= _references_outside_own_definition(_tree(path))
-    text = [(ROOT / "README.md").read_text(encoding="utf-8")]
-    text += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").rglob("*.py"))]
-    words = set(re.findall(r"\w+", "\n".join(text)))
+    words = _perfbench_words()
     idle = [name for name in exports if name not in used and name not in words]
-    assert not idle, "exported but used by no module, perfbench or README: %s" % idle
+    assert not idle, "exported but used by no module and named by no perfbench module: %s" % idle
+
+
+def _attribute_counts(node):
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_public_method_is_used():
+    # Matched by attribute name, whatever the type of x in ``x.name``: a
+    # method that shares its name with another class's (compose, inverse)
+    # counts as used when either one is referenced.
+    trees = {path: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    refs = sum((_attribute_counts(tree) for tree in trees.values()), Counter())
+    words = _perfbench_words()
+    idle = []
+    for path, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                outside = refs[fn.name] - _attribute_counts(fn)[fn.name]
+                if outside == 0 and fn.name not in words:
+                    idle.append("%s:%d %s.%s" % (path.name, fn.lineno, cls.name, fn.name))
+    assert not idle, "method referenced by no module and named by no perfbench module: %s" % idle
 
 
 def test_import_loads_neither_scipy_nor_jsonschema():

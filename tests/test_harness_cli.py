@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -99,6 +100,13 @@ class TestConfigValidation:
     def test_overflowing_schedule_entry_rejected(self, entry):
         cfg = dict(default_config("rieffel-sdq"), schedule=[entry, "1", "1/2", "1/4"])
         with pytest.raises(ConfigError, match="unreadable schedule entry: .*too large"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("suite", ["weyl-sdq", "rieffel-sdq"])
+    def test_underflowing_schedule_entry_rejected_as_too_small(self, suite):
+        # 1e-400 is a positive exact fiber whose float is 0.0
+        cfg = dict(default_config(suite), schedule=["1/2", "1/4", "1/8", "1e-400"])
+        with pytest.raises(ConfigError, match="'1e-400' is too small for the float table rows"):
             validate_config(cfg)
 
     @pytest.mark.parametrize(
@@ -464,6 +472,8 @@ class TestCli:
              "GridError: points_per_axis must be a power of two"),
             ("rieffel-sdq", "schedule", ["1e400", "1", "1/2", "1/4"],
              "unreadable schedule entry: integer division result too large for a float"),
+            ("weyl-sdq", "schedule", ["1/2", "1/4", "1/8", "1e-400"],
+             "schedule entry '1e-400' is too small for the float table rows"),
             ("weyl-transform", "hbar", 0.001, "TruncationError: "),
             ("rieffel-morphisms", "grid_extent", 2.0, "SupportError: "),
         ],
@@ -534,3 +544,35 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.split() == list(SUITE_NAMES)
+
+
+_TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+
+
+class TestThreadCountDeterminism:
+    @pytest.mark.parametrize("suite", ["weyl-transform", "rieffel-morphisms"])
+    def test_outputs_do_not_depend_on_thread_counts(self, suite, tmp_path):
+        # one fresh process per setting: OpenBLAS reads its thread count at load
+        src = str(Path(quantaequiv.__file__).resolve().parents[1])
+        outputs = {}
+        for workers in ("1", "2"):
+            for blas in ("1", "2"):
+                env = dict(os.environ, QUANTAEQUIV_THREADS=workers, OPENBLAS_NUM_THREADS=blas)
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                out = tmp_path / ("workers%s-blas%s" % (workers, blas))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "quantaequiv.cli", "run", suite,
+                     "--format", "csv", "--out", str(out)],
+                    capture_output=True, text=True, env=env,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs[workers, blas] = {
+                    path.name: _TIMESTAMP.sub(b"", path.read_bytes())
+                    for path in sorted(out.iterdir())
+                }
+        reference = outputs["1", "1"]
+        assert "%s.report.json" % suite in reference
+        for setting, files in outputs.items():
+            assert files.keys() == reference.keys(), setting
+            changed = [name for name in reference if files[name] != reference[name]]
+            assert not changed, "threads %s changed %s" % (setting, changed)
