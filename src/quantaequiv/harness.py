@@ -607,12 +607,12 @@ CONFIG_SCHEMA = {
             "items": {"type": ["number", "string"]},
             "minItems": 4,
         },
-        "grid_points": {"type": "integer", "minimum": 32},
+        "grid_points": {"type": "integer", "minimum": 32, "maximum": 2048},
         "grid_extent": {"type": "number", "exclusiveMinimum": 0},
         "hbar": {"type": "number", "exclusiveMinimum": 0},
         "truncations": {
             "type": "array",
-            "items": {"type": "integer", "minimum": 16},
+            "items": {"type": "integer", "minimum": 16, "maximum": 1024},
             "minItems": 2,
         },
         "max_pairs": {"type": "integer", "minimum": 1},

@@ -1,19 +1,20 @@
 """Grid-based deformed products on phase space.
 
-Functions live on a periodic grid over [-L/2, L/2)^{2n} standing in for
-R^{2n}; everything spectral (shifts, derivatives, deformed products) acts
-on the trigonometric interpolant, so band-limited inputs are handled
-exactly up to round-off.  The deformed product follows the plane-wave rule
+Functions live on a periodic grid over [-L/2, L/2)^2, axes (q, p),
+standing in for the phase plane R^2; everything spectral (shifts,
+derivatives, deformed products) acts on the trigonometric interpolant, so
+band-limited inputs are handled exactly up to round-off.  The deformed
+product follows the plane-wave rule
 
     e^{i k.z} * e^{i l.z} = e^{-i hbar sigma(k,l)/2} e^{i (k+l).z}
 
-with sigma(k,l) = k.J l for the standard block form J, the normalization
-that expands as  f*g = fg + (i hbar/2){f,g} + O(hbar^2)  against the grid
-Poisson bracket.  The twist blocks the plain convolution theorem, but for
-fixed momentum frequencies (k_p, l_p) it splits into one factor per
-operand, so products are sums of linear q-convolutions over the pruned
-significant modes, done by FFT; contributions that would wrap past the
-Nyquist box are dropped and accounted by an aliasing detector.
+with sigma(k,l) = k_q l_p - k_p l_q, the normalization that expands as
+f*g = fg + (i hbar/2){f,g} + O(hbar^2) against the grid Poisson bracket.
+The twist blocks the plain convolution theorem, but for fixed momentum
+frequencies (k_p, l_p) it splits into one factor per operand, so products
+are sums of linear q-convolutions over the pruned significant modes, done
+by FFT; contributions that would wrap past the Nyquist box are dropped and
+accounted by an aliasing detector.
 
 Test functions must decay below a threshold at the domain boundary (the
 grid is a torus; the detector keeps wrap-around artifacts out of norms).
@@ -70,13 +71,15 @@ class TruncationError(GridError):
 
 @dataclass(frozen=True)
 class Grid2n:
+    """The grid over the phase plane; n, the degrees of freedom, is always 1."""
+
     n: int
     points_per_axis: int
     extent: float
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise GridError("phase space dimension must be 2 or 4 (n = 1 or 2)")
+        if self.n != 1:
+            raise GridError("the grid is the phase plane: n must be 1")
         p = self.points_per_axis
         if p < 32 or (p & (p - 1)) != 0:
             raise GridError("points_per_axis must be a power of two, at least 32")
@@ -84,12 +87,8 @@ class Grid2n:
             raise GridError("extent must be positive")
 
     @property
-    def dim(self):
-        return 2 * self.n
-
-    @property
     def shape(self):
-        return (self.points_per_axis,) * self.dim
+        return (self.points_per_axis,) * 2
 
     @property
     def spacing(self):
@@ -104,7 +103,8 @@ class Grid2n:
         return -0.5 * self.extent + self.spacing * np.arange(p)
 
     def coordinate_mesh(self):
-        return np.meshgrid(*([self.axis_coordinates()] * self.dim), indexing="ij")
+        x = self.axis_coordinates()
+        return np.meshgrid(x, x, indexing="ij")
 
 
 @lru_cache(maxsize=32)
@@ -113,13 +113,10 @@ def _int_freqs(points):
 
 
 @lru_cache(maxsize=32)
-def _parity(points, dim):
+def _parity(points):
     # grid origin sits at -L/2, which shows up as a (-1)^m factor per axis
     sign = (-1.0) ** (_int_freqs(points) & 1)
-    total = sign
-    for _ in range(dim - 1):
-        total = np.multiply.outer(total, sign)
-    return total
+    return np.multiply.outer(sign, sign)
 
 
 class GridFunction:
@@ -146,7 +143,7 @@ class GridFunction:
     def gaussian(cls, grid, center, decay, amplitude=1.0):
         """amplitude * exp(-decay * |z - center|^2)."""
         center = np.asarray(center, dtype=float)
-        if center.shape != (grid.dim,):
+        if center.shape != (2,):
             raise GridError("center must be a phase-space point")
         mesh = grid.coordinate_mesh()
         r2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
@@ -172,16 +169,12 @@ class GridFunction:
 
     def boundary_ratio(self):
         """Largest boundary-face magnitude relative to the global maximum."""
-        peak = np.abs(self.samples).max()
+        mags = np.abs(self.samples)
+        peak = mags.max()
         if peak == 0.0:
             return 0.0
-        worst = 0.0
-        for axis in range(self.grid.dim):
-            for face in (0, -1):
-                sl = [slice(None)] * self.grid.dim
-                sl[axis] = face
-                worst = max(worst, float(np.abs(self.samples[tuple(sl)]).max()))
-        return worst / float(peak)
+        worst = max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max())
+        return float(worst) / float(peak)
 
 
 def _require_same_grid(f, g):
@@ -199,50 +192,34 @@ def _require_interior_support(f, threshold):
 
 def _modes(f):
     p = f.grid.points_per_axis
-    return np.fft.fftn(f.samples) * _parity(p, f.grid.dim) / p**f.grid.dim
+    return np.fft.fftn(f.samples) * _parity(p) / p**2
 
 
 def _from_modes(grid, modes):
     p = grid.points_per_axis
-    return np.fft.ifftn(modes * _parity(p, grid.dim)) * p**grid.dim
-
-
-def _axis_broadcast(values, axis, dim):
-    shape = [1] * dim
-    shape[axis] = len(values)
-    return values.reshape(shape)
+    return np.fft.ifftn(modes * _parity(p)) * p**2
 
 
 def translate(f, x):
     """Compose with the shift z -> z + x, spectrally (exact group law)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (f.grid.dim,):
+    if x.shape != (2,):
         raise GridError("shift must be a phase-space vector")
-    modes = _modes(f)
     freqs = _int_freqs(f.grid.points_per_axis)
-    for axis in range(f.grid.dim):
-        phase = np.exp(1j * f.grid.mode_step * freqs * x[axis])
-        modes = modes * _axis_broadcast(phase, axis, f.grid.dim)
+    q_phase, p_phase = (np.exp(1j * f.grid.mode_step * freqs * c) for c in x)
+    modes = _modes(f) * q_phase[:, None] * p_phase[None, :]
     return GridFunction(f.grid, _from_modes(f.grid, modes))
 
 
 def poisson_bracket_grid(f, g):
-    """Canonical bracket sum_j (d_qj f d_pj g - d_pj f d_qj g), one spectrum per operand."""
+    """Canonical bracket d_q f d_p g - d_p f d_q g, one spectrum per operand."""
     _require_same_grid(f, g)
     grid = f.grid
-    freqs = _int_freqs(grid.points_per_axis).astype(float)
+    k = 1j * grid.mode_step * _int_freqs(grid.points_per_axis).astype(float)
     modes_f, modes_g = _modes(f), _modes(g)
-
-    def partial(modes, axis):
-        factor = 1j * grid.mode_step * _axis_broadcast(freqs, axis, grid.dim)
-        return _from_modes(grid, modes * factor)
-
-    n = grid.n
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    for j in range(n):
-        total += partial(modes_f, j) * partial(modes_g, n + j)
-        total -= partial(modes_f, n + j) * partial(modes_g, j)
-    return GridFunction(grid, total)
+    fq, fp = (_from_modes(grid, modes_f * d) for d in (k[:, None], k[None, :]))
+    gq, gp = (_from_modes(grid, modes_g * d) for d in (k[:, None], k[None, :]))
+    return GridFunction(grid, fq * gp - fp * gq)
 
 
 def _significant(modes):
@@ -267,16 +244,15 @@ def _mode_box(vecs, values, lo, size):
 
 
 def _twist(momenta, lo, size, scale):
-    """e^{i scale m.q} for each momentum row m and each q of the box lo + size."""
-    q = np.stack(np.meshgrid(*[np.arange(a, a + s) for a, s in zip(lo, size)], indexing="ij"))
-    return np.exp(1j * scale * np.tensordot(momenta, q, 1))
+    """e^{i scale m q} for each momentum m (rows) and each q in lo .. lo + size - 1."""
+    return np.exp(1j * scale * np.outer(momenta, np.arange(lo, lo + size)))
 
 
 def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
     """Deformed product as q-convolutions, one per pair of momentum frequencies.
 
-    sigma(k, l) = k_q.l_p - k_p.l_q, so for fixed (k_p, l_p) the twist
-    e^{-ic sigma}, c = hbar dk^2 / 2, is e^{-ic k_q.l_p} e^{+ic k_p.l_q}, one
+    sigma(k, l) = k_q l_p - k_p l_q, so for fixed (k_p, l_p) the twist
+    e^{-ic sigma}, c = hbar dk^2 / 2, is e^{-ic k_q l_p} e^{+ic k_p l_q}, one
     factor per operand: the pairs sum to one zero-padded FFT convolution
     along q of two twisted columns of the significant-mode boxes, and the
     terms sharing m_p = k_p + l_p add up before one inverse FFT.  A pair
@@ -291,18 +267,18 @@ def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
         raise GridError("the deformation parameter must be nonnegative")
     _require_interior_support(f, boundary_threshold)
     _require_interior_support(g, boundary_threshold)
-    grid, n, p = f.grid, f.grid.n, f.grid.points_per_axis
+    grid, p = f.grid, f.grid.points_per_axis
     fvec, fval = _significant(_modes(f))
-    gvec, gval = (fvec, fval) if g is f else _significant(_modes(g))
+    gvec, gval = _significant(_modes(g))
     out = np.zeros(grid.shape, dtype=np.complex128)
     if len(fval) == 0 or len(gval) == 0:
         return GridFunction(grid, out)
+    # boxes are indexed (q, p): entry 0 of each vector is q, entry 1 is p
     flo, glo = fvec.min(axis=0), gvec.min(axis=0)
     fsize, gsize = fvec.max(axis=0) - flo + 1, gvec.max(axis=0) - glo + 1
     span = fsize + gsize - 1  # linear convolution length per axis
     fft_shape = tuple(_fft_length(s) for s in span)
-    fmomenta, gmomenta = int(np.prod(fsize[n:])), int(np.prod(gsize[n:]))
-    q_entries = int(np.prod(fft_shape[:n]))
+    fmomenta, gmomenta, q_entries = int(fsize[1]), int(gsize[1]), fft_shape[0]
     if fmomenta * gmomenta * q_entries > _MAX_WORK:
         raise GridError(
             "%d x %d momentum frequencies times %d q-FFT entries make %d, above the limit of %d"
@@ -313,9 +289,8 @@ def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
     # result frequency lo + i lies inside the Nyquist box for i in keep
     lo = flo + glo
     keep = tuple(slice(max(0, -p // 2 - a), max(0, min(s, p // 2 - a))) for a, s in zip(lo, span))
-    axes = tuple(range(grid.dim))
-    fmass, gmass = (np.fft.rfftn(np.abs(box), fft_shape, axes) for box in (fbox, gbox))
-    inside = np.fft.irfftn(fmass * gmass, fft_shape, axes)[keep].sum()
+    fmass, gmass = (np.fft.rfftn(np.abs(box), fft_shape, (0, 1)) for box in (fbox, gbox))
+    inside = np.fft.irfftn(fmass * gmass, fft_shape, (0, 1))[keep].sum()
     aliased = 1.0 - float(inside) / (float(np.abs(fval).sum()) * float(np.abs(gval).sum()))
     if aliased > _ALIAS_TOLERANCE:
         raise AliasError(
@@ -323,27 +298,22 @@ def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
             % (aliased, _ALIAS_TOLERANCE)
         )
 
-    # operands as (momentum row, q...), each with its own twist factor
-    frows = np.moveaxis(fbox.reshape(tuple(fsize[:n]) + (-1,)), -1, 0)
-    grows = np.moveaxis(gbox.reshape(tuple(gsize[:n]) + (-1,)), -1, 0)
-    fcorner = np.indices(fsize[n:]).reshape(n, -1).T
-    gcorner = np.indices(gsize[n:]).reshape(n, -1).T
+    # operands as (momentum row, q), each with its own twist factor
+    frows, grows = fbox.T, gbox.T
     scale = 0.5 * hbar * grid.mode_step**2
-    ftwist = _twist(glo[n:] + gcorner, flo[:n], fsize[:n], -scale)
-    gtwist = _twist(flo[n:] + fcorner, glo[:n], gsize[:n], scale)
-    q_fft, q_axes = fft_shape[:n], tuple(range(2, 2 + n))
-    acc = np.zeros(tuple(span[n:]) + q_fft, dtype=np.complex128)
+    ftwist = _twist(glo[1] + np.arange(gmomenta), flo[0], fsize[0], -scale)
+    gtwist = _twist(flo[1] + np.arange(fmomenta), glo[0], gsize[0], scale)
+    acc = np.zeros((span[1], q_entries), dtype=np.complex128)
     rows = max(1, _MOMENTUM_BLOCK // (gmomenta * q_entries))
     for start in range(0, fmomenta, rows):
         block = slice(start, start + rows)
-        terms = np.fft.fftn(frows[block, None] * ftwist, q_fft, q_axes)
-        terms *= np.fft.fftn(grows * gtwist[block, None], q_fft, q_axes)
-        for corner, row in zip(fcorner[block], terms):
-            target = tuple(slice(c, c + s) for c, s in zip(corner, gsize[n:]))
-            acc[target] += row.reshape(tuple(gsize[n:]) + q_fft)
-    acc = np.fft.ifftn(acc, axes=tuple(range(n, 2 * n)))[(Ellipsis,) + tuple(map(slice, span[:n]))]
+        terms = np.fft.fft(frows[block, None] * ftwist, q_entries)
+        terms *= np.fft.fft(grows * gtwist[block, None], q_entries)
+        for corner, row in enumerate(terms, start):
+            acc[corner : corner + gmomenta] += row
+    acc = np.fft.ifft(acc)[:, : span[0]]
     index = np.ix_(*[np.arange(a + k.start, a + k.stop) % p for a, k in zip(lo, keep)])
-    out[index] = acc.transpose(tuple(range(n, 2 * n)) + tuple(range(n)))[keep]
+    out[index] = acc.T[keep]
     return GridFunction(grid, _from_modes(grid, out))
 
 
@@ -384,25 +354,19 @@ class AffineSymplecticMap:
 
     def __init__(self, linear, offset=None):
         linear = np.array(linear, dtype=float)
-        if linear.ndim != 2 or linear.shape[0] != linear.shape[1]:
-            raise GridError("linear part must be square")
-        if linear.shape[0] % 2 != 0:
-            raise GridError("phase space dimension must be even")
+        if linear.shape != (2, 2):
+            raise GridError("linear part must be a 2 x 2 matrix on the phase plane")
         if not np.all(np.isfinite(linear)) or abs(np.linalg.det(linear)) < 1e-12:
             raise GridError("linear part must be finite and invertible")
         if offset is None:
-            offset = np.zeros(linear.shape[0])
+            offset = np.zeros(2)
         offset = np.array(offset, dtype=float)
-        if offset.shape != (linear.shape[0],) or not np.all(np.isfinite(offset)):
+        if offset.shape != (2,) or not np.all(np.isfinite(offset)):
             raise GridError("offset must be a finite phase-space vector")
         linear.flags.writeable = False
         offset.flags.writeable = False
         self.linear = linear
         self.offset = offset
-
-    @property
-    def dim(self):
-        return self.linear.shape[0]
 
     @classmethod
     def rotation(cls, angle):
@@ -422,12 +386,11 @@ class AffineSymplecticMap:
 def pullback(f, phi, boundary_threshold=_BOUNDARY_THRESHOLD):
     """Composition with an affine map via exact trigonometric synthesis.
 
-    f(Az + b) = sum_k F_k e^{i k.b} e^{i (A^T k).z}, evaluated by rank-one
-    sums over the half-axis factorization of the grid.  The result must
-    keep its mass interior, otherwise the support escaped the domain.
+    f(Az + b) = sum_k F_k e^{i k.b} e^{i (A^T k).z}, evaluated as a
+    product of the q-factors and the p-factors of the modes over the grid
+    axes.  The result must keep its mass interior, otherwise the support
+    escaped the domain.
     """
-    if phi.dim != f.grid.dim:
-        raise GridError("map dimension does not match the grid")
     _require_interior_support(f, boundary_threshold)
     grid = f.grid
     fvec, fval = _significant(_modes(f))
@@ -437,30 +400,17 @@ def pullback(f, phi, boundary_threshold=_BOUNDARY_THRESHOLD):
     alpha = kvec @ phi.linear
     coeff = fval * np.exp(1j * (kvec @ phi.offset))
     x = grid.axis_coordinates()
-    half_axes = grid.dim // 2
-    rows = grid.points_per_axis**half_axes
-    result = np.zeros((rows, rows), dtype=np.complex128)
-    chunk = max(1, _SYNTHESIS_BLOCK // rows)
+    result = np.zeros(grid.shape, dtype=np.complex128)
+    chunk = max(1, _SYNTHESIS_BLOCK // grid.points_per_axis)
     for start in range(0, len(coeff), chunk):
-        stop = min(start + chunk, len(coeff))
-        left = np.ones((rows, stop - start), dtype=np.complex128)
-        right = np.ones((rows, stop - start), dtype=np.complex128)
-        for axis in range(half_axes):
-            idx = _half_axis_indices(grid.points_per_axis, half_axes, axis)
-            left *= np.exp(1j * np.outer(x, alpha[start:stop, axis]))[idx]
-            right *= np.exp(1j * np.outer(x, alpha[start:stop, half_axes + axis]))[idx]
-        result += (left * coeff[start:stop][None, :]) @ right.T
-    out = GridFunction(grid, result.reshape(grid.shape))
+        block = slice(start, start + chunk)
+        left = np.exp(1j * np.outer(x, alpha[block, 0]))
+        right = np.exp(1j * np.outer(x, alpha[block, 1]))
+        result += (left * coeff[block][None, :]) @ right.T
+    out = GridFunction(grid, result)
     if out.boundary_ratio() > boundary_threshold:
         raise SupportError("image support escapes the domain")
     return out
-
-
-@lru_cache(maxsize=64)
-def _half_axis_indices(points, half_axes, axis):
-    # per-axis digit of the row-major half-grid row index
-    idx = np.arange(points**half_axes)
-    return (idx // points ** (half_axes - axis - 1)) % points
 
 
 def morphism_star_defect(phi, f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
@@ -497,7 +447,7 @@ def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOL
     return (lhs - rhs).sup_norm() / scale
 
 
-# --- oscillator-basis transform (n = 1) -------------------------------------
+# --- oscillator-basis transform ----------------------------------------------
 
 
 def oscillator_position(n_trunc, hbar):
@@ -589,8 +539,6 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     classes and one O(n^3) assembly along the diagonals.  The class k = 0
     gives F_0 I with no branch of its own.
     """
-    if f.grid.n != 1:
-        raise GridError("the oscillator representation is built for n = 1")
     if n_trunc < 16:
         raise GridError("truncation size must be at least 16")
     if not (hbar > 0):
@@ -655,7 +603,7 @@ def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix):
 
 
 def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
-    """Direct oscillatory-integral evaluation of the deformed product (n=1).
+    """Direct oscillatory-integral evaluation of the deformed product.
 
     (f*g)(z) = (pi hbar)^{-2} iint f(z+u) g(z+v) e^{(2i/hbar) sigma(u,v)} du dv
     over u, v in R^2, with sigma(u,v) = u1 v2 - u2 v1.  Each operand is a
@@ -691,7 +639,7 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
 
 
 def gaussian_star_closed_form(decay_a, decay_b, hbar):
-    """The deformed product of centered radial Gaussians (n = 1).
+    """The deformed product of centered radial Gaussians.
 
     exp(-a|z|^2) * exp(-b|z|^2)
         = (1 + a b hbar^2)^{-1} exp(-(a+b)|z|^2 / (1 + a b hbar^2)).

@@ -168,6 +168,8 @@ class TestConfigValidation:
             ("rieffel-sdq", "hbar", -0.1),
             ("weyl-transform", "truncations", [8, 32]),
             ("rieffel-sdq", "schedule", [0.4, 0.2, 0.1]),
+            ("rieffel-sdq", "grid_points", 4096),  # a 2048**2 complex grid is 64 MiB
+            ("weyl-transform", "truncations", [32, 2048]),
         ],
     )
     def test_out_of_bounds_field_rejected(self, suite, field, value):
@@ -188,6 +190,13 @@ class TestConfigValidation:
         cfg = dict(default_config(suite), **{field: value})
         with pytest.raises(ConfigError, match="%s.*not a finite number" % field):
             validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "suite, field, value",
+        [("rieffel-sdq", "grid_points", 2048), ("weyl-transform", "truncations", [32, 1024])],
+    )
+    def test_grid_and_truncation_maxima_accepted(self, suite, field, value):
+        validate_config(dict(default_config(suite), **{field: value}))
 
     def test_truncations_must_increase(self):
         cfg = default_config("weyl-transform")
@@ -487,6 +496,30 @@ class TestCli:
         code = cli.main(["run", suite, "--config", str(path), "--out", str(out)])
         assert code == 2
         assert "config error: %s" % message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suite, field, value, message",
+        [
+            ("rieffel-morphisms", "grid_points", 16384, "grid_points: 16384 is greater than 2048"),
+            ("weyl-transform", "truncations", [32, 64, 4096],
+             "truncations[2]: 4096 is greater than 1024"),
+        ],
+    )
+    def test_oversize_grid_or_truncation_exits_two_before_any_array(
+        self, suite, field, value, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_samples(*args):
+            raise AssertionError("grid samples built")
+
+        monkeypatch.setattr(rieffel.GridFunction, "__init__", no_samples)
+        cfg = dict(default_config(suite), **{field: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = cli.main(["run", suite, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "config error: config schema violation: %s" % message in capsys.readouterr().err
         assert not out.exists()
 
     def test_grid_guard_under_default_config_is_not_a_config_error(self, tmp_path, monkeypatch):

@@ -17,7 +17,6 @@ from quantaequiv.rieffel import (
     GridError,
     GridFunction,
     SupportError,
-    _axis_broadcast,
     _from_modes,
     _int_freqs,
     _modes,
@@ -43,18 +42,12 @@ _PAIR_BLOCK = 2**18
 _SYMPLECTIC_TOLERANCE = 1e-12  # entrywise slack of A^T J A = J
 
 
-def standard_form(dim):
-    """The block form J of sigma(k, l) = k.J l: J = [[0, I], [-I, 0]]."""
-    n = dim // 2
-    j = np.zeros((dim, dim))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return j
+# the form J of sigma(k, l) = k.J l = k_q l_p - k_p l_q on the plane
+STANDARD_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def is_symplectic(phi):
-    j = standard_form(phi.dim)
-    defect = phi.linear.T @ j @ phi.linear - j
+    defect = phi.linear.T @ STANDARD_FORM @ phi.linear - STANDARD_FORM
     return float(np.abs(defect).max()) <= _SYMPLECTIC_TOLERANCE
 
 
@@ -83,8 +76,8 @@ def reference_moyal_product(f, g, hbars, boundary_threshold=_BOUNDARY_THRESHOLD)
     half = p // 2
     fvec, fval = _significant(_modes(f))
     gvec, gval = _significant(_modes(g))
-    f_j = fvec.astype(float) @ standard_form(grid.dim)
-    outs = [np.zeros(p**grid.dim, dtype=np.complex128) for _ in hbars]
+    f_j = fvec.astype(float) @ STANDARD_FORM
+    outs = [np.zeros(p**2, dtype=np.complex128) for _ in hbars]
     alias_mass = [0.0] * len(hbars)
     total_mass = [0.0] * len(hbars)
     chunk = max(1, _PAIR_BLOCK // len(gval))
@@ -131,28 +124,19 @@ def dirac_defect_grid(f, g, hbar):
 
 def lie_derivative(f, direction):
     """Directional derivative along the translation flow, spectrally."""
-    direction = np.asarray(direction, dtype=float)
-    modes = _modes(f)
-    freqs = _int_freqs(f.grid.points_per_axis)
-    factor = np.zeros(f.grid.shape)
-    for axis in range(f.grid.dim):
-        if direction[axis] != 0.0:
-            factor = factor + direction[axis] * _axis_broadcast(
-                freqs.astype(float), axis, f.grid.dim
-            )
+    dq, dp = (float(c) for c in direction)
+    freqs = _int_freqs(f.grid.points_per_axis).astype(float)
+    factor = dq * freqs[:, None] + dp * freqs[None, :]
     return GridFunction(
-        f.grid, _from_modes(f.grid, modes * (1j * f.grid.mode_step * factor))
+        f.grid, _from_modes(f.grid, _modes(f) * (1j * f.grid.mode_step * factor))
     )
 
 
 def reference_poisson_bracket(f, g):
     """The bracket from one lie_derivative per operand and axis, kept as the reference."""
-    n = f.grid.n
-    axes = np.eye(f.grid.dim)
-    total = np.zeros(f.grid.shape, dtype=np.complex128)
-    for j in range(n):
-        total += lie_derivative(f, axes[j]).samples * lie_derivative(g, axes[n + j]).samples
-        total -= lie_derivative(f, axes[n + j]).samples * lie_derivative(g, axes[j]).samples
+    q, p = (1.0, 0.0), (0.0, 1.0)
+    total = lie_derivative(f, q).samples * lie_derivative(g, p).samples
+    total -= lie_derivative(f, p).samples * lie_derivative(g, q).samples
     return GridFunction(f.grid, total)
 
 
@@ -188,7 +172,6 @@ def offset_product(offset_pair):
 
 class TestGrid:
     def test_spacing_and_mode_step(self, grid):
-        assert grid.dim == 2
         assert grid.shape == (256, 256)
         assert grid.spacing == 20.0 / 256
         assert grid.mode_step == pytest.approx(2 * np.pi / 20.0, rel=1e-15)
@@ -208,9 +191,12 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid2n(1, 64, 0.0)
 
-    def test_form_matrix_orientation(self, grid):
-        j = standard_form(grid.dim)
-        assert j[0, 1] == 1.0 and j[1, 0] == -1.0
+    def test_only_the_phase_plane_is_built(self):
+        with pytest.raises(GridError, match="phase plane"):
+            Grid2n(2, 32, 10.0)
+
+    def test_form_matrix_orientation(self):
+        assert STANDARD_FORM[0, 1] == 1.0 and STANDARD_FORM[1, 0] == -1.0
 
 
 class TestGridFunction:
@@ -502,17 +488,16 @@ class TestAgainstReference:
             (ref,) = reference_moyal_product(left, right, (HBAR,))
             assert _relative_gap(moyal_product(left, right, HBAR), ref) <= 1e-13
 
-    def test_two_degrees_of_freedom(self, grid4):
-        # random trigonometric polynomials of 20 modes, |k_i| <= 4: any
-        # Gaussian on this grid has about 1e6 significant modes, too many
-        # for the pair sum
+    def test_sparse_trigonometric_polynomials(self, grid):
+        # random complex polynomials of 20 modes, |k_i| <= 4: mode boxes
+        # that are mostly empty, unlike the Gaussians' filled ones
         rng = np.random.default_rng(20260816)
 
         def polynomial():
-            modes = np.zeros(grid4.shape, dtype=np.complex128)
-            for k in rng.integers(-4, 5, size=(20, 4)):
-                modes[tuple(k % grid4.points_per_axis)] = rng.normal() + 1j * rng.normal()
-            return GridFunction(grid4, _from_modes(grid4, modes))
+            modes = np.zeros(grid.shape, dtype=np.complex128)
+            for k in rng.integers(-4, 5, size=(20, 2)):
+                modes[tuple(k % grid.points_per_axis)] = rng.normal() + 1j * rng.normal()
+            return GridFunction(grid, _from_modes(grid, modes))
 
         f, g = polynomial(), polynomial()
         inf = float("inf")
@@ -560,15 +545,17 @@ class TestBlocksAndLimits:
         assert peak <= limit_mib * 2**20
 
     def test_oversize_product_is_refused_before_pair_work(self, monkeypatch):
-        # a narrow bump on the coarse 4-dimensional grid: about 1e6 significant
-        # modes filling every axis, so 32**2 x 32**2 momentum pairs times 64**2
-        # q-FFT entries, and it passes the boundary guard
-        grid4 = Grid2n(2, 32, 10.0)
-        f = GridFunction.gaussian(grid4, (0.0,) * 4, 2.0)
-        assert f.boundary_ratio() <= 1e-12
-        vecs, _ = rieffel._significant(rieffel._modes(f))
-        assert list(vecs.max(axis=0) - vecs.min(axis=0) + 1) == [32] * 4
-        work = (32 * 32) ** 2 * 64**2
+        # narrow bumps on a fine grid: significant modes fill every axis, so
+        # 1024 x 1024 momentum pairs times 2048 q-FFT entries, and both pass
+        # the boundary guard
+        fine = Grid2n(1, 1024, 10.0)
+        f = GridFunction.gaussian(fine, (0.0, 0.0), 1000.0)
+        g = GridFunction.gaussian(fine, (0.1, -0.1), 1000.0)
+        for h in (f, g):
+            assert h.boundary_ratio() <= 1e-12
+            vecs, _ = rieffel._significant(rieffel._modes(h))
+            assert list(vecs.max(axis=0) - vecs.min(axis=0) + 1) == [1024] * 2
+        work = 1024 * 1024 * 2048
         assert work > rieffel._MAX_WORK
 
         transforms = []
@@ -584,11 +571,11 @@ class TestBlocksAndLimits:
         monkeypatch.setattr(rieffel, "_modes", counted_modes)
         monkeypatch.setattr(rieffel, "_mode_box", no_box)
         with pytest.raises(GridError) as info:
-            moyal_product(f, f, HBAR)
+            moyal_product(f, g, HBAR)
         assert type(info.value) is GridError
         assert str(work) in str(info.value)
         assert str(rieffel._MAX_WORK) in str(info.value)
-        assert len(transforms) == 1
+        assert transforms == [f, g]  # the operand spectra, nothing more
 
 
 class TestDefectsAndConvergence:
@@ -743,6 +730,12 @@ class TestAffineSymplecticMap:
         with pytest.raises(GridError):
             AffineSymplecticMap(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
+    def test_only_plane_maps_are_built(self):
+        with pytest.raises(GridError, match="2 x 2"):
+            AffineSymplecticMap(np.eye(4))
+        with pytest.raises(GridError, match="offset"):
+            AffineSymplecticMap(np.eye(2), (0.1, 0.2, 0.3, 0.4))
+
 
 class TestPullback:
     def test_identity_map(self, grid, offset_pair):
@@ -769,6 +762,22 @@ class TestPullback:
         inv = inverse(phi)
         inv_center = inv.linear @ np.array([1.0, 0.0]) + inv.offset
         ref = GridFunction.gaussian(grid, tuple(inv_center), 1.0)
+        assert (got - ref).sup_norm() <= 1e-12
+
+    def test_plane_wave_under_sheared_map_with_offset(self, grid):
+        # f(Az + b) of e^{i k.z} is e^{i k.b} e^{i (A^T k).z}, off the grid
+        # frequencies, so synthesis is checked against the closed form
+        linear = AffineSymplecticMap.rotation(0.7).linear @ AffineSymplecticMap.shear(0.4).linear
+        phi = AffineSymplecticMap(linear, offset=(0.2, -0.1))
+        assert is_symplectic(phi)
+        dk = grid.mode_step
+        kv = dk * np.array((2.0, -1.0))
+        wave = GridFunction.from_callable(grid, lambda x, p: np.exp(1j * (kv[0] * x + kv[1] * p)))
+        got = pullback(wave, phi, boundary_threshold=float("inf"))
+        alpha, shift = kv @ linear, float(kv @ phi.offset)
+        ref = GridFunction.from_callable(
+            grid, lambda x, p: np.exp(1j * (alpha[0] * x + alpha[1] * p + shift))
+        )
         assert (got - ref).sup_norm() <= 1e-12
 
     def test_wraparound_leak_is_detected_then_waivable(self, grid):
@@ -821,91 +830,3 @@ class TestMorphismDefects:
         f, _ = tight_pair
         defect = equivariance_defect(AffineSymplecticMap(np.eye(2)), f, (1.0, 0.0))
         assert defect <= 1e-12
-
-
-@pytest.fixture(scope="module")
-def grid4():
-    return Grid2n(2, 32, 10.0)
-
-
-class TestTwoDegreesOfFreedom:
-    def wave(self, grid4, mv):
-        dk = grid4.mode_step
-
-        def fn(q1, q2, p1, p2):
-            return np.exp(1j * dk * (mv[0] * q1 + mv[1] * q2 + mv[2] * p1 + mv[3] * p2))
-
-        return GridFunction.from_callable(grid4, fn)
-
-    def test_plane_wave_twist_uses_block_form(self, grid4):
-        m, l = (1, 2, -1, 0), (2, -1, 0, 1)
-        got = moyal_product(
-            self.wave(grid4, m), self.wave(grid4, l), HBAR, boundary_threshold=float("inf")
-        )
-        dk = grid4.mode_step
-        sigma = dk * dk * float(np.array(m) @ standard_form(grid4.dim) @ np.array(l))
-        ref = self.wave(grid4, (3, 1, -1, 1)) * complex(np.exp(-0.5j * HBAR * sigma))
-        assert (got - ref).sup_norm() <= 1e-12
-
-    def test_translate_and_derivative(self, grid4):
-        f = GridFunction.gaussian(grid4, (0.5, 0.0, -0.3, 0.0), 1.2)
-        moved = translate(f, (0.3, -0.2, 0.1, 0.4))
-        ref = GridFunction.gaussian(grid4, (0.2, 0.2, -0.4, -0.4), 1.2)
-        assert (moved - ref).sup_norm() <= 1e-8
-
-        def dfq1(q1, q2, p1, p2):
-            e = np.exp(-1.2 * ((q1 - 0.5) ** 2 + q2**2 + (p1 + 0.3) ** 2 + p2**2))
-            return -2.4 * (q1 - 0.5) * e
-
-        got = lie_derivative(f, (1.0, 0.0, 0.0, 0.0))
-        assert (got - GridFunction.from_callable(grid4, dfq1)).sup_norm() <= 1e-8
-
-    def test_bracket_pairs_axes_canonically(self, grid4):
-        f = GridFunction.gaussian(grid4, (0.5, 0.0, -0.3, 0.0), 1.2)
-        g = GridFunction.gaussian(grid4, (-0.4, 0.2, 0.0, 0.3), 1.2)
-        cf, cg = (0.5, 0.0, -0.3, 0.0), (-0.4, 0.2, 0.0, 0.3)
-
-        def brk(q1, q2, p1, p2):
-            fa = np.exp(
-                -1.2 * ((q1 - cf[0]) ** 2 + (q2 - cf[1]) ** 2 + (p1 - cf[2]) ** 2 + (p2 - cf[3]) ** 2)
-            )
-            gb = np.exp(
-                -1.2 * ((q1 - cg[0]) ** 2 + (q2 - cg[1]) ** 2 + (p1 - cg[2]) ** 2 + (p2 - cg[3]) ** 2)
-            )
-            cross = (
-                (q1 - cf[0]) * (p1 - cg[2])
-                - (p1 - cf[2]) * (q1 - cg[0])
-                + (q2 - cf[1]) * (p2 - cg[3])
-                - (p2 - cf[3]) * (q2 - cg[1])
-            )
-            return 4 * 1.2 * 1.2 * cross * fa * gb
-
-        ref = GridFunction.from_callable(grid4, brk)
-        got = poisson_bracket_grid(f, g)
-        assert (got - ref).sup_norm() / ref.sup_norm() <= 1e-8
-        assert np.array_equal(got.samples, reference_poisson_bracket(f, g).samples)
-
-    def test_pullback_with_four_dimensional_map(self, grid4):
-        th = 0.7
-        linear = np.eye(4)
-        linear[np.ix_([0, 2], [0, 2])] = [
-            [np.cos(th), -np.sin(th)],
-            [np.sin(th), np.cos(th)],
-        ]
-        linear[1, 3] = 0.4
-        phi = AffineSymplecticMap(linear, offset=(0.2, -0.1, 0.3, 0.0))
-        assert is_symplectic(phi)
-        mv = (2, -1, 1, 3)
-        w = self.wave(grid4, mv)
-        got = pullback(w, phi, boundary_threshold=float("inf"))
-        dk = grid4.mode_step
-        kv = dk * np.array(mv, dtype=float)
-        alpha = kv @ linear
-        shift = float(kv @ phi.offset)
-
-        def ref_fn(q1, q2, p1, p2):
-            return np.exp(
-                1j * (alpha[0] * q1 + alpha[1] * q2 + alpha[2] * p1 + alpha[3] * p2 + shift)
-            )
-
-        assert (got - GridFunction.from_callable(grid4, ref_fn)).sup_norm() <= 1e-12

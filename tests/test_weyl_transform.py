@@ -201,10 +201,6 @@ class TestWeylTransform:
             weyl_transform(f, HBAR, 8)
         with pytest.raises(GridError):
             weyl_transform(f, 0.0, 64)
-        four = Grid2n(2, 32, 10.0)
-        g4 = GridFunction.gaussian(four, (0.0, 0.0, 0.0, 0.0), 1.0)
-        with pytest.raises(GridError):
-            weyl_transform(g4, HBAR, 64)
 
 
 class TestTruncationDetector:
