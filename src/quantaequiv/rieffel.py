@@ -51,6 +51,9 @@ _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
 _MOMENTUM_BLOCK = 2**19
 _SYNTHESIS_BLOCK = 2**20
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
+# complex entries of weyl_transform's class symbol, classes x (2n - 1), and
+# phase table, n x classes (512 MiB); larger transforms are refused
+_MAX_TRANSFORM_ENTRIES = 2**25
 
 
 class GridError(ValueError):
@@ -501,6 +504,17 @@ def _class_symbols(members, phi, fval, n_trunc):
     return np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
 
 
+def _eigenvalue_symbols(lam, s, symbol):
+    """G[d, m] = sum_c e^{i s_c lam_m} T[c, d], as a (2n - 1, n) view.
+
+    One matrix-vector product per eigenvalue: OpenBLAS then sums each entry
+    in one order whatever its thread count.  One gemm over all eigenvalues
+    does not; its bits change between one and two threads.
+    """
+    phases = np.exp(1j * np.multiply.outer(lam, s))
+    return np.stack([e @ symbol for e in phases]).T
+
+
 @lru_cache(maxsize=32)
 def _jacobi_eigenpairs(n_trunc):
     """Read-only eigenvalues and eigenvectors of the Jacobi matrix J."""
@@ -537,7 +551,9 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     Per mode that is n powers of e^{i phi_k} (the offsets d < 0 are their
     conjugates) instead of an n x n update; then one product over the
     classes and one O(n^3) assembly along the diagonals.  The class k = 0
-    gives F_0 I with no branch of its own.
+    gives F_0 I with no branch of its own.  A function with too many classes
+    for n_trunc, above _MAX_TRANSFORM_ENTRIES, is refused with GridError
+    before any symbol is built.
     """
     if n_trunc < 16:
         raise GridError("truncation size must be at least 16")
@@ -560,13 +576,16 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
             )
     mvec, fval = _significant(_modes(f))
     keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
+    entries = len(keys) * (3 * n_trunc - 1)
+    if entries > _MAX_TRANSFORM_ENTRIES:
+        raise GridError(
+            "%d |k|^2 classes at truncation %d make %d symbol and phase entries, "
+            "above the limit of %d" % (len(keys), n_trunc, entries, _MAX_TRANSFORM_ENTRIES)
+        )
     phi = np.arctan2(mvec[:, 1], mvec[:, 0])
     symbol = _class_symbols(members, phi, fval, n_trunc)
     lam, w = _jacobi_eigenpairs(n_trunc)
-
-    # einsum, not BLAS: the sums then do not depend on the BLAS thread count
-    s = grid.mode_step * np.sqrt(0.5 * hbar * keys)
-    g = np.einsum("mc,cd->dm", np.exp(1j * np.multiply.outer(lam, s)), symbol)
+    g = _eigenvalue_symbols(lam, grid.mode_step * np.sqrt(0.5 * hbar * keys), symbol)
 
     # diagonals d and -d share the products W[a + d, m] W[a, m]
     levels = np.arange(n_trunc)

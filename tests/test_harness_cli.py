@@ -522,6 +522,25 @@ class TestCli:
         assert "config error: config schema violation: %s" % message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversize_transform_exits_two_before_symbol_work(self, tmp_path, monkeypatch, capsys):
+        def no_symbol_work(*args):
+            raise AssertionError("symbol work started")
+
+        monkeypatch.setattr(rieffel, "_class_symbols", no_symbol_work)
+        monkeypatch.setattr(rieffel, "_powers", no_symbol_work)
+        # the window on the 512^2 grid has 22021 |k|^2 classes, too many at
+        # n = 1024; its check comes first, so its refusal ends the run
+        cfg = dict(default_config("weyl-transform"), grid_points=512, truncations=[32, 1024])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = cli.main(["run", "weyl-transform", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: GridError: 22021 |k|^2 classes at truncation 1024" in err
+        assert str(rieffel._MAX_TRANSFORM_ENTRIES) in err
+        assert not out.exists()
+
     def test_grid_guard_under_default_config_is_not_a_config_error(self, tmp_path, monkeypatch):
         # the default configs are fixed inputs: a guard raised there stays loud
         def guarded_builder(config):

@@ -1,13 +1,18 @@
 """Oscillator-basis transform tests: matrix anchors, intertwining, detectors."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import atan2
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
+import quantaequiv
 from quantaequiv import rieffel
 from quantaequiv.rieffel import (
     Grid2n,
@@ -15,6 +20,7 @@ from quantaequiv.rieffel import (
     GridFunction,
     TruncationError,
     _class_symbols,
+    _eigenvalue_symbols,
     _jacobi_eigenpairs,
     _modes,
     _significant,
@@ -91,6 +97,20 @@ def reference_class_symbols(members, phi, fval, n_trunc):
         block = slice(start, start + rows)
         half += weights[:, block] @ rieffel._powers(np.exp(1j * phi[block]), n_trunc)
     return np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
+
+
+def _contraction_inputs(f, n_trunc):
+    """(lam, s, symbol) of f at n_trunc, as weyl_transform builds them."""
+    mvec, fval = _significant(_modes(f))
+    keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
+    symbol = _class_symbols(members, np.arctan2(mvec[:, 1], mvec[:, 0]), fval, n_trunc)
+    s = f.grid.mode_step * np.sqrt(0.5 * HBAR * keys)
+    return _jacobi_eigenpairs(n_trunc)[0], s, symbol
+
+
+def reference_eigenvalue_symbols(lam, s, symbol):
+    """The einsum contraction _eigenvalue_symbols replaced, kept as its reference."""
+    return np.einsum("mc,cd->dm", np.exp(1j * np.multiply.outer(lam, s)), symbol)
 
 
 def _relative_gap(mat, ref):
@@ -260,6 +280,84 @@ class TestClassSymbolsAndEigenpairs:
             tracemalloc.stop()
         # with the sparse class sum this transform peaked at 77.1 MiB
         assert peak <= 77.1 * 2**20
+
+
+class TestEigenvalueSymbols:
+    """G against the einsum contraction, at 1e-13 relative."""
+
+    @pytest.mark.parametrize("n_trunc", (64, 128))
+    def test_window(self, window, n_trunc):
+        args = _contraction_inputs(window, n_trunc)
+        ref = reference_eigenvalue_symbols(*args)
+        assert _relative_gap(_eigenvalue_symbols(*args), ref) <= 1e-13
+
+    @pytest.mark.parametrize("n_trunc", (32, 64, 128))
+    def test_pair_operands(self, pair_operands, n_trunc):
+        for h in (h for operands in pair_operands for h in operands):
+            args = _contraction_inputs(h, n_trunc)
+            ref = reference_eigenvalue_symbols(*args)
+            assert _relative_gap(_eigenvalue_symbols(*args), ref) <= 1e-13
+
+
+_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from quantaequiv.rieffel import Grid2n, GridFunction, moyal_product, weyl_transform
+
+def window_fn(x, p):
+    return np.exp(-(((x * x + p * p) / 2.8**2) ** 12))
+
+grid = Grid2n(1, 256, 20.0)
+window = GridFunction.from_callable(grid, window_fn)
+coordinate = GridFunction.from_callable(grid, lambda x, p: x) * window
+(c1, a), (c2, b) = %r
+star = moyal_product(GridFunction.gaussian(grid, c1, a), GridFunction.gaussian(grid, c2, b), %r)
+mats = [weyl_transform(h, %r, n) for n in (64, 128) for h in (window, coordinate)]
+mats.append(weyl_transform(star, %r, 128, support_tail=1.0))
+for mat in mats:
+    print(hashlib.sha256(mat.tobytes()).hexdigest())
+""" % (TRANSFORM_PAIRS[0], HBAR, HBAR, HBAR)
+
+
+class TestBlasThreadCount:
+    def test_transform_bits_do_not_depend_on_blas_threads(self):
+        # one fresh process per setting: OpenBLAS reads its thread count at load
+        src = str(Path(quantaequiv.__file__).resolve().parents[1])
+        hashes = {}
+        for blas in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _HASH_SCRIPT], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            hashes[blas] = proc.stdout.split()
+        assert len(hashes["1"]) == 5
+        assert hashes["1"] == hashes["2"]
+
+
+@pytest.fixture
+def no_symbol_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("symbol work started")
+
+    monkeypatch.setattr(rieffel, "_class_symbols", no_work)
+    monkeypatch.setattr(rieffel, "_powers", no_work)
+
+
+@pytest.mark.usefixtures("no_symbol_work")
+class TestSizeGuard:
+    def test_oversize_transform_is_refused_before_symbol_work(self, window):
+        # the window's 5924 classes at n = 2048 make 5924 * 6143 entries
+        with pytest.raises(GridError) as info:
+            weyl_transform(window, HBAR, 2048)
+        assert type(info.value) is GridError
+        assert str(5924 * 6143) in str(info.value)
+        assert str(rieffel._MAX_TRANSFORM_ENTRIES) in str(info.value)
+
+    def test_window_at_the_schema_cap_passes_the_guard(self, window):
+        with pytest.raises(AssertionError, match="symbol work started"):
+            weyl_transform(window, HBAR, 1024)
 
 
 @pytest.fixture(scope="module")
