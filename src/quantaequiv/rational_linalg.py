@@ -67,10 +67,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_neg(u):
-    return tuple(-a for a in u)
-
-
 def vec_scale(c, u):
     c = frac(c)
     return tuple(c * a for a in u)

@@ -10,6 +10,7 @@ still exercising every code path.
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 from . import rational_linalg as rl
 from .symplectic import (
@@ -34,17 +35,32 @@ def make_rng(master, *path):
     return random.Random(child_seed(master, *path))
 
 
+def _random_ratio(rng, max_abs, max_den):
+    # one num/den draw as the lowest-terms ints (num, den)
+    num = rng.randint(-max_abs, max_abs)
+    den = rng.randint(1, max_den)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def random_fraction(rng, max_abs=3, max_den=4, allow_zero=True):
     while True:
-        num = rng.randint(-max_abs, max_abs)
-        den = rng.randint(1, max_den)
-        value = Fraction(num, den)
-        if allow_zero or value != 0:
-            return value
+        num, den = _random_ratio(rng, max_abs, max_den)
+        if allow_zero or num:
+            return Fraction(num, den)
+
+
+def _random_label_pairs(rng, dim):
+    # a label's entries as one flat tuple (n1, d1, n2, d2, ...) of lowest-terms pairs
+    out = []
+    for _ in range(dim):
+        out += _random_ratio(rng, 2, 3)
+    return tuple(out)
 
 
 def random_label(rng, space):
-    return space.vector([random_fraction(rng, 2, 3) for _ in range(space.dim)])
+    pairs = _random_label_pairs(rng, space.dim)
+    return space.vector([Fraction(n, d) for n, d in zip(pairs[::2], pairs[1::2])])
 
 
 def random_space(rng, dim):
@@ -140,20 +156,23 @@ def random_character(rng, dim):
 def random_coeff(rng, max_terms=2, with_parameter=True):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        p = random_fraction(rng, 2, 3)
-        q = random_fraction(rng, 2, 3) if with_parameter else Fraction(0)
+        p = _random_ratio(rng, 2, 3)
+        q = _random_ratio(rng, 2, 3) if with_parameter else (0, 1)
         amp = random_fraction(rng, 3, 3, allow_zero=False)
-        terms[(p, q)] = terms.get((p, q), Fraction(0)) + amp
-    return CoeffExpr(terms)
+        key = p + q
+        acc = terms.get(key)
+        terms[key] = amp if acc is None else acc + amp
+    return CoeffExpr.from_int_pairs(terms)
 
 
 def random_element(rng, space, max_terms=3):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        label = random_label(rng, space)
+        label = _random_label_pairs(rng, space.dim)
         coeff = random_coeff(rng)
-        terms[label] = terms.get(label, CoeffExpr.zero()) + coeff
-    return WeylElement(space, terms)
+        acc = terms.get(label)
+        terms[label] = coeff if acc is None else acc + coeff
+    return WeylElement.from_int_pairs(space, terms)
 
 
 def random_space_pool(rng, count, dims=(2, 4, 6)):

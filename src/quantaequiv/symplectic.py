@@ -7,9 +7,12 @@ phase that ever appears is an exact root of unity.
 
 Spaces and maps keep the integer form of their matrix (``form_ints``,
 ``matrix_ints``: rows of ints over one common denominator, see
-``rational_linalg.integer_matrix``) from construction.  It is not a
-dataclass field, so equality and hashing stay on the Fraction data;
-composition, composed characters and the form identity run on it.
+``rational_linalg.integer_matrix``) from construction.  The form is
+canonical, so a map's equality and hash read its ``matrix_ints``, which is
+exactly Fraction-matrix equality; composition, composed characters and the
+form identity run on the integer forms too, and a composed map builds its
+Fraction matrix only when it is read.  A space's equality stays on ``dim``
+and ``form``.
 """
 
 from dataclasses import dataclass
@@ -51,33 +54,55 @@ class SymplecticSpace:
         return v
 
 
-@dataclass(frozen=True)
 class LinearMapSpec:
-    """A rational linear map recorded as a matrix (rows act on the left)."""
+    """A rational linear map recorded as a matrix (rows act on the left).
 
-    matrix: tuple
+    The map is its canonical integer form ``matrix_ints``: equality and
+    hashing read it, and compose multiplies it.  The Fraction ``matrix`` is
+    built from it on first read.
+    """
 
-    def __post_init__(self):
-        matrix = rl.matrix(self.matrix)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "matrix_ints", rl.integer_matrix(matrix))
+    __slots__ = ("matrix_ints", "_matrix")
+
+    def __init__(self, matrix):
+        self._matrix = rl.matrix(matrix)
+        self.matrix_ints = rl.integer_matrix(self._matrix)
 
     @classmethod
     def _from_ints(cls, ints):
-        # the map of a canonical integer form, its Fractions built once
-        rows, d = ints
+        # the map of a canonical integer form; its Fractions wait for a read
         obj = cls.__new__(cls)
-        object.__setattr__(obj, "matrix", tuple(tuple(Fraction(x, d) for x in row) for row in rows))
-        object.__setattr__(obj, "matrix_ints", ints)
+        obj.matrix_ints = ints
+        obj._matrix = None
         return obj
 
     @property
+    def matrix(self):
+        if self._matrix is None:
+            rows, d = self.matrix_ints
+            self._matrix = tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+        return self._matrix
+
+    def __eq__(self, other):
+        # integer forms are canonical: equal exactly when the matrices are
+        if not isinstance(other, LinearMapSpec):
+            return NotImplemented
+        return self.matrix_ints == other.matrix_ints
+
+    def __hash__(self):
+        return hash(self.matrix_ints)
+
+    def __repr__(self):
+        return "LinearMapSpec(matrix=%r)" % (self.matrix,)
+
+    @property
     def dim_in(self):
-        return len(self.matrix[0]) if self.matrix else 0
+        rows = self.matrix_ints[0]
+        return len(rows[0]) if rows else 0
 
     @property
     def dim_out(self):
-        return len(self.matrix)
+        return len(self.matrix_ints[0])
 
     def apply(self, v):
         if len(v) != self.dim_in:

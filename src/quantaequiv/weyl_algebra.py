@@ -19,10 +19,13 @@ The exact work runs on Python ints.  A coefficient table is keyed by the
 lowest-terms int pairs (pn, pd, qn, qd) of its exponents, with p folded into
 [0, 1), so merging terms hashes and adds ints; only the amplitudes are
 Fractions, and ``CoeffExpr.terms`` reads the keys back as Fractions in the
-same order.  ``multiply`` and ``poisson_bracket`` read the space's integer
-form and scale the labels to ints over one common denominator once, so
-sigma(f, g) is one int sum per pair of labels and f + g is summed and keyed
-as ints.
+same order.  An element keys its terms by int label tuples over one
+denominator, the lcm of the labels' denominators, reduced again whenever
+labels cancel; equality compares the keys, and ``WeylElement.terms`` and
+the JSON format read them back as Fraction labels in the same order.
+``multiply`` and ``poisson_bracket`` bring both operands to one
+denominator and read the space's integer form, so sigma(f, g) is one int
+sum per pair of labels and f + g is summed and keyed as ints.
 """
 
 import json
@@ -96,6 +99,13 @@ class CoeffExpr:
         obj = cls.__new__(cls)
         obj._terms = normalized
         return obj
+
+    @classmethod
+    def from_int_pairs(cls, terms):
+        """The table {(pn, pd, qn, qd): amp}: p = pn/pd and q = qn/qd in
+        lowest terms with positive denominators (not checked), p not yet
+        folded into [0, 1)."""
+        return cls._raw(_norm_items(terms.items()))
 
     @classmethod
     def zero(cls):
@@ -261,9 +271,13 @@ class WeylElement:
     ``hbar`` is None for symbolic elements (coefficients are functions of the
     deformation parameter) and an exact Fraction for elements pinned to one
     fiber; in a pinned element the q slots of the coefficients are angles.
+
+    The labels are kept as int tuples over one denominator ``_den``, the lcm
+    of their reduced denominators, so f = key / _den; ``terms`` reads them
+    back as Fraction tuples in the same order.
     """
 
-    __slots__ = ("space", "hbar", "_terms")
+    __slots__ = ("space", "hbar", "_den", "_terms")
 
     def __init__(self, space, terms=(), hbar=None):
         if isinstance(terms, dict):
@@ -282,11 +296,52 @@ class WeylElement:
         self.hbar = None if hbar is None else Fraction(hbar)
         if self.hbar is not None and not (0 <= self.hbar <= 1):
             raise AlgebraError("fiber parameter must lie in [0, 1]")
-        self._terms = clean
+        d = lcm(*[x.denominator for f in clean for x in f])
+        self._den = d
+        self._terms = {
+            tuple([x.numerator * (d // x.denominator) for x in f]): c for f, c in clean.items()
+        }
+
+    @classmethod
+    def _from_ints(cls, space, terms, den, hbar=None):
+        # the element sum_k terms[k] W(k / den), its coefficients nonzero; den
+        # is reduced to the lcm of the label denominators, which makes it canonical
+        g = gcd(den, *[x for key in terms for x in key])
+        if g != 1:
+            terms = {tuple([x // g for x in key]): c for key, c in terms.items()}
+            den //= g
+        obj = cls.__new__(cls)
+        obj.space = space
+        obj.hbar = hbar
+        obj._den = den
+        obj._terms = terms
+        return obj
+
+    @classmethod
+    def from_int_pairs(cls, space, terms):
+        """The symbolic sum_k terms[k] W(f_k), each label f_k given as one flat
+        tuple (n1, d1, n2, d2, ...) of its entries n_i/d_i in lowest terms
+        with positive denominators (not checked); zero coefficients are dropped."""
+        terms = {k: c for k, c in terms.items() if c}
+        d = lcm(*[m for k in terms for m in k[1::2]])
+        return cls._from_ints(
+            space,
+            {tuple([n * (d // m) for n, m in zip(k[::2], k[1::2])]): c for k, c in terms.items()},
+            d,
+        )
+
+    def _at_fiber(self, hbar):
+        # the same labels and coefficients tagged with the fiber hbar
+        return WeylElement._from_ints(self.space, self._terms, self._den, hbar)
 
     @property
     def terms(self):
-        return dict(self._terms)
+        d = self._den
+        return {tuple([Fraction(x, d) for x in key]): c for key, c in self._terms.items()}
+
+    def coeffs(self):
+        """The coefficients, in term order."""
+        return self._terms.values()
 
     def __bool__(self):
         return bool(self._terms)
@@ -296,6 +351,7 @@ class WeylElement:
             isinstance(other, WeylElement)
             and self.space == other.space
             and self.hbar == other.hbar
+            and self._den == other._den
             and self._terms == other._terms
         )
 
@@ -309,17 +365,25 @@ class WeylElement:
         if self.hbar != other.hbar:
             raise AlgebraError("elements live at different parameter values")
 
+    def _over(self, d):
+        # the int-keyed terms over the multiple d of _den
+        s = d // self._den
+        if s == 1:
+            return self._terms
+        return {tuple([x * s for x in key]): c for key, c in self._terms.items()}
+
     def __add__(self, other):
         self._require_compatible(other)
-        merged = dict(self._terms)
-        for label, coeff in other._terms.items():
+        d = lcm(self._den, other._den)
+        merged = dict(self._over(d))
+        for label, coeff in other._over(d).items():
             acc = merged.get(label)
             total = coeff if acc is None else acc + coeff
             if total:
                 merged[label] = total
             else:
                 merged.pop(label, None)
-        return self._rebuild(merged)
+        return self._rebuild(merged, d)
 
     def __neg__(self):
         return self._rebuild({f: -c for f, c in self._terms.items()})
@@ -332,12 +396,10 @@ class WeylElement:
             return multiply(self, other)
         return NotImplemented
 
-    def _rebuild(self, term_dict):
-        obj = WeylElement.__new__(WeylElement)
-        obj.space = self.space
-        obj.hbar = self.hbar
-        obj._terms = term_dict
-        return obj
+    def _rebuild(self, term_dict, den=None):
+        return WeylElement._from_ints(
+            self.space, term_dict, self._den if den is None else den, self.hbar
+        )
 
     def scale_coeff(self, coeff):
         """Multiply every coefficient by a fixed CoeffExpr."""
@@ -362,22 +424,18 @@ def weyl_unit(space, hbar=None):
 
 def _pair_sum(a, b, piece_of):
     # sum over label pairs of piece_of(cf, cg, num, den) W(f+g), where
-    # sigma(f, g) = num / den; a piece of None is skipped.  Every label of a
-    # and b is scaled to ints over one common denominator d, so f + g is an
-    # int tuple over d: the sums are keyed by it, which maps one to one onto
-    # the labels (same dict order), and one Fraction label is built per
-    # output label.  With the form w / dw, sigma is f . (w g) / (d^2 dw):
-    # w g once per label of b, one int sum per pair
+    # sigma(f, g) = num / den; a piece of None is skipped.  The labels of a
+    # and b are int tuples over d, the lcm of their denominators, so f + g
+    # is an int tuple over d and keys the sums.  With the form w / dw, sigma
+    # is f . (w g) / (d^2 dw): w g once per label of b, one int sum per pair
     w, dw = a.space.form_ints
-    d = lcm(*[x.denominator for f in (*a._terms, *b._terms) for x in f])
+    d = lcm(a._den, b._den)
     den = d * d * dw
     right = []
-    for g, cg in b._terms.items():
-        gi = [x.numerator * (d // x.denominator) for x in g]
+    for gi, cg in b._over(d).items():
         right.append((gi, cg, [sum([x * y for x, y in zip(row, gi)]) for row in w]))
     out = {}
-    for f, cf in a._terms.items():
-        fi = [x.numerator * (d // x.denominator) for x in f]
+    for fi, cf in a._over(d).items():
         for gi, cg, wg in right:
             piece = piece_of(cf, cg, sum([x * y for x, y in zip(fi, wg)]), den)
             if piece is None:
@@ -389,7 +447,7 @@ def _pair_sum(a, b, piece_of):
                 out[key] = total
             else:
                 out.pop(key, None)
-    return a._rebuild({tuple([Fraction(x, d) for x in key]): c for key, c in out.items()})
+    return a._rebuild(out, d)
 
 
 def multiply(a, b):
@@ -410,10 +468,7 @@ def multiply(a, b):
 
 def involution(a):
     """The star operation: (f, c) -> (-f, conj c); antilinear, involutive."""
-    out = {}
-    for f, c in a._terms.items():
-        out[rl.vec_neg(f)] = c.conjugate()
-    return a._rebuild(out)
+    return a._rebuild({tuple([-x for x in f]): c.conjugate() for f, c in a._terms.items()})
 
 
 def poisson_bracket(a, b):
@@ -445,9 +500,13 @@ def evaluate_at(a, hbar):
     h = Fraction(hbar)
     if not (0 <= h <= 1):
         raise AlgebraError("exact parameter values must lie in [0, 1]")
-    return WeylElement(
-        a.space, {f: c.substitute(h) for f, c in a._terms.items()}, hbar=h
-    )
+    out = {}
+    for f, c in a._terms.items():
+        # substitution can merge and cancel phases: a label may vanish
+        c = c.substitute(h)
+        if c:
+            out[f] = c
+    return WeylElement._from_ints(a.space, out, a._den, h)
 
 
 def norm_bounds(a):
@@ -512,9 +571,13 @@ def weyl_to_json(a):
             "form": [[str(e) for e in row] for row in a.space.form],
         },
         "hbar": None if a.hbar is None else str(a.hbar),
+        # the int keys share one positive denominator: they sort as the labels
         "terms": [
-            {"label": [str(e) for e in f], "coeff": _coeff_to_payload(a._terms[f])}
-            for f in sorted(a._terms)
+            {
+                "label": [str(Fraction(x, a._den)) for x in key],
+                "coeff": _coeff_to_payload(a._terms[key]),
+            }
+            for key in sorted(a._terms)
         ],
     }
     return json.dumps(doc, separators=(",", ":"))

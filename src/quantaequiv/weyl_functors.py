@@ -165,7 +165,7 @@ def rescale(a, src, dst):
         raise FunctorError("element is not in the quantized image at the source fiber")
     if src == dst:
         return a
-    return WeylElement(a.space, a.terms, hbar=dst)
+    return a._at_fiber(dst)
 
 
 # --- morphism checks ---------------------------------------------------------
@@ -272,7 +272,7 @@ def k0_membership(s):
     """
     if s.hbar is not None:
         raise AlgebraError("sections must stay symbolic in the parameter")
-    return all(c.vanishes_at_zero() for c in s.terms.values())
+    return all(c.vanishes_at_zero() for c in s.coeffs())
 
 
 # --- strict deformation defect scalars ---------------------------------------
@@ -323,7 +323,7 @@ def rieffel_condition_check(a, schedule):
     """
     if a.hbar != 0:
         raise AlgebraError("expects a classical (fiber 0) element")
-    if len(a.terms) > 1:
+    if len(a.coeffs()) > 1:
         raise AlgebraError("exact norms need single-generator elements")
     norms = [norm_bounds(rescale(a, 0, _fiber(h)))[1] for h in schedule]
     if not norms:

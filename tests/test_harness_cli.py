@@ -170,6 +170,8 @@ class TestConfigValidation:
             ("rieffel-sdq", "schedule", [0.4, 0.2, 0.1]),
             ("rieffel-sdq", "grid_points", 4096),  # a 2048**2 complex grid is 64 MiB
             ("weyl-transform", "truncations", [32, 2048]),
+            ("weyl-laws", "sample_count", 10**4 + 1),
+            ("equivalence-weyl", "max_pairs", 10**5),
         ],
     )
     def test_out_of_bounds_field_rejected(self, suite, field, value):
@@ -193,7 +195,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "suite, field, value",
-        [("rieffel-sdq", "grid_points", 2048), ("weyl-transform", "truncations", [32, 1024])],
+        [
+            ("rieffel-sdq", "grid_points", 2048),
+            ("weyl-transform", "truncations", [32, 1024]),
+            ("weyl-sdq", "sample_count", 10**4),
+            ("equivalence-weyl", "max_pairs", 10**4),
+        ],
     )
     def test_grid_and_truncation_maxima_accepted(self, suite, field, value):
         validate_config(dict(default_config(suite), **{field: value}))
@@ -522,6 +529,34 @@ class TestCli:
         assert "config error: config schema violation: %s" % message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "suite, field, value",
+        [
+            ("weyl-laws", "sample_count", 10**5),
+            ("weyl-sdq", "sample_count", 10**4 + 1),
+            ("equivalence-weyl", "sample_count", 10**6),
+            ("equivalence-weyl", "max_pairs", 10**4 + 1),
+        ],
+    )
+    def test_oversize_sample_count_or_max_pairs_exits_two_before_sampling(
+        self, suite, field, value, tmp_path, monkeypatch, capsys
+    ):
+        # equivalence-weyl takes about 5.4 KB per arrow: 10**6 arrows would be 5 GB
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("suite started sampling")
+
+        for name in ("make_rng", "random_element", "sample_classical_arrows"):
+            monkeypatch.setattr(harness, name, no_sampling)
+        cfg = dict(default_config(suite), **{field: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = cli.main(["run", suite, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        message = "%s: %d is greater than %d" % (field, value, 10**4)
+        assert "config error: config schema violation: %s" % message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversize_transform_exits_two_before_symbol_work(self, tmp_path, monkeypatch, capsys):
         def no_symbol_work(*args):
             raise AssertionError("symbol work started")
@@ -601,27 +636,38 @@ class TestCli:
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 
 
+# the grid suites under each pair of worker and BLAS thread counts; exact work
+# is pure Python, its only BLAS calls weyl-sdq's 4 x 2 slope fits, so the exact
+# suites run once per worker count with the BLAS threads alongside
+_EVERY_SETTING = [(w, b) for w in ("1", "2") for b in ("1", "2")]
+_WORKER_SETTINGS = [("1", "1"), ("2", "2")]
+
+
 class TestThreadCountDeterminism:
-    @pytest.mark.parametrize("suite", ["weyl-transform", "rieffel-morphisms"])
-    def test_outputs_do_not_depend_on_thread_counts(self, suite, tmp_path):
+    @pytest.mark.parametrize(
+        "suite, settings",
+        [pytest.param(s, _EVERY_SETTING, id=s) for s in ("weyl-transform", "rieffel-morphisms")]
+        + [pytest.param(s, _WORKER_SETTINGS, id=s)
+           for s in ("weyl-laws", "weyl-sdq", "equivalence-weyl")],
+    )
+    def test_outputs_do_not_depend_on_thread_counts(self, suite, settings, tmp_path):
         # one fresh process per setting: OpenBLAS reads its thread count at load
         src = str(Path(quantaequiv.__file__).resolve().parents[1])
         outputs = {}
-        for workers in ("1", "2"):
-            for blas in ("1", "2"):
-                env = dict(os.environ, QUANTAEQUIV_THREADS=workers, OPENBLAS_NUM_THREADS=blas)
-                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-                out = tmp_path / ("workers%s-blas%s" % (workers, blas))
-                proc = subprocess.run(
-                    [sys.executable, "-m", "quantaequiv.cli", "run", suite,
-                     "--format", "csv", "--out", str(out)],
-                    capture_output=True, text=True, env=env,
-                )
-                assert proc.returncode == 0, proc.stderr
-                outputs[workers, blas] = {
-                    path.name: _TIMESTAMP.sub(b"", path.read_bytes())
-                    for path in sorted(out.iterdir())
-                }
+        for workers, blas in settings:
+            env = dict(os.environ, QUANTAEQUIV_THREADS=workers, OPENBLAS_NUM_THREADS=blas)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / ("workers%s-blas%s" % (workers, blas))
+            proc = subprocess.run(
+                [sys.executable, "-m", "quantaequiv.cli", "run", suite,
+                 "--format", "csv", "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[workers, blas] = {
+                path.name: _TIMESTAMP.sub(b"", path.read_bytes())
+                for path in sorted(out.iterdir())
+            }
         reference = outputs["1", "1"]
         assert "%s.report.json" % suite in reference
         for setting, files in outputs.items():

@@ -212,3 +212,59 @@ def test_integer_forms_are_not_fields():
     t = LinearMapSpec(rl.matrix([["1/2", 1], [0, 2]]))
     assert t.matrix_ints == (((1, 2), (0, 4)), 2)
     assert "matrix_ints" not in repr(t)
+
+
+def _maps_by_every_route():
+    """Maps from Fractions, from other spellings, composed, and Darboux frames."""
+    from quantaequiv.sampling import darboux_frame, make_rng, random_space_pool
+
+    half = LinearMapSpec(rl.matrix([["1/2", 0], [0, 2]]))
+    double = LinearMapSpec(((2, 0), (0, Fraction(1, 2))))
+    maps = [
+        half,
+        double,
+        LinearMapSpec(((Fraction(2, 4), 0), (0, 2))),  # half, spelled otherwise
+        LinearMapSpec(rl.identity(2)),
+        LinearMapSpec(((1, 0), (0, 1))),
+        LinearMapSpec(rl.matrix([["1/3", "2/3"], [0, 3]])),
+        LinearMapSpec(rl.matrix([["1/2", 0], [0, "1/2"]])),  # the identity's rows over 2
+        LinearMapSpec(rl.identity(4)),
+        # products whose denominator the gcd reduces: 1/2 * 2 = 1
+        half.compose(double),
+        double.compose(half),
+        half.compose(half),
+    ]
+    for space in random_space_pool(make_rng(20260816, "tests", "map-equality"), 4):
+        basis, inverse = darboux_frame(space)
+        maps += [basis, inverse, basis.compose(inverse), inverse.compose(basis)]
+        maps.append(LinearMapSpec(basis.matrix))
+    return maps
+
+
+def test_map_equality_and_hash_are_fraction_matrix_equality():
+    maps = _maps_by_every_route()
+    for x in maps:
+        for y in maps:
+            same = x.matrix == y.matrix
+            assert (x == y) == same and (x != y) != same
+            if same:
+                assert hash(x) == hash(y)
+    # each route meets another: reduced products, respellings and frame round trips
+    assert maps[8] == maps[9] == maps[3] == maps[4] != maps[6]
+    assert maps[0] == maps[2] and maps[10] != maps[0]
+    assert sum(m == LinearMapSpec(rl.identity(4)) for m in maps) >= 3
+    assert LinearMapSpec(rl.identity(2)) != rl.identity(2)
+
+
+def test_map_matrix_and_repr_are_the_fraction_data():
+    for m in _maps_by_every_route():
+        rows, d = m.matrix_ints
+        assert m.matrix == tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+        assert all(type(e) is Fraction for row in m.matrix for e in row)
+        assert repr(m) == "LinearMapSpec(matrix=%r)" % (m.matrix,)
+        assert LinearMapSpec(m.matrix) == m
+        assert (m.dim_out, m.dim_in) == (len(m.matrix), len(m.matrix[0]))
+    t = LinearMapSpec(rl.matrix([["1/2", 1], [0, 2]]))
+    assert repr(t) == (
+        "LinearMapSpec(matrix=((Fraction(1, 2), Fraction(1, 1)), (Fraction(0, 1), Fraction(2, 1))))"
+    )

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from quantaequiv import rational_linalg as rl
 from quantaequiv.cyclotomic import phase_sum_is_zero
+from quantaequiv.harness import _laws_tuples, _normalized_generator_pairs
 from quantaequiv.sampling import (
     make_rng,
     random_coeff,
     random_element,
+    random_fraction,
     random_label,
     random_space_pool,
 )
@@ -686,3 +688,266 @@ def test_coeff_matches_fraction_keyed_reference(t1, t2, dp, dq, c, t):
     payload = _coeff_to_payload(a)
     assert payload == _coeff_to_payload(ra)
     assert _coeff_from_payload(payload) == a
+
+
+# --- Fraction-labelled reference for WeylElement and the sampler ---------------
+
+
+class ReferenceElement:
+    """WeylElement with its terms keyed by Fraction label tuples."""
+
+    def __init__(self, space, terms=(), hbar=None):
+        if isinstance(terms, dict):
+            terms = terms.items()
+        clean = {}
+        for label, coeff in terms:
+            label = space.vector(label)
+            if coeff:
+                acc = clean.get(label)
+                clean[label] = coeff if acc is None else acc + coeff
+                if not clean[label]:
+                    del clean[label]
+        self.space = space
+        self.hbar = None if hbar is None else Fraction(hbar)
+        self._terms = clean
+
+    def _rebuild(self, term_dict):
+        obj = ReferenceElement.__new__(ReferenceElement)
+        obj.space = self.space
+        obj.hbar = self.hbar
+        obj._terms = term_dict
+        return obj
+
+    def __add__(self, other):
+        merged = dict(self._terms)
+        for label, coeff in other._terms.items():
+            acc = merged.get(label)
+            total = coeff if acc is None else acc + coeff
+            if total:
+                merged[label] = total
+            else:
+                merged.pop(label, None)
+        return self._rebuild(merged)
+
+    def __neg__(self):
+        return self._rebuild({f: -c for f, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale_coeff(self, coeff):
+        out = {}
+        for label, c in self._terms.items():
+            total = c * coeff
+            if total:
+                out[label] = total
+        return self._rebuild(out)
+
+
+def reference_fraction_pair_sum(a, b, piece_of):
+    # labels scaled to ints over the lcm of all their denominators; the sums
+    # keyed by the int tuples, one Fraction label built per output label
+    w, dw = a.space.form_ints
+    d = math.lcm(*[x.denominator for f in (*a._terms, *b._terms) for x in f])
+    den = d * d * dw
+    right = []
+    for g, cg in b._terms.items():
+        gi = [x.numerator * (d // x.denominator) for x in g]
+        right.append((gi, cg, [sum(x * y for x, y in zip(row, gi)) for row in w]))
+    out = {}
+    for f, cf in a._terms.items():
+        fi = [x.numerator * (d // x.denominator) for x in f]
+        for gi, cg, wg in right:
+            piece = piece_of(cf, cg, sum(x * y for x, y in zip(fi, wg)), den)
+            if piece is None:
+                continue
+            key = tuple(x + y for x, y in zip(fi, gi))
+            acc = out.get(key)
+            total = piece if acc is None else acc + piece
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return a._rebuild({tuple(Fraction(x, d) for x in key): c for key, c in out.items()})
+
+
+def reference_element_multiply(a, b):
+    hn, hd = (1, 1) if a.hbar is None else (a.hbar.numerator, a.hbar.denominator)
+
+    def twisted(cf, cg, num, den):
+        n, d = -num * hn, 2 * den * hd
+        k = math.gcd(n, d)
+        return cf._times_phase(cg, n // k, d // k)
+
+    return reference_fraction_pair_sum(a, b, twisted)
+
+
+def reference_element_bracket(a, b):
+    def bracketed(cf, cg, num, den):
+        return (cf * cg).scale(Fraction(num, den)) if num else None
+
+    return reference_fraction_pair_sum(a, b, bracketed)
+
+
+def reference_element_involution(a):
+    return a._rebuild({tuple(-x for x in f): c.conjugate() for f, c in a._terms.items()})
+
+
+def reference_element_evaluate_at(a, h):
+    return ReferenceElement(a.space, {f: c.substitute(h) for f, c in a._terms.items()}, hbar=h)
+
+
+def reference_element_to_json(a):
+    doc = {
+        "schema_version": 1,
+        "space": {"dim": a.space.dim, "form": [[str(e) for e in row] for row in a.space.form]},
+        "hbar": None if a.hbar is None else str(a.hbar),
+        "terms": [
+            {"label": [str(e) for e in f], "coeff": _coeff_to_payload(a._terms[f])}
+            for f in sorted(a._terms)
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def as_reference(a):
+    return ReferenceElement(a.space, a.terms, hbar=a.hbar)
+
+
+def assert_matches_reference(got, ref):
+    # the same Fraction labels in the same order, the same coefficient terms in
+    # the same order, the same JSON, and the canonical denominator
+    assert isinstance(got, WeylElement)
+    assert (got.space, got.hbar) == (ref.space, ref.hbar)
+    assert list(got.terms) == list(ref._terms)
+    assert all(type(x) is Fraction for label in got.terms for x in label)
+    for (label, coeff), want in zip(got.terms.items(), ref._terms.values()):
+        assert list(coeff.terms.items()) == list(want.terms.items()), label
+    assert weyl_to_json(got) == reference_element_to_json(ref)
+    assert got._den == math.lcm(*[x.denominator for f in ref._terms for x in f])
+    assert got == WeylElement(ref.space, ref._terms, hbar=ref.hbar)
+
+
+def check_against_reference(a, b):
+    """Every element operation on a and b against the Fraction-labelled reference."""
+    ra, rb = as_reference(a), as_reference(b)
+    assert_matches_reference(a, ra)
+    assert_matches_reference(a + b, ra + rb)
+    assert_matches_reference(a - b, ra - rb)
+    assert_matches_reference(a - a, ra - ra)
+    assert_matches_reference(-a, -ra)
+    assert_matches_reference(multiply(a, b), reference_element_multiply(ra, rb))
+    assert_matches_reference(involution(a), reference_element_involution(ra))
+    for c in (CoeffExpr.gaussian(Fraction(1, 3), -2), CoeffExpr.phase(Fraction(2, 3), 1) - CoeffExpr.one(),
+              CoeffExpr.zero()):
+        assert_matches_reference(a.scale_coeff(c), ra.scale_coeff(c))
+    if a.hbar is None:
+        for h in (Fraction(0), Fraction(1, 3), Fraction(1)):
+            assert_matches_reference(evaluate_at(a, h), reference_element_evaluate_at(ra, h))
+    if a.hbar in (None, 0) and all(c.is_constant for c in (*a.terms.values(), *b.terms.values())):
+        assert_matches_reference(poisson_bracket(a, b), reference_element_bracket(ra, rb))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_element_operations_match_fraction_labelled_reference_on_law_pools(seed):
+    for a, b, c in _laws_tuples(seed, "assoc", 40, 3):
+        check_against_reference(a, b)
+        check_against_reference(multiply(a, b), c)
+        check_against_reference(evaluate_at(a, Fraction(1, 2)), evaluate_at(b, Fraction(1, 2)))
+    for raw in _laws_tuples(seed, "poisson", 40, 3, max_terms=2):
+        a, b, c = (evaluate_at(el, 0) for el in raw)
+        check_against_reference(a, b)
+        check_against_reference(poisson_bracket(a, b), c)
+        check_against_reference(multiply(a, b), poisson_bracket(b, c))
+
+
+def test_element_operations_match_reference_on_dyadic_scaled_labels():
+    # the weyl-sdq pairs: f scaled by powers of 2 until |sigma(f, g)| is in [1/2, 2]
+    for space, f, g, _ in _normalized_generator_pairs(20260816, 40):
+        for h in (None, Fraction(0), Fraction(1, 16)):
+            a, b = weyl_generator(space, f, h), weyl_generator(space, g, h)
+            check_against_reference(a, b)
+            check_against_reference(a + b, multiply(b, a))
+
+
+def test_element_operations_match_reference_on_large_denominators():
+    rng = make_rng(20260816, "tests", "label-denominators")
+    dens = (5, 7, 2**20, 5 * 7 * 2**20)
+    for space in (SP1, SP2):
+        def element():
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                label = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(space.dim)]
+                terms[space.vector(label)] = random_coeff(rng)
+            return WeylElement(space, terms)
+
+        for _ in range(8):
+            a, b = element(), element()
+            assert a._den > 1
+            check_against_reference(a, b)
+            check_against_reference(multiply(a, b), a - b)
+            a0, b0 = evaluate_at(a, 0), evaluate_at(b, 0)
+            check_against_reference(a0, b0)
+            check_against_reference(a0.scale_coeff(CoeffExpr.rational(3)), b0)
+
+
+def test_cancelled_label_leaves_the_canonical_denominator():
+    half, third = weyl_generator(SP1, ["1/2", 0]), weyl_generator(SP1, ["1/3", 0])
+    both = half + third
+    assert both._den == 6
+    back = both - third
+    assert back == half and back._den == half._den == 2
+    assert list(back.terms) == [SP1.vector(["1/2", 0])]
+    assert (third - third)._den == 1 and not (third - third)
+    # evaluation at 0 cancels e^{i t} - 1 on one label and lowers the denominator
+    vanishing = CoeffExpr.phase(0, 1) - CoeffExpr.one()
+    mixed = half + third.scale_coeff(vanishing)
+    assert mixed._den == 6 and evaluate_at(mixed, 0) == evaluate_at(half, 0)
+    assert evaluate_at(mixed, 0)._den == 2
+
+
+def reference_random_fraction(rng, max_abs, max_den, allow_zero=True):
+    # the sampler's draw written out on its own randint calls
+    while True:
+        value = Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_den))
+        if allow_zero or value != 0:
+            return value
+
+
+def reference_random_coeff(rng, max_terms=2, with_parameter=True):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        p = reference_random_fraction(rng, 2, 3)
+        q = reference_random_fraction(rng, 2, 3) if with_parameter else Fraction(0)
+        amp = reference_random_fraction(rng, 3, 3, allow_zero=False)
+        terms[(p, q)] = terms.get((p, q), Fraction(0)) + amp
+    return CoeffExpr(terms)
+
+
+def reference_random_element(rng, space, max_terms=3):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        label = space.vector([reference_random_fraction(rng, 2, 3) for _ in range(space.dim)])
+        coeff = reference_random_coeff(rng)
+        terms[label] = terms.get(label, CoeffExpr.zero()) + coeff
+    return WeylElement(space, terms)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20260816])
+def test_sampler_matches_fraction_reference_draw_for_draw(seed):
+    rng, ref = make_rng(seed, "tests", "sampler"), make_rng(seed, "tests", "sampler")
+    spaces = random_space_pool(rng, 6)
+    assert spaces == random_space_pool(ref, 6)
+    for i in range(300):
+        space = spaces[i % len(spaces)]
+        got = random_element(rng, space, max_terms=1 + i % 4)
+        want = reference_random_element(ref, space, max_terms=1 + i % 4)
+        assert_same_element(got, want)
+        assert got._den == want._den and weyl_to_json(got) == weyl_to_json(want)
+        flat = random_coeff(rng, max_terms=2, with_parameter=False)
+        assert_same_coeff(flat, reference_random_coeff(ref, 2, with_parameter=False))
+        assert random_label(rng, space) == space.vector(
+            [reference_random_fraction(ref, 2, 3) for _ in range(space.dim)]
+        )
+        assert random_fraction(rng, 1, 4, allow_zero=False) == reference_random_fraction(ref, 1, 4, False)
+        assert rng.getstate() == ref.getstate()
