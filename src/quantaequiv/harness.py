@@ -263,7 +263,9 @@ def _suite_weyl_sdq(config):
         for space, f, g, sigma in _normalized_generator_pairs(seed, count):
             # the entries reach the defects as they are: exact fibers stay Fractions
             tables = convergence_study(
-                lambda a, b, h: (von_neumann_defect(space, a, b, h), dirac_defect(space, a, b, h)),
+                lambda a, b, hs: [
+                    (von_neumann_defect(space, a, b, h), dirac_defect(space, a, b, h)) for h in hs
+                ],
                 f, g, schedule,
             )
             studies.append((float(sigma), tables))

@@ -19,17 +19,23 @@ accounted by an aliasing detector.
 Test functions must decay below a threshold at the domain boundary (the
 grid is a torus; the detector keeps wrap-around artifacts out of norms).
 
-The classical-limit defects take one f*g per (pair, hbar): star_defects
-reads the von Neumann and the Dirac defect from it, and for real operands
-the reversed product is g*f = conj(f*g), the involution rule
+A product runs in two stages.  The pair stage holds all that does not
+depend on hbar: the guards, the operand spectra, the mode boxes and where
+the result lands.  The twist stage makes the product at one hbar from it.
+The classical-limit defects take the whole schedule: star_defects builds
+the pair stage of f*g once, then one twist stage per hbar, and reads the
+von Neumann and the Dirac defect from each product; for real operands the
+reversed product is g*f = conj(f*g), the involution rule
 (f*g)^* = g^* * f^*, so convergence_study fits both slopes from one pass
-over the schedule.
+over the schedule.  Bad input is refused before any twisted FFT.
 
 The quadrature oracle, the independent reference for the grid product,
 takes each operand as its pair of per-axis factors (f_q, f_p): the
 separability it needs is stated by the caller, not recovered from samples.
+It builds its kernel in row blocks, so its largest temporary is one block.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +49,7 @@ _ALIAS_TOLERANCE = 1e-9  # largest aliased share of the pair mass in a product
 _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
+_ORACLE_ROWS = 256  # kernel rows per block of the quadrature oracle (8 MiB)
 # Blocks bound the temporaries of the grid kernels: complex entries per
 # q-FFT array in moyal_product (8 MiB each, two live per block) and 64
 # bytes per grid-by-mode entry in pullback (64 MiB).  The momentum block
@@ -251,31 +258,43 @@ def _twist(momenta, lo, size, scale):
     return np.exp(1j * scale * np.outer(momenta, np.arange(lo, lo + size)))
 
 
-def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
-    """Deformed product as q-convolutions, one per pair of momentum frequencies.
+@dataclass(frozen=True, eq=False)
+class _Pair:
+    """What f*g needs at any hbar: the pair stage of moyal_product.
 
-    sigma(k, l) = k_q l_p - k_p l_q, so for fixed (k_p, l_p) the twist
-    e^{-ic sigma}, c = hbar dk^2 / 2, is e^{-ic k_q l_p} e^{+ic k_p l_q}, one
-    factor per operand: the pairs sum to one zero-padded FFT convolution
-    along q of two twisted columns of the significant-mode boxes, and the
-    terms sharing m_p = k_p + l_p add up before one inverse FFT.  A pair
-    weighs |F_k||G_l| whatever hbar, so the aliased share (pairs leaving the
+    frows and grows are the operands' significant-mode boxes as (momentum
+    row, q) arrays, from the low corners flo and glo; q_entries is the
+    q-FFT length, and the result frequencies in `keep` land at `index` of
+    the output.  frows is None when an operand has no significant mode.
+    """
+
+    grid: Grid2n
+    frows: np.ndarray = None
+    grows: np.ndarray = None
+    flo: np.ndarray = None
+    glo: np.ndarray = None
+    q_entries: int = 0
+    keep: tuple = None
+    index: tuple = None
+
+
+def _pair_stage(f, g, boundary_threshold):
+    """Everything of f*g that does not depend on hbar, every guard included.
+
+    The support guards, the operand spectra and their significant modes,
+    the mode boxes, the work guard and the alias guard: a pair weighs
+    |F_k||G_l| whatever hbar, so the aliased share (pairs leaving the
     Nyquist box) is the out-of-box part of |F| * |G|.  Work above _MAX_WORK
     (momentum pairs x q-FFT entries) is refused before any box is built.
-    The k_p rows go in blocks of about _MOMENTUM_BLOCK entries and enter the
-    m_p sums in row order, so the block never changes the result.
     """
     _require_same_grid(f, g)
-    if not (hbar >= 0):
-        raise GridError("the deformation parameter must be nonnegative")
     _require_interior_support(f, boundary_threshold)
     _require_interior_support(g, boundary_threshold)
     grid, p = f.grid, f.grid.points_per_axis
     fvec, fval = _significant(_modes(f))
     gvec, gval = _significant(_modes(g))
-    out = np.zeros(grid.shape, dtype=np.complex128)
     if len(fval) == 0 or len(gval) == 0:
-        return GridFunction(grid, out)
+        return _Pair(grid)
     # boxes are indexed (q, p): entry 0 of each vector is q, entry 1 is p
     flo, glo = fvec.min(axis=0), gvec.min(axis=0)
     fsize, gsize = fvec.max(axis=0) - flo + 1, gvec.max(axis=0) - glo + 1
@@ -300,47 +319,80 @@ def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
             "aliased mass ratio %.3e exceeds %.1e; refine the grid or widen the domain"
             % (aliased, _ALIAS_TOLERANCE)
         )
+    index = np.ix_(*[np.arange(a + k.start, a + k.stop) % p for a, k in zip(lo, keep)])
+    return _Pair(grid, fbox.T, gbox.T, flo, glo, q_entries, keep, index)
 
-    # operands as (momentum row, q), each with its own twist factor
-    frows, grows = fbox.T, gbox.T
+
+def _twist_stage(pair, hbar):
+    """f*g at one hbar from its pair stage: twist factors, q-FFTs, inverse transform.
+
+    The k_p rows go in blocks of about _MOMENTUM_BLOCK entries and enter the
+    m_p sums in row order, so the block never changes the result.
+    """
+    grid = pair.grid
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    if pair.frows is None:
+        return GridFunction(grid, out)
+    (fmomenta, fq), (gmomenta, gq) = pair.frows.shape, pair.grows.shape
+    flo, glo, q_entries = pair.flo, pair.glo, pair.q_entries
     scale = 0.5 * hbar * grid.mode_step**2
-    ftwist = _twist(glo[1] + np.arange(gmomenta), flo[0], fsize[0], -scale)
-    gtwist = _twist(flo[1] + np.arange(fmomenta), glo[0], gsize[0], scale)
-    acc = np.zeros((span[1], q_entries), dtype=np.complex128)
+    ftwist = _twist(glo[1] + np.arange(gmomenta), flo[0], fq, -scale)
+    gtwist = _twist(flo[1] + np.arange(fmomenta), glo[0], gq, scale)
+    acc = np.zeros((fmomenta + gmomenta - 1, q_entries), dtype=np.complex128)
     rows = max(1, _MOMENTUM_BLOCK // (gmomenta * q_entries))
     for start in range(0, fmomenta, rows):
         block = slice(start, start + rows)
-        terms = np.fft.fft(frows[block, None] * ftwist, q_entries)
-        terms *= np.fft.fft(grows * gtwist[block, None], q_entries)
+        terms = np.fft.fft(pair.frows[block, None] * ftwist, q_entries)
+        terms *= np.fft.fft(pair.grows * gtwist[block, None], q_entries)
         for corner, row in enumerate(terms, start):
             acc[corner : corner + gmomenta] += row
-    acc = np.fft.ifft(acc)[:, : span[0]]
-    index = np.ix_(*[np.arange(a + k.start, a + k.stop) % p for a, k in zip(lo, keep)])
-    out[index] = acc.T[keep]
+    acc = np.fft.ifft(acc)[:, : fq + gq - 1]
+    out[pair.index] = acc.T[pair.keep]
     return GridFunction(grid, _from_modes(grid, out))
 
 
-def star_defects(f, g, hbar):
-    """Von Neumann and Dirac defects, both read from one f*g.
+def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
+    """Deformed product as q-convolutions, one per pair of momentum frequencies.
 
-    The von Neumann defect is sup |f*g - fg|, the Dirac defect
-    sup |(f*g - g*f)/(i hbar) - {f, g}|.  The product respects the
-    involution, (f*g)^* = g^* * f^*, so when the samples of both operands
-    are real g*f is conj(f*g) and only one product is made; complex
-    operands get their own g*f.  Either way both products pass the same
-    support and alias guards: they see the same operands and the same pair
-    mass.
+    sigma(k, l) = k_q l_p - k_p l_q, so for fixed (k_p, l_p) the twist
+    e^{-ic sigma}, c = hbar dk^2 / 2, is e^{-ic k_q l_p} e^{+ic k_p l_q}, one
+    factor per operand: the pairs sum to one zero-padded FFT convolution
+    along q of two twisted columns of the significant-mode boxes, and the
+    terms sharing m_p = k_p + l_p add up before one inverse FFT.  The pair
+    stage (_pair_stage: guards, spectra, boxes) does not depend on hbar; the
+    twist stage (_twist_stage) does the rest.
     """
-    if not (hbar > 0):
-        raise GridError("the commutator comparison needs a positive parameter")
-    forward = moyal_product(f, g, hbar)
+    if not (hbar >= 0):
+        raise GridError("the deformation parameter must be nonnegative")
+    return _twist_stage(_pair_stage(f, g, boundary_threshold), hbar)
+
+
+def star_defects(f, g, schedule):
+    """Von Neumann and Dirac defects at each schedule entry, from one f*g each.
+
+    Returns one (von Neumann, Dirac) pair per entry: sup |f*g - fg| and
+    sup |(f*g - g*f)/(i hbar) - {f, g}|.  Everything that does not depend on
+    hbar is made once for the schedule: the pair stage of f*g, fg and
+    {f, g}.  The product respects the involution, (f*g)^* = g^* * f^*, so
+    when the samples of both operands are real g*f is conj(f*g); complex
+    operands get a pair stage of their own for g*f.  Every refusal (an
+    entry that is not positive, a support, work or alias guard) comes
+    before any twisted FFT; then the products are made one entry at a time.
+    """
+    if not all(hbar > 0 for hbar in schedule):
+        raise GridError("the commutator comparison needs positive parameters")
+    forward = _pair_stage(f, g, _BOUNDARY_THRESHOLD)
+    backward = None
     if f.samples.imag.any() or g.samples.imag.any():
-        backward = moyal_product(g, f, hbar)
-    else:
-        backward = forward.conjugate()
-    von_neumann = (forward - f * g).sup_norm()
-    commutator_scaled = (forward - backward) * (1.0 / (1j * hbar))
-    return von_neumann, (commutator_scaled - poisson_bracket_grid(f, g)).sup_norm()
+        backward = _pair_stage(g, f, _BOUNDARY_THRESHOLD)
+    pointwise, bracket = f * g, poisson_bracket_grid(f, g)
+    defects = []
+    for hbar in schedule:
+        product = _twist_stage(forward, hbar)
+        reverse = product.conjugate() if backward is None else _twist_stage(backward, hbar)
+        commutator_scaled = (product - reverse) * (1.0 / (1j * hbar))
+        defects.append(((product - pointwise).sup_norm(), (commutator_scaled - bracket).sup_norm()))
+    return defects
 
 
 # --- affine symplectic morphisms ---------------------------------------------
@@ -516,13 +568,25 @@ def _eigenvalue_symbols(lam, s, symbol):
 
 
 @lru_cache(maxsize=32)
-def _jacobi_eigenpairs(n_trunc):
-    """Read-only eigenvalues and eigenvectors of the Jacobi matrix J."""
+def _cached_eigenpairs(n_trunc):
     off = np.sqrt(np.arange(1.0, n_trunc))
     lam, w = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     lam.flags.writeable = False
     w.flags.writeable = False
     return lam, w
+
+
+_EIGENPAIRS_LOCK = threading.Lock()
+
+
+def _jacobi_eigenpairs(n_trunc):
+    """Read-only eigenvalues and eigenvectors of the Jacobi matrix J.
+
+    lru_cache computes a miss outside its lock, so two pool workers could
+    both decompose one truncation; the module lock makes it once a process.
+    """
+    with _EIGENPAIRS_LOCK:
+        return _cached_eigenpairs(n_trunc)
 
 
 def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
@@ -631,8 +695,10 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
     two double integrals over (u1,v2) and (u2,v1); each is done on a uniform
     midpoint grid of _ORACLE_NODES points per axis over
     [-_ORACLE_RADIUS, _ORACLE_RADIUS], and each factor is sampled once per
-    point, on the nodes z + u.  Independent of every grid code path; slow
-    on purpose.
+    point, on the nodes z + u.  The kernel e^{(2i/hbar) u u'} is built in
+    blocks of _ORACLE_ROWS rows, and every point is contracted against each
+    block by matrix-vector products, whose bits do not depend on the BLAS
+    thread count.  Independent of every grid code path; slow on purpose.
     """
     if not (hbar > 0):
         raise GridError("the deformation parameter must be positive")
@@ -640,21 +706,30 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
     step = 2.0 * _ORACLE_RADIUS / _ORACLE_NODES
     u = -_ORACLE_RADIUS + step * (np.arange(_ORACLE_NODES) + 0.5)
     wu = np.full(_ORACLE_NODES, step)
-    kernel = np.exp((2j / hbar) * np.outer(u, u))
-    rows = []
-    for z in np.atleast_2d(np.asarray(points, dtype=float)):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    operands = []
+    for z in points:
         samples = []
         for factor, origin in ((f_q, z[0]), (f_p, z[1]), (g_q, z[0]), (g_p, z[1])):
             values = np.asarray(factor(origin + u))
             if values.shape != u.shape or not np.all(np.isfinite(values)):
                 raise GridError("oracle factors must give finite samples, one per node")
-            samples.append(values)
+            samples.append(wu * values)
         fa, fb, ga, gb = samples
-        ia = (wu * fa) @ kernel @ (wu * gb)
-        # x @ conj(K) @ y, exactly, with no conjugate copy of the kernel
-        ib = np.conj(np.conj(wu * fb) @ kernel @ np.conj(wu * ga))
-        rows.append(ia * ib / (np.pi * hbar) ** 2)
-    return np.array(rows)
+        # x @ conj(K) @ y is conj(conj(x) @ K @ conj(y)): no conjugate kernel
+        operands.append(((fa, gb), (np.conj(fb), np.conj(ga))))
+    sums = np.zeros((len(points), 2), dtype=np.complex128)
+    for start in range(0, _ORACLE_NODES, _ORACLE_ROWS):
+        rows = slice(start, start + _ORACLE_ROWS)
+        # e^{i phase} as cosine and sine: no complex argument, no complex exp
+        phase = (2.0 / hbar) * np.outer(u[rows], u)
+        kernel = np.empty(phase.shape, dtype=np.complex128)
+        np.cos(phase, out=kernel.real)
+        np.sin(phase, out=kernel.imag)
+        for i, pairs in enumerate(operands):
+            for j, (x, y) in enumerate(pairs):
+                sums[i, j] += (x[rows] @ kernel) @ y
+    return np.array([ia * np.conj(ib) / (np.pi * hbar) ** 2 for ia, ib in sums])
 
 
 def gaussian_star_closed_form(decay_a, decay_b, hbar):
@@ -684,19 +759,19 @@ def loglog_fit(hs, ds):
 def convergence_study(defect_fn, f, g, schedule):
     """Defect tables along a decreasing schedule with log-log slope fits.
 
-    defect_fn(f, g, h) gets each schedule entry h as it is (an exact
-    Fraction stays a Fraction) and returns a sequence of defects.  One pass
-    over the schedule gives one table per entry of that sequence, in its
-    order: rows of (float(h), defect), the slope and rms residual of the
-    log-log fit, and `saturated`, set (with no fit) when a defect falls
-    below the saturation floor.
+    Once the schedule is checked, defect_fn(f, g, schedule) gets it as it
+    is (an exact Fraction stays a Fraction) and returns the defects per
+    entry: one sequence each, all of one length.  Each position of those
+    sequences gives one table, in their order: rows of (float(h), defect),
+    the slope and rms residual of the log-log fit, and `saturated`, set
+    (with no fit) when a defect falls below the saturation floor.
     """
     hs = [float(h) for h in schedule]
     if len(hs) < 4:
         raise GridError("schedule needs at least 4 points")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise GridError("schedule must be strictly decreasing")
-    defects = [[float(d) for d in defect_fn(f, g, h)] for h in schedule]
+    defects = [[float(d) for d in row] for row in defect_fn(f, g, schedule)]
     return [_slope_table(list(zip(hs, column))) for column in zip(*defects)]
 
 

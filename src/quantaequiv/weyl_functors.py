@@ -96,7 +96,10 @@ def identity_morphism(obj):
     n = obj.space.dim
     return WeylMorphismSpec(
         chi=CharacterSpec(tuple(Fraction(0) for _ in range(n))),
-        linear=LinearMapSpec(rl.identity(n)),
+        # the canonical integer form of the identity: no Fraction matrix is built
+        linear=LinearMapSpec._from_ints(
+            (tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+        ),
         dom=obj,
         cod=obj,
     )

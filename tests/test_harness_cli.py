@@ -283,18 +283,24 @@ class TestRunSuite:
         assert serial["checks"] == rsdq_report["checks"]
 
     def test_rieffel_sdq_makes_one_product_per_pair_and_hbar(self, rsdq_report, monkeypatch):
-        # closed form 1, oracle 1, and one f*g per pair and hbar: 3 x 4
-        calls = []
-        product = rieffel.moyal_product
+        # closed form 1, oracle 1, and one f*g per pair and hbar: 3 x 4 twist
+        # stages; each pair's schedule shares one pair stage: 1 + 1 + 3
+        pairs, twists = [], []
+        pair_stage, twist_stage = rieffel._pair_stage, rieffel._twist_stage
 
-        def counted_product(*args, **kwargs):
-            calls.append(args[2])
-            return product(*args, **kwargs)
+        def counted_pair(*args):
+            pairs.append(args[:2])
+            return pair_stage(*args)
 
-        monkeypatch.setattr(rieffel, "moyal_product", counted_product)
-        monkeypatch.setattr(harness, "moyal_product", counted_product)
+        def counted_twist(pair, hbar):
+            twists.append(hbar)
+            return twist_stage(pair, hbar)
+
+        monkeypatch.setattr(rieffel, "_pair_stage", counted_pair)
+        monkeypatch.setattr(rieffel, "_twist_stage", counted_twist)
         report = run_suite(default_config("rieffel-sdq"))
-        assert len(calls) == 14
+        assert len(twists) == 14
+        assert len(pairs) == 5
         assert report["checks"] == rsdq_report["checks"]
 
     def test_saturated_weyl_sdq_study_is_saturated(self, monkeypatch):
@@ -646,7 +652,8 @@ _WORKER_SETTINGS = [("1", "1"), ("2", "2")]
 class TestThreadCountDeterminism:
     @pytest.mark.parametrize(
         "suite, settings",
-        [pytest.param(s, _EVERY_SETTING, id=s) for s in ("weyl-transform", "rieffel-morphisms")]
+        [pytest.param(s, _EVERY_SETTING, id=s)
+         for s in ("weyl-transform", "rieffel-morphisms", "rieffel-sdq")]
         + [pytest.param(s, _WORKER_SETTINGS, id=s)
            for s in ("weyl-laws", "weyl-sdq", "equivalence-weyl")],
     )

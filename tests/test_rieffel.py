@@ -122,6 +122,28 @@ def dirac_defect_grid(f, g, hbar):
     return (commutator_scaled - poisson_bracket_grid(f, g)).sup_norm()
 
 
+def count_stages(patch):
+    """Record the operands of each pair stage and the hbar of each twist stage."""
+    pairs, twists = [], []
+    pair_stage, twist_stage = rieffel._pair_stage, rieffel._twist_stage
+
+    def counted_pair(f, g, *args):
+        pairs.append((f, g))
+        return pair_stage(f, g, *args)
+
+    def counted_twist(pair, hbar):
+        twists.append(hbar)
+        return twist_stage(pair, hbar)
+
+    patch.setattr(rieffel, "_pair_stage", counted_pair)
+    patch.setattr(rieffel, "_twist_stage", counted_twist)
+    return pairs, twists
+
+
+def no_twist(*args):
+    raise AssertionError("a twisted FFT ran")
+
+
 def lie_derivative(f, direction):
     """Directional derivative along the translation flow, spectrally."""
     dq, dp = (float(c) for c in direction)
@@ -369,8 +391,9 @@ class TestMoyalProduct:
             assert abs(value - offset_product.samples[i, j]) <= 1e-12
 
     def test_oracle_matches_the_conjugate_kernel_form(self):
-        # the oracle conjugates its operands instead of copying the kernel;
-        # sign flips are exact, so it equals x @ kernel.conj() @ y bit for bit
+        # the oracle conjugates its operands instead of copying the kernel and
+        # sums over row blocks of it: the whole-kernel x @ kernel.conj() @ y
+        # is its reference, equal up to the summation order
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
         (f_q, f_p), (g_q, g_p) = gaussian_factors(c1, a), gaussian_factors(c2, b)
         z = (0.3, -0.2)
@@ -383,7 +406,20 @@ class TestMoyalProduct:
         fa, fb, ga, gb = f_q(z[0] + u), f_p(z[1] + u), g_q(z[0] + u), g_p(z[1] + u)
         ia = (wu * fa) @ kernel @ (wu * gb)
         ib = (wu * fb) @ kernel.conj() @ (wu * ga)
-        assert got == ia * ib / (np.pi * HBAR) ** 2
+        ref = ia * ib / (np.pi * HBAR) ** 2
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_oracle_temporaries_stay_bounded(self):
+        # a call the size of rsdq-02's: five points; kernel rows in 8 MiB blocks
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
+        points = [(0.1 * k, -0.05 * k) for k in range(5)]
+        tracemalloc.start()
+        try:
+            moyal_quadrature_oracle(gaussian_factors(c1, a), gaussian_factors(c2, b), HBAR, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_oracle_samples_each_factor_once_per_point_on_the_nodes(self):
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
@@ -581,7 +617,7 @@ class TestBlocksAndLimits:
 class TestDefectsAndConvergence:
     def test_frozen_defect_anchors(self, offset_pair):
         f, g = offset_pair
-        von_neumann, dirac = star_defects(f, g, 0.4)
+        ((von_neumann, dirac),) = star_defects(f, g, [0.4])
         assert von_neumann == pytest.approx(0.05704109168640791, rel=1e-6)
         assert dirac == pytest.approx(0.010145434930611485, rel=1e-6)
 
@@ -590,46 +626,35 @@ class TestDefectsAndConvergence:
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[index]
         f = GridFunction.gaussian(grid, c1, a)
         g = GridFunction.gaussian(grid, c2, b)
-        products = []
-        product = rieffel.moyal_product
-
-        def counted_product(*args):
-            products.append(args[2])
-            return product(*args)
-
+        with monkeypatch.context() as patch:
+            pairs, twists = count_stages(patch)
+            got = star_defects(f, g, SCHEDULE)
+        # real operands: one pair stage for the schedule, g*f = conj(f*g)
+        assert pairs == [(f, g)]
+        assert twists == list(SCHEDULE)
         # the defect is a difference of terms of the size of {f, g}: the two
         # routes agree to round-off on that scale (up to 1.7e-12 of the defect
         # itself, pair 1 at hbar = 0.05)
         scale = poisson_bracket_grid(f, g).sup_norm()
-        for hbar in SCHEDULE:
-            ref_dirac = dirac_defect_grid(f, g, hbar)
-            ref_von_neumann = von_neumann_defect_grid(f, g, hbar)
-            with monkeypatch.context() as patch:
-                patch.setattr(rieffel, "moyal_product", counted_product)
-                von_neumann, dirac = star_defects(f, g, hbar)
-            assert von_neumann == ref_von_neumann
-            assert abs(dirac - ref_dirac) <= 1e-12 * scale
-        assert products == list(SCHEDULE)  # real operands: g*f = conj(f*g)
+        for hbar, (von_neumann, dirac) in zip(SCHEDULE, got):
+            assert von_neumann == von_neumann_defect_grid(f, g, hbar)
+            assert abs(dirac - dirac_defect_grid(f, g, hbar)) <= 1e-12 * scale
 
     def test_complex_operand_takes_two_products(self, grid, monkeypatch):
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
         wave = GridFunction.from_callable(grid, lambda x, p: np.exp(1j * x))
         f = GridFunction.gaussian(grid, c1, a) * wave
         g = GridFunction.gaussian(grid, c2, b)
-        products = []
-        product = rieffel.moyal_product
-
-        def counted_product(*args):
-            products.append(args[:2])
-            return product(*args)
-
+        schedule = (HBAR, HBAR / 2)
         for left, right in ((f, g), (g, f)):
-            ref = (von_neumann_defect_grid(left, right, HBAR), dirac_defect_grid(left, right, HBAR))
+            refs = [(von_neumann_defect_grid(left, right, h), dirac_defect_grid(left, right, h))
+                    for h in schedule]
             with monkeypatch.context() as patch:
-                patch.setattr(rieffel, "moyal_product", counted_product)
-                got = star_defects(left, right, HBAR)
-            assert got == ref
-        assert products == [(f, g), (g, f), (g, f), (f, g)]
+                pairs, twists = count_stages(patch)
+                got = star_defects(left, right, schedule)
+            assert got == refs
+            assert pairs == [(left, right), (right, left)]
+            assert twists == [HBAR, HBAR, HBAR / 2, HBAR / 2]
 
     def test_von_neumann_study_slope_near_one(self, offset_pair):
         f, g = offset_pair
@@ -649,7 +674,9 @@ class TestDefectsAndConvergence:
         f, g = offset_pair
         both = convergence_study(star_defects, f, g, SCHEDULE)
         for k, defect_fn in enumerate((von_neumann_defect_grid, dirac_defect_grid)):
-            (alone,) = convergence_study(lambda *a: (defect_fn(*a),), f, g, SCHEDULE)
+            (alone,) = convergence_study(
+                lambda a, b, hs: [(defect_fn(a, b, h),) for h in hs], f, g, SCHEDULE
+            )
             assert [h for h, _ in both[k]["rows"]] == list(SCHEDULE)
             assert both[k]["slope"] == pytest.approx(alone["slope"], rel=1e-10)
 
@@ -677,9 +704,9 @@ class TestDefectsAndConvergence:
         schedule = (Fraction(1, 2), 0.25, Fraction(1, 8), Fraction(1, 16))
         seen = []
 
-        def defects(f, g, h):
-            seen.append(h)
-            return (h, h * h)
+        def defects(f, g, hs):
+            seen.extend(hs)
+            return [(h, h * h) for h in hs]
 
         first, second = convergence_study(defects, None, None, schedule)
         assert [type(h) for h in seen] == [Fraction, float, Fraction, Fraction]
@@ -689,12 +716,20 @@ class TestDefectsAndConvergence:
             assert all(type(h) is float and type(d) is float for h, d in study["rows"])
             assert study["slope"] == pytest.approx(slope, abs=1e-12)
 
-    def test_dirac_defect_rejects_zero_parameter(self, offset_pair):
+    @pytest.mark.parametrize("last", [0.0, -0.05, float("nan")])
+    def test_schedule_entry_not_positive_is_refused_before_any_product(
+        self, offset_pair, last, monkeypatch
+    ):
         f, g = offset_pair
-        with pytest.raises(GridError):
-            star_defects(f, g, 0.0)
+        monkeypatch.setattr(rieffel, "_twist_stage", no_twist)
+        with pytest.raises(GridError, match="positive"):
+            star_defects(f, g, (0.4, 0.2, 0.1, last))
+        with pytest.raises(GridError, match="positive"):
+            convergence_study(star_defects, f, g, (0.4, 0.2, 0.1, last))
 
-    def test_guards_stay_loud_on_both_paths(self, grid):
+    def test_guards_stay_loud_on_both_paths(self, grid, monkeypatch):
+        # every guard fires in a pair stage, before any twisted FFT
+        monkeypatch.setattr(rieffel, "_twist_stage", no_twist)
         wide = GridFunction.gaussian(grid, (8.0, 0.0), 0.5)
         g = GridFunction.gaussian(grid, (0.0, 0.0), 1.0)
         carrier = GridFunction.from_callable(grid, lambda x, p: np.cos(32.0 * x))
@@ -702,10 +737,10 @@ class TestDefectsAndConvergence:
         twisted = fast * GridFunction.from_callable(grid, lambda x, p: np.exp(1j * p))
         for left, right in ((wide, g), (g, wide), (wide, g * (1 + 1j))):
             with pytest.raises(SupportError):
-                star_defects(left, right, HBAR)
+                star_defects(left, right, SCHEDULE)
         for left, right in ((fast, fast), (twisted, fast)):
             with pytest.raises(AliasError):
-                star_defects(left, right, HBAR)
+                star_defects(left, right, SCHEDULE)
 
 
 class TestAffineSymplecticMap:

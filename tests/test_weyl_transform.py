@@ -14,6 +14,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import quantaequiv
 from quantaequiv import rieffel
+from quantaequiv.harness import default_config, run_suite
 from quantaequiv.rieffel import (
     Grid2n,
     GridError,
@@ -270,6 +271,23 @@ class TestClassSymbolsAndEigenpairs:
             lam[0] = 0.0
         with pytest.raises(ValueError):
             w[0, 0] = 0.0
+
+    def test_each_truncation_is_decomposed_once_under_two_workers(self, monkeypatch):
+        # the pool's two workers ask for the same truncations at once
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        rieffel._cached_eigenpairs.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setenv("QUANTAEQUIV_THREADS", "2")
+        config = default_config("weyl-transform")
+        report = run_suite(config)
+        assert report["summary"]["failed"] == 0
+        assert sorted(sizes) == sorted(set(config["truncations"]))
 
     def test_window_transform_temporaries_stay_bounded(self, window):
         tracemalloc.start()
