@@ -5,10 +5,16 @@ payloads, and (optionally) a payload validator.  Arrow equality is payload
 equality, so instances are expected to keep payloads in canonical form.
 Checks return lists of report entries {law, sample_id, status, witness};
 an empty violation list is a pass.  All scans are deterministic: arrows
-are taken in the order given, objects in sorted repr order.
+are taken in the order given, objects in sorted repr order.  Composable
+pairs (a2, a1), a1.cod == a2.dom, come from one scan with a2 in the outer
+loop and a1 in the inner loop; the laws take the first max_pairs of them,
+and associativity the first max_pairs triples (a3, a2, a1) that extend
+those pairs, a1 again in the inner loop.
 """
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 
 class CategoryError(ValueError):
@@ -125,6 +131,14 @@ def _sample_objects(arrows):
     return [seen[k] for k in sorted(seen)]
 
 
+def _composable(outer, inner, arrow=lambda x: x):
+    """The pairs (x2, x1) of outer and inner items with arrow(x1).cod == arrow(x2).dom."""
+    for x2 in outer:
+        for x1 in inner:
+            if arrow(x1).cod == arrow(x2).dom:
+                yield x2, x1
+
+
 def check_category_laws(cat, arrows, max_pairs=400):
     """Identity and associativity over the sampled arrow pool.
 
@@ -151,35 +165,19 @@ def check_category_laws(cat, arrows, max_pairs=400):
                 "arrow record fails the category validator",
             )
         )
-    pairs = []
-    for a2 in arrows:
-        for a1 in arrows:
-            if a1.cod == a2.dom:
-                pairs.append((a2, a1))
-                if len(pairs) >= max_pairs:
-                    break
-        if len(pairs) >= max_pairs:
-            break
-    triples = 0
-    for a3, a2 in pairs:
-        if triples >= max_pairs:
-            break
-        for a1 in arrows:
-            if a1.cod != a2.dom:
-                continue
-            lhs = cat.compose(cat.compose(a3, a2), a1)
-            rhs = cat.compose(a3, cat.compose(a2, a1))
-            report.append(
-                _entry(
-                    "associativity",
-                    "%s*%s*%s" % (a3.arrow_id, a2.arrow_id, a1.arrow_id),
-                    lhs.payload == rhs.payload,
-                    "associativity mismatch",
-                )
+    pairs = islice(_composable(arrows, arrows), max_pairs)
+    triples = ((a3, a2, a1) for a3, a2 in pairs for _, a1 in _composable([a2], arrows))
+    for a3, a2, a1 in islice(triples, max_pairs):
+        lhs = cat.compose(cat.compose(a3, a2), a1)
+        rhs = cat.compose(a3, cat.compose(a2, a1))
+        report.append(
+            _entry(
+                "associativity",
+                "%s*%s*%s" % (a3.arrow_id, a2.arrow_id, a1.arrow_id),
+                lhs.payload == rhs.payload,
+                "associativity mismatch",
             )
-            triples += 1
-            if triples >= max_pairs:
-                break
+        )
     return report
 
 
@@ -198,8 +196,8 @@ def check_functor_laws(functor, arrows, max_pairs=400):
                 "F(id) differs from id",
             )
         )
-    images = [functor.apply(a) for a in arrows]
-    for a, image in zip(arrows, images):
+    mapped = [(a, functor.apply(a)) for a in arrows]
+    for a, image in mapped:
         report.append(
             _entry(
                 "functor-endpoints",
@@ -210,26 +208,18 @@ def check_functor_laws(functor, arrows, max_pairs=400):
                 "image endpoints disagree with the object map",
             )
         )
-    count = 0
-    for a2, image2 in zip(arrows, images):
-        if count >= max_pairs:
-            break
-        for a1, image1 in zip(arrows, images):
-            if a1.cod != a2.dom:
-                continue
-            lhs = functor.apply(src.compose(a2, a1))
-            rhs = dst.compose(image2, image1)
-            report.append(
-                _entry(
-                    "functor-composition",
-                    "%s*%s" % (a2.arrow_id, a1.arrow_id),
-                    lhs.payload == rhs.payload,
-                    "F(g.f) differs from F(g).F(f)",
-                )
+    pairs = _composable(mapped, mapped, itemgetter(0))
+    for (a2, image2), (a1, image1) in islice(pairs, max_pairs):
+        lhs = functor.apply(src.compose(a2, a1))
+        rhs = dst.compose(image2, image1)
+        report.append(
+            _entry(
+                "functor-composition",
+                "%s*%s" % (a2.arrow_id, a1.arrow_id),
+                lhs.payload == rhs.payload,
+                "F(g.f) differs from F(g).F(f)",
             )
-            count += 1
-            if count >= max_pairs:
-                break
+        )
     return report
 
 

@@ -66,7 +66,7 @@ def phase_sum_is_zero(terms):
     ``terms`` maps rational exponents s (any representatives) to rational
     amplitudes.  Returns True iff the complex value is exactly zero.
     """
-    # merge exponents mod 2 first
+    # merge exponents mod 2 first; weyl_algebra.merge_terms sits above this module
     merged = {}
     for s, amp in terms.items():
         s = Fraction(s) % 2

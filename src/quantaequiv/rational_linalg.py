@@ -190,7 +190,7 @@ def inverse(m):
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse needs a square matrix")
-    aug = [list(m[i]) + list(identity(n)[i]) for i in range(n)]
+    aug = [list(row) + list(unit) for row, unit in zip(m, identity(n))]
     rows, pivots = _eliminate(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -468,6 +468,11 @@ def pullback(f, phi, boundary_threshold=_BOUNDARY_THRESHOLD):
     return out
 
 
+def _relative(gap, scale):
+    # gap / scale, or the absolute gap when scale is 0
+    return gap if scale == 0.0 else gap / scale
+
+
 def morphism_star_defect(phi, f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
     """Relative sup defect of pullback against the deformed product.
 
@@ -485,10 +490,7 @@ def morphism_star_defect(phi, f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD
         hbar,
         boundary_threshold,
     )
-    scale = star_then_pull.sup_norm()
-    if scale == 0.0:
-        return (pull_then_star - star_then_pull).sup_norm()
-    return (pull_then_star - star_then_pull).sup_norm() / scale
+    return _relative((pull_then_star - star_then_pull).sup_norm(), star_then_pull.sup_norm())
 
 
 def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOLD):
@@ -496,10 +498,7 @@ def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOL
     direction = np.asarray(direction, dtype=float)
     lhs = pullback(translate(f, phi.linear @ direction), phi, boundary_threshold)
     rhs = translate(pullback(f, phi, boundary_threshold), direction)
-    scale = f.sup_norm()
-    if scale == 0.0:
-        return (lhs - rhs).sup_norm()
-    return (lhs - rhs).sup_norm() / scale
+    return _relative((lhs - rhs).sup_norm(), f.sup_norm())
 
 
 # --- oscillator-basis transform ----------------------------------------------
@@ -676,10 +675,7 @@ def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix):
     block = (3 * product_matrix.shape[0]) // 4
     composed = (left_matrix @ right_matrix)[:block, :block]
     defect = product_matrix[:block, :block] - composed
-    scale = np.linalg.norm(composed)
-    if scale == 0.0:
-        return float(np.linalg.norm(defect))
-    return float(np.linalg.norm(defect) / scale)
+    return float(_relative(np.linalg.norm(defect), np.linalg.norm(composed)))
 
 
 # --- quadrature oracle and closed form ---------------------------------------

@@ -22,7 +22,7 @@ from .symplectic import (
     is_symplectic_map,
     standard_space,
 )
-from .weyl_algebra import CoeffExpr, WeylElement
+from .weyl_algebra import CoeffExpr, WeylElement, merge_terms
 
 
 def child_seed(master, *path):
@@ -154,25 +154,21 @@ def random_character(rng, dim):
 
 
 def random_coeff(rng, max_terms=2, with_parameter=True):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        p = _random_ratio(rng, 2, 3)
-        q = _random_ratio(rng, 2, 3) if with_parameter else (0, 1)
-        amp = random_fraction(rng, 3, 3, allow_zero=False)
-        key = p + q
-        acc = terms.get(key)
-        terms[key] = amp if acc is None else acc + amp
-    return CoeffExpr.from_int_pairs(terms)
+    def draws():
+        for _ in range(rng.randint(1, max_terms)):
+            p = _random_ratio(rng, 2, 3)
+            q = _random_ratio(rng, 2, 3) if with_parameter else (0, 1)
+            yield p + q, random_fraction(rng, 3, 3, allow_zero=False)
+
+    return CoeffExpr.from_int_pairs(merge_terms(draws()))
 
 
 def random_element(rng, space, max_terms=3):
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        label = _random_label_pairs(rng, space.dim)
-        coeff = random_coeff(rng)
-        acc = terms.get(label)
-        terms[label] = coeff if acc is None else acc + coeff
-    return WeylElement.from_int_pairs(space, terms)
+    draws = (
+        (_random_label_pairs(rng, space.dim), random_coeff(rng))
+        for _ in range(rng.randint(0, max_terms))
+    )
+    return WeylElement.from_int_pairs(space, merge_terms(draws))
 
 
 def random_space_pool(rng, count, dims=(2, 4, 6)):

@@ -26,6 +26,12 @@ the JSON format read them back as Fraction labels in the same order.
 ``multiply`` and ``poisson_bracket`` bring both operands to one
 denominator and read the space's integer form, so sigma(f, g) is one int
 sum per pair of labels and f + g is summed and keyed as ints.
+
+Every sum by key, of amplitudes in a table or of coefficients in an
+element (and in the samplers and arrows built on them), goes through
+``merge_terms``: a zero is never stored, a key whose sum cancels is
+deleted, and a key that comes back after cancelling goes to the end.
+Only ``CoeffExpr.at_zero_exponents`` keeps a sum that cancels, as a zero.
 """
 
 import json
@@ -49,28 +55,37 @@ def _add(an, ad, bn, bd):
     return n // g, d // g
 
 
-def _norm_items(items):
-    # canonical term dict keyed by (pn, pd, qn, qd): p = pn/pd reduced into
-    # [0, 1) with the sign folded into amp, q = qn/qd in lowest terms
-    out = {}
-    for (pn, pd, qn, qd), amp in items:
-        if not amp:
+def merge_terms(items, out=None):
+    """Sum the (key, value) pairs into out, a new dict by default, by the
+    merge policy above; a value of None is skipped like a zero."""
+    if out is None:
+        out = {}
+    for key, value in items:
+        if not value:
             continue
+        acc = out.get(key)
+        if acc is not None:
+            value = acc + value
+            if not value:
+                del out[key]
+                continue
+        out[key] = value
+    return out
+
+
+def _folded(items):
+    # p = pn/pd reduced into [0, 1) with the sign folded into amp
+    for (pn, pd, qn, qd), amp in items:
         pn %= 2 * pd
         if pn >= pd:
-            pn -= pd
-            amp = -amp
-        key = (pn, pd, qn, qd)
-        acc = out.get(key)
-        if acc is None:
-            out[key] = amp
+            yield (pn - pd, pd, qn, qd), -amp
         else:
-            acc += amp
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
+            yield (pn, pd, qn, qd), amp
+
+
+def _norm_items(items):
+    # canonical term dict keyed by (pn, pd, qn, qd), q = qn/qd in lowest terms
+    return merge_terms(_folded(items))
 
 
 def _key(p, q):
@@ -159,18 +174,7 @@ class CoeffExpr:
         return "CoeffExpr(%s)" % " + ".join(bits)
 
     def __add__(self, other):
-        merged = dict(self._terms)
-        for key, amp in other._terms.items():
-            acc = merged.get(key)
-            if acc is None:
-                merged[key] = amp
-            else:
-                acc += amp
-                if acc:
-                    merged[key] = acc
-                else:
-                    del merged[key]
-        return CoeffExpr._raw(merged)
+        return CoeffExpr._raw(merge_terms(other._terms.items(), dict(self._terms)))
 
     def __neg__(self):
         return CoeffExpr._raw({k: -a for k, a in self._terms.items()})
@@ -211,15 +215,8 @@ class CoeffExpr:
 
     def shift(self, dp, dq):
         """Multiply by the unit phase e^{i pi dp} e^{i dq t}."""
-        dpn, dpd, dqn, dqd = _key(dp, dq)
-        return CoeffExpr._raw(
-            _norm_items(
-                [
-                    (_add(pn, pd, dpn, dpd) + _add(qn, qd, dqn, dqd), a)
-                    for (pn, pd, qn, qd), a in self._terms.items()
-                ]
-            )
-        )
+        dq = Fraction(dq)
+        return self._times_phase(CoeffExpr.phase(dp), dq.numerator, dq.denominator)
 
     def conjugate(self):
         return CoeffExpr._raw(
@@ -253,7 +250,8 @@ class CoeffExpr:
         return total
 
     def at_zero_exponents(self):
-        # value at t = 0 as a root-of-unity sum: exponent p -> rational amp
+        # value at t = 0 as a root-of-unity sum: exponent p -> rational amp.
+        # Not merge_terms: a sum that cancels stays, as a zero amplitude
         out = {}
         for (pn, pd, _, _), amp in self._terms.items():
             acc = out.get((pn, pd))
@@ -263,6 +261,12 @@ class CoeffExpr:
     def vanishes_at_zero(self):
         """Exact (cyclotomic) zero test of the value at parameter 0."""
         return phase_sum_is_zero(self.at_zero_exponents())
+
+
+def _checked_coeff(coeff):
+    if not isinstance(coeff, CoeffExpr):
+        raise AlgebraError("coefficients must be CoeffExpr instances")
+    return coeff
 
 
 class WeylElement:
@@ -282,16 +286,8 @@ class WeylElement:
     def __init__(self, space, terms=(), hbar=None):
         if isinstance(terms, dict):
             terms = terms.items()
-        clean = {}
-        for label, coeff in terms:
-            label = space.vector(label)
-            if not isinstance(coeff, CoeffExpr):
-                raise AlgebraError("coefficients must be CoeffExpr instances")
-            if coeff:
-                acc = clean.get(label)
-                clean[label] = coeff if acc is None else acc + coeff
-                if not clean[label]:
-                    del clean[label]
+        # each label is checked (SpaceError) before its coefficient (AlgebraError)
+        clean = merge_terms((space.vector(f), _checked_coeff(c)) for f, c in terms)
         self.space = space
         self.hbar = None if hbar is None else Fraction(hbar)
         if self.hbar is not None and not (0 <= self.hbar <= 1):
@@ -375,15 +371,7 @@ class WeylElement:
     def __add__(self, other):
         self._require_compatible(other)
         d = lcm(self._den, other._den)
-        merged = dict(self._over(d))
-        for label, coeff in other._over(d).items():
-            acc = merged.get(label)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                merged[label] = total
-            else:
-                merged.pop(label, None)
-        return self._rebuild(merged, d)
+        return self._rebuild(merge_terms(other._over(d).items(), dict(self._over(d))), d)
 
     def __neg__(self):
         return self._rebuild({f: -c for f, c in self._terms.items()})
@@ -405,12 +393,7 @@ class WeylElement:
         """Multiply every coefficient by a fixed CoeffExpr."""
         if not isinstance(coeff, CoeffExpr):
             coeff = CoeffExpr.rational(coeff)
-        out = {}
-        for label, c in self._terms.items():
-            total = c * coeff
-            if total:
-                out[label] = total
-        return self._rebuild(out)
+        return self._rebuild(merge_terms((f, c * coeff) for f, c in self._terms.items()))
 
 
 def weyl_generator(space, f, hbar=None):
@@ -424,7 +407,7 @@ def weyl_unit(space, hbar=None):
 
 def _pair_sum(a, b, piece_of):
     # sum over label pairs of piece_of(cf, cg, num, den) W(f+g), where
-    # sigma(f, g) = num / den; a piece of None is skipped.  The labels of a
+    # sigma(f, g) = num / den; merge_terms skips a piece of None.  The labels of a
     # and b are int tuples over d, the lcm of their denominators, so f + g
     # is an int tuple over d and keys the sums.  With the form w / dw, sigma
     # is f . (w g) / (d^2 dw): w g once per label of b, one int sum per pair
@@ -434,20 +417,15 @@ def _pair_sum(a, b, piece_of):
     right = []
     for gi, cg in b._over(d).items():
         right.append((gi, cg, [sum([x * y for x, y in zip(row, gi)]) for row in w]))
-    out = {}
-    for fi, cf in a._over(d).items():
-        for gi, cg, wg in right:
-            piece = piece_of(cf, cg, sum([x * y for x, y in zip(fi, wg)]), den)
-            if piece is None:
-                continue
-            key = tuple([x + y for x, y in zip(fi, gi)])
-            acc = out.get(key)
-            total = piece if acc is None else acc + piece
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-    return a._rebuild(out, d)
+    pieces = (
+        (
+            tuple([x + y for x, y in zip(fi, gi)]),
+            piece_of(cf, cg, sum([x * y for x, y in zip(fi, wg)]), den),
+        )
+        for fi, cf in a._over(d).items()
+        for gi, cg, wg in right
+    )
+    return a._rebuild(merge_terms(pieces), d)
 
 
 def multiply(a, b):
@@ -500,12 +478,8 @@ def evaluate_at(a, hbar):
     h = Fraction(hbar)
     if not (0 <= h <= 1):
         raise AlgebraError("exact parameter values must lie in [0, 1]")
-    out = {}
-    for f, c in a._terms.items():
-        # substitution can merge and cancel phases: a label may vanish
-        c = c.substitute(h)
-        if c:
-            out[f] = c
+    # substitution can merge and cancel phases: a label may vanish
+    out = merge_terms((f, c.substitute(h)) for f, c in a._terms.items())
     return WeylElement._from_ints(a.space, out, a._den, h)
 
 
@@ -528,17 +502,13 @@ def norm_bounds(a):
 
 
 def _coeff_to_payload(coeff):
+    # p is canonical in [0, 1): e^{i pi p} is e^{i pi base} or i e^{i pi base},
+    # so each (base, q) holds at most one real and one imaginary amplitude
     grouped = {}
     for (p, q), amp in coeff.terms.items():
         base = p % Fraction(1, 2)
-        quadrant = int((p - base) * 2)  # 0 or 1 since p is canonical in [0, 1)
-        key = (base, q)
-        re, im = grouped.get(key, (Fraction(0), Fraction(0)))
-        if quadrant == 0:
-            re += amp
-        else:
-            im += amp
-        grouped[key] = (re, im)
+        re_im = grouped.setdefault((base, q), [Fraction(0), Fraction(0)])
+        re_im[int((p - base) * 2)] = amp
     payload = []
     for (p, q) in sorted(grouped):
         re, im = grouped[(p, q)]
@@ -547,18 +517,14 @@ def _coeff_to_payload(coeff):
 
 
 def _coeff_from_payload(payload):
-    terms = {}
+    terms = []
     for entry in payload:
         p = Fraction(entry["p"])
         q = Fraction(entry["q"])
         if len(entry["amp"]) != 2:
             raise AlgebraError("amp must be [re, im], got %r" % (entry["amp"],))
         re, im = (Fraction(x) for x in entry["amp"])
-        if re:
-            terms[(p, q)] = terms.get((p, q), Fraction(0)) + re
-        if im:
-            key = (p + Fraction(1, 2), q)
-            terms[key] = terms.get(key, Fraction(0)) + im
+        terms += [((p, q), re), ((p + Fraction(1, 2), q), im)]
     return CoeffExpr(terms)
 
 

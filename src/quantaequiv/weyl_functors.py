@@ -44,6 +44,7 @@ from .weyl_algebra import (
     CoeffExpr,
     WeylElement,
     evaluate_at,
+    merge_terms,
     multiply,
     norm_bounds,
     poisson_bracket,
@@ -132,13 +133,11 @@ def apply_morphism(m, a):
     """
     if a.space != m.dom.space:
         raise AlgebraError("element does not live on the arrow's domain")
-    out = {}
-    for f, coeff in a.terms.items():
-        label = m.cod.space.vector(m.linear.apply(f))
-        shifted = coeff.shift(rl.dot(m.chi.theta, f), 0)
-        acc = out.get(label)
-        out[label] = shifted if acc is None else acc + shifted
-    return WeylElement(m.cod.space, out, hbar=a.hbar)
+    images = merge_terms(
+        (m.cod.space.vector(m.linear.apply(f)), coeff.shift(rl.dot(m.chi.theta, f), 0))
+        for f, coeff in a.terms.items()
+    )
+    return WeylElement(m.cod.space, images, hbar=a.hbar)
 
 
 # --- functor actions on objects --------------------------------------------
@@ -201,19 +200,20 @@ def scaling_check(m, hbar, hbar2):
     formula at hbar2, products of generator pairs are preserved, and the
     involution is preserved.  Both fibers must be nonzero.
 
-    The property is decided by T^t . form_cod . T = form_dom, which is
-    exact: rescaling is a retag and the arrow ignores the fiber tag, so
-    conjugation reproduces the direct images by construction; the
-    involution sends chi(f) W(Tf) to chi(-f) W(T(-f)) for every character;
-    and the image of W(f) W(g) carries the twist of sigma_dom(f, g) where
-    the product of the images carries that of sigma_cod(Tf, Tg), the
-    character factors agreeing by multiplicativity.
+    The property is decided by poisson_morphism_check's identity
+    T^t . form_cod . T = form_dom, which is exact: rescaling is a retag
+    and the arrow ignores the fiber tag, so conjugation reproduces the
+    direct images by construction; the involution sends chi(f) W(Tf) to
+    chi(-f) W(T(-f)) for every character; and the image of W(f) W(g)
+    carries the twist of sigma_dom(f, g) where the product of the images
+    carries that of sigma_cod(Tf, Tg), the character factors agreeing by
+    multiplicativity.
     """
     h1 = _fiber(hbar)
     h2 = _fiber(hbar2)
     if h1 == 0 or h2 == 0:
         raise FunctorError("scaling compares fibers away from the classical one")
-    return is_symplectic_map(m.linear, m.dom.space, m.cod.space)
+    return poisson_morphism_check(m)
 
 
 def poisson_morphism_check(m):

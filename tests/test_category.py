@@ -90,6 +90,87 @@ def test_functor_laws_map_each_sampled_arrow_once():
     assert sorted(calls[1:4]) == [1, 2, 5]
 
 
+# --- the composable scan, against the nested loops it replaced ---------------
+
+
+def reference_associativity_ids(arrows, max_pairs):
+    # the first max_pairs composable pairs, then the first max_pairs triples
+    pairs = []
+    for a2 in arrows:
+        for a1 in arrows:
+            if a1.cod == a2.dom:
+                pairs.append((a2, a1))
+                if len(pairs) >= max_pairs:
+                    break
+        if len(pairs) >= max_pairs:
+            break
+    ids = []
+    for a3, a2 in pairs:
+        if len(ids) >= max_pairs:
+            break
+        for a1 in arrows:
+            if a1.cod != a2.dom:
+                continue
+            ids.append("%s*%s*%s" % (a3.arrow_id, a2.arrow_id, a1.arrow_id))
+            if len(ids) >= max_pairs:
+                break
+    return ids
+
+
+def reference_composition_ids(arrows, max_pairs):
+    ids = []
+    for a2 in arrows:
+        if len(ids) >= max_pairs:
+            break
+        for a1 in arrows:
+            if a1.cod != a2.dom:
+                continue
+            ids.append("%s*%s" % (a2.arrow_id, a1.arrow_id))
+            if len(ids) >= max_pairs:
+                break
+    return ids
+
+
+def _sample_ids(report, law):
+    return [e["sample_id"] for e in report if e["law"] == law]
+
+
+def _scan_cuts(arrows):
+    # max_pairs of 1; a cut after the first pair of the first row of two or
+    # more composable pairs that has pairs before it; more than the pool holds
+    rows = [sum(a1.cod == a2.dom for a1 in arrows) for a2 in arrows]
+    row = next(i for i, n in enumerate(rows) if n >= 2 and sum(rows[:i]))
+    return [1, sum(rows[:row]) + 1, sum(rows) + 5]
+
+
+def _toy_pool():
+    ends = ["x", "y", "z"]
+    return [
+        ArrowRecord("t%d" % i, ends[i % 3], ends[(i * i + 1) % 3], i) for i in range(9)
+    ]
+
+
+@pytest.mark.parametrize("pool", ["toy", "sampled"])
+def test_scan_takes_the_pairs_and_triples_of_the_nested_loops(pool, arrow_pool):
+    if pool == "toy":
+        cat, arrows = int_add_category(), _toy_pool()
+        functor = FunctorSpec("double", cat, cat, lambda obj: obj, lambda v: 2 * v)
+    else:
+        cat, arrows, functor = classical_category(), arrow_pool, quantization_functor()
+    for max_pairs in _scan_cuts(arrows):
+        laws = check_category_laws(cat, arrows, max_pairs)
+        want = reference_associativity_ids(arrows, max_pairs)
+        assert _sample_ids(laws, "associativity") == want
+        mapped = check_functor_laws(functor, arrows, max_pairs)
+        want = reference_composition_ids(arrows, max_pairs)
+        assert _sample_ids(mapped, "functor-composition") == want
+        assert not violations(laws) and not violations(mapped)
+    # the cut inside a row really lands between two pairs of one a2
+    cut = _scan_cuts(arrows)[1]
+    last, after = reference_composition_ids(arrows, cut + 1)[-2:]
+    assert last.split("*")[0] == after.split("*")[0]
+
+
 # --- Weyl instances ---------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ from cmath import exp as cexp
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantaequiv import rational_linalg as rl
@@ -28,6 +28,7 @@ from quantaequiv.weyl_algebra import (
     _coeff_to_payload,
     evaluate_at,
     involution,
+    merge_terms,
     multiply,
     norm_bounds,
     poisson_bracket,
@@ -688,6 +689,59 @@ def test_coeff_matches_fraction_keyed_reference(t1, t2, dp, dq, c, t):
     payload = _coeff_to_payload(a)
     assert payload == _coeff_to_payload(ra)
     assert _coeff_from_payload(payload) == a
+
+
+# --- merge_terms against the loop that CoeffExpr.__add__ wrote out ----------------
+
+
+def reference_merge(items, merged):
+    # the accumulate-and-cancel loop of CoeffExpr.__add__, for values that are never zero
+    for key, amp in items:
+        acc = merged.get(key)
+        if acc is None:
+            merged[key] = amp
+        else:
+            acc += amp
+            if acc:
+                merged[key] = acc
+            else:
+                del merged[key]
+    return merged
+
+
+# few keys, and values that cancel in pairs: sums vanish and keys come back
+merge_key = st.sampled_from(["a", "b", (0, 1), (1, 2)])
+fraction_value = st.sampled_from([Fraction(v) for v in (1, -1, "1/2", "-1/2", 2, 0)])
+coeff_value = st.sampled_from(
+    [CoeffExpr.phase(p) for p in (0, 1, "1/2", "3/2")]
+    + [CoeffExpr.gaussian(1, 1), CoeffExpr.zero()]
+)
+
+
+def merge_inputs(value):
+    pairs = st.lists(st.tuples(merge_key, value), max_size=12)
+    return st.tuples(pairs, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(merge_inputs(fraction_value), merge_inputs(coeff_value)))
+@example(([], [("a", Fraction(1)), ("a", Fraction(-1)), ("b", Fraction(1)), ("a", Fraction(2))]))
+def test_merge_terms_matches_the_hand_written_loop(inputs):
+    start, items = inputs
+    nonzero = [(k, v) for k, v in items if v]
+    base = reference_merge([(k, v) for k, v in start if v], {})
+    out = dict(base)
+    got = merge_terms(items, out)
+    want = reference_merge(nonzero, dict(base))
+    assert got is out
+    assert list(got.items()) == list(want.items())
+    assert all(got.values())
+    assert list(merge_terms(items).items()) == list(reference_merge(nonzero, {}).items())
+
+
+def test_merge_terms_puts_a_key_that_comes_back_at_the_end():
+    items = [("a", Fraction(1)), ("a", Fraction(-1)), ("b", Fraction(1)), ("a", Fraction(2))]
+    assert list(merge_terms(items).items()) == [("b", Fraction(1)), ("a", Fraction(2))]
 
 
 # --- Fraction-labelled reference for WeylElement and the sampler ---------------
