@@ -1,8 +1,9 @@
 """Small category kernel: law checks over sampled diagrams.
 
 Categories are data: an identity rule, a composition rule on arrow
-payloads, and (optionally) a payload validator.  Arrow equality is payload
-equality, so instances are expected to keep payloads in canonical form.
+payloads, and an arrow validator, all three required.  Arrow equality is
+payload equality, so instances are expected to keep payloads in canonical
+form.
 Checks return lists of report entries {law, sample_id, status, witness};
 an empty violation list is a pass.  All scans are deterministic: arrows
 are taken in the order given, objects in sorted repr order.  Composable
@@ -30,7 +31,7 @@ class ArrowRecord:
 
 
 class CategorySpec:
-    def __init__(self, name, identity, compose, validate_arrow=None):
+    def __init__(self, name, identity, compose, validate_arrow):
         self.name = name
         self._identity = identity
         self._compose = compose
@@ -53,8 +54,6 @@ class CategorySpec:
         )
 
     def arrow_is_valid(self, record):
-        if self._validate_arrow is None:
-            return True
         return self._validate_arrow(record)
 
 
@@ -139,7 +138,7 @@ def _composable(outer, inner, arrow=lambda x: x):
                 yield x2, x1
 
 
-def check_category_laws(cat, arrows, max_pairs=400):
+def check_category_laws(cat, arrows, max_pairs):
     """Identity and associativity over the sampled arrow pool.
 
     At most max_pairs composable pairs are taken, and at most max_pairs
@@ -181,7 +180,7 @@ def check_category_laws(cat, arrows, max_pairs=400):
     return report
 
 
-def check_functor_laws(functor, arrows, max_pairs=400):
+def check_functor_laws(functor, arrows, max_pairs):
     """F(id) = id, F(g . f) = F(g) . F(f), and dom/cod preservation."""
     src, dst = functor.source, functor.target
     report = []

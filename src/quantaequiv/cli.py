@@ -6,6 +6,7 @@ a suite runs under a `--config` file.
 """
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -52,6 +53,8 @@ def main(argv=None):
         return 0
 
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError("--out %s exists and is not a directory" % args.out)
         if args.config:
             config = load_config(args.config)
             if config["suite"] != args.suite:

@@ -49,13 +49,14 @@ _ALIAS_TOLERANCE = 1e-9  # largest aliased share of the pair mass in a product
 _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
-_ORACLE_ROWS = 256  # kernel rows per block of the quadrature oracle (8 MiB)
-# Blocks bound the temporaries of the grid kernels: complex entries per
-# q-FFT array in moyal_product (8 MiB each, two live per block) and 64
-# bytes per grid-by-mode entry in pullback (64 MiB).  The momentum block
-# never changes a result; the synthesis block sets the order of pullback's
-# sums.
-_MOMENTUM_BLOCK = 2**19
+# Blocks bound the temporaries of the grid kernels.  One block is
+# _BLOCK_ENTRIES complex entries (8 MiB): of each q-FFT array in
+# moyal_product (two live per block), of the phase powers in weyl_transform,
+# and of the quadrature oracle's kernel (_BLOCK_ENTRIES // _ORACLE_NODES =
+# 256 rows).  The first two never change a result; the oracle's rows set the
+# order of its sums.  _SYNTHESIS_BLOCK counts grid-by-mode entries of 64
+# bytes in pullback (64 MiB); it sets the order of pullback's sums.
+_BLOCK_ENTRIES = 2**19
 _SYNTHESIS_BLOCK = 2**20
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
 # complex entries of weyl_transform's class symbol, classes x (2n - 1), and
@@ -135,12 +136,11 @@ class GridFunction:
     __slots__ = ("grid", "samples")
 
     def __init__(self, grid, samples):
-        samples = np.asarray(samples, dtype=np.complex128)
+        samples = np.array(samples, dtype=np.complex128)
         if samples.shape != grid.shape:
             raise GridError("sample shape does not match the grid")
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise GridError("samples must be finite")
-        samples = samples.copy()
         samples.flags.writeable = False
         self.grid = grid
         self.samples = samples
@@ -168,8 +168,6 @@ class GridFunction:
             _require_same_grid(self, other)
             return GridFunction(self.grid, self.samples * other.samples)
         return GridFunction(self.grid, self.samples * complex(other))
-
-    __rmul__ = __mul__
 
     def conjugate(self):
         return GridFunction(self.grid, np.conj(self.samples))
@@ -326,7 +324,7 @@ def _pair_stage(f, g, boundary_threshold):
 def _twist_stage(pair, hbar):
     """f*g at one hbar from its pair stage: twist factors, q-FFTs, inverse transform.
 
-    The k_p rows go in blocks of about _MOMENTUM_BLOCK entries and enter the
+    The k_p rows go in blocks of about _BLOCK_ENTRIES entries and enter the
     m_p sums in row order, so the block never changes the result.
     """
     grid = pair.grid
@@ -339,7 +337,7 @@ def _twist_stage(pair, hbar):
     ftwist = _twist(glo[1] + np.arange(gmomenta), flo[0], fq, -scale)
     gtwist = _twist(flo[1] + np.arange(fmomenta), glo[0], gq, scale)
     acc = np.zeros((fmomenta + gmomenta - 1, q_entries), dtype=np.complex128)
-    rows = max(1, _MOMENTUM_BLOCK // (gmomenta * q_entries))
+    rows = max(1, _BLOCK_ENTRIES // (gmomenta * q_entries))
     for start in range(0, fmomenta, rows):
         block = slice(start, start + rows)
         terms = np.fft.fft(pair.frows[block, None] * ftwist, q_entries)
@@ -463,8 +461,7 @@ def pullback(f, phi, boundary_threshold=_BOUNDARY_THRESHOLD):
         right = np.exp(1j * np.outer(x, alpha[block, 1]))
         result += (left * coeff[block][None, :]) @ right.T
     out = GridFunction(grid, result)
-    if out.boundary_ratio() > boundary_threshold:
-        raise SupportError("image support escapes the domain")
+    _require_interior_support(out, boundary_threshold)
     return out
 
 
@@ -512,10 +509,6 @@ def oscillator_position(n_trunc, hbar):
     return m
 
 
-# complex entries per block of the phase table in weyl_transform (8 MiB)
-_PHASE_ENTRIES = 2**19
-
-
 def _powers(z, count):
     """Columns z**0 .. z**(count - 1), by doubling: log2(count) products deep."""
     out = np.empty((len(z), count), dtype=np.complex128)
@@ -533,7 +526,7 @@ def _class_symbols(members, phi, fval, n_trunc):
 
     members[k] is the class of mode k.  Classes of one size m share a
     (classes, m) table of their modes in mode order; one einsum per half
-    then sums each class, in blocks of at most _PHASE_ENTRIES powers.
+    then sums each class, in blocks of at most _BLOCK_ENTRIES powers.
     """
     # Row c of `half` holds T[c, d] for d >= 0, row C + c holds conj(T[c, -d]):
     # the class sums of F_k z_k^d and conj(F_k) z_k^d, z_k = e^{i phi_k}.
@@ -546,7 +539,7 @@ def _class_symbols(members, phi, fval, n_trunc):
     for m in np.unique(sizes):
         same = np.nonzero(sizes == m)[0]
         table = order[starts[same][:, None] + np.arange(m)]
-        rows = max(1, _PHASE_ENTRIES // (m * n_trunc))
+        rows = max(1, _BLOCK_ENTRIES // (m * n_trunc))
         for start in range(0, len(same), rows):
             c, modes = same[start : start + rows], table[start : start + rows]
             powers = _powers(z[modes.ravel()], n_trunc).reshape(len(c), m, n_trunc)
@@ -692,9 +685,10 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
     midpoint grid of _ORACLE_NODES points per axis over
     [-_ORACLE_RADIUS, _ORACLE_RADIUS], and each factor is sampled once per
     point, on the nodes z + u.  The kernel e^{(2i/hbar) u u'} is built in
-    blocks of _ORACLE_ROWS rows, and every point is contracted against each
-    block by matrix-vector products, whose bits do not depend on the BLAS
-    thread count.  Independent of every grid code path; slow on purpose.
+    blocks of _BLOCK_ENTRIES entries (_BLOCK_ENTRIES // _ORACLE_NODES rows),
+    and every point is contracted against each block by matrix-vector
+    products, whose bits do not depend on the BLAS thread count.
+    Independent of every grid code path; slow on purpose.
     """
     if not (hbar > 0):
         raise GridError("the deformation parameter must be positive")
@@ -715,8 +709,9 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
         # x @ conj(K) @ y is conj(conj(x) @ K @ conj(y)): no conjugate kernel
         operands.append(((fa, gb), (np.conj(fb), np.conj(ga))))
     sums = np.zeros((len(points), 2), dtype=np.complex128)
-    for start in range(0, _ORACLE_NODES, _ORACLE_ROWS):
-        rows = slice(start, start + _ORACLE_ROWS)
+    block = _BLOCK_ENTRIES // _ORACLE_NODES
+    for start in range(0, _ORACLE_NODES, block):
+        rows = slice(start, start + block)
         # e^{i phase} as cosine and sine: no complex argument, no complex exp
         phase = (2.0 / hbar) * np.outer(u[rows], u)
         kernel = np.empty(phase.shape, dtype=np.complex128)

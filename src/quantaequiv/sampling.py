@@ -153,14 +153,14 @@ def random_character(rng, dim):
     return CharacterSpec(tuple(random_fraction(rng, 2, 4) for _ in range(dim)))
 
 
-def random_coeff(rng, max_terms=2, with_parameter=True):
-    def draws():
-        for _ in range(rng.randint(1, max_terms)):
+def random_coeff(rng, with_parameter=True):
+    def draws():  # one or two phases, merged once by from_int_pairs
+        for _ in range(rng.randint(1, 2)):
             p = _random_ratio(rng, 2, 3)
             q = _random_ratio(rng, 2, 3) if with_parameter else (0, 1)
             yield p + q, random_fraction(rng, 3, 3, allow_zero=False)
 
-    return CoeffExpr.from_int_pairs(merge_terms(draws()))
+    return CoeffExpr.from_int_pairs(draws())
 
 
 def random_element(rng, space, max_terms=3):

@@ -117,10 +117,10 @@ class CoeffExpr:
 
     @classmethod
     def from_int_pairs(cls, terms):
-        """The table {(pn, pd, qn, qd): amp}: p = pn/pd and q = qn/qd in
-        lowest terms with positive denominators (not checked), p not yet
-        folded into [0, 1)."""
-        return cls._raw(_norm_items(terms.items()))
+        """The sum of the ((pn, pd, qn, qd), amp) pairs: p = pn/pd and
+        q = qn/qd in lowest terms with positive denominators (not checked),
+        p not yet folded into [0, 1)."""
+        return cls._raw(_norm_items(terms))
 
     @classmethod
     def zero(cls):
@@ -129,10 +129,6 @@ class CoeffExpr:
     @classmethod
     def one(cls):
         return cls._raw({(0, 1, 0, 1): Fraction(1)})
-
-    @classmethod
-    def rational(cls, c):
-        return cls({(Fraction(0), Fraction(0)): Fraction(c)})
 
     @classmethod
     def gaussian(cls, re, im=0):
@@ -379,11 +375,6 @@ class WeylElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, WeylElement):
-            return multiply(self, other)
-        return NotImplemented
-
     def _rebuild(self, term_dict, den=None):
         return WeylElement._from_ints(
             self.space, term_dict, self._den if den is None else den, self.hbar
@@ -391,8 +382,6 @@ class WeylElement:
 
     def scale_coeff(self, coeff):
         """Multiply every coefficient by a fixed CoeffExpr."""
-        if not isinstance(coeff, CoeffExpr):
-            coeff = CoeffExpr.rational(coeff)
         return self._rebuild(merge_terms((f, c * coeff) for f, c in self._terms.items()))
 
 

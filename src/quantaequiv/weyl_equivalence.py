@@ -74,25 +74,22 @@ def limit_functor():
     )
 
 
+def _identity_transformation(name, round_trip):
+    # identity components from each object to its round-trip image
+    return NatTransSpec(name, identity_morphism, identity_morphism, lambda obj: obj, round_trip)
+
+
 def unit_transformation():
     """Compares the classical identity functor with limit-after-quantize."""
-    return NatTransSpec(
-        "unit",
-        component=identity_morphism,
-        inverse=identity_morphism,
-        source_of=lambda obj: obj,
-        target_of=lambda obj: classical_limit_object(quantize_object(obj)),
+    return _identity_transformation(
+        "unit", lambda obj: classical_limit_object(quantize_object(obj))
     )
 
 
 def counit_transformation():
     """Compares the quantum identity functor with quantize-after-limit."""
-    return NatTransSpec(
-        "counit",
-        component=identity_morphism,
-        inverse=identity_morphism,
-        source_of=lambda obj: obj,
-        target_of=lambda obj: quantize_object(classical_limit_object(obj)),
+    return _identity_transformation(
+        "counit", lambda obj: quantize_object(classical_limit_object(obj))
     )
 
 

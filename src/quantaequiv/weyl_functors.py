@@ -28,7 +28,7 @@ The element-level computations of both conditions live in the tests, as
 the reference this identity is compared against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import rational_linalg as rl
@@ -165,8 +165,6 @@ def rescale(a, src, dst):
     dst = _fiber(dst)
     if a.hbar is None or a.hbar != src:
         raise FunctorError("element is not in the quantized image at the source fiber")
-    if src == dst:
-        return a
     return a._at_fiber(dst)
 
 
@@ -235,12 +233,7 @@ def quantize_morphism(m):
     """Reinterpret a bracket-preserving classical arrow on quantum objects."""
     if not poisson_morphism_check(m):
         raise FunctorError("arrow does not preserve the bracket")
-    return WeylMorphismSpec(
-        chi=m.chi,
-        linear=m.linear,
-        dom=quantize_object(m.dom),
-        cod=quantize_object(m.cod),
-    )
+    return replace(m, dom=quantize_object(m.dom), cod=quantize_object(m.cod))
 
 
 def classical_limit_morphism(m):
@@ -255,12 +248,7 @@ def classical_limit_morphism(m):
     """
     if not scaling_check(m, 1, Fraction(1, 2)):
         raise FunctorError("arrow fails the scaling condition")
-    return WeylMorphismSpec(
-        chi=m.chi,
-        linear=m.linear,
-        dom=classical_limit_object(m.dom),
-        cod=classical_limit_object(m.cod),
-    )
+    return replace(m, dom=classical_limit_object(m.dom), cod=classical_limit_object(m.cod))
 
 
 # --- the vanishing ideal -----------------------------------------------------

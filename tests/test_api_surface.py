@@ -88,6 +88,39 @@ def test_every_export_is_used():
     assert not idle, "exported but used by no module and named by no perfbench module: %s" % idle
 
 
+def _top_level_bindings(tree):
+    """(name, statement) for each def, class or assignment target at module level."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, stmt
+
+
+def test_every_top_level_name_is_used():
+    # A module attribute such as __version__ is metadata, not code.  A binding
+    # counts as used when another top-level statement of src/ references it
+    # (in any module), or when a perfbench module names it.
+    statements = [s for p in sorted(PACKAGE.glob("*.py")) for s in _tree(p).body]
+    refs = Counter()
+    for stmt in statements:
+        refs.update(_referenced_names(stmt))
+    words = _perfbench_words()
+    idle = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, stmt in _top_level_bindings(_tree(path)):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            outside = refs[name] - (name in _referenced_names(stmt))
+            if outside == 0 and name not in words:
+                idle.append("%s:%d %s" % (path.name, stmt.lineno, name))
+    assert not idle, "bound at top level, used by no other statement of src/: %s" % idle
+
+
 def _attribute_counts(node):
     return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 

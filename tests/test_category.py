@@ -36,7 +36,12 @@ from fractions import Fraction
 
 def int_add_category():
     # one object, arrows are integers, composition is addition
-    return CategorySpec("toy", identity=lambda obj: 0, compose=lambda a, b: a + b)
+    return CategorySpec(
+        "toy",
+        identity=lambda obj: 0,
+        compose=lambda a, b: a + b,
+        validate_arrow=lambda record: True,
+    )
 
 
 def toy_arrows(values):
@@ -44,13 +49,18 @@ def toy_arrows(values):
 
 
 def test_toy_category_passes():
-    report = check_category_laws(int_add_category(), toy_arrows([1, 2, 5]))
+    report = check_category_laws(int_add_category(), toy_arrows([1, 2, 5]), max_pairs=400)
     assert report and not violations(report)
 
 
 def test_broken_composition_reports_violations():
-    broken = CategorySpec("bad", identity=lambda obj: 0, compose=lambda a, b: a + b + 1)
-    report = check_category_laws(broken, toy_arrows([1, 2]))
+    broken = CategorySpec(
+        "bad",
+        identity=lambda obj: 0,
+        compose=lambda a, b: a + b + 1,
+        validate_arrow=lambda record: True,
+    )
+    report = check_category_laws(broken, toy_arrows([1, 2]), max_pairs=400)
     assert violations(report)
 
 
@@ -83,7 +93,7 @@ def test_functor_laws_map_each_sampled_arrow_once():
 
     cat = int_add_category()
     functor = FunctorSpec("double", cat, cat, lambda obj: obj, doubled)
-    report = check_functor_laws(functor, toy_arrows([1, 2, 5]))
+    report = check_functor_laws(functor, toy_arrows([1, 2, 5]), max_pairs=400)
     assert report and not violations(report)
     # one identity, three sampled arrows, nine composites (one image each)
     assert len(calls) == 1 + 3 + 9
@@ -180,7 +190,7 @@ def arrow_pool():
 
 
 def test_classical_category_laws(arrow_pool):
-    report = check_category_laws(classical_category(), arrow_pool)
+    report = check_category_laws(classical_category(), arrow_pool, max_pairs=400)
     assert not violations(report)
 
 

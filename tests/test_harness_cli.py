@@ -414,6 +414,22 @@ class TestCli:
         assert "config error: weyl-sdq schedule entry '2' is above 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_naming_a_file_exits_two_before_the_suite_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_run(config):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        code = cli.main(["run", "weyl-sdq", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: --out %s exists and is not a directory" % out in err
+        assert out.read_text() == "keep"
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
     def test_seed_override(self, tmp_path):
         code = cli.main(
             ["run", "weyl-sdq", "--seed", "99", "--out", str(tmp_path)]

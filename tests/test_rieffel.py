@@ -548,7 +548,7 @@ class TestBlocksAndLimits:
         f = GridFunction.gaussian(grid, c1, a)
         g = GridFunction.gaussian(grid, c2, b)
         default = moyal_product(f, g, HBAR)
-        monkeypatch.setattr(rieffel, "_MOMENTUM_BLOCK", 1)  # one k_p row per block
+        monkeypatch.setattr(rieffel, "_BLOCK_ENTRIES", 1)  # one k_p row per block
         assert np.array_equal(moyal_product(f, g, HBAR).samples, default.samples)
 
     def test_block_size_moves_the_pullback_only_at_round_off(self, grid, monkeypatch):
@@ -820,7 +820,8 @@ class TestPullback:
         # the detector reports it and an explicit threshold accepts it
         f = GridFunction.gaussian(grid, (0.8, 0.0), 0.5)
         phi = AffineSymplecticMap.rotation(np.pi / 6)
-        with pytest.raises(SupportError):
+        assert f.boundary_ratio() <= 1e-12  # the refusal is of the image, not of f
+        with pytest.raises(SupportError, match="boundary mass"):
             pullback(f, phi)
         out = pullback(f, phi, boundary_threshold=1e-6)
         assert out.sup_norm() == pytest.approx(1.0, abs=1e-3)

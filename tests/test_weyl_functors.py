@@ -95,7 +95,7 @@ def test_apply_character_sign_flip():
     )
     a = evaluate_at(weyl_generator(SP1, [1, 0]), 0)
     image = apply_morphism(m, a)
-    assert image.terms[SP1.vector([1, 0])] == CoeffExpr.rational(-1)
+    assert image.terms[SP1.vector([1, 0])] == CoeffExpr.gaussian(-1)
 
 
 def test_apply_identity_fixes_everything():

@@ -93,7 +93,7 @@ def reference_class_symbols(members, phi, fval, n_trunc):
         shape=(2 * classes, count),
     )
     half = np.zeros((2 * classes, n_trunc), dtype=np.complex128)
-    rows = max(1, rieffel._PHASE_ENTRIES // n_trunc)
+    rows = max(1, rieffel._BLOCK_ENTRIES // n_trunc)
     for start in range(0, count, rows):
         block = slice(start, start + rows)
         half += weights[:, block] @ rieffel._powers(np.exp(1j * phi[block]), n_trunc)
@@ -255,6 +255,18 @@ class TestClassSymbolsAndEigenpairs:
             args = _class_inputs(f)
             ref = reference_class_symbols(*args, n_trunc)
             assert _relative_gap(_class_symbols(*args, n_trunc), ref) <= 1e-15
+
+    @pytest.mark.parametrize("n_trunc", (32, 128))
+    def test_block_size_never_changes_the_transform(
+        self, window, gaussian_pair, n_trunc, monkeypatch
+    ):
+        # a block holds whole classes, so one class per block sums alike; the
+        # window overflows n = 32, so the truncation detector is waived
+        functions = (gaussian_pair[0], window)
+        default = [weyl_transform(f, HBAR, n_trunc, support_tail=1.0) for f in functions]
+        monkeypatch.setattr(rieffel, "_BLOCK_ENTRIES", 1)
+        for f, mat in zip(functions, default):
+            assert np.array_equal(weyl_transform(f, HBAR, n_trunc, support_tail=1.0), mat)
 
     @pytest.mark.parametrize("n_trunc", (32, 64, 128))
     def test_eigenpairs_match_the_tridiagonal_solver(self, n_trunc):
