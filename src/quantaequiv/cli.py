@@ -39,6 +39,14 @@ def _build_parser():
     return parser
 
 
+def _nearest_existing(path):
+    """path itself if it exists, else its nearest existing ancestor, both
+    absolute.  Not normalised: "<file>/.." and "<file>/" resolve to <file>."""
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return path
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -53,8 +61,13 @@ def main(argv=None):
         return 0
 
     try:
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ConfigError("--out %s exists and is not a directory" % args.out)
+        out = os.path.join(os.getcwd(), args.out)
+        blocker = _nearest_existing(out)
+        if not os.path.isdir(blocker):
+            if blocker == out:
+                raise ConfigError("--out %s exists and is not a directory" % args.out)
+            raise ConfigError("--out %s lies under %s, which is not a directory"
+                              % (args.out, blocker))
         if args.config:
             config = load_config(args.config)
             if config["suite"] != args.suite:

@@ -6,6 +6,7 @@ Every check is deterministic given the config seed; reports differ between
 identical runs only in their timestamp field.
 """
 
+import contextlib
 import copy
 import datetime
 import json
@@ -106,11 +107,51 @@ def _worker_count():
     return n
 
 
+def _openblas_threads():
+    """The (get, set) thread-count functions of the 64-bit-int scipy-openblas
+    that numpy wheels bundle, or None when there is no such library or
+    symbol.  Looked up per call, not at import: only a pooled run needs them."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = glob.glob(os.path.join(libs, "libscipy_openblas*.so"))
+    if not paths:
+        return None
+    lib = ctypes.CDLL(paths[0])
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    # the pool's workers own the CPUs: a second BLAS thread per call only
+    # spins beside them.  Process-global, so pooled runs must not overlap.
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _run_checks(checks, workers):
     if workers == 1:
+        # no pool: BLAS keeps its own thread count and may use the idle CPUs
         results = [fn() for fn in checks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda fn: fn(), checks))
     return sorted((rec for records in results for rec in records), key=lambda rec: rec["id"])
 

@@ -313,8 +313,8 @@ class WeylElement:
     def from_int_pairs(cls, space, terms):
         """The symbolic sum_k terms[k] W(f_k), each label f_k given as one flat
         tuple (n1, d1, n2, d2, ...) of its entries n_i/d_i in lowest terms
-        with positive denominators (not checked); zero coefficients are dropped."""
-        terms = {k: c for k, c in terms.items() if c}
+        with positive denominators (not checked), and no zero coefficient: the
+        terms come from merge_terms, which never stores one."""
         d = lcm(*[m for k in terms for m in k[1::2]])
         return cls._from_ints(
             space,

@@ -430,6 +430,26 @@ class TestCli:
         assert out.read_text() == "keep"
         assert sorted(os.listdir(tmp_path)) == ["taken"]
 
+    @pytest.mark.parametrize("under", [os.path.join("sub", "dir"), "", ".."],
+                             ids=["subdir", "trailing-sep", "parent-ref"])
+    def test_out_under_a_file_exits_two_before_the_suite_runs(
+        self, tmp_path, monkeypatch, capsys, under
+    ):
+        def no_run(config):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = os.path.join(str(taken), under)
+        code = cli.main(["run", "weyl-sdq", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: --out %s lies under %s, which is not a directory" % (
+            out, taken) in err
+        assert taken.read_text() == "keep"
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
     def test_seed_override(self, tmp_path):
         code = cli.main(
             ["run", "weyl-sdq", "--seed", "99", "--out", str(tmp_path)]
