@@ -61,6 +61,8 @@ def main(argv=None):
         return 0
 
     try:
+        if not args.out:
+            raise ConfigError("--out must name a directory, not be empty")
         out = os.path.join(os.getcwd(), args.out)
         blocker = _nearest_existing(out)
         if not os.path.isdir(blocker):

@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .rational_linalg import integer_vector
+
 
 def _poly_divmod_int(num, den):
     # exact division of integer coefficient lists (ascending order); den monic
@@ -83,12 +85,9 @@ def phase_sum_is_zero(terms):
     for s, amp in merged.items():
         e = int(s * denom) % order
         coeffs[e] += amp
-    phi = cyclotomic_polynomial(order)
-    # remainder of coeffs modulo the monic polynomial phi
-    deg = len(phi) - 1
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        q = coeffs[i]
-        if q != 0:
-            for j, d in enumerate(phi):
-                coeffs[i - deg + j] -= q * d
-    return all(c == 0 for c in coeffs[:deg])
+    # phi is monic, so an integer multiple of coeffs divides exactly iff coeffs does
+    try:
+        _poly_divmod_int(integer_vector(coeffs)[0], cyclotomic_polynomial(order))
+    except ArithmeticError:
+        return False
+    return True

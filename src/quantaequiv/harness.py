@@ -94,6 +94,13 @@ def _record(check_id, passed, value=None, tolerance=None, witness=None, saturate
     return rec
 
 
+def _tally(check_id, failures):
+    """The tolerance-0 count record: one witness per failure, the first one kept."""
+    witnesses = list(failures)
+    return _record(check_id, not witnesses, value=len(witnesses), tolerance=0,
+                   witness=witnesses[0] if witnesses else None)
+
+
 def _worker_count():
     raw = os.environ.get("QUANTAEQUIV_THREADS", "")
     if not raw.strip():
@@ -190,42 +197,8 @@ def _suite_weyl_laws(config):
     seed = config["seed"]
     count = config["sample_count"]
 
-    def associativity():
-        bad = 0
-        witness = None
-        for i, (a, b, c) in enumerate(_laws_tuples(seed, "assoc", count // 3 + 1, 3)):
-            if multiply(multiply(a, b), c) != multiply(a, multiply(b, c)):
-                bad += 1
-                witness = witness or {"index": i}
-        return _record(
-            "law-01-associativity", bad == 0, value=bad, tolerance=0, witness=witness
-        )
-
-    def unit_laws():
-        bad = 0
-        for (a,) in _laws_tuples(seed, "unit", count, 1):
-            one = weyl_unit(a.space, a.hbar)
-            if multiply(one, a) != a or multiply(a, one) != a:
-                bad += 1
-        return _record("law-02-unit", bad == 0, value=bad, tolerance=0)
-
-    def involution_laws():
-        bad = 0
-        for a, b in _laws_tuples(seed, "star", count // 2 + 1, 2):
-            if involution(multiply(a, b)) != multiply(involution(b), involution(a)):
-                bad += 1
-            if involution(involution(a)) != a:
-                bad += 1
-        return _record("law-03-involution", bad == 0, value=bad, tolerance=0)
-
-    def zero_fiber_commutativity():
-        bad = 0
-        for a, b in _laws_tuples(seed, "commute", count // 2 + 1, 2):
-            a0 = evaluate_at(a, 0)
-            b0 = evaluate_at(b, 0)
-            if multiply(a0, b0) != multiply(b0, a0):
-                bad += 1
-        return _record("law-04-zero-fiber-commutative", bad == 0, value=bad, tolerance=0)
+    def tuples(tag, n, width):
+        return enumerate(_laws_tuples(seed, tag, n, width))
 
     def poisson_axioms():
         anti = jacobi = leibniz = 0
@@ -256,17 +229,43 @@ def _suite_weyl_laws(config):
             witness={"antisymmetry": anti, "jacobi": jacobi, "leibniz": leibniz},
         )
 
-    def serialization_round_trip():
-        bad = 0
-        for (a,) in _laws_tuples(seed, "json", 100, 1):
-            if weyl_from_json(weyl_to_json(a)) != a:
-                bad += 1
-        return _record("law-06-serialization", bad == 0, value=bad, tolerance=0)
+    def laws():
+        units = ((i, a, weyl_unit(a.space, a.hbar)) for i, (a,) in tuples("unit", count, 1))
+        fibers = (
+            (i, evaluate_at(a, 0), evaluate_at(b, 0))
+            for i, (a, b) in tuples("commute", count // 2 + 1, 2)
+        )
+        return [
+            _tally("law-01-associativity", (
+                {"index": i} for i, (a, b, c) in tuples("assoc", count // 3 + 1, 3)
+                if multiply(multiply(a, b), c) != multiply(a, multiply(b, c))
+            )),
+            _tally("law-02-unit", (
+                {"index": i} for i, a, one in units
+                if multiply(one, a) != a or multiply(a, one) != a
+            )),
+            _tally("law-03-involution", (
+                {"index": i, "law": law}
+                for i, (a, b) in tuples("star", count // 2 + 1, 2)
+                for law, holds in (
+                    ("anti-multiplicative",
+                     involution(multiply(a, b)) == multiply(involution(b), involution(a))),
+                    ("involutive", involution(involution(a)) == a),
+                )
+                if not holds
+            )),
+            _tally("law-04-zero-fiber-commutative", (
+                {"index": i} for i, a0, b0 in fibers if multiply(a0, b0) != multiply(b0, a0)
+            )),
+            poisson_axioms(),
+            _tally("law-06-serialization", (
+                {"index": i} for i, (a,) in tuples("json", 100, 1)
+                if weyl_from_json(weyl_to_json(a)) != a
+            )),
+        ]
 
-    laws = (associativity, unit_laws, involution_laws, zero_fiber_commutativity,
-            poisson_axioms, serialization_round_trip)
     # one task: the exact checks hold the GIL, and a thread pool ran them slower
-    return [lambda: [law() for law in laws]]
+    return [laws]
 
 
 # --- weyl-sdq -----------------------------------------------------------------
@@ -330,12 +329,10 @@ def _suite_weyl_sdq(config):
                                    tolerance=0.05, saturated=saturated))
         return records
 
-    def k0_brute_force():
+    def k0_disagreements():
         rng = make_rng(seed, "weyl-sdq", "k0")
         spaces = random_space_pool(rng, 4, dims=(2, 4))
         vanishing_factor = CoeffExpr.phase(0, Fraction(1, 1)) - CoeffExpr.one()
-        disagreements = 0
-        witness = None
         for i in range(count):
             space = spaces[i % len(spaces)]
             section = random_element(rng, space)
@@ -346,31 +343,23 @@ def _suite_weyl_sdq(config):
                 _limit_magnitude(c) < 1e-9 for c in section.coeffs()
             )
             if claimed != measured:
-                disagreements += 1
-                witness = witness or {
-                    "index": i,
-                    "claimed": claimed,
-                    "measured": measured,
-                }
-        return [_record(
-            "sdq-05-k0-brute-force", disagreements == 0,
-            value=disagreements, tolerance=0, witness=witness,
-        )]
+                yield {"index": i, "claimed": claimed, "measured": measured}
 
-    def rieffel_constancy():
+    def rieffel_failures():
         rng = make_rng(seed, "weyl-sdq", "rieffel")
         spaces = random_space_pool(rng, 4, dims=(2, 4))
-        bad = 0
         for i in range(50):
             space = spaces[i % len(spaces)]
             base = evaluate_at(weyl_generator(space, random_label(rng, space)), 0)
             coeff = random_coeff(rng, with_parameter=False)
-            element = base.scale_coeff(coeff)
-            if not rieffel_condition_check(element, schedule):
-                bad += 1
-        return [_record("sdq-06-rieffel-constancy", bad == 0, value=bad, tolerance=0)]
+            if not rieffel_condition_check(base.scale_coeff(coeff), schedule):
+                yield {"index": i}
 
-    return [closed_forms, k0_brute_force, rieffel_constancy]
+    return [
+        closed_forms,
+        lambda: [_tally("sdq-05-k0-brute-force", k0_disagreements())],
+        lambda: [_tally("sdq-06-rieffel-constancy", rieffel_failures())],
+    ]
 
 
 def _limit_magnitude(coeff):
@@ -382,13 +371,6 @@ def _limit_magnitude(coeff):
 
 
 # --- equivalence-weyl ---------------------------------------------------------
-
-
-def _violation_witness(bad):
-    if not bad:
-        return None
-    first = bad[0]
-    return {"law": first.get("law"), "sample_id": str(first.get("sample_id"))}
 
 
 def _suite_equivalence_weyl(config):
@@ -412,25 +394,21 @@ def _suite_equivalence_weyl(config):
              check_equivalence(quantization_functor(), limit_functor(), unit_transformation(),
                                counit_transformation(), arrows, quantized)),
         )
-        checks = []
-        for check_id, report in reports:
-            bad = violations(report)
-            checks.append(_record(check_id, not bad, value=len(bad), tolerance=0,
-                                  witness=_violation_witness(bad)))
-
-        round_trip_bad = 0
-        for record in arrows:
-            m = record.payload
-            if classical_limit_morphism(quantize_morphism(m)) != m:
-                round_trip_bad += 1
-        for record in quantized:
-            q = record.payload
-            if quantize_morphism(classical_limit_morphism(q)) != q:
-                round_trip_bad += 1
-        checks.append(
-            _record("eq-06-arrow-round-trips", round_trip_bad == 0,
-                    value=round_trip_bad, tolerance=0)
+        checks = [
+            _tally(check_id, ({"law": e.get("law"), "sample_id": str(e.get("sample_id"))}
+                              for e in violations(report)))
+            for check_id, report in reports
+        ]
+        round_trips = (
+            (arrows, quantize_morphism, classical_limit_morphism),
+            (quantized, classical_limit_morphism, quantize_morphism),
         )
+        checks.append(_tally("eq-06-arrow-round-trips", (
+            {"arrow": record.arrow_id}
+            for pool, there, back in round_trips
+            for record in pool
+            if back(there(record.payload)) != record.payload
+        )))
         return checks
 
     return [run_battery]

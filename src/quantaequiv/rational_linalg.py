@@ -160,32 +160,6 @@ def _eliminate(rows):
     return rows, pivots
 
 
-def det(m):
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant needs a square matrix")
-    rows = [list(r) for r in m]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return result
-
-
 def inverse(m):
     n = len(m)
     if any(len(r) != n for r in m):

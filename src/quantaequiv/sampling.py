@@ -71,9 +71,10 @@ def random_space(rng, dim):
             for j in range(i + 1, dim):
                 entries[i][j] = random_fraction(rng, 3, 3)
                 entries[j][i] = -entries[i][j]
-        form = rl.matrix(entries)
-        if rl.det(form) != 0:
-            return SymplecticSpace(dim, form)
+        try:
+            return SymplecticSpace(dim, entries)
+        except SpaceError:  # degenerate: draw again
+            pass
 
 
 def _random_symmetric(rng, n):
@@ -86,13 +87,13 @@ def _random_symmetric(rng, n):
 
 
 def _random_invertible(rng, n):
+    """(A, A^-1) for a random invertible A with entries in [-2, 2]."""
     while True:
-        entries = [
-            [Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)
-        ]
-        m = rl.matrix(entries)
-        if rl.det(m) != 0:
-            return m
+        m = rl.matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        try:
+            return m, rl.inverse(m)
+        except ValueError:  # singular: draw again
+            pass
 
 
 def _block(top_left, top_right, bottom_left, bottom_right):
@@ -121,9 +122,8 @@ def random_standard_symplectic(rng, n):
         elif kind == 1:
             total = _block(eye, zero, _random_symmetric(rng, n), eye).compose(total)
         else:
-            a = _random_invertible(rng, n)
-            a_inv_t = rl.transpose(rl.inverse(a))
-            total = _block(a, zero, zero, a_inv_t).compose(total)
+            a, a_inv = _random_invertible(rng, n)
+            total = _block(a, zero, zero, rl.transpose(a_inv)).compose(total)
     return total
 
 

@@ -42,7 +42,7 @@ class SymplecticSpace:
             for j in range(self.dim):
                 if form[i][j] != -form[j][i]:
                     raise SpaceError("form matrix must be antisymmetric")
-        if rl.det(form) == 0:
+        if len(rl.row_space_basis(form)) < self.dim:
             raise SpaceError("form matrix must be nondegenerate")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "form_ints", rl.integer_matrix(form))
@@ -180,19 +180,14 @@ def darboux_basis(space):
     Built by symplectic pair extraction: pick v, find w with form(v, w) = 1,
     project the rest onto the symplectic complement, recurse.
     """
-    form = space.form
     dim = space.dim
-
-    def pairing(u, v):
-        return rl.dot(u, rl.mat_vec(form, v))
-
     remaining = [tuple(row) for row in rl.identity(dim)]
     es, fs = [], []
     while remaining:
         v = remaining[0]
         w = None
         for cand in remaining[1:]:
-            c = pairing(v, cand)
+            c = symplectic_form(space, v, cand)
             if c != 0:
                 w = rl.vec_scale(Fraction(1) / c, cand)
                 break
@@ -202,8 +197,8 @@ def darboux_basis(space):
         fs.append(w)
         projected = []
         for u in remaining[1:]:
-            u2 = rl.vec_sub(u, rl.vec_scale(pairing(u, w), v))
-            u2 = rl.vec_add(u2, rl.vec_scale(pairing(u, v), w))
+            u2 = rl.vec_sub(u, rl.vec_scale(symplectic_form(space, u, w), v))
+            u2 = rl.vec_add(u2, rl.vec_scale(symplectic_form(space, u, v), w))
             if any(e != 0 for e in u2):
                 projected.append(u2)
         remaining = rl.row_space_basis(projected)

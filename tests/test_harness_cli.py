@@ -256,6 +256,33 @@ class TestRunSuite:
             if check["status"] == "fail":
                 assert check.get("witness") is not None
 
+    def test_failing_count_checks_name_their_first_failure(self, monkeypatch):
+        monkeypatch.setattr(harness, "weyl_from_json", lambda data: None)
+        monkeypatch.setattr(harness, "quantize_morphism", lambda m: None)
+        monkeypatch.setattr(harness, "classical_limit_morphism", lambda q: None)
+        monkeypatch.setattr(harness, "_limit_magnitude", lambda coeff: 1.0)
+        monkeypatch.setattr(harness, "rieffel_condition_check", lambda element, schedule: False)
+        checks = {}
+        for suite, fields in (("weyl-laws", {"sample_count": 4}),
+                              ("equivalence-weyl", {"sample_count": 1, "max_pairs": 5}),
+                              ("weyl-sdq", {"sample_count": 4})):
+            report = run_suite(dict(default_config(suite), **fields))
+            checks.update((c["id"], c) for c in report["checks"])
+        assert checks["law-06-serialization"]["value"] == 100
+        assert checks["law-06-serialization"]["witness"] == {"index": 0}
+        assert checks["eq-06-arrow-round-trips"]["witness"] == {"arrow": "m0"}
+        # every section reads as nonvanishing; the even ones are in K0
+        assert checks["sdq-05-k0-brute-force"]["value"] == 2
+        assert checks["sdq-05-k0-brute-force"]["witness"] == {
+            "index": 0, "claimed": True, "measured": False}
+        assert checks["sdq-06-rieffel-constancy"]["witness"] == {"index": 0}
+        for check_id in ("law-06-serialization", "eq-06-arrow-round-trips",
+                         "sdq-05-k0-brute-force", "sdq-06-rieffel-constancy"):
+            assert checks[check_id]["status"] == "fail"
+            assert checks[check_id]["tolerance"] == 0
+        assert checks["law-01-associativity"] == {
+            "id": "law-01-associativity", "status": "pass", "value": 0, "tolerance": 0}
+
     def test_deterministic_modulo_timestamp(self, sdq_report):
         again = run_suite(default_config("weyl-sdq"))
         a = dict(sdq_report)
@@ -429,6 +456,17 @@ class TestCli:
         assert "config error: --out %s exists and is not a directory" % out in err
         assert out.read_text() == "keep"
         assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+    def test_empty_out_exits_two_before_the_suite_runs(self, tmp_path, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["run", "weyl-sdq", "--out", ""])
+        assert code == 2
+        assert "config error: --out must name a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("under", [os.path.join("sub", "dir"), "", ".."],
                              ids=["subdir", "trailing-sep", "parent-ref"])

@@ -48,6 +48,11 @@ def test_space_validation():
         SymplecticSpace(2, rl.matrix([[0, 1], [1, 0]]))  # symmetric
     with pytest.raises(SpaceError):
         SymplecticSpace(2, rl.matrix([[0, 0], [0, 0]]))  # degenerate
+    # antisymmetric and nonzero, but rows 1 and 2 are equal and row 3 is
+    # 2 * row 1 - row 0: rank 2
+    rank_two = rl.matrix([[0, 1, 1, 2], [-1, 0, 0, 1], [-1, 0, 0, 1], [-2, -1, -1, 0]])
+    with pytest.raises(SpaceError, match="nondegenerate"):
+        SymplecticSpace(4, rank_two)
 
 
 def test_diag_2_half_is_symplectic_diag_2_2_is_not():
@@ -91,7 +96,7 @@ def test_darboux_basis_standardizes_random_forms():
                         entries[i][j] = v
                         entries[j][i] = -v
                 m = tuple(tuple(r) for r in entries)
-                if rl.det(m) != 0:
+                if len(rl.row_space_basis(m)) == dim:
                     break
             space = SymplecticSpace(dim, m)
             b = darboux_basis(space)

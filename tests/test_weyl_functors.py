@@ -295,7 +295,7 @@ def reference_standard_symplectic(rng, n):
         elif kind == 1:
             block = sampling._block(eye, zero, sampling._random_symmetric(rng, n), eye)
         else:
-            a = sampling._random_invertible(rng, n)
+            a, _ = sampling._random_invertible(rng, n)
             block = sampling._block(a, zero, zero, rl.transpose(rl.inverse(a)))
         total = rl.mat_mul(block.matrix, total)
     return total
