@@ -97,6 +97,7 @@ from .rieffel import (
     translate,
     weyl_homomorphism_residual,
     weyl_transform,
+    weyl_transforms,
 )
 from .sampling import child_seed, make_rng
 from .harness import (

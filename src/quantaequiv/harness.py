@@ -72,6 +72,7 @@ from .rieffel import (
     star_defects,
     weyl_homomorphism_residual,
     weyl_transform,
+    weyl_transforms,
 )
 
 SCHEMA_VERSION = 1
@@ -574,12 +575,11 @@ def _suite_weyl_transform(config):
         f = GridFunction.gaussian(grid, c1, a)
         g = GridFunction.gaussian(grid, c2, b)
         star = moyal_product(f, g, hbar)
-        residuals = {}
-        for n in truncations:
-            wf = weyl_transform(f, hbar, n, support_tail=1.0)
-            wg = weyl_transform(g, hbar, n, support_tail=1.0)
-            ws = weyl_transform(star, hbar, n, support_tail=1.0)
-            residuals[n] = weyl_homomorphism_residual(ws, wf, wg)
+        # one spectrum and one class symbol per operand serve every truncation
+        wf, wg, ws = (weyl_transforms(h, hbar, truncations, support_tail=1.0) for h in (f, g, star))
+        residuals = {
+            n: weyl_homomorphism_residual(s, a, b) for n, s, a, b in zip(truncations, ws, wf, wg)
+        }
         ordered = [residuals[n] for n in truncations]
         monotone = all(a > b for a, b in zip(ordered, ordered[1:]))
         small = residuals[reference] <= 1e-3

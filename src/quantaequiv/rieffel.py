@@ -51,16 +51,19 @@ _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
 # Blocks bound the temporaries of the grid kernels.  One block is
 # _BLOCK_ENTRIES complex entries (8 MiB): of each q-FFT array in
-# moyal_product (two live per block), of the phase powers in weyl_transform,
-# and of the quadrature oracle's kernel (_BLOCK_ENTRIES // _ORACLE_NODES =
-# 256 rows).  The first two never change a result; the oracle's rows set the
-# order of its sums.  _SYNTHESIS_BLOCK counts grid-by-mode entries of 64
-# bytes in pullback (64 MiB); it sets the order of pullback's sums.
+# moyal_product (two live per block), of the phase-power table in
+# weyl_transforms (one row per power, built once per operand at its largest
+# truncation), and of the quadrature oracle's kernel (_BLOCK_ENTRIES //
+# _ORACLE_NODES = 256 rows).  The first two never change a result; the
+# oracle's rows set the order of its sums.  _SYNTHESIS_BLOCK counts
+# grid-by-mode entries of 64 bytes in pullback (64 MiB); it sets the order
+# of pullback's sums.
 _BLOCK_ENTRIES = 2**19
 _SYNTHESIS_BLOCK = 2**20
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
 # complex entries of weyl_transform's class symbol, classes x (2n - 1), and
-# phase table, n x classes (512 MiB); larger transforms are refused
+# phase table, n x classes (512 MiB), at each truncation; larger transforms
+# are refused
 _MAX_TRANSFORM_ENTRIES = 2**25
 
 
@@ -510,13 +513,13 @@ def oscillator_position(n_trunc, hbar):
 
 
 def _powers(z, count):
-    """Columns z**0 .. z**(count - 1), by doubling: log2(count) products deep."""
-    out = np.empty((len(z), count), dtype=np.complex128)
-    out[:, 0] = 1.0
+    """Rows z**0 .. z**(count - 1), by doubling: log2(count) products deep."""
+    out = np.empty((count, len(z)), dtype=np.complex128)
+    out[0] = 1.0
     done = 1
     while done < count:
         step = min(done, count - done)
-        out[:, done : done + step] = out[:, :step] * (out[:, done - 1] * z)[:, None]
+        out[done : done + step] = out[:step] * (out[done - 1] * z)
         done += step
     return out
 
@@ -525,8 +528,11 @@ def _class_symbols(members, phi, fval, n_trunc):
     """Rows T[c, d] = sum_{k in class c} F_k e^{i phi_k d}, d = -(n-1) .. n-1.
 
     members[k] is the class of mode k.  Classes of one size m share a
-    (classes, m) table of their modes in mode order; one einsum per half
-    then sums each class, in blocks of at most _BLOCK_ENTRIES powers.
+    (classes, m) table of their modes in mode order, whose powers are one
+    (n, classes, m) table stored by power; one einsum per half then sums
+    each class, in blocks of at most _BLOCK_ENTRIES powers.  Column d of T
+    takes the same products at every n_trunc above |d|, so the middle
+    2n - 1 columns of T at a larger truncation are T at n, bit for bit.
     """
     # Row c of `half` holds T[c, d] for d >= 0, row C + c holds conj(T[c, -d]):
     # the class sums of F_k z_k^d and conj(F_k) z_k^d, z_k = e^{i phi_k}.
@@ -542,9 +548,9 @@ def _class_symbols(members, phi, fval, n_trunc):
         rows = max(1, _BLOCK_ENTRIES // (m * n_trunc))
         for start in range(0, len(same), rows):
             c, modes = same[start : start + rows], table[start : start + rows]
-            powers = _powers(z[modes.ravel()], n_trunc).reshape(len(c), m, n_trunc)
-            half[c] = np.einsum("cm,cmd->cd", fval[modes], powers)
-            half[classes + c] = np.einsum("cm,cmd->cd", fval[modes].conj(), powers)
+            powers = _powers(z[modes.ravel()], n_trunc).reshape(n_trunc, len(c), m)
+            half[c] = np.einsum("cm,dcm->cd", fval[modes], powers)
+            half[classes + c] = np.einsum("cm,dcm->cd", fval[modes].conj(), powers)
     return np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
 
 
@@ -581,6 +587,67 @@ def _jacobi_eigenpairs(n_trunc):
         return _cached_eigenpairs(n_trunc)
 
 
+def _assemble(n_trunc, s, symbol):
+    """The n_trunc x n_trunc transform from its class symbols, one column per offset."""
+    lam, w = _jacobi_eigenpairs(n_trunc)
+    g = _eigenvalue_symbols(lam, s, symbol)
+    # diagonals d and -d share the products W[a + d, m] W[a, m]
+    levels = np.arange(n_trunc)
+    total = np.empty((n_trunc, n_trunc), dtype=np.complex128)
+    for d in range(n_trunc):
+        a = levels[: n_trunc - d]
+        pair = w[d:] * w[: n_trunc - d]
+        total[a + d, a] = np.einsum("am,m->a", pair, g[n_trunc - 1 + d])
+        total[a, a + d] = np.einsum("am,m->a", pair, g[n_trunc - 1 - d])
+    return total
+
+
+def weyl_transforms(f, hbar, truncations, support_tail=1e-3):
+    """weyl_transform(f, hbar, n, support_tail) for each n of truncations, in order.
+
+    The operand stage runs once: the support guard, |f|^2, the significant
+    modes, their |k|^2 classes and angles, and one class symbol at the
+    largest truncation.  Then each truncation's guards run, the tail
+    detector and the size guard, so a bad entry anywhere in the list is
+    refused before any symbol is built.  The truncation stage runs once
+    per n: the middle 2n - 1 columns of the shared symbol (bit for bit the
+    symbol built at n), its eigenvalue symbols and the assembly.
+    """
+    if not truncations:
+        raise GridError("at least one truncation is needed")
+    if min(truncations) < 16:
+        raise GridError("truncation size must be at least 16")
+    if not (hbar > 0):
+        raise GridError("the deformation parameter must be positive")
+    _require_interior_support(f, _BOUNDARY_THRESHOLD)
+    grid = f.grid
+    mass = np.abs(f.samples) ** 2
+    total_mass = float(mass.sum())
+    radius2 = sum(c**2 for c in grid.coordinate_mesh())
+    mvec, fval = _significant(_modes(f))
+    keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
+    for n_trunc in truncations:
+        # trace of |f|^2 beyond the turning radius of the top basis state
+        if total_mass > 0.0:
+            reach = np.sqrt(hbar * (2.0 * n_trunc - 1.0))
+            tail = float(mass[radius2 > reach**2].sum()) / total_mass
+            if tail > support_tail:
+                raise TruncationError(
+                    "phase-space mass fraction %.3e beyond the truncation reach %.3f; "
+                    "increase the truncation" % (tail, reach)
+                )
+        entries = len(keys) * (3 * n_trunc - 1)
+        if entries > _MAX_TRANSFORM_ENTRIES:
+            raise GridError(
+                "%d |k|^2 classes at truncation %d make %d symbol and phase entries, "
+                "above the limit of %d" % (len(keys), n_trunc, entries, _MAX_TRANSFORM_ENTRIES)
+            )
+    top = max(truncations)
+    symbol = _class_symbols(members, np.arctan2(mvec[:, 1], mvec[:, 0]), fval, top)
+    s = grid.mode_step * np.sqrt(0.5 * hbar * keys)
+    return [_assemble(n, s, symbol[:, top - n : top + n - 1]) for n in truncations]
+
+
 def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     """The n_trunc x n_trunc complex matrix of f in the oscillator basis.
 
@@ -589,7 +656,9 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     classical reach of the highest retained basis state; a tail fraction
     above support_tail means the truncation cannot hold the function's
     phase-space support.  Pass support_tail >= 1 to measure deliberately
-    under-resolved truncations (convergence studies).
+    under-resolved truncations (convergence studies).  This is the
+    one-entry case of weyl_transforms, which makes the transforms of one
+    function at several truncations from one spectrum and one symbol.
 
     Assembly rests on two exact facts.  First, k1 Q + k2 P is unitarily
     similar to |k| sqrt(hbar/2) J, with J the real Jacobi matrix of
@@ -611,47 +680,7 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     for n_trunc, above _MAX_TRANSFORM_ENTRIES, is refused with GridError
     before any symbol is built.
     """
-    if n_trunc < 16:
-        raise GridError("truncation size must be at least 16")
-    if not (hbar > 0):
-        raise GridError("the deformation parameter must be positive")
-    _require_interior_support(f, _BOUNDARY_THRESHOLD)
-    grid = f.grid
-
-    # trace of |f|^2 beyond the turning radius of the top basis state
-    mass = np.abs(f.samples) ** 2
-    total_mass = float(mass.sum())
-    if total_mass > 0.0:
-        reach = np.sqrt(hbar * (2.0 * n_trunc - 1.0))
-        radius2 = sum(c**2 for c in grid.coordinate_mesh())
-        tail = float(mass[radius2 > reach**2].sum()) / total_mass
-        if tail > support_tail:
-            raise TruncationError(
-                "phase-space mass fraction %.3e beyond the truncation reach %.3f; "
-                "increase the truncation" % (tail, reach)
-            )
-    mvec, fval = _significant(_modes(f))
-    keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
-    entries = len(keys) * (3 * n_trunc - 1)
-    if entries > _MAX_TRANSFORM_ENTRIES:
-        raise GridError(
-            "%d |k|^2 classes at truncation %d make %d symbol and phase entries, "
-            "above the limit of %d" % (len(keys), n_trunc, entries, _MAX_TRANSFORM_ENTRIES)
-        )
-    phi = np.arctan2(mvec[:, 1], mvec[:, 0])
-    symbol = _class_symbols(members, phi, fval, n_trunc)
-    lam, w = _jacobi_eigenpairs(n_trunc)
-    g = _eigenvalue_symbols(lam, grid.mode_step * np.sqrt(0.5 * hbar * keys), symbol)
-
-    # diagonals d and -d share the products W[a + d, m] W[a, m]
-    levels = np.arange(n_trunc)
-    total = np.empty((n_trunc, n_trunc), dtype=np.complex128)
-    for d in range(n_trunc):
-        a = levels[: n_trunc - d]
-        pair = w[d:] * w[: n_trunc - d]
-        total[a + d, a] = np.einsum("am,m->a", pair, g[n_trunc - 1 + d])
-        total[a, a + d] = np.einsum("am,m->a", pair, g[n_trunc - 1 - d])
-    return total
+    return weyl_transforms(f, hbar, [n_trunc], support_tail)[0]
 
 
 def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix):

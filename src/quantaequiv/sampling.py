@@ -64,7 +64,13 @@ def random_label(rng, space):
 
 
 def random_space(rng, dim):
-    """A random nondegenerate antisymmetric rational form of even dimension."""
+    """A random nondegenerate antisymmetric rational form of even dimension.
+
+    Any other dim is refused before the first draw: no form of it is
+    nondegenerate, so drawing again would never end.
+    """
+    if dim <= 0 or dim % 2 != 0:
+        raise SpaceError("dimension must be a positive even integer")
     while True:
         entries = [[Fraction(0)] * dim for _ in range(dim)]
         for i in range(dim):

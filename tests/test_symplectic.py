@@ -55,6 +55,19 @@ def test_space_validation():
         SymplecticSpace(4, rank_two)
 
 
+@pytest.mark.parametrize("dim", (3, 1, 0))
+def test_random_space_refuses_a_dim_with_no_form_before_drawing(dim):
+    import random
+
+    from quantaequiv.sampling import random_space
+
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(SpaceError, match="positive even integer"):
+        random_space(rng, dim)
+    assert rng.getstate() == state
+
+
 def test_diag_2_half_is_symplectic_diag_2_2_is_not():
     sp = standard_space(1)
     good = LinearMapSpec(rl.matrix([[2, 0], [0, "1/2"]]))

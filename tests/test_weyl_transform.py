@@ -29,6 +29,7 @@ from quantaequiv.rieffel import (
     oscillator_position,
     weyl_homomorphism_residual,
     weyl_transform,
+    weyl_transforms,
 )
 
 HBAR = 0.1
@@ -82,6 +83,18 @@ def _class_inputs(f):
     return members, np.arctan2(mvec[:, 1], mvec[:, 0]), fval
 
 
+def reference_powers(z, count):
+    """The column-layout power table _powers replaced, kept as its reference."""
+    out = np.empty((len(z), count), dtype=np.complex128)
+    out[:, 0] = 1.0
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        out[:, done : done + step] = out[:, :step] * (out[:, done - 1] * z)[:, None]
+        done += step
+    return out
+
+
 def reference_class_symbols(members, phi, fval, n_trunc):
     """The sparse class-by-mode product _class_symbols replaced, kept as its reference."""
     classes, count = len(np.bincount(members)), len(fval)
@@ -96,7 +109,7 @@ def reference_class_symbols(members, phi, fval, n_trunc):
     rows = max(1, rieffel._BLOCK_ENTRIES // n_trunc)
     for start in range(0, count, rows):
         block = slice(start, start + rows)
-        half += weights[:, block] @ rieffel._powers(np.exp(1j * phi[block]), n_trunc)
+        half += weights[:, block] @ rieffel._powers(np.exp(1j * phi[block]), n_trunc).T
     return np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
 
 
@@ -246,6 +259,23 @@ class TestTruncationDetector:
 
 
 class TestClassSymbolsAndEigenpairs:
+    @pytest.mark.parametrize("count", (1, 2, 3, 5, 31, 64, 128))
+    def test_powers_are_the_column_table_stored_by_power(self, count):
+        # the odd counts end on a partial doubling step
+        z = np.exp(1j * np.linspace(-3.0, 3.0, 11))
+        assert np.array_equal(rieffel._powers(z, count), reference_powers(z, count).T)
+
+    def test_middle_columns_of_a_larger_symbol_are_the_symbol(
+        self, window, windowed_coordinate, pair_operands
+    ):
+        # weyl_transforms slices each truncation's symbol out of the largest one
+        functions = [window, windowed_coordinate] + [h for ops in pair_operands for h in ops]
+        for f in functions:
+            args = _class_inputs(f)
+            full = _class_symbols(*args, 128)
+            for n in (16, 31, 32, 64):
+                assert np.array_equal(full[:, 128 - n : 128 + n - 1], _class_symbols(*args, n))
+
     @pytest.mark.parametrize("n_trunc", (32, 64, 128))
     def test_class_sum_matches_the_sparse_product(
         self, window, windowed_coordinate, pair_operands, n_trunc
@@ -301,15 +331,34 @@ class TestClassSymbolsAndEigenpairs:
         assert report["summary"]["failed"] == 0
         assert sorted(sizes) == sorted(set(config["truncations"]))
 
-    def test_window_transform_temporaries_stay_bounded(self, window):
+    @pytest.mark.parametrize("truncations", ((128,), (32, 64, 128)))
+    def test_window_transform_temporaries_stay_bounded(self, window, truncations):
+        # the smaller truncations take views of the symbol built at n = 128
         tracemalloc.start()
         try:
-            weyl_transform(window, HBAR, 128)
+            weyl_transforms(window, HBAR, truncations, support_tail=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # with the sparse class sum this transform peaked at 77.1 MiB
+        # with the sparse class sum one transform at n = 128 peaked at 77.1 MiB
         assert peak <= 77.1 * 2**20
+
+
+class TestWeylTransforms:
+    @pytest.mark.parametrize("truncations", ((32, 64, 128), (128, 32)))
+    def test_equal_to_one_transform_per_truncation(
+        self, window, windowed_coordinate, pair_operands, truncations
+    ):
+        functions = [window, windowed_coordinate] + [h for ops in pair_operands for h in ops]
+        for f in functions:
+            mats = weyl_transforms(f, HBAR, truncations, support_tail=1.0)
+            assert len(mats) == len(truncations)
+            for n, mat in zip(truncations, mats):
+                assert np.array_equal(mat, weyl_transform(f, HBAR, n, support_tail=1.0))
+
+    def test_needs_a_truncation(self, window):
+        with pytest.raises(GridError, match="at least one truncation"):
+            weyl_transforms(window, HBAR, [])
 
 
 class TestEigenvalueSymbols:
@@ -388,6 +437,16 @@ class TestSizeGuard:
     def test_window_at_the_schema_cap_passes_the_guard(self, window):
         with pytest.raises(AssertionError, match="symbol work started"):
             weyl_transform(window, HBAR, 1024)
+
+    def test_a_bad_last_truncation_is_refused_before_symbol_work(self, window, gaussian_pair):
+        with pytest.raises(GridError, match="truncation size must be at least 16"):
+            weyl_transforms(window, HBAR, [64, 128, 8])
+        with pytest.raises(GridError) as info:
+            weyl_transforms(window, HBAR, [64, 128, 2048])
+        assert "5924 |k|^2 classes at truncation 2048 make %d" % (5924 * 6143) in str(info.value)
+        # the Gaussian's tail is above the default support_tail at n = 16
+        with pytest.raises(TruncationError, match="beyond the truncation reach 1.761;"):
+            weyl_transforms(gaussian_pair[0], HBAR, [32, 64, 16])
 
 
 @pytest.fixture(scope="module")
