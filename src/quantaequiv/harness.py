@@ -206,19 +206,18 @@ def _suite_weyl_laws(config):
         triple_count = max(500, count // 2)
         for raw in _laws_tuples(seed, "poisson", triple_count, 3, max_terms=2):
             a, b, c = (evaluate_at(el, 0) for el in raw)
-            if poisson_bracket(a, b) != poisson_bracket(b, a).scale_coeff(
-                CoeffExpr.gaussian(-1)
-            ):
+            ab = poisson_bracket(a, b)
+            if ab != poisson_bracket(b, a).scale_coeff(CoeffExpr.gaussian(-1)):
                 anti += 1
             cyc = (
                 poisson_bracket(a, poisson_bracket(b, c))
                 + poisson_bracket(b, poisson_bracket(c, a))
-                + poisson_bracket(c, poisson_bracket(a, b))
+                + poisson_bracket(c, ab)
             )
             if cyc != cyc - cyc:
                 jacobi += 1
             if poisson_bracket(a, multiply(b, c)) != (
-                multiply(poisson_bracket(a, b), c) + multiply(b, poisson_bracket(a, c))
+                multiply(ab, c) + multiply(b, poisson_bracket(a, c))
             ):
                 leibniz += 1
         total_bad = anti + jacobi + leibniz

@@ -35,19 +35,19 @@ def make_rng(master, *path):
     return random.Random(child_seed(master, *path))
 
 
-def _random_ratio(rng, max_abs, max_den):
-    # one num/den draw as the lowest-terms ints (num, den)
-    num = rng.randint(-max_abs, max_abs)
-    den = rng.randint(1, max_den)
-    g = gcd(num, den)
-    return num // g, den // g
+def _random_ratio(rng, max_abs, max_den, allow_zero=True):
+    # one num/den draw as the lowest-terms ints (num, den); without
+    # allow_zero a zero num is drawn again
+    while True:
+        num = rng.randint(-max_abs, max_abs)
+        den = rng.randint(1, max_den)
+        if allow_zero or num:
+            g = gcd(num, den)
+            return num // g, den // g
 
 
 def random_fraction(rng, max_abs=3, max_den=4, allow_zero=True):
-    while True:
-        num, den = _random_ratio(rng, max_abs, max_den)
-        if allow_zero or num:
-            return Fraction(num, den)
+    return Fraction(*_random_ratio(rng, max_abs, max_den, allow_zero))
 
 
 def _random_label_pairs(rng, dim):
@@ -164,7 +164,7 @@ def random_coeff(rng, with_parameter=True):
         for _ in range(rng.randint(1, 2)):
             p = _random_ratio(rng, 2, 3)
             q = _random_ratio(rng, 2, 3) if with_parameter else (0, 1)
-            yield p + q, random_fraction(rng, 3, 3, allow_zero=False)
+            yield p + q, _random_ratio(rng, 3, 3, allow_zero=False)
 
     return CoeffExpr.from_int_pairs(draws())
 

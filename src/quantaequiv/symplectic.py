@@ -5,18 +5,19 @@ exact antisymmetric nondegenerate bilinear form.  Characters are restricted
 to the family chi(f) = e^{i pi <theta, f>} with rational theta, so that every
 phase that ever appears is an exact root of unity.
 
-Spaces and maps keep the integer form of their matrix (``form_ints``,
-``matrix_ints``: rows of ints over one common denominator, see
-``rational_linalg.integer_matrix``) from construction.  The form is
-canonical, so a map's equality and hash read its ``matrix_ints``, which is
-exactly Fraction-matrix equality; composition, composed characters and the
-form identity run on the integer forms too, and a composed map builds its
-Fraction matrix only when it is read.  A space's equality stays on ``dim``
-and ``form``.
+Spaces, maps and characters keep the integer form of their matrix or
+vector (``form_ints``, ``matrix_ints``, ``theta_ints``: ints over one common
+denominator, see ``rational_linalg.integer_matrix``) from construction.  The
+form is canonical, so the equality and hash of a map or a character read
+it, which is exactly Fraction equality; composition, composed characters
+and the form identity run on the integer forms too, and a composed map or
+character builds its Fractions only when they are read.  A space's
+equality stays on ``dim`` and ``form``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import rational_linalg as rl
 
@@ -116,14 +117,47 @@ class LinearMapSpec:
         return LinearMapSpec._from_ints(rl.integer_product(self.matrix_ints, first.matrix_ints))
 
 
-@dataclass(frozen=True)
 class CharacterSpec:
-    """chi(f) = e^{i pi <theta, f>} for a rational vector theta."""
+    """chi(f) = e^{i pi <theta, f>} for a rational vector theta.
 
-    theta: tuple
+    Like a map, the character is its canonical integer form ``theta_ints``
+    (nums, d), d the lcm of theta's denominators: equality and hashing read
+    it, and compose_characters sums it.  The Fraction ``theta`` is built
+    from it on first read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", rl.vector(self.theta))
+    __slots__ = ("theta_ints", "_theta")
+
+    def __init__(self, theta):
+        self._theta = rl.vector(theta)
+        nums, d = rl.integer_vector(self._theta)
+        self.theta_ints = (tuple(nums), d)
+
+    @classmethod
+    def _from_ints(cls, ints):
+        # the character of a canonical integer form; its Fractions wait for a read
+        obj = cls.__new__(cls)
+        obj.theta_ints = ints
+        obj._theta = None
+        return obj
+
+    @property
+    def theta(self):
+        if self._theta is None:
+            nums, d = self.theta_ints
+            self._theta = tuple(Fraction(x, d) for x in nums)
+        return self._theta
+
+    def __eq__(self, other):
+        if not isinstance(other, CharacterSpec):
+            return NotImplemented
+        return self.theta_ints == other.theta_ints
+
+    def __hash__(self):
+        return hash(self.theta_ints)
+
+    def __repr__(self):
+        return "CharacterSpec(theta=%r)" % (self.theta,)
 
 
 def standard_space(n):
@@ -160,17 +194,19 @@ def compose_characters(chi2, t1, chi1):
 
     Returns the CharacterSpec with theta = theta1 + T1^t theta2.
     """
-    if len(chi1.theta) != t1.dim_in or len(chi2.theta) != t1.dim_out:
+    n1, d1 = chi1.theta_ints
+    n2, d2 = chi2.theta_ints
+    if len(n1) != t1.dim_in or len(n2) != t1.dim_out:
         raise SpaceError("characters do not fit the map's dimensions")
     # with T1 = rows/dt and theta_k = n_k/d_k the sum is
-    # (n1 dt d2 + d1 rows^t n2) / (d1 dt d2)
+    # (n1 dt d2 + d1 rows^t n2) / (d1 dt d2), reduced by one gcd
     rows, dt = t1.matrix_ints
-    n1, d1 = rl.integer_vector(chi1.theta)
-    n2, d2 = rl.integer_vector(chi2.theta)
     scale = dt * d2
     pulled = [sum([r * x for r, x in zip(col, n2)]) for col in zip(*rows)]
+    nums = [a * scale + d1 * b for a, b in zip(n1, pulled)]
     d = d1 * scale
-    return CharacterSpec(tuple(Fraction(a * scale + d1 * b, d) for a, b in zip(n1, pulled)))
+    g = gcd(d, *nums)
+    return CharacterSpec._from_ints((tuple([x // g for x in nums]), d // g))
 
 
 def darboux_basis(space):

@@ -17,12 +17,14 @@ generators is {W(f), W(g)} = sigma(f,g) W(f+g).
 
 The exact work runs on Python ints.  A coefficient table is keyed by the
 lowest-terms int pairs (pn, pd, qn, qd) of its exponents, with p folded into
-[0, 1), so merging terms hashes and adds ints; only the amplitudes are
-Fractions, and ``CoeffExpr.terms`` reads the keys back as Fractions in the
-same order.  An element keys its terms by int label tuples over one
-denominator, the lcm of the labels' denominators, reduced again whenever
-labels cancel; equality compares the keys, and ``WeylElement.terms`` and
-the JSON format read them back as Fraction labels in the same order.
+[0, 1), and holds its amplitudes as int numerators over one denominator,
+reduced by one gcd after every operation, so merging terms hashes and adds
+ints and equal tables are equal sums; ``CoeffExpr.terms`` reads the keys
+and amplitudes back as Fractions in the same order.  An element keys its
+terms by int label tuples over one denominator, the lcm of the labels'
+denominators, reduced again whenever labels cancel; equality compares the
+keys, and ``WeylElement.terms`` and the JSON format read them back as
+Fraction labels in the same order.
 ``multiply`` and ``poisson_bracket`` bring both operands to one
 denominator and read the space's integer form, so sigma(f, g) is one int
 sum per pair of labels and f + g is summed and keyed as ints.
@@ -94,41 +96,62 @@ def _key(p, q):
     return (p.numerator, p.denominator, q.numerator, q.denominator)
 
 
+def _over_lcm(pairs):
+    # (key, (n, d)) pairs -> (the folded and merged table of the numerators
+    # over the lcm of the d, that lcm)
+    pairs = list(pairs)
+    den = lcm(*[d for _, (_, d) in pairs])
+    return _norm_items([(k, n * (den // d)) for k, (n, d) in pairs]), den
+
+
+def _canonical(terms, den):
+    # (terms, den) divided by gcd(den, *numerators); den is 1 for an empty table
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {k: a // g for k, a in terms.items()}, den // g
+
+
 class CoeffExpr:
     """Finite sum of exact phases  amp * e^{i pi p} * e^{i q t}.
 
     The rational exponents p and q are kept as pairs of ints in lowest
-    terms, so merging terms hashes and adds ints; ``terms`` reads them back
-    as Fractions.
+    terms, and the amplitudes as int numerators over one positive
+    denominator ``_den`` with gcd(_den, *numerators) == 1 (1 for the empty
+    table), so equal sums have equal tables and merging terms hashes and
+    adds ints; ``terms`` reads them back as Fractions.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_terms")
 
     def __init__(self, terms=()):
         if isinstance(terms, dict):
             terms = terms.items()
-        self._terms = _norm_items([(_key(p, q), Fraction(a)) for (p, q), a in terms])
+        self._terms, self._den = _canonical(
+            *_over_lcm((_key(p, q), Fraction(a).as_integer_ratio()) for (p, q), a in terms)
+        )
 
     @classmethod
-    def _raw(cls, normalized):
+    def _raw(cls, terms, den):
+        # the table terms over den, brought to the canonical form
         obj = cls.__new__(cls)
-        obj._terms = normalized
+        obj._terms, obj._den = _canonical(terms, den)
         return obj
 
     @classmethod
     def from_int_pairs(cls, terms):
-        """The sum of the ((pn, pd, qn, qd), amp) pairs: p = pn/pd and
-        q = qn/qd in lowest terms with positive denominators (not checked),
-        p not yet folded into [0, 1)."""
-        return cls._raw(_norm_items(terms))
+        """The sum of the ((pn, pd, qn, qd), (an, ad)) pairs: p = pn/pd,
+        q = qn/qd and amp = an/ad as ints with positive denominators (not
+        checked), p and q in lowest terms, p not yet folded into [0, 1)."""
+        return cls._raw(*_over_lcm(terms))
 
     @classmethod
     def zero(cls):
-        return cls._raw({})
+        return cls._raw({}, 1)
 
     @classmethod
     def one(cls):
-        return cls._raw({(0, 1, 0, 1): Fraction(1)})
+        return cls._raw({(0, 1, 0, 1): 1}, 1)
 
     @classmethod
     def gaussian(cls, re, im=0):
@@ -147,19 +170,25 @@ class CoeffExpr:
 
     @property
     def terms(self):
+        d = self._den
         return {
-            (Fraction(pn, pd), Fraction(qn, qd)): amp
-            for (pn, pd, qn, qd), amp in self._terms.items()
+            (Fraction(pn, pd), Fraction(qn, qd)): Fraction(a, d)
+            for (pn, pd, qn, qd), a in self._terms.items()
         }
 
     def __bool__(self):
         return bool(self._terms)
 
     def __eq__(self, other):
-        return isinstance(other, CoeffExpr) and self._terms == other._terms
+        # the form is canonical: equal sums have equal tables
+        return (
+            isinstance(other, CoeffExpr)
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
         if not self._terms:
@@ -169,11 +198,19 @@ class CoeffExpr:
             bits.append("%s*e^(i pi %s + i %s t)" % (amp, p, q))
         return "CoeffExpr(%s)" % " + ".join(bits)
 
+    def _over(self, d):
+        # the numerators over the multiple d of _den
+        s = d // self._den
+        if s == 1:
+            return self._terms
+        return {k: a * s for k, a in self._terms.items()}
+
     def __add__(self, other):
-        return CoeffExpr._raw(merge_terms(other._terms.items(), dict(self._terms)))
+        d = lcm(self._den, other._den)
+        return CoeffExpr._raw(merge_terms(other._over(d).items(), dict(self._over(d))), d)
 
     def __neg__(self):
-        return CoeffExpr._raw({k: -a for k, a in self._terms.items()})
+        return CoeffExpr._raw({k: -a for k, a in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -187,9 +224,13 @@ class CoeffExpr:
 
     def scale(self, c):
         c = Fraction(c)
-        if c == 0:
+        return self._scaled(c.numerator, c.denominator)
+
+    def _scaled(self, n, d):
+        # self * n/d for ints n and d > 0
+        if not n:
             return CoeffExpr.zero()
-        return CoeffExpr._raw({k: a * c for k, a in self._terms.items()})
+        return CoeffExpr._raw({k: a * n for k, a in self._terms.items()}, self._den * d)
 
     def _times_phase(self, other, dqn, dqd):
         # self * other * e^{i (dqn/dqd) t}, normalized once; shifting the keys
@@ -206,7 +247,8 @@ class CoeffExpr:
                     for (p1n, p1d, q1n, q1d), a1 in self._terms.items()
                     for p2n, p2d, q2n, q2d, a2 in shifted
                 ]
-            )
+            ),
+            self._den * other._den,
         )
 
     def shift(self, dp, dq):
@@ -218,7 +260,8 @@ class CoeffExpr:
         return CoeffExpr._raw(
             _norm_items(
                 [((-pn, pd, -qn, qd), a) for (pn, pd, qn, qd), a in self._terms.items()]
-            )
+            ),
+            self._den,
         )
 
     def substitute(self, h):
@@ -231,7 +274,7 @@ class CoeffExpr:
             qd *= hd
             g = gcd(qn, qd)
             out.append(((pn, pd, qn // g, qd // g), a))
-        return CoeffExpr._raw(_norm_items(out))
+        return CoeffExpr._raw(_norm_items(out), self._den)
 
     @property
     def is_constant(self):
@@ -240,9 +283,20 @@ class CoeffExpr:
     def value_at(self, t):
         """Numeric complex value with the parameter slot set to the float t."""
         t = float(t)
+        d = self._den
+        # the terms in the order of their Fraction exponents (p, q), which fixes
+        # the float sum: over the lcm of their denominators they compare as ints
+        lp = lcm(*[k[1] for k in self._terms])
+        lq = lcm(*[k[3] for k in self._terms])
+
+        def order(item):
+            pn, pd, qn, qd = item[0]
+            return pn * (lp // pd), qn * (lq // qd)
+
         total = 0j
-        for (p, q), amp in sorted(self.terms.items()):
-            total += float(amp) * cexp(1j * (pi * float(p) + float(q) * t))
+        for (pn, pd, qn, qd), a in sorted(self._terms.items(), key=order):
+            # int true division rounds once, as float() of the Fraction does
+            total += a / d * cexp(1j * (pi * (pn / pd) + qn / qd * t))
         return total
 
     def at_zero_exponents(self):
@@ -252,7 +306,8 @@ class CoeffExpr:
         for (pn, pd, _, _), amp in self._terms.items():
             acc = out.get((pn, pd))
             out[(pn, pd)] = amp if acc is None else acc + amp
-        return {Fraction(pn, pd): amp for (pn, pd), amp in out.items()}
+        d = self._den
+        return {Fraction(pn, pd): Fraction(amp, d) for (pn, pd), amp in out.items()}
 
     def vanishes_at_zero(self):
         """Exact (cyclotomic) zero test of the value at parameter 0."""
@@ -445,13 +500,13 @@ def poisson_bracket(a, b):
     """
     a._require_compatible(b)
     for elt in (a, b):
-        if elt.hbar not in (None, Fraction(0)):
+        if elt.hbar:  # None or the fiber 0
             raise AlgebraError("poisson_bracket needs classical elements")
         if any(not c.is_constant for c in elt._terms.values()):
             raise AlgebraError("poisson_bracket needs parameter-free coefficients")
 
     def bracketed(cf, cg, num, den):
-        return (cf * cg).scale(Fraction(num, den)) if num else None
+        return (cf * cg)._scaled(num, den) if num else None
 
     return _pair_sum(a, b, bracketed)
 

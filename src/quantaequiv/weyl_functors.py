@@ -85,7 +85,7 @@ class WeylMorphismSpec:
     cod: object
 
     def __post_init__(self):
-        if len(self.chi.theta) != self.dom.space.dim:
+        if len(self.chi.theta_ints[0]) != self.dom.space.dim:
             raise SpaceError("character length must match the domain dimension")
         if self.linear.dim_in != self.dom.space.dim:
             raise SpaceError("linear part must accept domain vectors")
@@ -96,7 +96,7 @@ class WeylMorphismSpec:
 def identity_morphism(obj):
     n = obj.space.dim
     return WeylMorphismSpec(
-        chi=CharacterSpec(tuple(Fraction(0) for _ in range(n))),
+        chi=CharacterSpec._from_ints(((0,) * n, 1)),
         # the canonical integer form of the identity: no Fraction matrix is built
         linear=LinearMapSpec._from_ints(
             (tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
@@ -119,8 +119,8 @@ def compose_morphisms(m2, m1):
 
 
 def _fiber(value):
-    v = Fraction(value)
-    if not (0 <= v <= 1):
+    v = value if isinstance(value, Fraction) else Fraction(value)
+    if not (0 <= v.numerator <= v.denominator):
         raise FunctorError("fiber parameter must lie in [0, 1]")
     return v
 

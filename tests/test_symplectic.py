@@ -212,6 +212,20 @@ def test_compose_characters_matches_mat_vec_reference_on_sampled_arrows():
         assert all(type(e) is Fraction for e in got.theta)
 
 
+def test_composed_character_is_the_canonical_integer_form():
+    # compose_characters builds no Fraction: its reduced ints are what the constructor keeps
+    for m2, m1 in _composable_pairs(_pool_payloads(), limit=100):
+        got = compose_characters(m2.chi, m1.linear, m1.chi)
+        pulled = rl.mat_vec(rl.transpose(m1.linear.matrix), m2.chi.theta)
+        want = CharacterSpec(rl.vec_add(m1.chi.theta, pulled))
+        nums, d = rl.integer_vector(want.theta)
+        assert got.theta_ints == want.theta_ints == (tuple(nums), d)
+        assert got.theta == want.theta and repr(got) == repr(want)
+    zero = CharacterSpec._from_ints(((0, 0), 1))
+    assert zero == CharacterSpec((0, 0)) and hash(zero) == hash(CharacterSpec((0, 0)))
+    assert repr(zero) == "CharacterSpec(theta=(Fraction(0, 1), Fraction(0, 1)))"
+
+
 def test_compose_characters_refuses_mismatched_lengths():
     t = LinearMapSpec(rl.matrix([["3/5", 0], [0, 0], [0, "5/3"], [0, 0]]))
     chi2, chi4 = CharacterSpec((1, 2)), CharacterSpec((1, 2, 3, 4))

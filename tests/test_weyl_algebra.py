@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 from cmath import exp as cexp
@@ -689,6 +691,93 @@ def test_coeff_matches_fraction_keyed_reference(t1, t2, dp, dq, c, t):
     payload = _coeff_to_payload(a)
     assert payload == _coeff_to_payload(ra)
     assert _coeff_from_payload(payload) == a
+
+
+def assert_canonical(coeff):
+    # int numerators over one positive denominator that shares no factor with them all
+    nums = list(coeff._terms.values())
+    assert all(type(x) is int and x for x in nums)
+    assert type(coeff._den) is int and coeff._den > 0
+    assert math.gcd(coeff._den, *nums) == 1
+    if not nums:
+        assert coeff._den == 1
+
+
+def assert_same_table(x, y):
+    # equal values reached by different routes: equal, hashing alike, one form
+    assert x == y and hash(x) == hash(y)
+    assert x._den == y._den and x.terms == y.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_list, term_list, exponent, exponent, amplitude)
+def test_coeff_tables_stay_canonical(t1, t2, dp, dq, c):
+    a, b = CoeffExpr(t1), CoeffExpr(t2)
+    unit = CoeffExpr.phase(dp, dq)
+    # a third of a plus the unit phase: taking the third away leaves one term
+    third = a.scale(Fraction(1, 3))
+    mixed = third + unit
+    results = [
+        a, b, unit, mixed, a + b, a - b, a - a, -a, a * b, a * c,
+        a.scale(c), a.scale(0), a.scale(Fraction(3, 7)),
+        a._times_phase(b, dq.numerator, dq.denominator), a.shift(dp, dq),
+        a.conjugate(), a.substitute(dq), a.substitute(0),
+        (a + unit) - a, mixed - third,
+        CoeffExpr.zero(), CoeffExpr.one(), CoeffExpr.gaussian(Fraction(2, 3), Fraction(-3, 4)),
+    ]
+    for r in results:
+        assert_canonical(r)
+    assert_same_table((a + b) - b, a)
+    assert_same_table(a - a, CoeffExpr.zero())
+    assert_same_table(a.scale(0), CoeffExpr.zero())
+    assert_same_table((a + unit) - a, unit)
+    assert_same_table(mixed - third, unit)
+    assert_same_table(a * b, b * a)
+    assert_same_table(a.conjugate().conjugate(), a)
+    assert_same_table(a.scale(Fraction(3, 7)).scale(Fraction(7, 3)), a)
+    assert_same_table(a + b, CoeffExpr(list((a + b).terms.items())))
+    if c:
+        assert_same_table(a.scale(c).scale(1 / c), a)
+
+
+def test_coeff_denominator_follows_cancellation():
+    half = CoeffExpr.gaussian(Fraction(1, 2))
+    third = CoeffExpr.phase(Fraction(1, 3)).scale(Fraction(1, 3))
+    both = half + third
+    assert both._den == 6 and list(both._terms.values()) == [3, 2]
+    assert (both - third)._den == 2 and both - third == half
+    assert (both - both)._den == 1 and not (both - both)
+    assert half.scale(2)._den == 1 and half.scale(2) == CoeffExpr.one()
+    assert {half.scale(2): "one"}[CoeffExpr.one()] == "one"
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20260816])
+def test_drawn_coefficients_are_canonical(seed):
+    rng = make_rng(seed, "tests", "canonical-draws")
+    for _ in range(300):
+        assert_canonical(random_coeff(rng))
+        assert_canonical(random_coeff(rng, with_parameter=False))
+
+
+# the md5 of weyl_to_json(el) + "\n" over the elements of the weyl-laws pools below
+LAWS_POOL_MD5 = {
+    1: "660495e37eef6115b95773e73f2208e1",
+    7: "e2aa1b5403ea0313c7a04892664f74d8",
+    20260816: "58cb09dcfdf589ac6d051d571828eafd",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LAWS_POOL_MD5))
+def test_laws_pools_keep_their_draws(seed):
+    # any change to a label, phase or amplitude draw, or to the RNG stream, moves the digest
+    digest = hashlib.md5()
+    pools = itertools.chain(
+        _laws_tuples(seed, "assoc", 50, 3, max_terms=4),
+        _laws_tuples(seed, "poisson", 50, 3, max_terms=2),
+    )
+    for element in itertools.chain.from_iterable(pools):
+        digest.update((weyl_to_json(element) + "\n").encode())
+    assert digest.hexdigest() == LAWS_POOL_MD5[seed]
 
 
 # --- merge_terms against the loop that CoeffExpr.__add__ wrote out ----------------
