@@ -32,7 +32,9 @@ over the schedule.  Bad input is refused before any twisted FFT.
 The quadrature oracle, the independent reference for the grid product,
 takes each operand as its pair of per-axis factors (f_q, f_p): the
 separability it needs is stated by the caller, not recovered from samples.
-It builds its kernel in row blocks, so its largest temporary is one block.
+On the midpoint nodes its kernel e^{(2i/hbar) u u'} is a Hankel matrix
+between two chirps, so each bilinear form is one FFT correlation: no
+kernel is ever built.
 """
 
 import threading
@@ -51,11 +53,9 @@ _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
 # Blocks bound the temporaries of the grid kernels.  One block is
 # _BLOCK_ENTRIES complex entries (8 MiB): of each q-FFT array in
-# moyal_product (two live per block), of the phase-power table in
+# moyal_product (two live per block) and of the phase-power table in
 # weyl_transforms (one row per power, built once per operand at its largest
-# truncation), and of the quadrature oracle's kernel (_BLOCK_ENTRIES //
-# _ORACLE_NODES = 256 rows).  The first two never change a result; the
-# oracle's rows set the order of its sums.  _SYNTHESIS_BLOCK counts
+# truncation).  Neither changes a result.  _SYNTHESIS_BLOCK counts
 # grid-by-mode entries of 64 bytes in pullback (64 MiB); it sets the order
 # of pullback's sums.
 _BLOCK_ENTRIES = 2**19
@@ -708,48 +708,59 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
 
     (f*g)(z) = (pi hbar)^{-2} iint f(z+u) g(z+v) e^{(2i/hbar) sigma(u,v)} du dv
     over u, v in R^2, with sigma(u,v) = u1 v2 - u2 v1.  Each operand is a
-    pair of 1-D callables (f_q, f_p) with f(x, p) = f_q(x) f_p(p).  The
-    phase splits per axis pair, so the quadruple integral is a product of
-    two double integrals over (u1,v2) and (u2,v1); each is done on a uniform
-    midpoint grid of _ORACLE_NODES points per axis over
-    [-_ORACLE_RADIUS, _ORACLE_RADIUS], and each factor is sampled once per
-    point, on the nodes z + u.  The kernel e^{(2i/hbar) u u'} is built in
-    blocks of _BLOCK_ENTRIES entries (_BLOCK_ENTRIES // _ORACLE_NODES rows),
-    and every point is contracted against each block by matrix-vector
-    products, whose bits do not depend on the BLAS thread count.
-    Independent of every grid code path; slow on purpose.
+    pair of 1-D callables (f_q, f_p) with f(x, p) = f_q(x) f_p(p), and
+    points is a non-empty finite (k, 2) array.  The phase splits per axis
+    pair, so the quadruple integral is a product of two double integrals
+    over (u1,v2) and (u2,v1); each is done on a uniform midpoint grid of
+    _ORACLE_NODES points per axis over [-_ORACLE_RADIUS, _ORACLE_RADIUS],
+    and each factor is sampled once per point, on the nodes z + u.
+
+    Each double integral is a bilinear form x @ K @ y with the kernel
+    K_jk = e^{i a u_j u_k}, a = 2/hbar.  Here u_j u_k =
+    ((u_j + u_k)^2 - u_j^2 - u_k^2) / 2, and on the nodes
+    u_j = -R + s (j + 1/2) (R = _ORACLE_RADIUS, s the node step) the sum
+    u_j + u_k = -2R + s (j + k + 1) depends on j + k only.  So
+    x @ K @ y = sum_m h_m c_m, where c is the linear convolution of
+    x e^{-i a u^2/2} with y e^{-i a u^2/2} and
+    h_m = e^{i a (-2R + s (m + 1))^2 / 2}.  Each convolution is one
+    zero-padded FFT of length 2 _ORACLE_NODES per operand, and the sum over
+    m is taken against the inverse transform of h by numpy's pairwise sum,
+    whose bits do not depend on the BLAS thread count.  Independent of
+    every grid code path: it is quadrature, not a grid spectrum.
     """
     if not (hbar > 0):
         raise GridError("the deformation parameter must be positive")
+    try:
+        points = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        points = np.empty(0)
+    if points.ndim != 2 or points.shape[1] != 2 or not len(points):
+        raise GridError("oracle points must be a non-empty (k, 2) array")
+    if not np.all(np.isfinite(points)):
+        raise GridError("oracle points must be finite")
     (f_q, f_p), (g_q, g_p) = f_factors, g_factors
-    step = 2.0 * _ORACLE_RADIUS / _ORACLE_NODES
-    u = -_ORACLE_RADIUS + step * (np.arange(_ORACLE_NODES) + 0.5)
-    wu = np.full(_ORACLE_NODES, step)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    operands = []
-    for z in points:
+    nodes = _ORACLE_NODES
+    step = 2.0 * _ORACLE_RADIUS / nodes
+    u = -_ORACLE_RADIUS + step * (np.arange(nodes) + 0.5)
+    # u_j + u_k for j + k = 0 .. 2N - 2
+    pair_sums = -2.0 * _ORACLE_RADIUS + step * (np.arange(2 * nodes - 1) + 1.0)
+    # a u^2 / 2 = u^2 / hbar; the chirp carries the node weight
+    chirp = step * np.exp(-1j * (u * u / hbar))
+    # sum_m h_m c_m = sum_k C_k ifft(h)_k over the length-2N spectrum C of c
+    h_hat = np.fft.ifft(np.exp(1j * (pair_sums * pair_sums / hbar)), 2 * nodes)
+    forms = np.empty((len(points), 2), dtype=np.complex128)
+    for i, z in enumerate(points):
         samples = []
         for factor, origin in ((f_q, z[0]), (f_p, z[1]), (g_q, z[0]), (g_p, z[1])):
             values = np.asarray(factor(origin + u))
             if values.shape != u.shape or not np.all(np.isfinite(values)):
                 raise GridError("oracle factors must give finite samples, one per node")
-            samples.append(wu * values)
+            samples.append(values)
         fa, fb, ga, gb = samples
-        # x @ conj(K) @ y is conj(conj(x) @ K @ conj(y)): no conjugate kernel
-        operands.append(((fa, gb), (np.conj(fb), np.conj(ga))))
-    sums = np.zeros((len(points), 2), dtype=np.complex128)
-    block = _BLOCK_ENTRIES // _ORACLE_NODES
-    for start in range(0, _ORACLE_NODES, block):
-        rows = slice(start, start + block)
-        # e^{i phase} as cosine and sine: no complex argument, no complex exp
-        phase = (2.0 / hbar) * np.outer(u[rows], u)
-        kernel = np.empty(phase.shape, dtype=np.complex128)
-        np.cos(phase, out=kernel.real)
-        np.sin(phase, out=kernel.imag)
-        for i, pairs in enumerate(operands):
-            for j, (x, y) in enumerate(pairs):
-                sums[i, j] += (x[rows] @ kernel) @ y
-    return np.array([ia * np.conj(ib) / (np.pi * hbar) ** 2 for ia, ib in sums])
+        # x @ conj(K) @ y is conj(conj(x) @ K @ conj(y)): both pairs share h
+        spectra = np.fft.fft(chirp * np.array([fa, gb, np.conj(fb), np.conj(ga)]), 2 * nodes)
+        forms[i] = np.sum(spectra[::2] * spectra[1::2] * h_hat, axis=1)
+    return forms[:, 0] * np.conj(forms[:, 1]) / (np.pi * hbar) ** 2
 
 
 def gaussian_star_closed_form(decay_a, decay_b, hbar):

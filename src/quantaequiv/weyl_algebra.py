@@ -45,6 +45,11 @@ from . import rational_linalg as rl
 from .cyclotomic import phase_sum_is_zero
 
 
+# the classical fiber: every element that evaluate_at pins to 0 carries this
+# one object, so comparing two such fibers is an identity test
+_CLASSICAL = Fraction(0)
+
+
 class AlgebraError(ValueError):
     """Operands that do not live in a common algebra."""
 
@@ -264,10 +269,9 @@ class CoeffExpr:
             self._den,
         )
 
-    def substitute(self, h):
-        """Freeze the parameter: q picks up the factor h and becomes an angle."""
-        h = Fraction(h)
-        hn, hd = h.numerator, h.denominator
+    def substitute(self, hn, hd):
+        """Freeze the parameter at hn/hd, for ints hn and hd > 0: q picks up
+        the factor and becomes an angle."""
         out = []
         for (pn, pd, qn, qd), a in self._terms.items():
             qn *= hn
@@ -407,9 +411,12 @@ class WeylElement:
         return "WeylElement(%s, %d terms)" % (tag, len(self._terms))
 
     def _require_compatible(self, other):
-        if self.space != other.space:
+        # equal spaces and fibers are mostly one object: operands share their
+        # space, results carry their left operand's fiber, and evaluate_at
+        # pins every classical element to _CLASSICAL
+        if self.space is not other.space and self.space != other.space:
             raise AlgebraError("elements live on different spaces")
-        if self.hbar != other.hbar:
+        if self.hbar is not other.hbar and self.hbar != other.hbar:
             raise AlgebraError("elements live at different parameter values")
 
     def _over(self, d):
@@ -522,9 +529,10 @@ def evaluate_at(a, hbar):
     h = Fraction(hbar)
     if not (0 <= h <= 1):
         raise AlgebraError("exact parameter values must lie in [0, 1]")
+    hn, hd = h.numerator, h.denominator
     # substitution can merge and cancel phases: a label may vanish
-    out = merge_terms((f, c.substitute(h)) for f, c in a._terms.items())
-    return WeylElement._from_ints(a.space, out, a._den, h)
+    out = merge_terms((f, c.substitute(hn, hd)) for f, c in a._terms.items())
+    return WeylElement._from_ints(a.space, out, a._den, h if hn else _CLASSICAL)
 
 
 def norm_bounds(a):

@@ -170,6 +170,14 @@ def gaussian_factors(center, decay):
     )
 
 
+def plane_wave_gaussian_factors(center, decay, wave):
+    """The per-axis factors of exp(i wave.z - decay |z - center|^2)."""
+    return (
+        lambda x: np.exp(1j * wave[0] * x - decay * (x - center[0]) ** 2),
+        lambda p: np.exp(1j * wave[1] * p - decay * (p - center[1]) ** 2),
+    )
+
+
 def _relative_gap(got, ref):
     return float(np.abs(got.samples - ref.samples).max() / np.abs(ref.samples).max())
 
@@ -390,27 +398,37 @@ class TestMoyalProduct:
         for value, (i, j) in zip(oracle, idx):
             assert abs(value - offset_product.samples[i, j]) <= 1e-12
 
-    def test_oracle_matches_the_conjugate_kernel_form(self):
-        # the oracle conjugates its operands instead of copying the kernel and
-        # sums over row blocks of it: the whole-kernel x @ kernel.conj() @ y
-        # is its reference, equal up to the summation order
+    @pytest.mark.parametrize("hbar", [0.02, 0.05, 0.1, 0.4])
+    @pytest.mark.parametrize("factors", ["real", "complex"])
+    def test_oracle_matches_the_conjugate_kernel_form(self, hbar, factors):
+        # the oracle sums each bilinear form as one Hankel correlation of
+        # chirped operands, and conjugates its operands instead of the kernel:
+        # the whole-kernel x @ kernel @ y and x @ kernel.conj() @ y are its
+        # reference, equal up to round-off
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
-        (f_q, f_p), (g_q, g_p) = gaussian_factors(c1, a), gaussian_factors(c2, b)
-        z = (0.3, -0.2)
-        (got,) = moyal_quadrature_oracle((f_q, f_p), (g_q, g_p), HBAR, [z])
+        if factors == "real":
+            f, g = gaussian_factors(c1, a), gaussian_factors(c2, b)
+        else:
+            f = plane_wave_gaussian_factors(c1, a, (1.5, -0.7))
+            g = plane_wave_gaussian_factors(c2, b, (-0.9, 2.0))
+        points = [(0.3, -0.2), (-1.1, 0.7), (0.9, 1.2)]
+        got = moyal_quadrature_oracle(f, g, hbar, points)
         nodes, radius = rieffel._ORACLE_NODES, rieffel._ORACLE_RADIUS
         step = 2.0 * radius / nodes
         u = -radius + step * (np.arange(nodes) + 0.5)
         wu = np.full(nodes, step)
-        kernel = np.exp((2j / HBAR) * np.outer(u, u))
-        fa, fb, ga, gb = f_q(z[0] + u), f_p(z[1] + u), g_q(z[0] + u), g_p(z[1] + u)
-        ia = (wu * fa) @ kernel @ (wu * gb)
-        ib = (wu * fb) @ kernel.conj() @ (wu * ga)
-        ref = ia * ib / (np.pi * HBAR) ** 2
-        assert abs(got - ref) <= 1e-13 * abs(ref)
+        kernel = np.exp((2j / hbar) * np.outer(u, u))
+        (f_q, f_p), (g_q, g_p) = f, g
+        for value, z in zip(got, points):
+            fa, fb, ga, gb = f_q(z[0] + u), f_p(z[1] + u), g_q(z[0] + u), g_p(z[1] + u)
+            ia = (wu * fa) @ kernel @ (wu * gb)
+            ib = (wu * fb) @ kernel.conj() @ (wu * ga)
+            ref = ia * ib / (np.pi * hbar) ** 2
+            assert abs(value - ref) <= 1e-13 * abs(ref)
 
     def test_oracle_temporaries_stay_bounded(self):
-        # a call the size of rsdq-02's: five points; kernel rows in 8 MiB blocks
+        # a call the size of rsdq-02's: five points.  An N x N kernel block
+        # would be 8 MiB; the oracle holds a few length-2N spectra at a time
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
         points = [(0.1 * k, -0.05 * k) for k in range(5)]
         tracemalloc.start()
@@ -419,7 +437,23 @@ class TestMoyalProduct:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "points",
+        [[], [0.1], [(0.0, 0.0, 5.0)], [(0.0, 0.0), (np.nan, 0.1)], [(np.inf, 0.0)], [("a", 0.0)]],
+        ids=["empty", "flat", "three-coordinates", "nan", "inf", "not-a-number"],
+    )
+    def test_oracle_refuses_bad_points_before_sampling(self, points):
+        calls = []
+
+        def recording(x):
+            calls.append(x)
+            return np.exp(-(x**2))
+
+        with pytest.raises(GridError, match="oracle points"):
+            moyal_quadrature_oracle((recording, recording), (recording, recording), HBAR, points)
+        assert calls == []
 
     def test_oracle_samples_each_factor_once_per_point_on_the_nodes(self):
         (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
