@@ -13,6 +13,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -611,35 +612,25 @@ _SUITES = {
     "weyl-transform": (_suite_weyl_transform, dict(_GRID_DEFAULTS, truncations=[32, 64, 128])),
 }
 
-_COMMON_FIELDS = ("schema_version", "suite", "seed")
-
 SUITE_NAMES = tuple(_SUITES)
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "suite": {"enum": list(SUITE_NAMES)},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        # at 10**4 each exact suite stays under 40 s and 80 MB on a 2-CPU box
-        "sample_count": {"type": "integer", "minimum": 1, "maximum": 10**4},
-        "schedule": {
-            "type": "array",
-            "items": {"type": ["number", "string"]},
-            "minItems": 4,
-        },
-        "grid_points": {"type": "integer", "minimum": 32, "maximum": 2048},
-        "grid_extent": {"type": "number", "exclusiveMinimum": 0},
-        "hbar": {"type": "number", "exclusiveMinimum": 0},
-        "truncations": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 16, "maximum": 1024},
-            "minItems": 2,
-        },
-        "max_pairs": {"type": "integer", "minimum": 1, "maximum": 10**4},
-    },
-    "required": ["suite", "seed"],
+# Each config field: the JSON type of its value, or of each entry for a list
+# field; its least and greatest value (a "number" field's least value is
+# excluded and it has no greatest); and, for a list field, its least length.
+_FIELDS = {
+    "schema_version": ("integer", SCHEMA_VERSION, SCHEMA_VERSION, None),
+    "seed": ("integer", 0, 2**64 - 1, None),
+    # at 10**4 each exact suite stays under 40 s and 80 MB on a 2-CPU box
+    "sample_count": ("integer", 1, 10**4, None),
+    "max_pairs": ("integer", 1, 10**4, None),
+    "grid_points": ("integer", 32, 2048, None),
+    "grid_extent": ("number", 0, None, None),
+    "hbar": ("number", 0, None, None),
+    "truncations": ("integer", 16, 1024, 2),
+    "schedule": ("number or string", None, None, 4),
 }
+
+_KINDS = {"integer": int, "number": (int, float), "number or string": (int, float, str)}
 
 
 class ConfigError(ValueError):
@@ -654,81 +645,87 @@ def default_config(suite):
     return config
 
 
+_EXPONENT = re.compile(r"e([-+]?)(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # as Fraction reads it
+
+
 def _parse_schedule(raw):
     out = []
     for item in raw:
         if isinstance(item, str):
+            # an exponent above the entry's length plus 400 takes any nonzero
+            # mantissa out of float range (to overflow or to 0.0), as that bound
+            # does: clamped to it, Fraction builds no power of ten that long
+            found = _EXPONENT.search(item)
+            if found and int(found[2]) > len(item) + 400:
+                item = "%s%s%d" % (item[:found.start(1)], found[1], len(item) + 400)
             out.append(Fraction(item))
         else:
             out.append(item)
     return out
 
 
-_JSON_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-}
+def _shown(value):
+    """repr(value), or its type if it holds an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return "<%s too long to show>" % type(value).__name__
 
 
-def _schema_violation(value, schema, path):
-    """The first way `value` breaks `schema` (the keywords CONFIG_SCHEMA uses), or None.
+def _field_fault(field, value):
+    """The first way `value` breaks the row of `field` in _FIELDS, or None.
 
-    Booleans are neither integers nor numbers, "integer" takes no integral
-    float such as 64.0, and "number" takes no NaN or infinity (which
-    Python's json module reads).
+    A boolean is no number, an integral float such as 64.0 is no integer, and
+    NaN, infinity (which Python's json module reads) and a "number" int past
+    the float range are no finite number.
     """
-    types = schema.get("type", [])
-    types = [types] if isinstance(types, str) else types
-    if types and (
-        isinstance(value, bool) or not isinstance(value, tuple(_JSON_TYPES[t] for t in types))
-    ):
-        return "%s: %r is not of type %s" % (path, value, " or ".join(types))
-    if isinstance(value, float) and not math.isfinite(value):
-        return "%s: %r is not a finite number" % (path, value)
-    if "const" in schema and (isinstance(value, bool) or value != schema["const"]):
-        return "%s: %r is not %r" % (path, value, schema["const"])
-    if "enum" in schema and value not in schema["enum"]:
-        return "%s: %r is not one of %r" % (path, value, schema["enum"])
-    if "minimum" in schema and value < schema["minimum"]:
-        return "%s: %r is less than %r" % (path, value, schema["minimum"])
-    if "maximum" in schema and value > schema["maximum"]:
-        return "%s: %r is greater than %r" % (path, value, schema["maximum"])
-    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-        return "%s: %r is not greater than %r" % (path, value, schema["exclusiveMinimum"])
-    if "minItems" in schema and len(value) < schema["minItems"]:
-        return "%s: %r has fewer than %d items" % (path, value, schema["minItems"])
-    if "items" in schema:
-        for k, item in enumerate(value):
-            found = _schema_violation(item, schema["items"], "%s[%d]" % (path, k))
-            if found:
-                return found
-    for field in schema.get("required", []):
-        if field not in value:
-            return "%s: missing required field %r" % (path, field)
-    if "properties" in schema:
-        properties = schema["properties"]
-        for field, item in value.items():
-            if field in properties:
-                found = _schema_violation(item, properties[field], field)
-                if found:
-                    return found
+    kind, low, high, min_length = _FIELDS[field]
+    items = [(field, value)]
+    if min_length is not None:
+        if not isinstance(value, list):
+            return "%s: %s is not of type array" % (field, _shown(value))
+        if len(value) < min_length:
+            return "%s: %s has fewer than %d items" % (field, _shown(value), min_length)
+        items = [("%s[%d]" % (field, k), item) for k, item in enumerate(value)]
+    for path, item in items:
+        if isinstance(item, bool) or not isinstance(item, _KINDS[kind]):
+            return "%s: %s is not of type %s" % (path, _shown(item), kind)
+        if (kind == "number" or isinstance(item, float)) and not abs(item) <= sys.float_info.max:
+            return "%s: %s is not a finite number" % (path, _shown(item))
+        if kind == "number" and item <= low:
+            return "%s: %s is not greater than %r" % (path, _shown(item), low)
+        if kind == "integer" and item < low:
+            return "%s: %s is less than %r" % (path, _shown(item), low)
+        if kind == "integer" and item > high:
+            return "%s: %s is greater than %r" % (path, _shown(item), high)
+    return None
+
+
+def _config_fault(config):
+    """The first way `config` breaks _FIELDS or its suite's entry of _SUITES, or None."""
+    if not isinstance(config, dict):
+        return "config: %s is not of type object" % _shown(config)
+    for field in ("suite", "seed"):
+        if field not in config:
+            return "config: missing required field %r" % field
+    suite = config["suite"]
+    if suite not in SUITE_NAMES:
+        return "suite: %s is not one of %r" % (_shown(suite), list(SUITE_NAMES))
+    for field, value in config.items():
+        if field not in ("suite", "schema_version", "seed") and field not in _SUITES[suite][1]:
+            return "%s: suite %r takes no such field" % (field, suite)
+        found = field != "suite" and _field_fault(field, value)
+        if found:
+            return found
     return None
 
 
 def validate_config(config):
     """`config` as given if its suite can run on it; a ConfigError otherwise."""
-    found = _schema_violation(config, CONFIG_SCHEMA, "config")
-    if not found:
-        suite_fields = _SUITES[config["suite"]][1]
-        for field in config:
-            if field not in _COMMON_FIELDS and field not in suite_fields:
-                found = "%s: suite %r takes no such field" % (field, config["suite"])
-                break
+    found = _config_fault(config)
     if found:
         raise ConfigError("config schema violation: %s" % found)
+    suite_fields = _SUITES[config["suite"]][1]
     if "schedule" in config:
         try:
             parsed = _parse_schedule(config["schedule"])
@@ -765,7 +762,8 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, non-UTF-8 bytes, an int past the digit limit
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     return validate_config(raw)
 

@@ -1,6 +1,7 @@
 """Config validation, suite runner plumbing, table emission, CLI exit codes."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quantaequiv
 from quantaequiv import cli
@@ -22,6 +25,47 @@ from quantaequiv.harness import (
     report_to_json,
     run_suite,
     validate_config,
+)
+
+
+# json.load raises JSONDecodeError, RecursionError, UnicodeDecodeError and
+# ValueError on these
+UNREADABLE_CONFIGS = (
+    b"{not json",
+    b"[" * 100000,
+    b'{"suite": "weyl-laws", "seed": 1\xff}',
+    b'{"suite": "weyl-laws", "seed": %s}' % (b"1" * 5000),
+)
+UNREADABLE_CONFIG_IDS = ("not-json", "nested-too-deep", "not-utf8", "int-past-digit-limit")
+
+
+# JSON values at and past the limits of harness._FIELDS: ints at and beside
+# each bound, ints past the float range and past the digit limit of repr,
+# floats with NaN and the infinities, booleans, fraction strings with huge
+# exponents, and lists of every length up to six
+_BOUNDS = sorted({
+    bound + step
+    for _, low, high, _ in harness._FIELDS.values()
+    for bound in (low, high) if bound is not None
+    for step in (-1, 0, 1)
+})
+_SCALARS = st.one_of(
+    st.sampled_from(_BOUNDS),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), 10**5000]),
+    st.floats(),
+    st.floats(min_value=0.0, max_value=1e3),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1/2", "2/5", "1e400", "1e-400", "1e999999999", "1e-999999999",
+                     "-1e999999999", "0e999999999", "1E+999_999_999", "1/0", "one", ""]),
+)
+_NEAR_LIMITS = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=6),
+    st.lists(st.integers(15, 1025), max_size=6, unique=True).map(sorted),
+    st.lists(st.floats(min_value=0.0), max_size=6, unique=True).map(sorted).map(reversed).map(list),
+    st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2),
 )
 
 
@@ -41,6 +85,31 @@ class TestConfigValidation:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             validate_config({"suite": "weyl-laws", "seed": 1, "bogus": True})
+
+    def test_field_table_declares_exactly_the_suite_fields(self):
+        suite_fields = set().union(*(fields for _, fields in harness._SUITES.values()))
+        assert set(harness._FIELDS) == {"schema_version", "seed"} | suite_fields
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_validation_returns_or_refuses_near_the_limits(self, data):
+        # no suite runs: a config that passes must give finite floats and a grid
+        suite = data.draw(st.sampled_from(SUITE_NAMES))
+        fields = ["schema_version", "seed", *harness._SUITES[suite][1]]
+        overrides = data.draw(st.dictionaries(st.sampled_from(fields), _NEAR_LIMITS, max_size=2))
+        cfg = dict(default_config(suite), **overrides)
+        try:
+            validate_config(cfg)
+        except ConfigError:
+            return
+        resolved = harness.resolve_config(cfg)
+        numbers = [resolved[f] for f in resolved if f != "suite" and harness._FIELDS[f][3] is None]
+        numbers += resolved.get("truncations", [])
+        schedule = [float(v) for v in harness._parse_schedule(resolved.get("schedule", []))]
+        assert all(math.isfinite(float(v)) for v in numbers + schedule)
+        assert all(v > 0 for v in schedule)
+        if "grid_points" in resolved:
+            harness._grid(resolved)
 
     def test_increasing_schedule_rejected(self):
         cfg = default_config("rieffel-sdq")
@@ -96,8 +165,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
-    @pytest.mark.parametrize("entry", ["1e400", 10**400], ids=["string", "integer"])
+    @pytest.mark.parametrize(
+        "entry", ["1e400", 10**400, "1e999999999"], ids=["string", "integer", "1e999999999"]
+    )
     def test_overflowing_schedule_entry_rejected(self, entry):
+        # "1e999999999" is refused before Fraction builds ten to that power
         cfg = dict(default_config("rieffel-sdq"), schedule=[entry, "1", "1/2", "1/4"])
         with pytest.raises(ConfigError, match="unreadable schedule entry: .*too large"):
             validate_config(cfg)
@@ -105,9 +177,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("suite", ["weyl-sdq", "rieffel-sdq"])
     def test_underflowing_schedule_entry_rejected_as_too_small(self, suite):
         # 1e-400 is a positive exact fiber whose float is 0.0
-        cfg = dict(default_config(suite), schedule=["1/2", "1/4", "1/8", "1e-400"])
-        with pytest.raises(ConfigError, match="'1e-400' is too small for the float table rows"):
-            validate_config(cfg)
+        for entry in ("1e-400", "1e-999999999"):
+            cfg = dict(default_config(suite), schedule=["1/2", "1/4", "1/8", entry])
+            with pytest.raises(ConfigError, match="'%s' is too small for the float table rows" % entry):
+                validate_config(cfg)
 
     @pytest.mark.parametrize(
         "suite, field, value",
@@ -185,6 +258,10 @@ class TestConfigValidation:
             ("rieffel-sdq", "hbar", float("nan")),
             ("weyl-transform", "grid_extent", float("inf")),
             ("rieffel-sdq", "schedule", [float("inf"), 0.2, 0.1, 0.05]),
+            # float(10**400) raises OverflowError
+            pytest.param("rieffel-sdq", "hbar", 10**400, id="rieffel-sdq-hbar-10**400"),
+            pytest.param("rieffel-morphisms", "grid_extent", -(10**400),
+                         id="rieffel-morphisms-grid_extent--10**400"),
         ],
     )
     def test_non_finite_number_rejected(self, suite, field, value):
@@ -219,9 +296,10 @@ class TestConfigValidation:
 
     def test_load_config_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(str(path))
+        for content in UNREADABLE_CONFIGS:
+            path.write_bytes(content)
+            with pytest.raises(ConfigError, match="^cannot read config "):
+                load_config(str(path))
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -517,6 +595,16 @@ class TestCli:
         assert "config error: config schema violation" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content", UNREADABLE_CONFIGS, ids=UNREADABLE_CONFIG_IDS)
+    def test_unreadable_config_file_exits_two(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        code = cli.main(["run", "weyl-laws", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config ")
+        assert not out.exists()
+
     def test_suite_config_mismatch_exits_two(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(default_config("weyl-laws")))
@@ -541,6 +629,7 @@ class TestCli:
             ("equivalence-weyl", "max_pairs", 200.0),
             ("rieffel-morphisms", "grid_points", 64.0),
             ("weyl-transform", "truncations", [32.0, 64.0]),
+            ("weyl-laws", "schema_version", 1.0),
         ],
     )
     def test_integral_float_in_integer_field_exits_two(
@@ -570,6 +659,16 @@ class TestCli:
              "unreadable schedule entry: integer division result too large for a float"),
             ("weyl-sdq", "schedule", ["1/2", "1/4", "1/8", "1e-400"],
              "schedule entry '1e-400' is too small for the float table rows"),
+            ("rieffel-sdq", "schedule", ["1e999999999", "1", "1/2", "1/4"],
+             "unreadable schedule entry: integer division result too large for a float"),
+            ("weyl-sdq", "schedule", ["1/2", "1/4", "1/8", "1e-999999999"],
+             "schedule entry '1e-999999999' is too small for the float table rows"),
+            pytest.param("rieffel-sdq", "grid_extent", 10**400,
+                         "config schema violation: grid_extent: %d is not a finite number" % 10**400,
+                         id="rieffel-sdq-grid_extent-10**400"),
+            pytest.param("rieffel-sdq", "hbar", 10**400,
+                         "config schema violation: hbar: %d is not a finite number" % 10**400,
+                         id="rieffel-sdq-hbar-10**400"),
             ("weyl-transform", "hbar", 0.001, "TruncationError: "),
             ("rieffel-morphisms", "grid_extent", 2.0, "SupportError: "),
         ],
