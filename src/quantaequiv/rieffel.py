@@ -51,13 +51,14 @@ _ALIAS_TOLERANCE = 1e-9  # largest aliased share of the pair mass in a product
 _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
-# Blocks bound the temporaries of the grid kernels.  One block is
-# _BLOCK_ENTRIES complex entries (8 MiB): of each q-FFT array in
-# moyal_product (two live per block) and of the phase-power table in
-# weyl_transforms (one row per power, built once per operand at its largest
-# truncation).  Neither changes a result.  _SYNTHESIS_BLOCK counts
-# grid-by-mode entries of 64 bytes in pullback (64 MiB); it sets the order
-# of pullback's sums.
+# Blocks bound the temporaries of the grid kernels.  One block of the
+# phase-power table in weyl_transforms (one row per power, built once per
+# operand at its largest truncation) is _BLOCK_ENTRIES complex entries
+# (8 MiB); it never changes a result.  moyal_product needs no block size:
+# its twist stage takes one k_p row per step, l_p x q entries per q-FFT
+# array, which stays in cache.  _SYNTHESIS_BLOCK counts grid-by-mode
+# entries of 64 bytes in pullback (64 MiB); it sets the order of
+# pullback's sums.
 _BLOCK_ENTRIES = 2**19
 _SYNTHESIS_BLOCK = 2**20
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
@@ -327,8 +328,9 @@ def _pair_stage(f, g, boundary_threshold):
 def _twist_stage(pair, hbar):
     """f*g at one hbar from its pair stage: twist factors, q-FFTs, inverse transform.
 
-    The k_p rows go in blocks of about _BLOCK_ENTRIES entries and enter the
-    m_p sums in row order, so the block never changes the result.
+    Each step takes one k_p row: its l_p x q twisted products go through
+    the q-FFTs together and enter the m_p sums k .. k + l_p - 1, in row
+    order.  One row's arrays stay in cache however large the operands.
     """
     grid = pair.grid
     out = np.zeros(grid.shape, dtype=np.complex128)
@@ -340,13 +342,10 @@ def _twist_stage(pair, hbar):
     ftwist = _twist(glo[1] + np.arange(gmomenta), flo[0], fq, -scale)
     gtwist = _twist(flo[1] + np.arange(fmomenta), glo[0], gq, scale)
     acc = np.zeros((fmomenta + gmomenta - 1, q_entries), dtype=np.complex128)
-    rows = max(1, _BLOCK_ENTRIES // (gmomenta * q_entries))
-    for start in range(0, fmomenta, rows):
-        block = slice(start, start + rows)
-        terms = np.fft.fft(pair.frows[block, None] * ftwist, q_entries)
-        terms *= np.fft.fft(pair.grows * gtwist[block, None], q_entries)
-        for corner, row in enumerate(terms, start):
-            acc[corner : corner + gmomenta] += row
+    for k, frow in enumerate(pair.frows):
+        terms = np.fft.fft(frow * ftwist, q_entries)
+        terms *= np.fft.fft(pair.grows * gtwist[k], q_entries)
+        acc[k : k + gmomenta] += terms
     acc = np.fft.ifft(acc)[:, : fq + gq - 1]
     out[pair.index] = acc.T[pair.keep]
     return GridFunction(grid, _from_modes(grid, out))

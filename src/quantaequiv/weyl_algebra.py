@@ -400,8 +400,8 @@ class WeylElement:
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
-            and self.space == other.space
-            and self.hbar == other.hbar
+            and (self.space is other.space or self.space == other.space)
+            and (self.hbar is other.hbar or self.hbar == other.hbar)
             and self._den == other._den
             and self._terms == other._terms
         )

@@ -40,6 +40,7 @@ from .symplectic import (
     is_symplectic_map,
 )
 from .weyl_algebra import (
+    _CLASSICAL,
     AlgebraError,
     CoeffExpr,
     WeylElement,
@@ -122,7 +123,8 @@ def _fiber(value):
     v = value if isinstance(value, Fraction) else Fraction(value)
     if not (0 <= v.numerator <= v.denominator):
         raise FunctorError("fiber parameter must lie in [0, 1]")
-    return v
+    # every zero is _CLASSICAL, the fiber evaluate_at pins classical elements to
+    return v if v.numerator else _CLASSICAL
 
 
 def apply_morphism(m, a):
@@ -163,7 +165,7 @@ def rescale(a, src, dst):
     """
     src = _fiber(src)
     dst = _fiber(dst)
-    if a.hbar is None or a.hbar != src:
+    if a.hbar is None or (a.hbar is not src and a.hbar != src):
         raise FunctorError("element is not in the quantized image at the source fiber")
     return a._at_fiber(dst)
 
@@ -209,7 +211,7 @@ def scaling_check(m, hbar, hbar2):
     """
     h1 = _fiber(hbar)
     h2 = _fiber(hbar2)
-    if h1 == 0 or h2 == 0:
+    if h1 is _CLASSICAL or h2 is _CLASSICAL:
         raise FunctorError("scaling compares fibers away from the classical one")
     return poisson_morphism_check(m)
 
@@ -291,7 +293,7 @@ def dirac_defect(space, f, g, hbar):
     Finite sums with several labels return the coefficient-sum upper bound.
     """
     h = _fiber(hbar)
-    if h == 0:
+    if h is _CLASSICAL:
         raise FunctorError("the commutator scale 1/hbar needs a positive fiber")
     a0 = evaluate_at(weyl_generator(space, f), 0)
     b0 = evaluate_at(weyl_generator(space, g), 0)

@@ -178,6 +178,34 @@ def plane_wave_gaussian_factors(center, decay, wave):
     )
 
 
+def sparse_polynomial(grid, rng):
+    """A random complex polynomial of 20 modes, |k_i| <= 4: a mostly empty mode box."""
+    modes = np.zeros(grid.shape, dtype=np.complex128)
+    for k in rng.integers(-4, 5, size=(20, 2)):
+        modes[tuple(k % grid.points_per_axis)] = rng.normal() + 1j * rng.normal()
+    return GridFunction(grid, _from_modes(grid, modes))
+
+
+def whole_box_twist(pair, hbar):
+    """The twist stage with every (k_p, l_p) pair in one q-FFT, kept as its reference.
+
+    The k_p rows of the whole box then enter the m_p sums in row order.
+    """
+    grid = pair.grid
+    (fmomenta, fq), (gmomenta, gq) = pair.frows.shape, pair.grows.shape
+    scale = 0.5 * hbar * grid.mode_step**2
+    ftwist = rieffel._twist(pair.glo[1] + np.arange(gmomenta), pair.flo[0], fq, -scale)
+    gtwist = rieffel._twist(pair.flo[1] + np.arange(fmomenta), pair.glo[0], gq, scale)
+    terms = np.fft.fft(pair.frows[:, None] * ftwist, pair.q_entries)
+    terms *= np.fft.fft(pair.grows * gtwist[:, None], pair.q_entries)
+    acc = np.zeros((fmomenta + gmomenta - 1, pair.q_entries), dtype=np.complex128)
+    for k, row in enumerate(terms):
+        acc[k : k + gmomenta] += row
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    out[pair.index] = np.fft.ifft(acc)[:, : fq + gq - 1].T[pair.keep]
+    return _from_modes(grid, out)
+
+
 def _relative_gap(got, ref):
     return float(np.abs(got.samples - ref.samples).max() / np.abs(ref.samples).max())
 
@@ -562,14 +590,7 @@ class TestAgainstReference:
         # random complex polynomials of 20 modes, |k_i| <= 4: mode boxes
         # that are mostly empty, unlike the Gaussians' filled ones
         rng = np.random.default_rng(20260816)
-
-        def polynomial():
-            modes = np.zeros(grid.shape, dtype=np.complex128)
-            for k in rng.integers(-4, 5, size=(20, 2)):
-                modes[tuple(k % grid.points_per_axis)] = rng.normal() + 1j * rng.normal()
-            return GridFunction(grid, _from_modes(grid, modes))
-
-        f, g = polynomial(), polynomial()
+        f, g = sparse_polynomial(grid, rng), sparse_polynomial(grid, rng)
         inf = float("inf")
         for left, right in ((f, g), (g, f)):
             (ref,) = reference_moyal_product(left, right, (HBAR,), inf)
@@ -577,13 +598,23 @@ class TestAgainstReference:
 
 
 class TestBlocksAndLimits:
-    def test_block_size_never_changes_the_product(self, grid, monkeypatch):
-        (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
-        f = GridFunction.gaussian(grid, c1, a)
-        g = GridFunction.gaussian(grid, c2, b)
-        default = moyal_product(f, g, HBAR)
-        monkeypatch.setattr(rieffel, "_BLOCK_ENTRIES", 1)  # one k_p row per block
-        assert np.array_equal(moyal_product(f, g, HBAR).samples, default.samples)
+    @pytest.mark.parametrize("operands", ["pair0", "pair1", "pair2", "plane_wave", "sparse"])
+    def test_rows_match_the_whole_box_bit_for_bit(self, grid, operands):
+        if operands == "plane_wave":
+            (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
+            wave = GridFunction.from_callable(grid, lambda x, p: np.exp(1j * (1.5 * x - 0.7 * p)))
+            f = GridFunction.gaussian(grid, c1, a) * wave
+            g = GridFunction.gaussian(grid, c2, b) * wave.conjugate()
+        elif operands == "sparse":
+            rng = np.random.default_rng(20260816)
+            f, g = sparse_polynomial(grid, rng), sparse_polynomial(grid, rng)
+        else:
+            (c1, a), (c2, b) = GAUSSIAN_PAIRS[int(operands[-1])]
+            f = GridFunction.gaussian(grid, c1, a)
+            g = GridFunction.gaussian(grid, c2, b)
+        pair = rieffel._pair_stage(f, g, float("inf"))
+        for hbar in SCHEDULE:
+            assert np.array_equal(rieffel._twist_stage(pair, hbar).samples, whole_box_twist(pair, hbar))
 
     def test_block_size_moves_the_pullback_only_at_round_off(self, grid, monkeypatch):
         (c1, a), _ = GAUSSIAN_PAIRS[1]
@@ -597,8 +628,8 @@ class TestBlocksAndLimits:
     @pytest.mark.parametrize(
         "operands, limit_mib",
         [
-            (GAUSSIAN_PAIRS[1], 33),  # 4117 x 4117 modes; the pair sum peaked at 33 MiB
-            ((((-5.0, 0.0), 4.0), ((5.0, 0.0), 4.0)), 64),  # the disjoint pair below
+            (GAUSSIAN_PAIRS[1], 8),  # 73 x 73 momenta, q-FFT length 150: 4.8 MiB
+            ((((-5.0, 0.0), 4.0), ((5.0, 0.0), 4.0)), 12),  # the disjoint pair: 7.3 MiB
         ],
         ids=["pair2", "disjoint"],
     )

@@ -84,6 +84,9 @@ def test_quantize_element_is_a_retag():
     assert q.hbar == Fraction(1, 2)
     assert q.terms == a.terms
     assert rescale(a, 0, 0) == a
+    # every zero names the one classical fiber object that evaluate_at pins to
+    for zero in (0, 0.0, Fraction(0), Fraction(0, 7)):
+        assert rescale(a, zero, zero).hbar is a.hbar
 
 
 def test_apply_character_sign_flip():
@@ -274,10 +277,11 @@ def test_identity_path_agrees_on_form_violators(hbars):
 
 
 def test_scaling_check_identity_path_still_rejects_zero_fiber():
-    with pytest.raises(FunctorError):
-        scaling_check(identity_morphism(Q1), 0, Fraction(1, 2))
-    with pytest.raises(FunctorError):
-        scaling_check(identity_morphism(Q1), 1, 0)
+    for zero in (0, 0.0, Fraction(0)):
+        with pytest.raises(FunctorError):
+            scaling_check(identity_morphism(Q1), zero, Fraction(1, 2))
+        with pytest.raises(FunctorError):
+            scaling_check(identity_morphism(Q1), 1, zero)
 
 
 # --- the sampled arrow pool against a per-arrow reference ---------------------
@@ -480,8 +484,9 @@ def test_dirac_defect_second_order():
 
 
 def test_dirac_defect_rejects_zero_fiber():
-    with pytest.raises(FunctorError):
-        dirac_defect(SP1, [1, 0], [0, 1], 0)
+    for zero in (0, 0.0, Fraction(0)):
+        with pytest.raises(FunctorError):
+            dirac_defect(SP1, [1, 0], [0, 1], zero)
 
 
 def test_rieffel_condition():
