@@ -62,9 +62,9 @@ _ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
 _BLOCK_ENTRIES = 2**19
 _SYNTHESIS_BLOCK = 2**20
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
-# complex entries of weyl_transform's class symbol, classes x (2n - 1), and
-# phase table, n x classes (512 MiB), at each truncation; larger transforms
-# are refused
+# entries of weyl_transform's class symbol, classes x (2n - 1), and of its
+# cosine and sine tables, ceil(n/2) x classes each, counted as n x classes,
+# at each truncation; more than 2**25 (512 MiB if all complex) are refused
 _MAX_TRANSFORM_ENTRIES = 2**25
 
 
@@ -553,15 +553,37 @@ def _class_symbols(members, phi, fval, n_trunc):
     return np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
 
 
-def _eigenvalue_symbols(lam, s, symbol):
-    """G[d, m] = sum_c e^{i s_c lam_m} T[c, d], as a (2n - 1, n) view.
+def _half_spectrum_symbols(lam, s, symbol):
+    """G summed over each pair +-lam of eigenvalues, as a (2n - 1, ceil(n/2)) array.
 
-    One matrix-vector product per eigenvalue: OpenBLAS then sums each entry
-    in one order whatever its thread count.  One gemm over all eigenvalues
-    does not; its bits change between one and two threads.
+    J couples only neighbouring levels, so its eigenvalues come in pairs
+    +-lam and the partner of column m of W is (-1)^a W[a, m]: the products
+    W[a, m] W[b, m] of a pair differ by (-1)^d, d = a - b.  Row d, column m
+    of the result is sum_c (e^{i s_c lam_m} + (-1)^d e^{-i s_c lam_m}) T[c, d]
+    over the non-negative lam_m = lam[n // 2 + m]: 2 cos(s_c lam_m) on even
+    offsets and 2i sin(s_c lam_m) on odd ones.  For odd n the first of them
+    is the zero mode, its own partner, which counts once.  The four real
+    contractions run in numpy's own einsum loops, not BLAS, so the bits do
+    not depend on any thread count.
     """
-    phases = np.exp(1j * np.multiply.outer(lam, s))
-    return np.stack([e @ symbol for e in phases]).T
+    n_trunc = len(lam)
+    phase = np.multiply.outer(lam[n_trunc // 2 :], s)
+    cos, sin = 2.0 * np.cos(phase), 2.0 * np.sin(phase)
+    if n_trunc % 2:
+        cos[0] *= 0.5
+    # column j of the symbol is the offset d = j - (n - 1)
+    even, odd = slice((n_trunc - 1) % 2, None, 2), slice(n_trunc % 2, None, 2)
+    by_offset = symbol.T
+
+    def contract(table, part):
+        return np.einsum("mc,dc->dm", table, np.ascontiguousarray(part))
+
+    g = np.empty((2 * n_trunc - 1, len(phase)), dtype=np.complex128)
+    g.real[even] = contract(cos, by_offset[even].real)
+    g.imag[even] = contract(cos, by_offset[even].imag)
+    g.real[odd] = -contract(sin, by_offset[odd].imag)
+    g.imag[odd] = contract(sin, by_offset[odd].real)
+    return g
 
 
 @lru_cache(maxsize=32)
@@ -587,9 +609,14 @@ def _jacobi_eigenpairs(n_trunc):
 
 
 def _assemble(n_trunc, s, symbol):
-    """The n_trunc x n_trunc transform from its class symbols, one column per offset."""
+    """The n_trunc x n_trunc transform from its class symbols, one column per offset.
+
+    Only the eigenvectors of the non-negative eigenvalues enter; each stands
+    for its pair (_half_spectrum_symbols).
+    """
     lam, w = _jacobi_eigenpairs(n_trunc)
-    g = _eigenvalue_symbols(lam, s, symbol)
+    g = _half_spectrum_symbols(lam, s, symbol)
+    w = w[:, n_trunc // 2 :]
     # diagonals d and -d share the products W[a + d, m] W[a, m]
     levels = np.arange(n_trunc)
     total = np.empty((n_trunc, n_trunc), dtype=np.complex128)
@@ -659,7 +686,7 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     one-entry case of weyl_transforms, which makes the transforms of one
     function at several truncations from one spectrum and one symbol.
 
-    Assembly rests on two exact facts.  First, k1 Q + k2 P is unitarily
+    Assembly rests on three exact facts.  First, k1 Q + k2 P is unitarily
     similar to |k| sqrt(hbar/2) J, with J the real Jacobi matrix of
     off-diagonal sqrt(j) and the similarity U = diag(e^{i phi a}), phi the
     angle of k.  One eigendecomposition J = W diag(lam) W^T per truncation
@@ -673,8 +700,15 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
         total[a, b] = sum_m W[a, m] W[b, m] G[m, a-b],
         G[m, d] = sum_c e^{i s_c lam_m} T[c, d].
     Per mode that is n powers of e^{i phi_k} (the offsets d < 0 are their
-    conjugates) instead of an n x n update; then one product over the
-    classes and one O(n^3) assembly along the diagonals.  The class k = 0
+    conjugates) instead of an n x n update.  Third, J couples only
+    neighbouring levels, so its spectrum is symmetric: with (lam, W[:, m])
+    an eigenpair, so is (-lam, (-1)^a W[a, m]).  A pair then contributes
+    W[a, m] W[b, m] (e^{i s lam} + (-1)^d e^{-i s lam}), which is
+    2 cos(s lam) for even d and 2i sin(s lam) for odd d, and only the
+    ceil(n/2) non-negative eigenvalues enter, the zero mode of an odd n
+    once.  So the product over the classes takes real cosine and sine
+    tables of half the spectrum, and the O(n^3) assembly along the
+    diagonals half the eigenvectors.  The class k = 0
     gives F_0 I with no branch of its own.  A function with too many classes
     for n_trunc, above _MAX_TRANSFORM_ENTRIES, is refused with GridError
     before any symbol is built.

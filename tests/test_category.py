@@ -11,6 +11,7 @@ from quantaequiv.category import (
     check_functor_laws,
     violations,
 )
+from quantaequiv.category import _by_codomain, _composable
 from quantaequiv.symplectic import CharacterSpec, LinearMapSpec, standard_space
 from quantaequiv import rational_linalg as rl
 from quantaequiv.weyl_equivalence import (
@@ -179,6 +180,36 @@ def test_scan_takes_the_pairs_and_triples_of_the_nested_loops(pool, arrow_pool):
     cut = _scan_cuts(arrows)[1]
     last, after = reference_composition_ids(arrows, cut + 1)[-2:]
     assert last.split("*")[0] == after.split("*")[0]
+
+
+class CountedEnd:
+    """An arrow end equal to every end of its label; counts its comparisons."""
+
+    compared = 0
+
+    def __init__(self, label):
+        self.label = label
+
+    def __eq__(self, other):
+        CountedEnd.compared += 1
+        return isinstance(other, CountedEnd) and self.label == other.label
+
+    def __hash__(self):
+        return hash(self.label)
+
+
+def test_scan_looks_up_each_domain_once():
+    # every end is a fresh object, so no comparison is skipped by identity
+    labels = "xyz"
+    arrows = [
+        ArrowRecord("c%d" % i, CountedEnd(labels[i % 3]), CountedEnd(labels[i * i % 3]), i)
+        for i in range(30)
+    ]
+    want = [(a2, a1) for a2 in arrows for a1 in arrows if a1.cod == a2.dom]
+    groups = _by_codomain(arrows)
+    CountedEnd.compared = 0
+    assert list(_composable(arrows, groups)) == want
+    assert CountedEnd.compared <= len(arrows)
 
 
 # --- Weyl instances ---------------------------------------------------------

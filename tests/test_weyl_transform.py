@@ -21,7 +21,7 @@ from quantaequiv.rieffel import (
     GridFunction,
     TruncationError,
     _class_symbols,
-    _eigenvalue_symbols,
+    _half_spectrum_symbols,
     _jacobi_eigenpairs,
     _modes,
     _significant,
@@ -123,8 +123,45 @@ def _contraction_inputs(f, n_trunc):
 
 
 def reference_eigenvalue_symbols(lam, s, symbol):
-    """The einsum contraction _eigenvalue_symbols replaced, kept as its reference."""
+    """G[d, m] = sum_c e^{i s_c lam_m} T[c, d] over the whole spectrum, by one einsum."""
     return np.einsum("mc,cd->dm", np.exp(1j * np.multiply.outer(lam, s)), symbol)
+
+
+def full_spectrum_eigenvalue_symbols(lam, s, symbol):
+    """The per-eigenvalue product _half_spectrum_symbols replaced, kept as its reference."""
+    phases = np.exp(1j * np.multiply.outer(lam, s))
+    return np.stack([e @ symbol for e in phases]).T
+
+
+def full_spectrum_assemble(n_trunc, s, symbol):
+    """The assembly over all n eigenvectors that _assemble replaced, kept as its reference."""
+    lam, w = _jacobi_eigenpairs(n_trunc)
+    g = full_spectrum_eigenvalue_symbols(lam, s, symbol)
+    levels = np.arange(n_trunc)
+    total = np.empty((n_trunc, n_trunc), dtype=np.complex128)
+    for d in range(n_trunc):
+        a = levels[: n_trunc - d]
+        pair = w[d:] * w[: n_trunc - d]
+        total[a + d, a] = np.einsum("am,m->a", pair, g[n_trunc - 1 + d])
+        total[a, a + d] = np.einsum("am,m->a", pair, g[n_trunc - 1 - d])
+    return total
+
+
+def folded_eigenvalue_symbols(lam, s, symbol):
+    """The whole-spectrum G summed over each pair +-lam, the partner taken (-1)^d times.
+
+    Column m stands for lam[n // 2 + m]; for odd n the zero mode is its own
+    partner and is taken once, so its odd offsets, which meet only
+    W[a, m] W[b, m] = 0, vanish.
+    """
+    n_trunc = len(lam)
+    g = reference_eigenvalue_symbols(lam, s, symbol)
+    upper = np.arange(n_trunc // 2, n_trunc)
+    sign = (-1.0) ** np.arange(-(n_trunc - 1), n_trunc)
+    folded = g[:, upper] + sign[:, None] * g[:, n_trunc - 1 - upper]
+    if n_trunc % 2:
+        folded[:, 0] *= 0.5
+    return folded
 
 
 def _relative_gap(mat, ref):
@@ -362,20 +399,46 @@ class TestWeylTransforms:
 
 
 class TestEigenvalueSymbols:
-    """G against the einsum contraction, at 1e-13 relative."""
+    """The half-spectrum G against the folded whole-spectrum einsum, at 1e-13 relative."""
 
-    @pytest.mark.parametrize("n_trunc", (64, 128))
+    @pytest.mark.parametrize("n_trunc", (64, 65, 128))
     def test_window(self, window, n_trunc):
         args = _contraction_inputs(window, n_trunc)
-        ref = reference_eigenvalue_symbols(*args)
-        assert _relative_gap(_eigenvalue_symbols(*args), ref) <= 1e-13
+        ref = folded_eigenvalue_symbols(*args)
+        assert _relative_gap(_half_spectrum_symbols(*args), ref) <= 1e-13
 
-    @pytest.mark.parametrize("n_trunc", (32, 64, 128))
+    @pytest.mark.parametrize("n_trunc", (32, 33, 64, 65, 128))
     def test_pair_operands(self, pair_operands, n_trunc):
         for h in (h for operands in pair_operands for h in operands):
             args = _contraction_inputs(h, n_trunc)
-            ref = reference_eigenvalue_symbols(*args)
-            assert _relative_gap(_eigenvalue_symbols(*args), ref) <= 1e-13
+            ref = folded_eigenvalue_symbols(*args)
+            assert _relative_gap(_half_spectrum_symbols(*args), ref) <= 1e-13
+
+    def test_spectrum_comes_in_pairs(self):
+        # the partner of eigenpair (lam, w) is (-lam, (-1)^a w), up to the sign of w
+        for n_trunc in (16, 17, 64, 65):
+            lam, w = _jacobi_eigenpairs(n_trunc)
+            sign = (-1.0) ** np.arange(n_trunc)
+            assert np.allclose(lam[::-1], -lam, rtol=0.0, atol=1e-13)
+            assert np.allclose(np.abs(w[:, ::-1]), np.abs(sign[:, None] * w), rtol=0.0, atol=1e-13)
+
+
+class TestHalfSpectrumAssembly:
+    """The transform against the whole-spectrum assembly, at 1e-13 relative.
+
+    The odd truncations carry a zero mode, which a weight of 2 would count twice.
+    """
+
+    @pytest.mark.parametrize("n_trunc", (16, 17, 32, 33, 64, 65, 128))
+    def test_against_the_full_spectrum(
+        self, window, windowed_coordinate, pair_operands, n_trunc
+    ):
+        functions = [window, windowed_coordinate] + [h for ops in pair_operands for h in ops]
+        for f in functions:
+            _, s, symbol = _contraction_inputs(f, n_trunc)
+            ref = full_spectrum_assemble(n_trunc, s, symbol)
+            mat = weyl_transform(f, HBAR, n_trunc, support_tail=1.0)
+            assert _relative_gap(mat, ref) <= 1e-13
 
 
 _HASH_SCRIPT = """
@@ -393,9 +456,11 @@ coordinate = GridFunction.from_callable(grid, lambda x, p: x) * window
 star = moyal_product(GridFunction.gaussian(grid, c1, a), GridFunction.gaussian(grid, c2, b), %r)
 mats = [weyl_transform(h, %r, n) for n in (64, 128) for h in (window, coordinate)]
 mats.append(weyl_transform(star, %r, 128, support_tail=1.0))
+# odd truncations too: whether BLAS bits depend on the thread count can depend on the size
+mats += [weyl_transform(h, %r, n, support_tail=1.0) for n in (33, 65) for h in (window, star)]
 for mat in mats:
     print(hashlib.sha256(mat.tobytes()).hexdigest())
-""" % (TRANSFORM_PAIRS[0], HBAR, HBAR, HBAR)
+""" % (TRANSFORM_PAIRS[0], HBAR, HBAR, HBAR, HBAR)
 
 
 class TestBlasThreadCount:
@@ -411,7 +476,7 @@ class TestBlasThreadCount:
             )
             assert proc.returncode == 0, proc.stderr
             hashes[blas] = proc.stdout.split()
-        assert len(hashes["1"]) == 5
+        assert len(hashes["1"]) == 9
         assert hashes["1"] == hashes["2"]
 
 
