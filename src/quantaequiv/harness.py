@@ -119,7 +119,7 @@ def _worker_count():
 def _openblas_threads():
     """The (get, set) thread-count functions of the 64-bit-int scipy-openblas
     that numpy wheels bundle, or None when there is no such library or
-    symbol.  Looked up per call, not at import: only a pooled run needs them."""
+    symbol.  Looked up per run, not at import: only a suite run needs them."""
     import ctypes
     import glob
 
@@ -141,7 +141,9 @@ def _openblas_threads():
 @contextlib.contextmanager
 def _one_blas_thread():
     # the pool's workers own the CPUs: a second BLAS thread per call only
-    # spins beside them.  Process-global, so pooled runs must not overlap.
+    # spins beside them, and a threaded zgemm or eigh can round differently
+    # (n = 129, 513), so every run's reports are one-thread bits.
+    # Process-global, so suite runs must not overlap.
     blas = _openblas_threads()
     if blas is None:
         yield
@@ -156,12 +158,8 @@ def _one_blas_thread():
 
 
 def _run_checks(checks, workers):
-    if workers == 1:
-        # no pool: BLAS keeps its own thread count and may use the idle CPUs
-        results = [fn() for fn in checks]
-    else:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda fn: fn(), checks))
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda fn: fn(), checks))
     return sorted((rec for records in results for rec in records), key=lambda rec: rec["id"])
 
 

@@ -12,7 +12,8 @@ form is canonical, so the equality and hash of a map or a character read
 it, which is exactly Fraction equality; composition, composed characters
 and the form identity run on the integer forms too, and a composed map or
 character builds its Fractions only when they are read.  A space's
-equality stays on ``dim`` and ``form``.
+equality stays on ``dim`` and ``form``; its hash is taken once, from
+``dim`` and ``form_ints``.
 """
 
 from dataclasses import dataclass
@@ -47,6 +48,11 @@ class SymplecticSpace:
             raise SpaceError("form matrix must be nondegenerate")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "form_ints", rl.integer_matrix(form))
+        # immutable: hash the canonical integer form once, not the Fractions per call
+        object.__setattr__(self, "_hash", hash((self.dim, self.form_ints)))
+
+    def __hash__(self):
+        return self._hash
 
     def vector(self, entries):
         v = rl.vector(entries)

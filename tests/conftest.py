@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 
@@ -9,6 +12,22 @@ def pytest_configure(config):
 def criterion_log(request):
     """Shared sink for acceptance verdict lines, echoed after the run."""
     return request.config._criterion_lines
+
+
+@pytest.fixture(scope="session")
+def fresh_env():
+    """env(**variables): the environment for a fresh interpreter that imports
+    the quantaequiv under test, its ``src`` first on PYTHONPATH."""
+    import quantaequiv
+
+    src = str(Path(quantaequiv.__file__).resolve().parents[1])
+
+    def env(**variables):
+        out = dict(os.environ, **variables)
+        out["PYTHONPATH"] = os.pathsep.join(filter(None, [src, out.get("PYTHONPATH")]))
+        return out
+
+    return env
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,7 +9,6 @@ scipy or jsonschema.
 """
 
 import ast
-import os
 import re
 import subprocess
 import sys
@@ -144,12 +143,10 @@ def test_every_public_method_is_used():
     assert not idle, "method referenced by no module and named by no perfbench module: %s" % idle
 
 
-def test_import_loads_neither_scipy_nor_jsonschema():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def test_import_loads_neither_scipy_nor_jsonschema(fresh_env):
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, quantaequiv; print(*sorted(sys.modules))"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=fresh_env(),
     )
     assert proc.returncode == 0, proc.stderr
     loaded = [m for m in proc.stdout.split() if m.startswith(("scipy", "jsonschema"))]

@@ -1,6 +1,6 @@
-"""The BLAS thread policy of the check runner: one OpenBLAS thread while a
-pool of workers runs, the previous count back afterwards, and no change for
-a serial run or when numpy's OpenBLAS cannot be found."""
+"""The BLAS thread policy of the check runner: one OpenBLAS thread while the
+checks run, for one worker as for a pool, the previous count back
+afterwards, and no change when numpy's OpenBLAS cannot be found."""
 
 import ctypes
 import glob
@@ -57,16 +57,12 @@ def test_pool_restores_the_count_after_a_check_raises(blas):
     assert blas() == before
 
 
-def test_serial_run_leaves_blas_alone(blas, monkeypatch):
+def test_serial_run_reads_one_blas_thread_and_restores_the_count(blas):
     before = blas()
-
-    def no_lookup():
-        raise AssertionError("the serial branch looked up OpenBLAS")
-
-    monkeypatch.setattr(harness, "_openblas_threads", no_lookup)
     seen = []
     harness._run_checks([_reading(blas, seen) for _ in range(3)], 1)
-    assert seen == [before] * 3
+    assert seen == [1, 1, 1]
+    assert blas() == before
 
 
 def test_pool_without_openblas_runs_as_before(monkeypatch):

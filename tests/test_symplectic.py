@@ -246,6 +246,30 @@ def test_integer_forms_are_not_fields():
     assert "matrix_ints" not in repr(t)
 
 
+def test_space_hash_is_taken_once_from_the_integer_form(monkeypatch):
+    spellings = [
+        rl.matrix([[0, "2/3"], ["-2/3", 0]]),
+        ((0, Fraction(2, 3)), (Fraction(-2, 3), 0)),
+        ((0, Fraction(4, 6)), (Fraction(-4, 6), 0)),
+    ]
+    spaces = [SymplecticSpace(2, form) for form in spellings]
+    key = SymplecticSpace(2, spellings[0])
+    assert len({hash(sp) for sp in spaces}) == 1 and len(set(spaces)) == 1
+    assert hash(standard_space(1)) == hash(SymplecticSpace(2, ((0, 1), (-1, 0))))
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    for sp in spaces:
+        hash(sp)
+    assert {sp: i for i, sp in enumerate(spaces)}[key] == 2
+    assert calls == []
+
+
 def _maps_by_every_route():
     """Maps from Fractions, from other spellings, composed, and Darboux frames."""
     from quantaequiv.sampling import darboux_frame, make_rng, random_space_pool

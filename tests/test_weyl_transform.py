@@ -1,18 +1,15 @@
 """Oscillator-basis transform tests: matrix anchors, intertwining, detectors."""
 
-import os
 import subprocess
 import sys
 import tracemalloc
 from math import atan2
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
-import quantaequiv
 from quantaequiv import rieffel
 from quantaequiv.harness import default_config, run_suite
 from quantaequiv.rieffel import (
@@ -464,15 +461,13 @@ for mat in mats:
 
 
 class TestBlasThreadCount:
-    def test_transform_bits_do_not_depend_on_blas_threads(self):
+    def test_transform_bits_do_not_depend_on_blas_threads(self, fresh_env):
         # one fresh process per setting: OpenBLAS reads its thread count at load
-        src = str(Path(quantaequiv.__file__).resolve().parents[1])
         hashes = {}
         for blas in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             proc = subprocess.run(
-                [sys.executable, "-c", _HASH_SCRIPT], capture_output=True, text=True, env=env
+                [sys.executable, "-c", _HASH_SCRIPT], capture_output=True, text=True,
+                env=fresh_env(OPENBLAS_NUM_THREADS=blas),
             )
             assert proc.returncode == 0, proc.stderr
             hashes[blas] = proc.stdout.split()
