@@ -573,10 +573,10 @@ def _suite_weyl_transform(config):
         f = GridFunction.gaussian(grid, c1, a)
         g = GridFunction.gaussian(grid, c2, b)
         star = moyal_product(f, g, hbar)
-        # one spectrum and one class symbol per operand serve every truncation
-        wf, wg, ws = (weyl_transforms(h, hbar, truncations, support_tail=1.0) for h in (f, g, star))
+        # one class symbol per operand, one eigh per truncation, one truncation held at a time
+        transforms = weyl_transforms([f, g, star], hbar, truncations, support_tail=1.0)
         residuals = {
-            n: weyl_homomorphism_residual(s, a, b) for n, s, a, b in zip(truncations, ws, wf, wg)
+            n: weyl_homomorphism_residual(s, a, b) for n, (a, b, s) in zip(truncations, transforms)
         }
         ordered = [residuals[n] for n in truncations]
         monotone = all(a > b for a, b in zip(ordered, ordered[1:]))

@@ -37,7 +37,6 @@ between two chirps, so each bilinear form is one FFT correlation: no
 kernel is ever built.
 """
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,16 +121,21 @@ class Grid2n:
         return np.meshgrid(x, x, indexing="ij")
 
 
+# The cached grid constants are read-only: every later caller shares them.
 @lru_cache(maxsize=32)
 def _int_freqs(points):
-    return np.fft.fftfreq(points, d=1.0 / points).astype(np.int64)
+    freqs = np.fft.fftfreq(points, d=1.0 / points).astype(np.int64)
+    freqs.flags.writeable = False
+    return freqs
 
 
 @lru_cache(maxsize=32)
 def _parity(points):
     # grid origin sits at -L/2, which shows up as a (-1)^m factor per axis
     sign = (-1.0) ** (_int_freqs(points) & 1)
-    return np.multiply.outer(sign, sign)
+    parity = np.multiply.outer(sign, sign)
+    parity.flags.writeable = False
+    return parity
 
 
 class GridFunction:
@@ -541,7 +545,8 @@ def _class_symbols(members, phi, fval, n_trunc):
     starts = np.cumsum(sizes) - sizes
     z = np.exp(1j * phi)
     half = np.empty((2 * classes, n_trunc), dtype=np.complex128)
-    for m in np.unique(sizes):
+    # the distinct sizes, ascending; np.unique would import numpy.ma on first use
+    for m in np.flatnonzero(np.bincount(sizes)):
         same = np.nonzero(sizes == m)[0]
         table = order[starts[same][:, None] + np.arange(m)]
         rows = max(1, _BLOCK_ENTRIES // (m * n_trunc))
@@ -586,35 +591,19 @@ def _half_spectrum_symbols(lam, s, symbol):
     return g
 
 
-@lru_cache(maxsize=32)
-def _cached_eigenpairs(n_trunc):
-    off = np.sqrt(np.arange(1.0, n_trunc))
-    lam, w = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    lam.flags.writeable = False
-    w.flags.writeable = False
-    return lam, w
-
-
-_EIGENPAIRS_LOCK = threading.Lock()
-
-
 def _jacobi_eigenpairs(n_trunc):
-    """Read-only eigenvalues and eigenvectors of the Jacobi matrix J.
-
-    lru_cache computes a miss outside its lock, so two pool workers could
-    both decompose one truncation; the module lock makes it once a process.
-    """
-    with _EIGENPAIRS_LOCK:
-        return _cached_eigenpairs(n_trunc)
+    """Eigenvalues and eigenvectors of the Jacobi matrix J."""
+    off = np.sqrt(np.arange(1.0, n_trunc))
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
 
 
-def _assemble(n_trunc, s, symbol):
-    """The n_trunc x n_trunc transform from its class symbols, one column per offset.
+def _assemble(lam, w, s, symbol):
+    """The n x n transform from J's eigenpairs and its class symbols, one column per offset.
 
     Only the eigenvectors of the non-negative eigenvalues enter; each stands
     for its pair (_half_spectrum_symbols).
     """
-    lam, w = _jacobi_eigenpairs(n_trunc)
+    n_trunc = len(lam)
     g = _half_spectrum_symbols(lam, s, symbol)
     w = w[:, n_trunc // 2 :]
     # diagonals d and -d share the products W[a + d, m] W[a, m]
@@ -628,16 +617,16 @@ def _assemble(n_trunc, s, symbol):
     return total
 
 
-def weyl_transforms(f, hbar, truncations, support_tail=1e-3):
-    """weyl_transform(f, hbar, n, support_tail) for each n of truncations, in order.
+def weyl_transforms(functions, hbar, truncations, support_tail=1e-3):
+    """An iterator over truncations, in order, of [weyl_transform(f, hbar, n) for f in functions].
 
-    The operand stage runs once: the support guard, |f|^2, the significant
-    modes, their |k|^2 classes and angles, and one class symbol at the
-    largest truncation.  Then each truncation's guards run, the tail
-    detector and the size guard, so a bad entry anywhere in the list is
-    refused before any symbol is built.  The truncation stage runs once
-    per n: the middle 2n - 1 columns of the shared symbol (bit for bit the
-    symbol built at n), its eigenvalue symbols and the assembly.
+    The call runs every guard of every function at every truncation (the
+    support guard, the tail detector and the size guard) before any symbol
+    is built, then one operand stage per function: its significant modes,
+    their |k|^2 classes and angles, and one class symbol at the largest
+    truncation.  Per n the iterator decomposes J once and assembles each
+    transform from the middle 2n - 1 columns of its function's symbol (bit
+    for bit the symbol built at n), so one n's transforms are held at a time.
     """
     if not truncations:
         raise GridError("at least one truncation is needed")
@@ -645,33 +634,40 @@ def weyl_transforms(f, hbar, truncations, support_tail=1e-3):
         raise GridError("truncation size must be at least 16")
     if not (hbar > 0):
         raise GridError("the deformation parameter must be positive")
-    _require_interior_support(f, _BOUNDARY_THRESHOLD)
-    grid = f.grid
-    mass = np.abs(f.samples) ** 2
-    total_mass = float(mass.sum())
-    radius2 = sum(c**2 for c in grid.coordinate_mesh())
-    mvec, fval = _significant(_modes(f))
-    keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
-    for n_trunc in truncations:
-        # trace of |f|^2 beyond the turning radius of the top basis state
-        if total_mass > 0.0:
-            reach = np.sqrt(hbar * (2.0 * n_trunc - 1.0))
-            tail = float(mass[radius2 > reach**2].sum()) / total_mass
-            if tail > support_tail:
-                raise TruncationError(
-                    "phase-space mass fraction %.3e beyond the truncation reach %.3f; "
-                    "increase the truncation" % (tail, reach)
+    spectra = []
+    for f in functions:
+        _require_interior_support(f, _BOUNDARY_THRESHOLD)
+        mass = np.abs(f.samples) ** 2
+        total_mass = float(mass.sum())
+        radius2 = sum(c**2 for c in f.grid.coordinate_mesh())
+        mvec, fval = _significant(_modes(f))
+        keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
+        for n_trunc in truncations:
+            # trace of |f|^2 beyond the turning radius of the top basis state
+            if total_mass > 0.0:
+                reach = np.sqrt(hbar * (2.0 * n_trunc - 1.0))
+                tail = float(mass[radius2 > reach**2].sum()) / total_mass
+                if tail > support_tail:
+                    raise TruncationError(
+                        "phase-space mass fraction %.3e beyond the truncation reach %.3f; "
+                        "increase the truncation" % (tail, reach)
+                    )
+            entries = len(keys) * (3 * n_trunc - 1)
+            if entries > _MAX_TRANSFORM_ENTRIES:
+                raise GridError(
+                    "%d |k|^2 classes at truncation %d make %d symbol and phase entries, "
+                    "above the limit of %d" % (len(keys), n_trunc, entries, _MAX_TRANSFORM_ENTRIES)
                 )
-        entries = len(keys) * (3 * n_trunc - 1)
-        if entries > _MAX_TRANSFORM_ENTRIES:
-            raise GridError(
-                "%d |k|^2 classes at truncation %d make %d symbol and phase entries, "
-                "above the limit of %d" % (len(keys), n_trunc, entries, _MAX_TRANSFORM_ENTRIES)
-            )
+        s = f.grid.mode_step * np.sqrt(0.5 * hbar * keys)
+        spectra.append((s, members, np.arctan2(mvec[:, 1], mvec[:, 0]), fval))
     top = max(truncations)
-    symbol = _class_symbols(members, np.arctan2(mvec[:, 1], mvec[:, 0]), fval, top)
-    s = grid.mode_step * np.sqrt(0.5 * hbar * keys)
-    return [_assemble(n, s, symbol[:, top - n : top + n - 1]) for n in truncations]
+    stages = [(s, _class_symbols(members, phi, fval, top)) for s, members, phi, fval in spectra]
+
+    def at(n):
+        lam, w = _jacobi_eigenpairs(n)
+        return [_assemble(lam, w, s, symbol[:, top - n : top + n - 1]) for s, symbol in stages]
+
+    return map(at, truncations)
 
 
 def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
@@ -683,14 +679,15 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     above support_tail means the truncation cannot hold the function's
     phase-space support.  Pass support_tail >= 1 to measure deliberately
     under-resolved truncations (convergence studies).  This is the
-    one-entry case of weyl_transforms, which makes the transforms of one
-    function at several truncations from one spectrum and one symbol.
+    one-entry case of weyl_transforms, which makes the transforms of
+    several functions at several truncations, one symbol per function and
+    one eigendecomposition per truncation.
 
     Assembly rests on three exact facts.  First, k1 Q + k2 P is unitarily
     similar to |k| sqrt(hbar/2) J, with J the real Jacobi matrix of
     off-diagonal sqrt(j) and the similarity U = diag(e^{i phi a}), phi the
     angle of k.  One eigendecomposition J = W diag(lam) W^T per truncation
-    (cached) serves every mode:
+    serves every mode:
         exp(i(k1 Q + k2 P))[a, b]
             = e^{i phi (a-b)} sum_m W[a, m] W[b, m] e^{i s lam_m},
     s = |k| sqrt(hbar/2).  Second, inside one |k|^2 class c only the phase
@@ -713,7 +710,7 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     for n_trunc, above _MAX_TRANSFORM_ENTRIES, is refused with GridError
     before any symbol is built.
     """
-    return weyl_transforms(f, hbar, [n_trunc], support_tail)[0]
+    return next(weyl_transforms([f], hbar, [n_trunc], support_tail))[0]
 
 
 def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix):
@@ -728,7 +725,7 @@ def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix):
     if not (product_matrix.shape == left_matrix.shape == right_matrix.shape):
         raise GridError("matrices must share one truncation size")
     block = (3 * product_matrix.shape[0]) // 4
-    composed = (left_matrix @ right_matrix)[:block, :block]
+    composed = left_matrix[:block] @ right_matrix[:, :block]
     defect = product_matrix[:block, :block] - composed
     return float(_relative(np.linalg.norm(defect), np.linalg.norm(composed)))
 

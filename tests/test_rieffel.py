@@ -256,6 +256,13 @@ class TestGrid:
     def test_form_matrix_orientation(self):
         assert STANDARD_FORM[0, 1] == 1.0 and STANDARD_FORM[1, 0] == -1.0
 
+    def test_cached_grid_constants_are_read_only(self):
+        # every later spectrum reads these tables; no grid has 40 points, so a
+        # write that went through would corrupt no other test
+        for table in (_int_freqs(40), rieffel._parity(40)):
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
+
 
 class TestGridFunction:
     def test_gaussian_matches_callable(self, grid):

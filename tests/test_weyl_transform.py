@@ -7,11 +7,12 @@ from math import atan2
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
 from quantaequiv import rieffel
-from quantaequiv.harness import default_config, run_suite
 from quantaequiv.rieffel import (
     Grid2n,
     GridError,
@@ -340,16 +341,8 @@ class TestClassSymbolsAndEigenpairs:
         # eigenvectors agree up to sign, which cancels in W[a, m] W[b, m]
         assert np.array_equal(np.abs(w), np.abs(ref_w))
 
-    def test_cached_eigenpairs_are_read_only(self):
-        lam, w = _jacobi_eigenpairs(32)
-        assert _jacobi_eigenpairs(32)[1] is w
-        with pytest.raises(ValueError):
-            lam[0] = 0.0
-        with pytest.raises(ValueError):
-            w[0, 0] = 0.0
-
-    def test_each_truncation_is_decomposed_once_under_two_workers(self, monkeypatch):
-        # the pool's two workers ask for the same truncations at once
+    def test_each_call_decomposes_each_truncation_once(self, window, pair_operands, monkeypatch):
+        # once per truncation however many functions, and nothing kept between calls
         sizes = []
         eigh = np.linalg.eigh
 
@@ -357,20 +350,22 @@ class TestClassSymbolsAndEigenpairs:
             sizes.append(len(a))
             return eigh(a, *args, **kwargs)
 
-        rieffel._cached_eigenpairs.cache_clear()
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        monkeypatch.setenv("QUANTAEQUIV_THREADS", "2")
-        config = default_config("weyl-transform")
-        report = run_suite(config)
-        assert report["summary"]["failed"] == 0
-        assert sorted(sizes) == sorted(set(config["truncations"]))
+        functions = [window, *pair_operands[0]]
+        for mats in weyl_transforms(functions, HBAR, (32, 33, 64), support_tail=1.0):
+            assert len(mats) == len(functions)
+        assert sizes == [32, 33, 64]
+        weyl_transform(window, HBAR, 64)
+        weyl_transform(window, HBAR, 64)
+        assert sizes == [32, 33, 64, 64, 64]
 
     @pytest.mark.parametrize("truncations", ((128,), (32, 64, 128)))
     def test_window_transform_temporaries_stay_bounded(self, window, truncations):
         # the smaller truncations take views of the symbol built at n = 128
         tracemalloc.start()
         try:
-            weyl_transforms(window, HBAR, truncations, support_tail=1.0)
+            for _ in weyl_transforms([window], HBAR, truncations, support_tail=1.0):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -384,15 +379,50 @@ class TestWeylTransforms:
         self, window, windowed_coordinate, pair_operands, truncations
     ):
         functions = [window, windowed_coordinate] + [h for ops in pair_operands for h in ops]
-        for f in functions:
-            mats = weyl_transforms(f, HBAR, truncations, support_tail=1.0)
-            assert len(mats) == len(truncations)
-            for n, mat in zip(truncations, mats):
+        streamed = list(weyl_transforms(functions, HBAR, truncations, support_tail=1.0))
+        assert len(streamed) == len(truncations)
+        for n, mats in zip(truncations, streamed):
+            assert len(mats) == len(functions)
+            for f, mat in zip(functions, mats):
                 assert np.array_equal(mat, weyl_transform(f, HBAR, n, support_tail=1.0))
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        index=st.integers(0, 3),
+        truncations=st.lists(st.integers(16, 160), min_size=2, max_size=4)
+        .filter(lambda ns: any(n % 2 for n in ns))
+        .map(sorted),
+    )
+    def test_streamed_slices_are_the_transforms_built_alone(
+        self, pair_operands, index, truncations
+    ):
+        # one of wt-03's Gaussians f, g; the drawn sizes include an odd one
+        f = pair_operands[index // 2][index % 2]
+        odd = min(n for n in truncations if n % 2)
+        streamed = weyl_transforms([f], HBAR, truncations, support_tail=1.0)
+        for n, (mat,) in zip(truncations, streamed):
+            assert np.array_equal(mat, weyl_transform(f, HBAR, n, support_tail=1.0))
+            if n == odd:
+                _, s, symbol = _contraction_inputs(f, n)
+                assert _relative_gap(mat, full_spectrum_assemble(n, s, symbol)) <= 1e-13
+
+    def test_wt03_operands_stream_in_bounded_memory(self, pair_operands):
+        # one truncation's three transforms are held at a time: 19.9 MiB at
+        # peak, where lists of every truncation's transforms peaked at 43.8 MiB
+        truncations = range(16, 161, 2)
+        tracemalloc.start()
+        try:
+            streamed = weyl_transforms(pair_operands[0], HBAR, truncations, support_tail=1.0)
+            residuals = [weyl_homomorphism_residual(s, a, b) for a, b, s in streamed]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(residuals) == len(truncations)
+        assert peak <= 25 * 2**20
 
     def test_needs_a_truncation(self, window):
         with pytest.raises(GridError, match="at least one truncation"):
-            weyl_transforms(window, HBAR, [])
+            weyl_transforms([window], HBAR, [])
 
 
 class TestEigenvalueSymbols:
@@ -460,6 +490,27 @@ for mat in mats:
 """ % (TRANSFORM_PAIRS[0], HBAR, HBAR, HBAR, HBAR)
 
 
+_NUMPY_MA_SCRIPT = """
+import sys
+from quantaequiv.rieffel import Grid2n, GridFunction, weyl_transform
+
+f = GridFunction.gaussian(Grid2n(1, 256, 20.0), %r, %r)
+weyl_transform(f, %r, 64)
+print("numpy.ma" in sys.modules)
+""" % (*TRANSFORM_PAIRS[0][0], HBAR)
+
+
+class TestImports:
+    def test_transform_does_not_import_numpy_ma(self, fresh_env):
+        # np.unique without return flags imports numpy.ma, about 17 ms, on first use
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_MA_SCRIPT], capture_output=True, text=True,
+            env=fresh_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+
 class TestBlasThreadCount:
     def test_transform_bits_do_not_depend_on_blas_threads(self, fresh_env):
         # one fresh process per setting: OpenBLAS reads its thread count at load
@@ -500,13 +551,19 @@ class TestSizeGuard:
 
     def test_a_bad_last_truncation_is_refused_before_symbol_work(self, window, gaussian_pair):
         with pytest.raises(GridError, match="truncation size must be at least 16"):
-            weyl_transforms(window, HBAR, [64, 128, 8])
+            weyl_transforms([window], HBAR, [64, 128, 8])
         with pytest.raises(GridError) as info:
-            weyl_transforms(window, HBAR, [64, 128, 2048])
+            weyl_transforms([window], HBAR, [64, 128, 2048])
         assert "5924 |k|^2 classes at truncation 2048 make %d" % (5924 * 6143) in str(info.value)
         # the Gaussian's tail is above the default support_tail at n = 16
         with pytest.raises(TruncationError, match="beyond the truncation reach 1.761;"):
-            weyl_transforms(gaussian_pair[0], HBAR, [32, 64, 16])
+            weyl_transforms([gaussian_pair[0]], HBAR, [32, 64, 16])
+
+    def test_a_bad_last_function_is_refused_before_symbol_work(self, window, gaussian_pair):
+        # the Gaussian passes every guard; the window after it does not
+        with pytest.raises(GridError) as info:
+            weyl_transforms([gaussian_pair[0], window], HBAR, [64, 128, 2048])
+        assert "5924 |k|^2 classes at truncation 2048 make %d" % (5924 * 6143) in str(info.value)
 
 
 @pytest.fixture(scope="module")
@@ -568,6 +625,16 @@ class TestIntertwining:
         b = np.eye(6, dtype=complex)
         with pytest.raises(GridError):
             weyl_homomorphism_residual(a, a, b)
+
+    @pytest.mark.parametrize("n_trunc", (32, 64, 129))
+    def test_block_product_matches_the_full_product(self, n_trunc):
+        rng = np.random.default_rng(n_trunc)
+        shape = (n_trunc, n_trunc)
+        s, a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3))
+        block = (3 * n_trunc) // 4
+        composed = (a @ b)[:block, :block]
+        ref = np.linalg.norm(s[:block, :block] - composed) / np.linalg.norm(composed)
+        assert weyl_homomorphism_residual(s, a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_exact_for_matching_products(self):
         rng = np.random.default_rng(7)
