@@ -5,14 +5,15 @@ payloads, and an arrow validator, all three required.  Arrow equality is
 payload equality, so instances are expected to keep payloads in canonical
 form.
 Checks return lists of report entries {law, sample_id, status, witness};
-an empty violation list is a pass.  All scans are deterministic: arrows
-are taken in the order given, objects in sorted repr order.  Composable
-pairs (a2, a1), a1.cod == a2.dom, come from one scan with a2 in the outer
-loop and a1 in the inner loop; the laws take the first max_pairs of them,
-and associativity the first max_pairs triples (a3, a2, a1) that extend
-those pairs, a1 again in the inner loop.  The inner loop runs over the
-arrows grouped once by codomain, in the order given, so objects must be
-hashable: one dict lookup per outer arrow replaces a comparison per pair.
+an empty violation list is a pass.  Each check reads an arrow argument
+once.  All scans are deterministic: arrows are taken in the order given,
+objects in sorted repr order.  Composable pairs (a2, a1), a1.cod ==
+a2.dom, come from one scan with a2 in the outer loop and a1 in the inner
+loop; the laws take the first max_pairs of them, and associativity the
+first max_pairs triples (a3, a2, a1) that extend those pairs, a1 again in
+the inner loop.  The inner loop runs over the arrows grouped once by
+codomain, in the order given, so objects must be hashable: one dict
+lookup per outer arrow replaces a comparison per pair.
 """
 
 from dataclasses import dataclass
@@ -153,6 +154,7 @@ def check_category_laws(cat, arrows, max_pairs):
     At most max_pairs composable pairs are taken, and at most max_pairs
     composable triples are checked for associativity.
     """
+    arrows = tuple(arrows)
     report = []
     for a in arrows:
         left = cat.compose(cat.identity_arrow(a.cod), a)
@@ -193,6 +195,7 @@ def check_category_laws(cat, arrows, max_pairs):
 def check_functor_laws(functor, arrows, max_pairs):
     """F(id) = id, F(g . f) = F(g) . F(f), and dom/cod preservation."""
     src, dst = functor.source, functor.target
+    arrows = tuple(arrows)
     report = []
     for obj in _sample_objects(arrows):
         mapped = functor.apply(src.identity_arrow(obj))
@@ -245,6 +248,7 @@ def check_equivalence(functor, inverse_functor, eta, phi, source_arrows, target_
         (phi, functor.target, target_arrows, lambda a: functor.apply(inverse_functor.apply(a))),
     )
     for trans, cat, arrows, round_trip in cases:
+        arrows = tuple(arrows)
         for obj in _sample_objects(arrows):
             comp = trans.component_record(obj)
             inv = trans.inverse_record(obj)

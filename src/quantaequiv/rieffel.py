@@ -38,7 +38,6 @@ kernel is ever built.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +62,7 @@ _SYNTHESIS_BLOCK = 2**20
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
 # entries of weyl_transform's class symbol, classes x (2n - 1), and of its
 # cosine and sine tables, ceil(n/2) x classes each, counted as n x classes,
-# at each truncation; more than 2**25 (512 MiB if all complex) are refused
+# at the largest truncation; more than 2**25 (512 MiB if all complex) are refused
 _MAX_TRANSFORM_ENTRIES = 2**25
 
 
@@ -116,26 +115,9 @@ class Grid2n:
         p = self.points_per_axis
         return -0.5 * self.extent + self.spacing * np.arange(p)
 
-    def coordinate_mesh(self):
-        x = self.axis_coordinates()
-        return np.meshgrid(x, x, indexing="ij")
 
-
-# The cached grid constants are read-only: every later caller shares them.
-@lru_cache(maxsize=32)
 def _int_freqs(points):
-    freqs = np.fft.fftfreq(points, d=1.0 / points).astype(np.int64)
-    freqs.flags.writeable = False
-    return freqs
-
-
-@lru_cache(maxsize=32)
-def _parity(points):
-    # grid origin sits at -L/2, which shows up as a (-1)^m factor per axis
-    sign = (-1.0) ** (_int_freqs(points) & 1)
-    parity = np.multiply.outer(sign, sign)
-    parity.flags.writeable = False
-    return parity
+    return np.fft.fftfreq(points, d=1.0 / points).astype(np.int64)
 
 
 class GridFunction:
@@ -155,7 +137,9 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid, fn):
-        return cls(grid, fn(*grid.coordinate_mesh()))
+        """fn(q, p) on the coordinate meshes: the one grid code path that builds them."""
+        x = grid.axis_coordinates()
+        return cls(grid, fn(*np.meshgrid(x, x, indexing="ij")))
 
     @classmethod
     def gaussian(cls, grid, center, decay, amplitude=1.0):
@@ -163,8 +147,8 @@ class GridFunction:
         center = np.asarray(center, dtype=float)
         if center.shape != (2,):
             raise GridError("center must be a phase-space point")
-        mesh = grid.coordinate_mesh()
-        r2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
+        x = grid.axis_coordinates()
+        r2 = (x[:, None] - center[0]) ** 2 + (x[None, :] - center[1]) ** 2
         return cls(grid, amplitude * np.exp(-float(decay) * r2))
 
     def __sub__(self, other):
@@ -206,14 +190,21 @@ def _require_interior_support(f, threshold):
         )
 
 
+def _flip_origin(modes):
+    # the grid starts at -L/2, so mode (i, j) takes (-1)^(i + j): on an even
+    # number of points an index has the parity of its frequency
+    modes[1::2] *= -1
+    modes[:, 1::2] *= -1
+    return modes
+
+
 def _modes(f):
-    p = f.grid.points_per_axis
-    return np.fft.fftn(f.samples) * _parity(p) / p**2
+    return _flip_origin(np.fft.fftn(f.samples, norm="forward"))
 
 
-def _from_modes(grid, modes):
-    p = grid.points_per_axis
-    return np.fft.ifftn(modes * _parity(p)) * p**2
+def _from_modes(modes):
+    """The samples of a spectrum.  Takes ownership of `modes`, flipping it in place."""
+    return np.fft.ifftn(_flip_origin(modes), norm="forward")
 
 
 def translate(f, x):
@@ -224,7 +215,7 @@ def translate(f, x):
     freqs = _int_freqs(f.grid.points_per_axis)
     q_phase, p_phase = (np.exp(1j * f.grid.mode_step * freqs * c) for c in x)
     modes = _modes(f) * q_phase[:, None] * p_phase[None, :]
-    return GridFunction(f.grid, _from_modes(f.grid, modes))
+    return GridFunction(f.grid, _from_modes(modes))
 
 
 def poisson_bracket_grid(f, g):
@@ -233,8 +224,8 @@ def poisson_bracket_grid(f, g):
     grid = f.grid
     k = 1j * grid.mode_step * _int_freqs(grid.points_per_axis).astype(float)
     modes_f, modes_g = _modes(f), _modes(g)
-    fq, fp = (_from_modes(grid, modes_f * d) for d in (k[:, None], k[None, :]))
-    gq, gp = (_from_modes(grid, modes_g * d) for d in (k[:, None], k[None, :]))
+    fq, fp = (_from_modes(modes_f * d) for d in (k[:, None], k[None, :]))
+    gq, gp = (_from_modes(modes_g * d) for d in (k[:, None], k[None, :]))
     return GridFunction(grid, fq * gp - fp * gq)
 
 
@@ -352,7 +343,7 @@ def _twist_stage(pair, hbar):
         acc[k : k + gmomenta] += terms
     acc = np.fft.ifft(acc)[:, : fq + gq - 1]
     out[pair.index] = acc.T[pair.keep]
-    return GridFunction(grid, _from_modes(grid, out))
+    return GridFunction(grid, _from_modes(out))
 
 
 def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
@@ -383,6 +374,7 @@ def star_defects(f, g, schedule):
     entry that is not positive, a support, work or alias guard) comes
     before any twisted FFT; then the products are made one entry at a time.
     """
+    schedule = tuple(schedule)
     if not all(hbar > 0 for hbar in schedule):
         raise GridError("the commutator comparison needs positive parameters")
     forward = _pair_stage(f, g, _BOUNDARY_THRESHOLD)
@@ -620,47 +612,49 @@ def _assemble(lam, w, s, symbol):
 def weyl_transforms(functions, hbar, truncations, support_tail=1e-3):
     """An iterator over truncations, in order, of [weyl_transform(f, hbar, n) for f in functions].
 
-    The call runs every guard of every function at every truncation (the
-    support guard, the tail detector and the size guard) before any symbol
-    is built, then one operand stage per function: its significant modes,
-    their |k|^2 classes and angles, and one class symbol at the largest
-    truncation.  Per n the iterator decomposes J once and assembles each
-    transform from the middle 2n - 1 columns of its function's symbol (bit
-    for bit the symbol built at n), so one n's transforms are held at a time.
+    The call reads `truncations` once and runs every guard of every function
+    before any symbol is built: the support guard, the tail detector at the
+    smallest truncation (the tail shrinks as n grows) and the size guard at
+    the largest (the symbol grows with n).  Then it makes one operand stage
+    per function: its significant modes, their |k|^2 classes and angles, and
+    one class symbol at the largest truncation.  Per n the iterator
+    decomposes J once and assembles each transform from the middle 2n - 1
+    columns of its function's symbol (bit for bit the symbol built at n), so
+    one n's transforms are held at a time.
     """
+    truncations = tuple(truncations)
     if not truncations:
         raise GridError("at least one truncation is needed")
-    if min(truncations) < 16:
+    low, top = min(truncations), max(truncations)
+    if low < 16:
         raise GridError("truncation size must be at least 16")
     if not (hbar > 0):
         raise GridError("the deformation parameter must be positive")
     spectra = []
     for f in functions:
         _require_interior_support(f, _BOUNDARY_THRESHOLD)
+        mvec, fval = _significant(_modes(f))
+        # trace of |f|^2 beyond the turning radius of the top basis state at n = low
         mass = np.abs(f.samples) ** 2
         total_mass = float(mass.sum())
-        radius2 = sum(c**2 for c in f.grid.coordinate_mesh())
-        mvec, fval = _significant(_modes(f))
-        keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
-        for n_trunc in truncations:
-            # trace of |f|^2 beyond the turning radius of the top basis state
-            if total_mass > 0.0:
-                reach = np.sqrt(hbar * (2.0 * n_trunc - 1.0))
-                tail = float(mass[radius2 > reach**2].sum()) / total_mass
-                if tail > support_tail:
-                    raise TruncationError(
-                        "phase-space mass fraction %.3e beyond the truncation reach %.3f; "
-                        "increase the truncation" % (tail, reach)
-                    )
-            entries = len(keys) * (3 * n_trunc - 1)
-            if entries > _MAX_TRANSFORM_ENTRIES:
-                raise GridError(
-                    "%d |k|^2 classes at truncation %d make %d symbol and phase entries, "
-                    "above the limit of %d" % (len(keys), n_trunc, entries, _MAX_TRANSFORM_ENTRIES)
+        if total_mass > 0.0:
+            x = f.grid.axis_coordinates()
+            reach = np.sqrt(hbar * (2.0 * low - 1.0))
+            tail = float(mass[x[:, None] ** 2 + x[None, :] ** 2 > reach**2].sum()) / total_mass
+            if tail > support_tail:
+                raise TruncationError(
+                    "phase-space mass fraction %.3e beyond the truncation reach %.3f; "
+                    "increase the truncation" % (tail, reach)
                 )
+        keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
+        entries = len(keys) * (3 * top - 1)
+        if entries > _MAX_TRANSFORM_ENTRIES:
+            raise GridError(
+                "%d |k|^2 classes at truncation %d make %d symbol and phase entries, "
+                "above the limit of %d" % (len(keys), top, entries, _MAX_TRANSFORM_ENTRIES)
+            )
         s = f.grid.mode_step * np.sqrt(0.5 * hbar * keys)
         spectra.append((s, members, np.arctan2(mvec[:, 1], mvec[:, 0]), fval))
-    top = max(truncations)
     stages = [(s, _class_symbols(members, phi, fval, top)) for s, members, phi, fval in spectra]
 
     def at(n):
@@ -679,9 +673,7 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     above support_tail means the truncation cannot hold the function's
     phase-space support.  Pass support_tail >= 1 to measure deliberately
     under-resolved truncations (convergence studies).  This is the
-    one-entry case of weyl_transforms, which makes the transforms of
-    several functions at several truncations, one symbol per function and
-    one eigendecomposition per truncation.
+    one-function, one-truncation case of weyl_transforms.
 
     Assembly rests on three exact facts.  First, k1 Q + k2 P is unitarily
     similar to |k| sqrt(hbar/2) J, with J the real Jacobi matrix of
@@ -820,13 +812,15 @@ def loglog_fit(hs, ds):
 def convergence_study(defect_fn, f, g, schedule):
     """Defect tables along a decreasing schedule with log-log slope fits.
 
-    Once the schedule is checked, defect_fn(f, g, schedule) gets it as it
-    is (an exact Fraction stays a Fraction) and returns the defects per
-    entry: one sequence each, all of one length.  Each position of those
-    sequences gives one table, in their order: rows of (float(h), defect),
-    the slope and rms residual of the log-log fit, and `saturated`, set
-    (with no fit) when a defect falls below the saturation floor.
+    The schedule is read once.  Once it is checked, defect_fn(f, g, schedule)
+    gets its entries as they are (an exact Fraction stays a Fraction) and
+    returns the defects per entry: one sequence each, all of one length.
+    Each position of those sequences gives one table, in their order: rows
+    of (float(h), defect), the slope and rms residual of the log-log fit,
+    and `saturated`, set (with no fit) when a defect falls below the
+    saturation floor.
     """
+    schedule = tuple(schedule)
     hs = [float(h) for h in schedule]
     if len(hs) < 4:
         raise GridError("schedule needs at least 4 points")

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,24 @@ def fresh_env():
         return out
 
     return env
+
+
+@pytest.fixture(scope="session")
+def traced_mib():
+    """traced_mib(fn): run fn() under tracemalloc and return (peak, held) in
+    MiB, held being what is still allocated when fn returns.  Tracing stops
+    even when fn raises."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / 2**20, held / 2**20
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

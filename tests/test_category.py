@@ -256,6 +256,21 @@ def test_equivalence_passes(arrow_pool):
     assert report and not violations(report)
 
 
+def test_checks_read_their_arrows_once():
+    # one-shot iterators give the reports of the lists
+    pool = sample_classical_arrows(1, count=20)
+    quantized = quantize_arrow_pool(pool)
+    laws = check_category_laws(classical_category(), pool, max_pairs=60)
+    assert check_category_laws(classical_category(), iter(pool), max_pairs=60) == laws
+    mapped = check_functor_laws(quantization_functor(), pool, max_pairs=60)
+    assert check_functor_laws(quantization_functor(), iter(pool), max_pairs=60) == mapped
+    functors = (quantization_functor(), limit_functor(), unit_transformation(),
+                counit_transformation())
+    report = check_equivalence(*functors, pool, quantized)
+    assert check_equivalence(*functors, iter(pool), iter(quantized)) == report
+    assert len(report) == 64
+
+
 @pytest.mark.parametrize("quantized", [False, True])
 def test_validators_flag_form_violators_and_inconsistent_records(arrow_pool, quantized):
     cat, pool = classical_category(), arrow_pool

@@ -2,7 +2,6 @@
 
 import subprocess
 import sys
-import tracemalloc
 from math import atan2
 
 import numpy as np
@@ -360,17 +359,15 @@ class TestClassSymbolsAndEigenpairs:
         assert sizes == [32, 33, 64, 64, 64]
 
     @pytest.mark.parametrize("truncations", ((128,), (32, 64, 128)))
-    def test_window_transform_temporaries_stay_bounded(self, window, truncations):
+    def test_window_transform_temporaries_stay_bounded(self, window, truncations, traced_mib):
         # the smaller truncations take views of the symbol built at n = 128
-        tracemalloc.start()
-        try:
+        def stream():
             for _ in weyl_transforms([window], HBAR, truncations, support_tail=1.0):
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak, _ = traced_mib(stream)
         # with the sparse class sum one transform at n = 128 peaked at 77.1 MiB
-        assert peak <= 77.1 * 2**20
+        assert peak <= 77.1
 
 
 class TestWeylTransforms:
@@ -406,19 +403,33 @@ class TestWeylTransforms:
                 _, s, symbol = _contraction_inputs(f, n)
                 assert _relative_gap(mat, full_spectrum_assemble(n, s, symbol)) <= 1e-13
 
-    def test_wt03_operands_stream_in_bounded_memory(self, pair_operands):
+    def test_wt03_operands_stream_in_bounded_memory(self, pair_operands, traced_mib):
         # one truncation's three transforms are held at a time: 19.9 MiB at
         # peak, where lists of every truncation's transforms peaked at 43.8 MiB
         truncations = range(16, 161, 2)
-        tracemalloc.start()
-        try:
+        residuals = []
+
+        def stream():
             streamed = weyl_transforms(pair_operands[0], HBAR, truncations, support_tail=1.0)
-            residuals = [weyl_homomorphism_residual(s, a, b) for a, b, s in streamed]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            residuals.extend(weyl_homomorphism_residual(s, a, b) for a, b, s in streamed)
+
+        peak, _ = traced_mib(stream)
         assert len(residuals) == len(truncations)
-        assert peak <= 25 * 2**20
+        assert peak <= 25
+
+    def test_truncations_are_read_once_at_call_time(self, gaussian_pair):
+        # a list changed after the call, or a one-shot iterator, gives what
+        # the list gives at the call
+        f = gaussian_pair[0]
+        want = list(weyl_transforms([f], HBAR, [32, 64]))
+        listed = [32, 64]
+        changed = weyl_transforms([f], HBAR, listed)
+        listed[0] = 8
+        listed.append(128)
+        for got in (list(changed), list(weyl_transforms([f], HBAR, iter([32, 64])))):
+            assert len(got) == len(want)
+            for (mat,), (ref,) in zip(got, want):
+                assert np.array_equal(mat, ref)
 
     def test_needs_a_truncation(self, window):
         with pytest.raises(GridError, match="at least one truncation"):
@@ -511,6 +522,39 @@ class TestImports:
         assert proc.stdout.split() == ["False"]
 
 
+_MEMORY_SCRIPT = """
+import tracemalloc
+from quantaequiv.rieffel import Grid2n, GridFunction, weyl_transform
+
+grid = Grid2n(1, 1024, 20.0)
+tracemalloc.start()
+f = GridFunction.gaussian(grid, %r, %r)
+print(tracemalloc.get_traced_memory()[1] / 2**20)
+tracemalloc.stop()
+tracemalloc.start()  # f's samples are not traced from here
+weyl_transform(f, %r, 64)
+held, peak = tracemalloc.get_traced_memory()
+print(peak / 2**20, held / 2**20)
+""" % (*TRANSFORM_PAIRS[0][0], HBAR)
+
+
+class TestFreshInterpreterMemory:
+    def test_grid_calls_keep_nothing_and_build_no_radius_mesh(self, fresh_env):
+        # a fresh interpreter, so no earlier call has left anything behind;
+        # with cached p x p parity tables and coordinate meshes for the
+        # radius, the Gaussian peaked at 50.0 MiB and the transform at 49.3,
+        # and 8.2 MiB stayed held after it returned
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEMORY_SCRIPT], capture_output=True, text=True,
+            env=fresh_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        gaussian_peak, transform_peak, held = map(float, proc.stdout.split())
+        assert gaussian_peak <= 40
+        assert transform_peak <= 40
+        assert held <= 1
+
+
 class TestBlasThreadCount:
     def test_transform_bits_do_not_depend_on_blas_threads(self, fresh_env):
         # one fresh process per setting: OpenBLAS reads its thread count at load
@@ -558,6 +602,19 @@ class TestSizeGuard:
         # the Gaussian's tail is above the default support_tail at n = 16
         with pytest.raises(TruncationError, match="beyond the truncation reach 1.761;"):
             weyl_transforms([gaussian_pair[0]], HBAR, [32, 64, 16])
+
+    def test_each_guard_is_decided_at_the_truncation_that_decides_it(self, window, gaussian_pair):
+        # the tail at the smallest truncation, wherever it stands
+        with pytest.raises(TruncationError, match="beyond the truncation reach 1.761;"):
+            weyl_transforms([gaussian_pair[0]], HBAR, [128, 16])
+        # the size at the largest: 5924 classes overflow from n = 1889 on
+        with pytest.raises(GridError) as info:
+            weyl_transforms([window], HBAR, [1900, 2048])
+        assert type(info.value) is GridError
+        assert "5924 |k|^2 classes at truncation 2048 make %d" % (5924 * 6143) in str(info.value)
+        # the tail guard comes first
+        with pytest.raises(TruncationError):
+            weyl_transforms([window], HBAR, [2048, 16])
 
     def test_a_bad_last_function_is_refused_before_symbol_work(self, window, gaussian_pair):
         # the Gaussian passes every guard; the window after it does not
