@@ -439,7 +439,7 @@ def _suite_rieffel_sdq(config):
         got = moyal_product(f, g, hbar)
         amp, decay = gaussian_star_closed_form(a, b, hbar)
         ref = GridFunction.gaussian(grid, (0.0, 0.0), decay, amplitude=amp)
-        value = (got - ref).sup_norm() / ref.sup_norm()
+        value = float(np.abs(got.samples - ref.samples).max()) / ref.sup_norm()
         return [_record("rsdq-01-closed-form", value <= 1e-6, value=value, tolerance=1e-6)]
 
     def oracle_check():
@@ -448,20 +448,13 @@ def _suite_rieffel_sdq(config):
         g = GridFunction.gaussian(grid, c2, b)
         product = moyal_product(f, g, hbar)
         ax = grid.axis_coordinates()
-        quarter = len(ax) // 4
-        idx = [
-            (quarter * 2, quarter * 2),
-            (quarter * 2 + 7, quarter * 2 - 5),
-            (quarter * 2 - 13, quarter * 2 + 11),
-            (quarter * 2 + 17, quarter * 2 + 3),
-            (quarter * 2 - 6, quarter * 2 - 16),
-        ]
+        mid = len(ax) // 2
+        idx = [(mid + i, mid + j) for i, j in ((0, 0), (7, -5), (-13, 11), (17, 3), (-6, -16))]
         pts = [(float(ax[i]), float(ax[j])) for i, j in idx]
         oracle = moyal_quadrature_oracle(
             (lambda x: np.exp(-a * (x - c1[0]) ** 2), lambda p: np.exp(-a * (p - c1[1]) ** 2)),
             (lambda x: np.exp(-b * (x - c2[0]) ** 2), lambda p: np.exp(-b * (p - c2[1]) ** 2)),
-            hbar,
-            pts,
+            hbar, pts,
         )
         diffs = [abs(o - product.samples[i, j]) for o, (i, j) in zip(oracle, idx)]
         scale = max(abs(product.samples[i, j]) for i, j in idx)
@@ -555,8 +548,7 @@ def _suite_weyl_transform(config):
                         tolerance=1e-6)]
 
     def windowed_position():
-        w = GridFunction.from_callable(grid, window_fn)
-        xw = GridFunction.from_callable(grid, lambda x, p: x) * w
+        xw = GridFunction.from_callable(grid, lambda x, p: x * window_fn(x, p))
         mat = weyl_transform(xw, hbar, reference)
         ref = oscillator_position(reference, hbar)
         value = float(np.max(np.abs(mat[:10, :10] - ref[:10, :10])))
@@ -614,7 +606,7 @@ SUITE_NAMES = tuple(_SUITES)
 
 # Each config field: the JSON type of its value, or of each entry for a list
 # field; its least and greatest value (a "number" field's least value is
-# excluded and it has no greatest); and, for a list field, its least length.
+# excluded and it has no greatest); and, for a list field, its least and greatest length.
 _FIELDS = {
     "schema_version": ("integer", SCHEMA_VERSION, SCHEMA_VERSION, None),
     "seed": ("integer", 0, 2**64 - 1, None),
@@ -624,8 +616,8 @@ _FIELDS = {
     "grid_points": ("integer", 32, 2048, None),
     "grid_extent": ("number", 0, None, None),
     "hbar": ("number", 0, None, None),
-    "truncations": ("integer", 16, 1024, 2),
-    "schedule": ("number or string", None, None, 4),
+    "truncations": ("integer", 16, 1024, (2, 16)),  # each entry: transforms per wt-03 pair
+    "schedule": ("number or string", None, None, (4, 64)),  # each entry: twist stages per pair
 }
 
 _KINDS = {"integer": int, "number": (int, float), "number or string": (int, float, str)}
@@ -677,13 +669,14 @@ def _field_fault(field, value):
     NaN, infinity (which Python's json module reads) and a "number" int past
     the float range are no finite number.
     """
-    kind, low, high, min_length = _FIELDS[field]
+    kind, low, high, lengths = _FIELDS[field]
     items = [(field, value)]
-    if min_length is not None:
+    if lengths is not None:
+        least, most = lengths
         if not isinstance(value, list):
             return "%s: %s is not of type array" % (field, _shown(value))
-        if len(value) < min_length:
-            return "%s: %s has fewer than %d items" % (field, _shown(value), min_length)
+        if not least <= len(value) <= most:
+            return "%s: %d items, not between %d and %d" % (field, len(value), least, most)
         items = [("%s[%d]" % (field, k), item) for k, item in enumerate(value)]
     for path, item in items:
         if isinstance(item, bool) or not isinstance(item, _KINDS[kind]):

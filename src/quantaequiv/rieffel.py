@@ -21,20 +21,22 @@ grid is a torus; the detector keeps wrap-around artifacts out of norms).
 
 A product runs in two stages.  The pair stage holds all that does not
 depend on hbar: the guards, the operand spectra, the mode boxes and where
-the result lands.  The twist stage makes the product at one hbar from it.
-The classical-limit defects take the whole schedule: star_defects builds
-the pair stage of f*g once, then one twist stage per hbar, and reads the
-von Neumann and the Dirac defect from each product; for real operands the
-reversed product is g*f = conj(f*g), the involution rule
-(f*g)^* = g^* * f^*, so convergence_study fits both slopes from one pass
-over the schedule.  Bad input is refused before any twisted FFT.
+the result lands.  The twist stage makes the product's samples at one
+hbar from it.  Stages pass numpy arrays; a GridFunction is built only where
+a caller receives one.  The classical-limit defects take the whole
+schedule: star_defects builds the pair stage of f*g once, then one twist
+stage per hbar, and reads the von Neumann and the Dirac defect from each
+product; for real operands the reversed product is g*f = conj(f*g), the
+involution rule (f*g)^* = g^* * f^*, so convergence_study fits both
+slopes from one pass over the schedule.  Bad input is refused before any
+twisted FFT.
 
 The quadrature oracle, the independent reference for the grid product,
 takes each operand as its pair of per-axis factors (f_q, f_p): the
 separability it needs is stated by the caller, not recovered from samples.
 On the midpoint nodes its kernel e^{(2i/hbar) u u'} is a Hankel matrix
 between two chirps, so each bilinear form is one FFT correlation: no
-kernel is ever built.
+kernel is ever built.  Its node count grows as 1/hbar, to resolve the chirp.
 """
 
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ _PRUNE_THRESHOLD = 1e-14  # modes below this fraction of the peak are dropped
 _ALIAS_TOLERANCE = 1e-9  # largest aliased share of the pair mass in a product
 _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
-_ORACLE_RADIUS, _ORACLE_NODES = 9.0, 2048  # quadrature box and nodes per axis
+_ORACLE_RADIUS, _ORACLE_MIN_NODES, _ORACLE_MAX_NODES = 9.0, 2048, 2**16  # box; nodes per axis
 # Blocks bound the temporaries of the grid kernels.  One block of the
 # phase-power table in weyl_transforms (one row per power, built once per
 # operand at its largest truncation) is _BLOCK_ENTRIES complex entries
@@ -112,8 +114,7 @@ class Grid2n:
         return 2.0 * np.pi / self.extent
 
     def axis_coordinates(self):
-        p = self.points_per_axis
-        return -0.5 * self.extent + self.spacing * np.arange(p)
+        return -0.5 * self.extent + self.spacing * np.arange(self.points_per_axis)
 
 
 def _int_freqs(points):
@@ -151,21 +152,8 @@ class GridFunction:
         r2 = (x[:, None] - center[0]) ** 2 + (x[None, :] - center[1]) ** 2
         return cls(grid, amplitude * np.exp(-float(decay) * r2))
 
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        return GridFunction(self.grid, self.samples - other.samples)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            _require_same_grid(self, other)
-            return GridFunction(self.grid, self.samples * other.samples)
-        return GridFunction(self.grid, self.samples * complex(other))
-
-    def conjugate(self):
-        return GridFunction(self.grid, np.conj(self.samples))
-
     def sup_norm(self):
-        return float(np.abs(self.samples).max())
+        return _sup(self.samples)
 
     def boundary_ratio(self):
         """Largest boundary-face magnitude relative to the global maximum."""
@@ -175,6 +163,10 @@ class GridFunction:
             return 0.0
         worst = max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max())
         return float(worst) / float(peak)
+
+
+def _sup(samples):
+    return float(np.abs(samples).max())
 
 
 def _require_same_grid(f, g):
@@ -218,15 +210,26 @@ def translate(f, x):
     return GridFunction(f.grid, _from_modes(modes))
 
 
+def _bracket(f, g):
+    """The samples of d_q f d_p g, then d_p f d_q g subtracted in place:
+    one spectrum per operand, one pair of derivative fields alive at a time."""
+    _require_same_grid(f, g)
+    k = 1j * f.grid.mode_step * _int_freqs(f.grid.points_per_axis).astype(float)
+    kq, kp = k[:, None], k[None, :]
+    modes_f, modes_g = _modes(f), _modes(g)
+    out = _from_modes(modes_f * kq)
+    out *= _from_modes(modes_g * kp)
+    modes_f *= kp
+    modes_g *= kq
+    term = _from_modes(modes_f)
+    term *= _from_modes(modes_g)
+    out -= term
+    return out
+
+
 def poisson_bracket_grid(f, g):
     """Canonical bracket d_q f d_p g - d_p f d_q g, one spectrum per operand."""
-    _require_same_grid(f, g)
-    grid = f.grid
-    k = 1j * grid.mode_step * _int_freqs(grid.points_per_axis).astype(float)
-    modes_f, modes_g = _modes(f), _modes(g)
-    fq, fp = (_from_modes(modes_f * d) for d in (k[:, None], k[None, :]))
-    gq, gp = (_from_modes(modes_g * d) for d in (k[:, None], k[None, :]))
-    return GridFunction(grid, fq * gp - fp * gq)
+    return GridFunction(f.grid, _bracket(f, g))
 
 
 def _significant(modes):
@@ -321,7 +324,7 @@ def _pair_stage(f, g, boundary_threshold):
 
 
 def _twist_stage(pair, hbar):
-    """f*g at one hbar from its pair stage: twist factors, q-FFTs, inverse transform.
+    """Samples of f*g at one hbar from its pair stage: twist factors, q-FFTs, inverse FFT.
 
     Each step takes one k_p row: its l_p x q twisted products go through
     the q-FFTs together and enter the m_p sums k .. k + l_p - 1, in row
@@ -330,7 +333,7 @@ def _twist_stage(pair, hbar):
     grid = pair.grid
     out = np.zeros(grid.shape, dtype=np.complex128)
     if pair.frows is None:
-        return GridFunction(grid, out)
+        return out
     (fmomenta, fq), (gmomenta, gq) = pair.frows.shape, pair.grows.shape
     flo, glo, q_entries = pair.flo, pair.glo, pair.q_entries
     scale = 0.5 * hbar * grid.mode_step**2
@@ -343,7 +346,7 @@ def _twist_stage(pair, hbar):
         acc[k : k + gmomenta] += terms
     acc = np.fft.ifft(acc)[:, : fq + gq - 1]
     out[pair.index] = acc.T[pair.keep]
-    return GridFunction(grid, _from_modes(out))
+    return _from_modes(out)
 
 
 def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
@@ -359,7 +362,7 @@ def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
     """
     if not (hbar >= 0):
         raise GridError("the deformation parameter must be nonnegative")
-    return _twist_stage(_pair_stage(f, g, boundary_threshold), hbar)
+    return GridFunction(f.grid, _twist_stage(_pair_stage(f, g, boundary_threshold), hbar))
 
 
 def star_defects(f, g, schedule):
@@ -372,7 +375,8 @@ def star_defects(f, g, schedule):
     when the samples of both operands are real g*f is conj(f*g); complex
     operands get a pair stage of their own for g*f.  Every refusal (an
     entry that is not positive, a support, work or alias guard) comes
-    before any twisted FFT; then the products are made one entry at a time.
+    before any twisted FFT; then the products are made one entry at a time,
+    as sample arrays: no GridFunction is built.
     """
     schedule = tuple(schedule)
     if not all(hbar > 0 for hbar in schedule):
@@ -381,13 +385,13 @@ def star_defects(f, g, schedule):
     backward = None
     if f.samples.imag.any() or g.samples.imag.any():
         backward = _pair_stage(g, f, _BOUNDARY_THRESHOLD)
-    pointwise, bracket = f * g, poisson_bracket_grid(f, g)
+    pointwise, bracket = f.samples * g.samples, _bracket(f, g)
     defects = []
     for hbar in schedule:
         product = _twist_stage(forward, hbar)
-        reverse = product.conjugate() if backward is None else _twist_stage(backward, hbar)
+        reverse = np.conj(product) if backward is None else _twist_stage(backward, hbar)
         commutator_scaled = (product - reverse) * (1.0 / (1j * hbar))
-        defects.append(((product - pointwise).sup_norm(), (commutator_scaled - bracket).sup_norm()))
+        defects.append((_sup(product - pointwise), _sup(commutator_scaled - bracket)))
     return defects
 
 
@@ -409,9 +413,7 @@ class AffineSymplecticMap:
             raise GridError("linear part must be a 2 x 2 matrix on the phase plane")
         if not np.all(np.isfinite(linear)) or abs(np.linalg.det(linear)) < 1e-12:
             raise GridError("linear part must be finite and invertible")
-        if offset is None:
-            offset = np.zeros(2)
-        offset = np.array(offset, dtype=float)
+        offset = np.array((0.0, 0.0) if offset is None else offset, dtype=float)
         if offset.shape != (2,) or not np.all(np.isfinite(offset)):
             raise GridError("offset must be a finite phase-space vector")
         linear.flags.writeable = False
@@ -426,12 +428,7 @@ class AffineSymplecticMap:
 
     @classmethod
     def shear(cls, amount, upper=True):
-        m = np.eye(2)
-        if upper:
-            m[0, 1] = amount
-        else:
-            m[1, 0] = amount
-        return cls(m)
+        return cls([[1.0, amount], [0.0, 1.0]] if upper else [[1.0, 0.0], [amount, 1.0]])
 
 
 def pullback(f, phi, boundary_threshold=_BOUNDARY_THRESHOLD):
@@ -485,7 +482,9 @@ def morphism_star_defect(phi, f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD
         hbar,
         boundary_threshold,
     )
-    return _relative((pull_then_star - star_then_pull).sup_norm(), star_then_pull.sup_norm())
+    return _relative(
+        _sup(pull_then_star.samples - star_then_pull.samples), star_then_pull.sup_norm()
+    )
 
 
 def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOLD):
@@ -493,7 +492,7 @@ def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOL
     direction = np.asarray(direction, dtype=float)
     lhs = pullback(translate(f, phi.linear @ direction), phi, boundary_threshold)
     rhs = translate(pullback(f, phi, boundary_threshold), direction)
-    return _relative((lhs - rhs).sup_norm(), f.sup_norm())
+    return _relative(_sup(lhs.samples - rhs.samples), f.sup_norm())
 
 
 # --- oscillator-basis transform ----------------------------------------------
@@ -501,10 +500,7 @@ def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOL
 
 def oscillator_position(n_trunc, hbar):
     off = np.sqrt(0.5 * hbar * np.arange(1, n_trunc))
-    m = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
-    m[np.arange(n_trunc - 1), np.arange(1, n_trunc)] = off
-    m[np.arange(1, n_trunc), np.arange(n_trunc - 1)] = off
-    return m
+    return (np.diag(off, 1) + np.diag(off, -1)).astype(np.complex128)
 
 
 def _powers(z, count):
@@ -689,16 +685,10 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
         total[a, b] = sum_m W[a, m] W[b, m] G[m, a-b],
         G[m, d] = sum_c e^{i s_c lam_m} T[c, d].
     Per mode that is n powers of e^{i phi_k} (the offsets d < 0 are their
-    conjugates) instead of an n x n update.  Third, J couples only
-    neighbouring levels, so its spectrum is symmetric: with (lam, W[:, m])
-    an eigenpair, so is (-lam, (-1)^a W[a, m]).  A pair then contributes
-    W[a, m] W[b, m] (e^{i s lam} + (-1)^d e^{-i s lam}), which is
-    2 cos(s lam) for even d and 2i sin(s lam) for odd d, and only the
-    ceil(n/2) non-negative eigenvalues enter, the zero mode of an odd n
-    once.  So the product over the classes takes real cosine and sine
-    tables of half the spectrum, and the O(n^3) assembly along the
-    diagonals half the eigenvectors.  The class k = 0
-    gives F_0 I with no branch of its own.  A function with too many classes
+    conjugates) instead of an n x n update.  Third, J's spectrum is
+    symmetric, so only its ceil(n/2) non-negative eigenvalues enter
+    (_half_spectrum_symbols).  The class k = 0 gives F_0 I with no branch
+    of its own.  A function with too many classes
     for n_trunc, above _MAX_TRANSFORM_ENTRIES, is refused with GridError
     before any symbol is built.
     """
@@ -725,6 +715,21 @@ def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix):
 # --- quadrature oracle and closed form ---------------------------------------
 
 
+def _oracle_nodes(hbar):
+    """The least power of two >= max(2048, 4 R^2 / (pi hbar)): the step is then at most
+    pi hbar / (2R), the Nyquist step of the chirp e^{-i u^2/hbar} at u = +-R."""
+    need = 4.0 * _ORACLE_RADIUS**2 / (np.pi * hbar)
+    if need > _ORACLE_MAX_NODES:
+        raise GridError(
+            "the oracle needs %.3g nodes per axis at hbar = %g, above the limit of %d"
+            % (need, hbar, _ORACLE_MAX_NODES)
+        )
+    nodes = _ORACLE_MIN_NODES
+    while nodes < need:
+        nodes *= 2
+    return nodes
+
+
 def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
     """Direct oscillatory-integral evaluation of the deformed product.
 
@@ -733,9 +738,9 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
     pair of 1-D callables (f_q, f_p) with f(x, p) = f_q(x) f_p(p), and
     points is a non-empty finite (k, 2) array.  The phase splits per axis
     pair, so the quadruple integral is a product of two double integrals
-    over (u1,v2) and (u2,v1); each is done on a uniform midpoint grid of
-    _ORACLE_NODES points per axis over [-_ORACLE_RADIUS, _ORACLE_RADIUS],
-    and each factor is sampled once per point, on the nodes z + u.
+    over (u1,v2) and (u2,v1); each is done on a uniform midpoint grid over
+    [-_ORACLE_RADIUS, _ORACLE_RADIUS] of N = _oracle_nodes(hbar) points per
+    axis, and each factor is sampled once per point, on the nodes z + u.
 
     Each double integral is a bilinear form x @ K @ y with the kernel
     K_jk = e^{i a u_j u_k}, a = 2/hbar.  Here u_j u_k =
@@ -745,7 +750,7 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
     x @ K @ y = sum_m h_m c_m, where c is the linear convolution of
     x e^{-i a u^2/2} with y e^{-i a u^2/2} and
     h_m = e^{i a (-2R + s (m + 1))^2 / 2}.  Each convolution is one
-    zero-padded FFT of length 2 _ORACLE_NODES per operand, and the sum over
+    zero-padded FFT of length 2N per operand, and the sum over
     m is taken against the inverse transform of h by numpy's pairwise sum,
     whose bits do not depend on the BLAS thread count.  Independent of
     every grid code path: it is quadrature, not a grid spectrum.
@@ -761,7 +766,7 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
     if not np.all(np.isfinite(points)):
         raise GridError("oracle points must be finite")
     (f_q, f_p), (g_q, g_p) = f_factors, g_factors
-    nodes = _ORACLE_NODES
+    nodes = _oracle_nodes(hbar)
     step = 2.0 * _ORACLE_RADIUS / nodes
     u = -_ORACLE_RADIUS + step * (np.arange(nodes) + 0.5)
     # u_j + u_k for j + k = 0 .. 2N - 2

@@ -244,6 +244,9 @@ class TestConfigValidation:
             ("weyl-transform", "truncations", [32, 2048]),
             ("weyl-laws", "sample_count", 10**4 + 1),
             ("equivalence-weyl", "max_pairs", 10**5),
+            ("weyl-transform", "truncations", list(range(16, 50, 2))),  # 17 entries
+            ("weyl-sdq", "schedule", ["1/%d" % 2**k for k in range(1, 66)]),  # 65 entries
+            ("rieffel-sdq", "schedule", [0.4 / 2**k for k in range(65)]),
         ],
     )
     def test_out_of_bounds_field_rejected(self, suite, field, value):
@@ -274,6 +277,8 @@ class TestConfigValidation:
         [
             ("rieffel-sdq", "grid_points", 2048),
             ("weyl-transform", "truncations", [32, 1024]),
+            ("weyl-transform", "truncations", list(range(16, 48, 2))),  # 16 entries
+            ("rieffel-sdq", "schedule", [0.4 / 2**k for k in range(64)]),
             ("weyl-sdq", "sample_count", 10**4),
             ("equivalence-weyl", "max_pairs", 10**4),
         ],
@@ -388,9 +393,16 @@ class TestRunSuite:
 
     def test_rieffel_sdq_makes_one_product_per_pair_and_hbar(self, rsdq_report, monkeypatch):
         # closed form 1, oracle 1, and one f*g per pair and hbar: 3 x 4 twist
-        # stages; each pair's schedule shares one pair stage: 1 + 1 + 3
-        pairs, twists = [], []
+        # stages; each pair's schedule shares one pair stage: 1 + 1 + 3.
+        # GridFunctions: the closed form's operands, product and reference,
+        # the oracle check's operands and product, each study's operands
+        pairs, twists, built = [], [], []
         pair_stage, twist_stage = rieffel._pair_stage, rieffel._twist_stage
+        init = rieffel.GridFunction.__init__
+
+        def counted_init(self, grid, samples):
+            built.append(grid)
+            init(self, grid, samples)
 
         def counted_pair(*args):
             pairs.append(args[:2])
@@ -402,9 +414,11 @@ class TestRunSuite:
 
         monkeypatch.setattr(rieffel, "_pair_stage", counted_pair)
         monkeypatch.setattr(rieffel, "_twist_stage", counted_twist)
+        monkeypatch.setattr(rieffel.GridFunction, "__init__", counted_init)
         report = run_suite(default_config("rieffel-sdq"))
         assert len(twists) == 14
         assert len(pairs) == 5
+        assert len(built) == 4 + 3 + 3 * 2
         assert report["checks"] == rsdq_report["checks"]
 
     def test_saturated_weyl_sdq_study_is_saturated(self, monkeypatch):
@@ -689,6 +703,10 @@ class TestCli:
             ("rieffel-morphisms", "grid_points", 16384, "grid_points: 16384 is greater than 2048"),
             ("weyl-transform", "truncations", [32, 64, 4096],
              "truncations[2]: 4096 is greater than 1024"),
+            ("weyl-transform", "truncations", list(range(16, 50, 2)),
+             "truncations: 17 items, not between 2 and 16"),
+            ("rieffel-sdq", "schedule", [0.4 / 2**k for k in range(65)],
+             "schedule: 65 items, not between 4 and 64"),
         ],
     )
     def test_oversize_grid_or_truncation_exits_two_before_any_array(
@@ -752,6 +770,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: GridError: 22021 |k|^2 classes at truncation 1024" in err
         assert str(rieffel._MAX_TRANSFORM_ENTRIES) in err
+        assert not out.exists()
+
+    def test_rieffel_sdq_at_small_hbar_exits_zero(self, tmp_path, capsys):
+        # the oracle's nodes follow hbar: 8192 at 0.02, where 2048 left
+        # rsdq-02 at 1.06e-4 on a correct product
+        cfg = dict(default_config("rieffel-sdq"), hbar=0.02)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = cli.main(["run", "rieffel-sdq", "--config", str(path), "--out", str(out)])
+        assert code == 0, capsys.readouterr()
+        report = json.loads((out / "rieffel-sdq.report.json").read_text())
+        (oracle,) = [c for c in report["checks"] if c["id"] == "rsdq-02-quadrature-oracle"]
+        assert oracle["value"] <= 1e-12
+
+    def test_hbar_past_the_oracle_node_cap_exits_two_before_any_factor_call(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # hbar = 1e-3 needs 1.03e5 nodes per axis, above the cap of 2**16
+        calls = []
+        oracle = harness.moyal_quadrature_oracle
+
+        def recording(factor):
+            def sampled(x):
+                calls.append(x)
+                return factor(x)
+
+            return sampled
+
+        def recorded_oracle(f_factors, g_factors, hbar, points):
+            f_factors, g_factors = (tuple(map(recording, h)) for h in (f_factors, g_factors))
+            return oracle(f_factors, g_factors, hbar, points)
+
+        monkeypatch.setattr(harness, "moyal_quadrature_oracle", recorded_oracle)
+        cfg = dict(default_config("rieffel-sdq"), hbar=1e-3)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = cli.main(["run", "rieffel-sdq", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: GridError: the oracle needs" in err
+        assert str(rieffel._ORACLE_MAX_NODES) in err
+        assert calls == []
         assert not out.exists()
 
     def test_grid_guard_under_default_config_is_not_a_config_error(self, tmp_path, monkeypatch):

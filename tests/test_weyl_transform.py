@@ -184,14 +184,15 @@ def grid():
     return Grid2n(1, 256, 20.0)
 
 
+def window_fn(x, p):
+    # flat to ~1e-7 inside radius 1.4, gone by radius 3.2
+    r2 = (x * x + p * p) / 2.8**2
+    return np.exp(-(r2**12))
+
+
 @pytest.fixture(scope="module")
 def window(grid):
-    # flat to ~1e-7 inside radius 1.4, gone by radius 3.2
-    def fn(x, p):
-        r2 = (x * x + p * p) / 2.8**2
-        return np.exp(-(r2**12))
-
-    return GridFunction.from_callable(grid, fn)
+    return GridFunction.from_callable(grid, window_fn)
 
 
 @pytest.fixture(scope="module")
@@ -211,8 +212,8 @@ def pair_operands(grid):
 
 
 @pytest.fixture(scope="module")
-def windowed_coordinate(grid, window):
-    return GridFunction.from_callable(grid, lambda x, p: x) * window
+def windowed_coordinate(grid):
+    return GridFunction.from_callable(grid, lambda x, p: x * window_fn(x, p))
 
 
 class TestOscillatorMatrices:
@@ -489,7 +490,7 @@ def window_fn(x, p):
 
 grid = Grid2n(1, 256, 20.0)
 window = GridFunction.from_callable(grid, window_fn)
-coordinate = GridFunction.from_callable(grid, lambda x, p: x) * window
+coordinate = GridFunction.from_callable(grid, lambda x, p: x * window_fn(x, p))
 (c1, a), (c2, b) = %r
 star = moyal_product(GridFunction.gaussian(grid, c1, a), GridFunction.gaussian(grid, c2, b), %r)
 mats = [weyl_transform(h, %r, n) for n in (64, 128) for h in (window, coordinate)]
@@ -646,7 +647,7 @@ class TestAgainstReference:
 
     def test_complex_input(self, grid, gaussian_pair, class_bases):
         f, _ = gaussian_pair
-        h = f * GridFunction.from_callable(grid, lambda x, p: np.exp(1j * x))
+        h = GridFunction(grid, f.samples * np.exp(1j * grid.axis_coordinates())[:, None])
         ref = reference_weyl_transform(h, HBAR, 64, class_bases)
         mat = weyl_transform(h, HBAR, 64)
         assert hermiticity_defect(mat) > 1e-3
