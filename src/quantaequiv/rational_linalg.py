@@ -21,6 +21,7 @@ kept.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def frac(x):
@@ -106,8 +107,8 @@ def integer_matrix(m):
 def integer_product(a, b):
     """The canonical integer form of the product of two integer forms."""
     (ra, da), (rb, db) = a, b
-    cols = list(zip(*rb))
-    rows = [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in ra]
+    cols = tuple(zip(*rb))
+    rows = [[sum(map(mul, row, col)) for col in cols] for row in ra]
     d = da * db
     g = gcd(d, *[x for row in rows for x in row])
     return tuple(tuple(x // g for x in row) for row in rows), d // g

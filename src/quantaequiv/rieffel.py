@@ -53,8 +53,8 @@ _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_MIN_NODES, _ORACLE_MAX_NODES = 9.0, 2048, 2**16  # box; nodes per axis
 # Blocks bound the temporaries of the grid kernels.  One block of the
 # phase-power table in weyl_transforms (one row per power, built once per
-# operand at its largest truncation) is _BLOCK_ENTRIES complex entries
-# (8 MiB); it never changes a result.  moyal_product needs no block size:
+# operand at its corner or largest truncation) is _BLOCK_ENTRIES complex
+# entries (8 MiB); it never changes a result.  moyal_product needs no block size:
 # its twist stage takes one k_p row per step, l_p x q entries per q-FFT
 # array, which stays in cache.  _SYNTHESIS_BLOCK counts grid-by-mode
 # entries of 64 bytes in pullback (64 MiB); it sets the order of
@@ -64,7 +64,8 @@ _SYNTHESIS_BLOCK = 2**20
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
 # entries of weyl_transform's class symbol, classes x (2n - 1), and of its
 # cosine and sine tables, ceil(n/2) x classes each, counted as n x classes,
-# at the largest truncation; more than 2**25 (512 MiB if all complex) are refused
+# at the largest truncation whatever the corner; more than 2**25 (512 MiB
+# if all complex) are refused
 _MAX_TRANSFORM_ENTRIES = 2**25
 
 
@@ -547,31 +548,35 @@ def _class_symbols(members, phi, fval, n_trunc):
 
 
 def _half_spectrum_symbols(lam, s, symbol):
-    """G summed over each pair +-lam of eigenvalues, as a (2n - 1, ceil(n/2)) array.
+    """G summed over each pair +-lam of eigenvalues, as a (2b - 1, ceil(n/2)) array.
 
-    J couples only neighbouring levels, so its eigenvalues come in pairs
-    +-lam and the partner of column m of W is (-1)^a W[a, m]: the products
-    W[a, m] W[b, m] of a pair differ by (-1)^d, d = a - b.  Row d, column m
-    of the result is sum_c (e^{i s_c lam_m} + (-1)^d e^{-i s_c lam_m}) T[c, d]
-    over the non-negative lam_m = lam[n // 2 + m]: 2 cos(s_c lam_m) on even
-    offsets and 2i sin(s_c lam_m) on odd ones.  For odd n the first of them
-    is the zero mode, its own partner, which counts once.  The four real
+    The symbol holds the offsets d = -(b-1) .. b-1 of the leading b x b
+    block, b <= n = len(lam), so column j is the offset j - (b - 1) and its
+    parity comes from the symbol's width, not from n.  J couples only
+    neighbouring levels, so its eigenvalues come in pairs +-lam and the
+    partner of column m of W is (-1)^a W[a, m]: the products
+    W[a, m] W[a', m] of a pair differ by (-1)^d, d = a - a'.  Row d, column m
+    of the result is
+    sum_c (e^{i s_c lam_m} + (-1)^d e^{-i s_c lam_m}) T[c, d] over the
+    non-negative lam_m = lam[n // 2 + m]: 2 cos(s_c lam_m) on even offsets
+    and 2i sin(s_c lam_m) on odd ones.  For odd n the first of them is the
+    zero mode, its own partner, which counts once.  The four real
     contractions run in numpy's own einsum loops, not BLAS, so the bits do
-    not depend on any thread count.
+    not depend on any thread count, and each row is the same sum at any b.
     """
     n_trunc = len(lam)
+    corner = (symbol.shape[1] + 1) // 2
     phase = np.multiply.outer(lam[n_trunc // 2 :], s)
     cos, sin = 2.0 * np.cos(phase), 2.0 * np.sin(phase)
     if n_trunc % 2:
         cos[0] *= 0.5
-    # column j of the symbol is the offset d = j - (n - 1)
-    even, odd = slice((n_trunc - 1) % 2, None, 2), slice(n_trunc % 2, None, 2)
+    even, odd = slice((corner - 1) % 2, None, 2), slice(corner % 2, None, 2)
     by_offset = symbol.T
 
     def contract(table, part):
         return np.einsum("mc,dc->dm", table, np.ascontiguousarray(part))
 
-    g = np.empty((2 * n_trunc - 1, len(phase)), dtype=np.complex128)
+    g = np.empty((2 * corner - 1, len(phase)), dtype=np.complex128)
     g.real[even] = contract(cos, by_offset[even].real)
     g.imag[even] = contract(cos, by_offset[even].imag)
     g.real[odd] = -contract(sin, by_offset[odd].imag)
@@ -586,37 +591,42 @@ def _jacobi_eigenpairs(n_trunc):
 
 
 def _assemble(lam, w, s, symbol):
-    """The n x n transform from J's eigenpairs and its class symbols, one column per offset.
+    """The leading b x b block of the n x n transform, one column per offset.
 
-    Only the eigenvectors of the non-negative eigenvalues enter; each stands
-    for its pair (_half_spectrum_symbols).
+    n = len(lam) sets J's eigenpairs; the symbol's 2b - 1 offsets set b.
+    Only the eigenvectors of the non-negative eigenvalues enter, and each
+    stands for its pair (_half_spectrum_symbols); only their first b rows
+    meet the block.  b = n is the whole transform.
     """
     n_trunc = len(lam)
+    corner = (symbol.shape[1] + 1) // 2
     g = _half_spectrum_symbols(lam, s, symbol)
-    w = w[:, n_trunc // 2 :]
+    w = w[:corner, n_trunc // 2 :]
     # diagonals d and -d share the products W[a + d, m] W[a, m]
-    levels = np.arange(n_trunc)
-    total = np.empty((n_trunc, n_trunc), dtype=np.complex128)
-    for d in range(n_trunc):
-        a = levels[: n_trunc - d]
-        pair = w[d:] * w[: n_trunc - d]
-        total[a + d, a] = np.einsum("am,m->a", pair, g[n_trunc - 1 + d])
-        total[a, a + d] = np.einsum("am,m->a", pair, g[n_trunc - 1 - d])
+    levels = np.arange(corner)
+    total = np.empty((corner, corner), dtype=np.complex128)
+    for d in range(corner):
+        a = levels[: corner - d]
+        pair = w[d:] * w[: corner - d]
+        total[a + d, a] = np.einsum("am,m->a", pair, g[corner - 1 + d])
+        total[a, a + d] = np.einsum("am,m->a", pair, g[corner - 1 - d])
     return total
 
 
-def weyl_transforms(functions, hbar, truncations, support_tail=1e-3):
-    """An iterator over truncations, in order, of [weyl_transform(f, hbar, n) for f in functions].
+def weyl_transforms(functions, hbar, truncations, support_tail=1e-3, corner=None):
+    """An iterator over truncations, in order, of
+    [weyl_transform(f, hbar, n, corner=corner) for f in functions].
 
     The call reads `truncations` once and runs every guard of every function
-    before any symbol is built: the support guard, the tail detector at the
-    smallest truncation (the tail shrinks as n grows) and the size guard at
-    the largest (the symbol grows with n).  Then it makes one operand stage
-    per function: its significant modes, their |k|^2 classes and angles, and
-    one class symbol at the largest truncation.  Per n the iterator
-    decomposes J once and assembles each transform from the middle 2n - 1
-    columns of its function's symbol (bit for bit the symbol built at n), so
-    one n's transforms are held at a time.
+    before any symbol is built: the corner's range, the support guard, the
+    tail detector at the smallest truncation (the tail shrinks as n grows)
+    and the size guard at the largest (the symbol grows with n).  Then it
+    makes one operand stage per function: its significant modes, their
+    |k|^2 classes and angles, and one class symbol 2b - 1 offsets wide, b
+    the corner or else the largest truncation.  Per n the iterator
+    decomposes J once and assembles each block from the middle 2b - 1
+    columns of its function's symbol (bit for bit the symbol built at b),
+    so one n's transforms are held at a time.
     """
     truncations = tuple(truncations)
     if not truncations:
@@ -624,6 +634,11 @@ def weyl_transforms(functions, hbar, truncations, support_tail=1e-3):
     low, top = min(truncations), max(truncations)
     if low < 16:
         raise GridError("truncation size must be at least 16")
+    if corner is not None and (
+        isinstance(corner, bool) or not isinstance(corner, (int, np.integer))
+        or not 1 <= corner <= low
+    ):
+        raise GridError("corner must be an int from 1 to the smallest truncation, %d" % low)
     if not (hbar > 0):
         raise GridError("the deformation parameter must be positive")
     spectra = []
@@ -651,17 +666,20 @@ def weyl_transforms(functions, hbar, truncations, support_tail=1e-3):
             )
         s = f.grid.mode_step * np.sqrt(0.5 * hbar * keys)
         spectra.append((s, members, np.arctan2(mvec[:, 1], mvec[:, 0]), fval))
-    stages = [(s, _class_symbols(members, phi, fval, top)) for s, members, phi, fval in spectra]
+    width = top if corner is None else corner
+    stages = [(s, _class_symbols(members, phi, fval, width)) for s, members, phi, fval in spectra]
 
     def at(n):
+        b = n if corner is None else corner
         lam, w = _jacobi_eigenpairs(n)
-        return [_assemble(lam, w, s, symbol[:, top - n : top + n - 1]) for s, symbol in stages]
+        return [_assemble(lam, w, s, symbol[:, width - b : width + b - 1]) for s, symbol in stages]
 
     return map(at, truncations)
 
 
-def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
-    """The n_trunc x n_trunc complex matrix of f in the oscillator basis.
+def weyl_transform(f, hbar, n_trunc, support_tail=1e-3, corner=None):
+    """The n_trunc x n_trunc complex matrix of f in the oscillator basis, or
+    its leading corner x corner block.
 
     Builds sum_k F_k exp(i(k1 Q + k2 P)) over significant modes.  Before
     assembling, a trace-residual detector integrates |f|^2 outside the
@@ -691,8 +709,15 @@ def weyl_transform(f, hbar, n_trunc, support_tail=1e-3):
     of its own.  A function with too many classes
     for n_trunc, above _MAX_TRANSFORM_ENTRIES, is refused with GridError
     before any symbol is built.
+
+    corner=b, an int from 1 to n_trunc, builds only the leading b x b block:
+    the symbol's 2b - 1 offsets |d| < b against the same eigenpairs of J at
+    n_trunc, and the first b rows of W.  Each entry is the same sum as in
+    the whole transform, so the block is bit for bit
+    weyl_transform(f, hbar, n_trunc)[:b, :b], and every guard still reads
+    n_trunc.  corner=None is b = n_trunc.
     """
-    return next(weyl_transforms([f], hbar, [n_trunc], support_tail))[0]
+    return next(weyl_transforms([f], hbar, [n_trunc], support_tail, corner))[0]
 
 
 def weyl_homomorphism_residual(product_matrix, left_matrix, right_matrix):

@@ -35,12 +35,26 @@ def make_rng(master, *path):
     return random.Random(child_seed(master, *path))
 
 
+def _randint(rng, a, b):
+    """rng.randint(a, b), drawn as CPython's randrange draws it: getrandbits
+    of the width's bit length until the value is below the width.  An empty
+    range is refused, as randint refuses it: the loop would never end."""
+    width = b - a + 1
+    if width < 1:
+        raise ValueError("empty range for randint(%d, %d)" % (a, b))
+    bits = width.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= width:
+        r = rng.getrandbits(bits)
+    return a + r
+
+
 def _random_ratio(rng, max_abs, max_den, allow_zero=True):
     # one num/den draw as the lowest-terms ints (num, den); without
     # allow_zero a zero num is drawn again
     while True:
-        num = rng.randint(-max_abs, max_abs)
-        den = rng.randint(1, max_den)
+        num = _randint(rng, -max_abs, max_abs)
+        den = _randint(rng, 1, max_den)
         if allow_zero or num:
             g = gcd(num, den)
             return num // g, den // g
@@ -95,7 +109,7 @@ def _random_symmetric(rng, n):
 def _random_invertible(rng, n):
     """(A, A^-1) for a random invertible A with entries in [-2, 2]."""
     while True:
-        m = rl.matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        m = rl.matrix([[_randint(rng, -2, 2) for _ in range(n)] for _ in range(n)])
         try:
             return m, rl.inverse(m)
         except ValueError:  # singular: draw again
@@ -122,7 +136,7 @@ def random_standard_symplectic(rng, n):
     zero = rl.matrix([[Fraction(0)] * n for _ in range(n)])
     total = LinearMapSpec(rl.identity(2 * n))
     for _ in range(3):
-        kind = rng.randrange(3)
+        kind = _randint(rng, 0, 2)
         if kind == 0:
             total = _block(eye, _random_symmetric(rng, n), zero, eye).compose(total)
         elif kind == 1:
@@ -161,7 +175,7 @@ def random_character(rng, dim):
 
 def random_coeff(rng, with_parameter=True):
     def draws():  # one or two phases, merged once by from_int_pairs
-        for _ in range(rng.randint(1, 2)):
+        for _ in range(_randint(rng, 1, 2)):
             p = _random_ratio(rng, 2, 3)
             q = _random_ratio(rng, 2, 3) if with_parameter else (0, 1)
             yield p + q, _random_ratio(rng, 3, 3, allow_zero=False)
@@ -172,7 +186,7 @@ def random_coeff(rng, with_parameter=True):
 def random_element(rng, space, max_terms=3):
     draws = (
         (_random_label_pairs(rng, space.dim), random_coeff(rng))
-        for _ in range(rng.randint(0, max_terms))
+        for _ in range(_randint(rng, 0, max_terms))
     )
     return WeylElement.from_int_pairs(space, merge_terms(draws))
 
@@ -180,5 +194,5 @@ def random_element(rng, space, max_terms=3):
 def random_space_pool(rng, count, dims=(2, 4, 6)):
     pool = [standard_space(dims[0] // 2)]
     while len(pool) < count:
-        pool.append(random_space(rng, rng.choice(dims)))
+        pool.append(random_space(rng, dims[_randint(rng, 0, len(dims) - 1)]))
     return pool

@@ -431,6 +431,26 @@ class TestRunSuite:
         assert checks["sdq-03-von-neumann-order"]["status"] == "pass"
         assert checks["sdq-02-dirac-closed-form"]["status"] == "fail"
 
+    def test_weyl_transform_tasks_build_symbols_only_as_wide_as_they_read(self, monkeypatch):
+        # the window checks read a 10 x 10 corner; each wt-03 pair streams its
+        # three operands from one symbol at the largest truncation
+        class_symbols = rieffel._class_symbols
+        widths = []
+
+        def recorded(members, phi, fval, n_trunc):
+            widths.append(n_trunc)
+            return class_symbols(members, phi, fval, n_trunc)
+
+        monkeypatch.setattr(rieffel, "_class_symbols", recorded)
+        build_checks, _ = harness._SUITES["weyl-transform"]
+        per_task = []
+        for task in build_checks(default_config("weyl-transform")):
+            widths.clear()
+            records = task()
+            assert all(r["status"] == "pass" for r in records)
+            per_task.append(list(widths))
+        assert per_task == [[10], [10], [128] * 3, [128] * 3]
+
     def test_weyl_laws_run_as_one_task(self):
         # the exact law checks hold the GIL: one task keeps them off the pool
         build_checks, _ = harness._SUITES["weyl-laws"]

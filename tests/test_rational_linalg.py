@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +95,37 @@ def test_mat_mul_matches_row_column_dots(ab):
     got = rl.mat_mul(a, b)
     assert got == reference_mat_mul(a, b)
     assert all(type(e) is Fraction for row in got for e in row)
+
+
+def reference_integer_product(a, b):
+    # the per-row list comprehension integer_product replaced
+    (ra, da), (rb, db) = a, b
+    cols = list(zip(*rb))
+    rows = [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in ra]
+    d = da * db
+    g = gcd(d, *[x for row in rows for x in row])
+    return tuple(tuple(x // g for x in row) for row in rows), d // g
+
+
+def int_forms(rows, cols):
+    # (entries, d): ints with zeros, negatives and past 64 bits, d >= 1
+    ints = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+    entries = st.lists(st.lists(ints, min_size=cols, max_size=cols).map(tuple),
+                       min_size=rows, max_size=rows).map(tuple)
+    return st.tuples(entries, st.integers(1, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(lengths, lengths, lengths).flatmap(
+        lambda rkc: st.tuples(int_forms(rkc[0], rkc[1]), int_forms(rkc[1], rkc[2]))
+    )
+)
+def test_integer_product_matches_the_row_comprehension(ab):
+    got = rl.integer_product(*ab)
+    assert got == reference_integer_product(*ab)
+    rows, d = got
+    assert type(d) is int and all(type(x) is int for row in rows for x in row)
 
 
 def test_products_refuse_length_mismatch():

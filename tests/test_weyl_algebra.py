@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from cmath import exp as cexp
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from quantaequiv import rational_linalg as rl
 from quantaequiv.cyclotomic import phase_sum_is_zero
 from quantaequiv.harness import _laws_tuples, _normalized_generator_pairs
 from quantaequiv.sampling import (
+    _randint,
     make_rng,
     random_coeff,
     random_element,
@@ -778,6 +780,30 @@ def test_laws_pools_keep_their_draws(seed):
     for element in itertools.chain.from_iterable(pools):
         digest.update((weyl_to_json(element) + "\n").encode())
     assert digest.hexdigest() == LAWS_POOL_MD5[seed]
+
+
+# widths 1, powers of two and their neighbours, negative bounds, and past 64 bits
+RANDINT_RANGES = [(0, 0), (5, 5), (-2, 2), (-3, 3), (1, 2), (1, 3), (1, 4), (0, 2), (0, 7),
+                  (0, 8), (-9, 9), (0, 2**31), (-(2**70), 2**70), (10**20, 10**20 + 12)]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20260816, 2**64 + 3])
+def test_randint_draws_what_rng_randint_draws(seed):
+    # the same values and the same stream after them, ranges interleaved as the pools draw them
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        for a, b in RANDINT_RANGES:
+            assert _randint(ours, a, b) == theirs.randint(a, b)
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (0, -5)])
+def test_randint_refuses_an_empty_range(a, b):
+    # getrandbits would never draw below a width of zero or less
+    with pytest.raises(ValueError, match="empty range"):
+        _randint(random.Random(1), a, b)
+    with pytest.raises(ValueError):
+        random_element(make_rng(1, "tests"), standard_space(1), max_terms=-1)
 
 
 # --- merge_terms against the loop that CoeffExpr.__add__ wrote out ----------------

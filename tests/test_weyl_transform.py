@@ -16,6 +16,7 @@ from quantaequiv.rieffel import (
     Grid2n,
     GridError,
     GridFunction,
+    SupportError,
     TruncationError,
     _class_symbols,
     _half_spectrum_symbols,
@@ -437,6 +438,45 @@ class TestWeylTransforms:
             weyl_transforms([window], HBAR, [])
 
 
+class TestCorner:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        index=st.integers(0, 3),
+        truncations=st.lists(st.integers(16, 160), min_size=2, max_size=2)
+        .filter(lambda ns: any(n % 2 for n in ns))
+        .map(sorted),
+        data=st.data(),
+    )
+    def test_corner_is_the_leading_block_bit_for_bit(
+        self, window, windowed_coordinate, pair_operands, index, truncations, data
+    ):
+        # the corner's parity and the truncation's are drawn apart, so an offset
+        # parity read from n instead of from the symbol's width fails here
+        f = (window, windowed_coordinate, pair_operands[0][0], pair_operands[0][2])[index]
+        corner = data.draw(st.integers(1, truncations[0]), label="corner")
+        streamed = weyl_transforms([f], HBAR, truncations, support_tail=1.0, corner=corner)
+        for n, (block,) in zip(truncations, streamed):
+            full = weyl_transform(f, HBAR, n, support_tail=1.0)
+            alone = weyl_transform(f, HBAR, n, support_tail=1.0, corner=corner)
+            assert block.shape == alone.shape == (corner, corner)
+            assert np.array_equal(alone, full[:corner, :corner])
+            assert np.array_equal(block, full[:corner, :corner])
+
+    def test_corner_builds_a_symbol_only_as_wide_as_itself(self, window, monkeypatch):
+        widths = []
+
+        def recorded(members, phi, fval, n_trunc):
+            widths.append(n_trunc)
+            return _class_symbols(members, phi, fval, n_trunc)
+
+        monkeypatch.setattr(rieffel, "_class_symbols", recorded)
+        for _ in weyl_transforms([window], HBAR, (32, 64), support_tail=1.0, corner=10):
+            pass
+        weyl_transform(window, HBAR, 64, corner=np.int64(64))
+        weyl_transform(window, HBAR, 64)
+        assert widths == [10, 64, 64]
+
+
 class TestEigenvalueSymbols:
     """The half-spectrum G against the folded whole-spectrum einsum, at 1e-13 relative."""
 
@@ -622,6 +662,52 @@ class TestSizeGuard:
         with pytest.raises(GridError) as info:
             weyl_transforms([gaussian_pair[0], window], HBAR, [64, 128, 2048])
         assert "5924 |k|^2 classes at truncation 2048 make %d" % (5924 * 6143) in str(info.value)
+
+
+# each refusal of weyl_transforms: (functions, truncations, hbar), the functions
+# picked by index from (window, Gaussian, Gaussian with mass at the boundary)
+_REFUSALS = {
+    "support": ((2,), (64,), HBAR),
+    "tail-at-the-last-truncation": ((1,), (32, 64, 16), HBAR),
+    "tail-at-the-smallest-truncation": ((1,), (128, 16), HBAR),
+    "tail-before-size": ((0,), (2048, 16), HBAR),
+    "size": ((0,), (2048,), HBAR),
+    "size-at-the-largest-truncation": ((0,), (1900, 2048), HBAR),
+    "bad-last-truncation": ((0,), (64, 128, 8), HBAR),
+    "bad-last-function": ((1, 0), (64, 128, 2048), HBAR),
+    "hbar": ((0,), (64,), 0.0),
+}
+
+
+@pytest.mark.usefixtures("no_symbol_work")
+class TestCornerGuards:
+    @pytest.mark.parametrize("case", sorted(_REFUSALS))
+    def test_a_corner_refuses_what_the_whole_transform_refuses(
+        self, grid, window, gaussian_pair, case
+    ):
+        picks, truncations, hbar = _REFUSALS[case]
+        operands = (window, gaussian_pair[0], GridFunction.gaussian(grid, (9.5, 0.0), 1.0))
+        functions = [operands[i] for i in picks]
+        errors = []
+        for corner in (None, 10):
+            with pytest.raises(GridError) as info:
+                weyl_transforms(functions, hbar, truncations, corner=corner)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        if case == "support":
+            assert errors[0][0] is SupportError
+
+    @pytest.mark.parametrize("corner", (0, -1, 65, 2.5, True, np.float64(10.0), "10"))
+    def test_bad_corners_are_refused_before_symbol_work(self, window, corner):
+        with pytest.raises(GridError, match="corner must be an int from 1 to") as info:
+            weyl_transform(window, HBAR, 64, corner=corner)
+        assert type(info.value) is GridError
+
+    def test_a_corner_past_the_smallest_truncation_is_refused(self, window):
+        with pytest.raises(GridError, match="to the smallest truncation, 32"):
+            weyl_transforms([window], HBAR, (64, 32), support_tail=1.0, corner=33)
+        with pytest.raises(AssertionError, match="symbol work started"):
+            weyl_transforms([window], HBAR, (64, 32), support_tail=1.0, corner=32)
 
 
 @pytest.fixture(scope="module")
