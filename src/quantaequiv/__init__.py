@@ -64,7 +64,6 @@ from .category import (
     check_category_laws,
     check_equivalence,
     check_functor_laws,
-    violations,
 )
 from .weyl_equivalence import (
     classical_category,

@@ -4,10 +4,11 @@ Categories are data: an identity rule, a composition rule on arrow
 payloads, and an arrow validator, all three required.  Arrow equality is
 payload equality, so instances are expected to keep payloads in canonical
 form.
-Checks return lists of report entries {law, sample_id, status, witness};
-an empty violation list is a pass.  Each check reads an arrow argument
-once.  All scans are deterministic: arrows are taken in the order given,
-objects in sorted repr order.  Composable pairs (a2, a1), a1.cod ==
+Checks return their violations: one entry {law, sample_id, witness} per
+law that fails, in scan order, so an empty list is a pass and a passing
+law builds nothing.  Each check reads an arrow argument once.  All scans
+are deterministic: arrows are taken in the order given, objects in sorted
+repr order.  Composable pairs (a2, a1), a1.cod ==
 a2.dom, come from one scan with a2 in the outer loop and a1 in the inner
 loop; the laws take the first max_pairs of them, and associativity the
 first max_pairs triples (a3, a2, a1) that extend those pairs, a1 again in
@@ -112,17 +113,8 @@ class NatTransSpec:
         )
 
 
-def _entry(law, sample_id, ok, witness=None):
-    return {
-        "law": law,
-        "sample_id": sample_id,
-        "status": "pass" if ok else "fail",
-        "witness": None if ok else witness,
-    }
-
-
-def violations(report):
-    return [e for e in report if e["status"] != "pass"]
+def _entry(law, sample_id, witness):
+    return {"law": law, "sample_id": sample_id, "witness": witness}
 
 
 def _sample_objects(arrows):
@@ -159,36 +151,21 @@ def check_category_laws(cat, arrows, max_pairs):
     for a in arrows:
         left = cat.compose(cat.identity_arrow(a.cod), a)
         right = cat.compose(a, cat.identity_arrow(a.dom))
-        report.append(
-            _entry(
-                "identity",
-                a.arrow_id,
-                left.payload == a.payload and right.payload == a.payload,
-                "identity composite changed the arrow",
-            )
-        )
-        report.append(
-            _entry(
-                "arrow-validity",
-                a.arrow_id,
-                cat.arrow_is_valid(a),
-                "arrow record fails the category validator",
-            )
-        )
+        if left.payload != a.payload or right.payload != a.payload:
+            report.append(_entry("identity", a.arrow_id, "identity composite changed the arrow"))
+        if not cat.arrow_is_valid(a):
+            report.append(_entry("arrow-validity", a.arrow_id,
+                                 "arrow record fails the category validator"))
     by_cod = _by_codomain(arrows)
     pairs = islice(_composable(arrows, by_cod), max_pairs)
     triples = ((a3, a2, a1) for a3, a2 in pairs for a1 in by_cod.get(a2.dom, ()))
     for a3, a2, a1 in islice(triples, max_pairs):
         lhs = cat.compose(cat.compose(a3, a2), a1)
         rhs = cat.compose(a3, cat.compose(a2, a1))
-        report.append(
-            _entry(
-                "associativity",
-                "%s*%s*%s" % (a3.arrow_id, a2.arrow_id, a1.arrow_id),
-                lhs.payload == rhs.payload,
-                "associativity mismatch",
-            )
-        )
+        if lhs.payload != rhs.payload:
+            report.append(_entry("associativity",
+                                 "%s*%s*%s" % (a3.arrow_id, a2.arrow_id, a1.arrow_id),
+                                 "associativity mismatch"))
     return report
 
 
@@ -200,38 +177,22 @@ def check_functor_laws(functor, arrows, max_pairs):
     for obj in _sample_objects(arrows):
         mapped = functor.apply(src.identity_arrow(obj))
         expected = dst.identity_arrow(functor.object_map(obj))
-        report.append(
-            _entry(
-                "functor-identity",
-                repr(obj),
-                mapped.payload == expected.payload,
-                "F(id) differs from id",
-            )
-        )
+        if mapped.payload != expected.payload:
+            report.append(_entry("functor-identity", repr(obj), "F(id) differs from id"))
     mapped = [(a, functor.apply(a)) for a in arrows]
     for a, image in mapped:
-        report.append(
-            _entry(
-                "functor-endpoints",
-                a.arrow_id,
-                image.dom == functor.object_map(a.dom)
+        if not (image.dom == functor.object_map(a.dom)
                 and image.cod == functor.object_map(a.cod)
-                and dst.arrow_is_valid(image),
-                "image endpoints disagree with the object map",
-            )
-        )
+                and dst.arrow_is_valid(image)):
+            report.append(_entry("functor-endpoints", a.arrow_id,
+                                 "image endpoints disagree with the object map"))
     pairs = _composable(mapped, _by_codomain(mapped, itemgetter(0)), itemgetter(0))
     for (a2, image2), (a1, image1) in islice(pairs, max_pairs):
         lhs = functor.apply(src.compose(a2, a1))
         rhs = dst.compose(image2, image1)
-        report.append(
-            _entry(
-                "functor-composition",
-                "%s*%s" % (a2.arrow_id, a1.arrow_id),
-                lhs.payload == rhs.payload,
-                "F(g.f) differs from F(g).F(f)",
-            )
-        )
+        if lhs.payload != rhs.payload:
+            report.append(_entry("functor-composition", "%s*%s" % (a2.arrow_id, a1.arrow_id),
+                                 "F(g.f) differs from F(g).F(f)"))
     return report
 
 
@@ -254,28 +215,15 @@ def check_equivalence(functor, inverse_functor, eta, phi, source_arrows, target_
             inv = trans.inverse_record(obj)
             back = cat.compose(inv, comp)
             forth = cat.compose(comp, inv)
-            ok = (
-                back.payload == cat.identity_arrow(comp.dom).payload
-                and forth.payload == cat.identity_arrow(comp.cod).payload
-            )
-            report.append(
-                _entry(
-                    "%s-invertibility" % trans.name,
-                    repr(obj),
-                    ok,
-                    "component is not a two-sided isomorphism",
-                )
-            )
+            if (back.payload != cat.identity_arrow(comp.dom).payload
+                    or forth.payload != cat.identity_arrow(comp.cod).payload):
+                report.append(_entry("%s-invertibility" % trans.name, repr(obj),
+                                     "component is not a two-sided isomorphism"))
         for a in arrows:
             image = round_trip(a)
             lhs = cat.compose(trans.component_record(a.cod), a)
             rhs = cat.compose(image, trans.component_record(a.dom))
-            report.append(
-                _entry(
-                    "%s-naturality" % trans.name,
-                    a.arrow_id,
-                    lhs.payload == rhs.payload,
-                    "naturality square does not commute",
-                )
-            )
+            if lhs.payload != rhs.payload:
+                report.append(_entry("%s-naturality" % trans.name, a.arrow_id,
+                                     "naturality square does not commute"))
     return report

@@ -128,7 +128,8 @@ class GridFunction:
     __slots__ = ("grid", "samples")
 
     def __init__(self, grid, samples):
-        samples = np.array(samples, dtype=np.complex128)
+        # C order: a broadcast sample array is copied into a contiguous one
+        samples = np.array(samples, dtype=np.complex128, order="C")
         if samples.shape != grid.shape:
             raise GridError("sample shape does not match the grid")
         if not np.all(np.isfinite(samples.view(np.float64))):
@@ -139,9 +140,13 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid, fn):
-        """fn(q, p) on the coordinate meshes: the one grid code path that builds them."""
+        """fn(q, p) on the two broadcast axes, q a column and p a row.
+
+        fn must work elementwise; its result is broadcast to the grid, so a
+        function of one axis stays one axis wide until the samples are made.
+        """
         x = grid.axis_coordinates()
-        return cls(grid, fn(*np.meshgrid(x, x, indexing="ij")))
+        return cls(grid, np.broadcast_to(fn(x[:, None], x[None, :]), grid.shape))
 
     @classmethod
     def gaussian(cls, grid, center, decay, amplitude=1.0):
@@ -149,9 +154,8 @@ class GridFunction:
         center = np.asarray(center, dtype=float)
         if center.shape != (2,):
             raise GridError("center must be a phase-space point")
-        x = grid.axis_coordinates()
-        r2 = (x[:, None] - center[0]) ** 2 + (x[None, :] - center[1]) ** 2
-        return cls(grid, amplitude * np.exp(-float(decay) * r2))
+        return cls.from_callable(grid, lambda q, p: amplitude * np.exp(
+            -float(decay) * ((q - center[0]) ** 2 + (p - center[1]) ** 2)))
 
     def sup_norm(self):
         return _sup(self.samples)
@@ -438,13 +442,12 @@ def pullback(f, phi, boundary_threshold=_BOUNDARY_THRESHOLD):
     f(Az + b) = sum_k F_k e^{i k.b} e^{i (A^T k).z}, evaluated as a
     product of the q-factors and the p-factors of the modes over the grid
     axes.  The result must keep its mass interior, otherwise the support
-    escaped the domain.
+    escaped the domain.  A zero f takes the same path: it has no
+    significant mode, so no block runs and the image is zero.
     """
     _require_interior_support(f, boundary_threshold)
     grid = f.grid
     fvec, fval = _significant(_modes(f))
-    if len(fval) == 0:
-        return GridFunction(grid, np.zeros(grid.shape))
     kvec = fvec.astype(float) * grid.mode_step
     alpha = kvec @ phi.linear
     coeff = fval * np.exp(1j * (kvec @ phi.offset))

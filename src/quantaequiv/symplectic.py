@@ -10,10 +10,11 @@ vector (``form_ints``, ``matrix_ints``, ``theta_ints``: ints over one common
 denominator, see ``rational_linalg.integer_matrix``) from construction.  The
 form is canonical, so the equality and hash of a map or a character read
 it, which is exactly Fraction equality; composition, composed characters
-and the form identity run on the integer forms too, and a composed map or
-character builds its Fractions only when they are read.  A space's
-equality stays on ``dim`` and ``form``; its hash is taken once, from
-``dim`` and ``form_ints``.
+and the form identity run on the integer forms too.  A map or a character
+keeps no other form: its Fractions are built each time they are read.  A
+space keeps its Fraction ``form`` beside ``form_ints``; its equality stays
+on ``dim`` and ``form``, and its hash is taken once, from ``dim`` and
+``form_ints``.
 """
 
 from dataclasses import dataclass
@@ -66,29 +67,25 @@ class LinearMapSpec:
 
     The map is its canonical integer form ``matrix_ints``: equality and
     hashing read it, and compose multiplies it.  The Fraction ``matrix`` is
-    built from it on first read.
+    built from it on each read.
     """
 
-    __slots__ = ("matrix_ints", "_matrix")
+    __slots__ = ("matrix_ints",)
 
     def __init__(self, matrix):
-        self._matrix = rl.matrix(matrix)
-        self.matrix_ints = rl.integer_matrix(self._matrix)
+        self.matrix_ints = rl.integer_matrix(rl.matrix(matrix))
 
     @classmethod
     def _from_ints(cls, ints):
-        # the map of a canonical integer form; its Fractions wait for a read
+        # ints must be canonical: equality and hashing read them as they are
         obj = cls.__new__(cls)
         obj.matrix_ints = ints
-        obj._matrix = None
         return obj
 
     @property
     def matrix(self):
-        if self._matrix is None:
-            rows, d = self.matrix_ints
-            self._matrix = tuple(tuple(Fraction(x, d) for x in row) for row in rows)
-        return self._matrix
+        rows, d = self.matrix_ints
+        return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
 
     def __eq__(self, other):
         # integer forms are canonical: equal exactly when the matrices are
@@ -129,30 +126,26 @@ class CharacterSpec:
     Like a map, the character is its canonical integer form ``theta_ints``
     (nums, d), d the lcm of theta's denominators: equality and hashing read
     it, and compose_characters sums it.  The Fraction ``theta`` is built
-    from it on first read.
+    from it on each read.
     """
 
-    __slots__ = ("theta_ints", "_theta")
+    __slots__ = ("theta_ints",)
 
     def __init__(self, theta):
-        self._theta = rl.vector(theta)
-        nums, d = rl.integer_vector(self._theta)
+        nums, d = rl.integer_vector(rl.vector(theta))
         self.theta_ints = (tuple(nums), d)
 
     @classmethod
     def _from_ints(cls, ints):
-        # the character of a canonical integer form; its Fractions wait for a read
+        # ints must be canonical: equality and hashing read them as they are
         obj = cls.__new__(cls)
         obj.theta_ints = ints
-        obj._theta = None
         return obj
 
     @property
     def theta(self):
-        if self._theta is None:
-            nums, d = self.theta_ints
-            self._theta = tuple(Fraction(x, d) for x in nums)
-        return self._theta
+        nums, d = self.theta_ints
+        return tuple(Fraction(x, d) for x in nums)
 
     def __eq__(self, other):
         if not isinstance(other, CharacterSpec):

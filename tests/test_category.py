@@ -9,7 +9,6 @@ from quantaequiv.category import (
     check_category_laws,
     check_equivalence,
     check_functor_laws,
-    violations,
 )
 from quantaequiv.category import _by_codomain, _composable
 from quantaequiv.symplectic import CharacterSpec, LinearMapSpec, standard_space
@@ -50,8 +49,7 @@ def toy_arrows(values):
 
 
 def test_toy_category_passes():
-    report = check_category_laws(int_add_category(), toy_arrows([1, 2, 5]), max_pairs=400)
-    assert report and not violations(report)
+    assert check_category_laws(int_add_category(), toy_arrows([1, 2, 5]), max_pairs=400) == []
 
 
 def test_broken_composition_reports_violations():
@@ -62,7 +60,8 @@ def test_broken_composition_reports_violations():
         validate_arrow=lambda record: True,
     )
     report = check_category_laws(broken, toy_arrows([1, 2]), max_pairs=400)
-    assert violations(report)
+    assert report
+    assert all(set(e) == {"law", "sample_id", "witness"} and e["witness"] for e in report)
 
 
 def test_non_composable_pair_raises():
@@ -94,8 +93,7 @@ def test_functor_laws_map_each_sampled_arrow_once():
 
     cat = int_add_category()
     functor = FunctorSpec("double", cat, cat, lambda obj: obj, doubled)
-    report = check_functor_laws(functor, toy_arrows([1, 2, 5]), max_pairs=400)
-    assert report and not violations(report)
+    assert check_functor_laws(functor, toy_arrows([1, 2, 5]), max_pairs=400) == []
     # one identity, three sampled arrows, nine composites (one image each)
     assert len(calls) == 1 + 3 + 9
     assert sorted(calls[1:4]) == [1, 2, 5]
@@ -142,8 +140,33 @@ def reference_composition_ids(arrows, max_pairs):
     return ids
 
 
-def _sample_ids(report, law):
-    return [e["sample_id"] for e in report if e["law"] == law]
+def free_category(name="free"):
+    """Every law fails: composition is the formal pair, and no arrow is valid."""
+    return CategorySpec(
+        name,
+        identity=lambda obj: ("id", obj),
+        compose=lambda a, b: (a, b),
+        validate_arrow=lambda record: False,
+    )
+
+
+def free_functor(name, source, target, object_map=lambda obj: obj):
+    return FunctorSpec(name, source, target, object_map, lambda payload: (name, payload))
+
+
+def law_scan(arrows, max_pairs):
+    # every check of the two law scans, in scan order, as (law, sample_id)
+    objects = sorted({repr(o): o for a in arrows for o in (a.dom, a.cod)}.items())
+    laws = [(law, a.arrow_id) for a in arrows for law in ("identity", "arrow-validity")]
+    laws += [("associativity", i) for i in reference_associativity_ids(arrows, max_pairs)]
+    mapped = [("functor-identity", key) for key, _ in objects]
+    mapped += [("functor-endpoints", a.arrow_id) for a in arrows]
+    mapped += [("functor-composition", i) for i in reference_composition_ids(arrows, max_pairs)]
+    return laws, mapped
+
+
+def _checks(report):
+    return [(e["law"], e["sample_id"]) for e in report]
 
 
 def _scan_cuts(arrows):
@@ -168,14 +191,15 @@ def test_scan_takes_the_pairs_and_triples_of_the_nested_loops(pool, arrow_pool):
         functor = FunctorSpec("double", cat, cat, lambda obj: obj, lambda v: 2 * v)
     else:
         cat, arrows, functor = classical_category(), arrow_pool, quantization_functor()
+    free = free_category()
+    failing = free_functor("F", free, free)
     for max_pairs in _scan_cuts(arrows):
-        laws = check_category_laws(cat, arrows, max_pairs)
-        want = reference_associativity_ids(arrows, max_pairs)
-        assert _sample_ids(laws, "associativity") == want
-        mapped = check_functor_laws(functor, arrows, max_pairs)
-        want = reference_composition_ids(arrows, max_pairs)
-        assert _sample_ids(mapped, "functor-composition") == want
-        assert not violations(laws) and not violations(mapped)
+        # every law fails, so the violations list every check in scan order
+        laws = check_category_laws(free, arrows, max_pairs)
+        mapped = check_functor_laws(failing, arrows, max_pairs)
+        assert (_checks(laws), _checks(mapped)) == law_scan(arrows, max_pairs)
+        assert check_category_laws(cat, arrows, max_pairs) == []
+        assert check_functor_laws(functor, arrows, max_pairs) == []
     # the cut inside a row really lands between two pairs of one a2
     cut = _scan_cuts(arrows)[1]
     last, after = reference_composition_ids(arrows, cut + 1)[-2:]
@@ -221,27 +245,25 @@ def arrow_pool():
 
 
 def test_classical_category_laws(arrow_pool):
-    report = check_category_laws(classical_category(), arrow_pool, max_pairs=400)
-    assert not violations(report)
+    assert check_category_laws(classical_category(), arrow_pool, max_pairs=400) == []
 
 
 def test_quantum_category_laws(arrow_pool):
     report = check_category_laws(
         quantum_category(), quantize_arrow_pool(arrow_pool), max_pairs=60
     )
-    assert not violations(report)
+    assert report == []
 
 
 def test_quantization_functor_laws(arrow_pool):
-    report = check_functor_laws(quantization_functor(), arrow_pool, max_pairs=60)
-    assert not violations(report)
+    assert check_functor_laws(quantization_functor(), arrow_pool, max_pairs=60) == []
 
 
 def test_limit_functor_laws(arrow_pool):
     report = check_functor_laws(
         limit_functor(), quantize_arrow_pool(arrow_pool), max_pairs=40
     )
-    assert not violations(report)
+    assert report == []
 
 
 def test_equivalence_passes(arrow_pool):
@@ -253,21 +275,40 @@ def test_equivalence_passes(arrow_pool):
         arrow_pool[:20],
         quantize_arrow_pool(arrow_pool[:20]),
     )
-    assert report and not violations(report)
+    assert report == []
+
+
+def failing_equivalence():
+    """The Weyl functor pair over free categories: every check of check_equivalence fails."""
+    quantize, limit = quantization_functor(), limit_functor()
+    classical, quantum = free_category("classical"), free_category("quantum")
+    return (
+        free_functor(quantize.name, classical, quantum, quantize.object_map),
+        free_functor(limit.name, quantum, classical, limit.object_map),
+        unit_transformation(),
+        counit_transformation(),
+    )
 
 
 def test_checks_read_their_arrows_once():
     # one-shot iterators give the reports of the lists
     pool = sample_classical_arrows(1, count=20)
     quantized = quantize_arrow_pool(pool)
-    laws = check_category_laws(classical_category(), pool, max_pairs=60)
-    assert check_category_laws(classical_category(), iter(pool), max_pairs=60) == laws
-    mapped = check_functor_laws(quantization_functor(), pool, max_pairs=60)
-    assert check_functor_laws(quantization_functor(), iter(pool), max_pairs=60) == mapped
+    free = free_category()
+    failing = free_functor("F", free, free)
+    for cat, functor in ((classical_category(), quantization_functor()), (free, failing)):
+        laws = check_category_laws(cat, pool, max_pairs=60)
+        assert check_category_laws(cat, iter(pool), max_pairs=60) == laws
+        mapped = check_functor_laws(functor, pool, max_pairs=60)
+        assert check_functor_laws(functor, iter(pool), max_pairs=60) == mapped
+    assert (_checks(laws), _checks(mapped)) == law_scan(pool, 60)
     functors = (quantization_functor(), limit_functor(), unit_transformation(),
                 counit_transformation())
-    report = check_equivalence(*functors, pool, quantized)
-    assert check_equivalence(*functors, iter(pool), iter(quantized)) == report
+    assert check_equivalence(*functors, pool, quantized) == []
+    assert check_equivalence(*functors, iter(pool), iter(quantized)) == []
+    # every check fails here, so the violations count the checks
+    report = check_equivalence(*failing_equivalence(), pool, quantized)
+    assert check_equivalence(*failing_equivalence(), iter(pool), iter(quantized)) == report
     assert len(report) == 64
 
 
@@ -323,5 +364,4 @@ def test_corrupted_component_fails():
         pool,
         quantize_arrow_pool(pool),
     )
-    bad = violations(report)
-    assert bad and any(e["law"] == "unit-naturality" for e in bad)
+    assert report and any(e["law"] == "unit-naturality" for e in report)

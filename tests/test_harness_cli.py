@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -450,6 +451,42 @@ class TestRunSuite:
             assert all(r["status"] == "pass" for r in records)
             per_task.append(list(widths))
         assert per_task == [[10], [10], [128] * 3, [128] * 3]
+
+    def test_equivalence_checks_build_no_entry_for_a_passing_law(self, monkeypatch):
+        # at the default seed every law holds: each check returns [] and no
+        # entry is made
+        from quantaequiv import category
+
+        returned, entries = [], []
+
+        def recorded(check):
+            def run(*args):
+                returned.append(check(*args))
+                return returned[-1]
+            return run
+
+        def counted(*args):
+            entries.append(args)
+            return entry(*args)
+
+        for name in ("check_category_laws", "check_functor_laws", "check_equivalence"):
+            monkeypatch.setattr(harness, name, recorded(getattr(harness, name)))
+        entry = category._entry
+        monkeypatch.setattr(category, "_entry", counted)
+        build_checks, _ = harness._SUITES["equivalence-weyl"]
+        (task,) = build_checks(default_config("equivalence-weyl"))
+        assert all(r["status"] == "pass" for r in task())
+        assert returned == [[]] * 5 and entries == []
+
+    def test_grid_suites_sample_without_coordinate_meshes(self, monkeypatch):
+        # from_callable and gaussian read the two axes; no p x p coordinate mesh is built
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("np.meshgrid called")
+
+        monkeypatch.setattr(np, "meshgrid", no_mesh)
+        build_checks, _ = harness._SUITES["weyl-transform"]
+        for task in build_checks(default_config("weyl-transform")):
+            assert all(r["status"] == "pass" for r in task())
 
     def test_weyl_laws_run_as_one_task(self):
         # the exact law checks hold the GIL: one task keeps them off the pool

@@ -321,7 +321,59 @@ class TestGrid:
         assert np.abs(samples - f.samples).max() <= 1e-13 * np.abs(f.samples).max()
 
 
+# elementwise callables of q alone, of p alone and of both, real and complex
+AXIS_CALLABLES = (
+    lambda q, p: np.cos(1.3 * q),
+    lambda q, p: np.exp(-0.4 * p * p),
+    lambda q, p: np.exp(1j * 0.9 * q),
+    lambda q, p: (p - 0.2) * np.exp(-1j * p),
+    lambda q, p: np.exp(-((q * q + p * p) / 2.8**2) ** 12),
+    lambda q, p: q * np.exp(-0.3 * (q * q + p * p)),
+    lambda q, p: np.exp(1j * (1.5 * q - 0.7 * p)),
+    lambda q, p: np.ones_like(q),
+)
+
+# every (center, decay, amplitude) that a suite hands GridFunction.gaussian at
+# the default config: GAUSSIAN_PAIRS (rieffel-sdq; pair 2 is also
+# rieffel-morphisms' pair, pair 1 also wt-03 pair 2), rsdq-01's operands and
+# closed form, and the one other operand of wt-03 pair 1
+_CLOSED_FORM_AMP, _CLOSED_FORM_DECAY = gaussian_star_closed_form(0.5, 1.0 / 3.0, 0.1)
+SUITE_GAUSSIANS = tuple(
+    [(c, a, 1.0) for pair in GAUSSIAN_PAIRS for c, a in pair]
+    + [((0.0, 0.0), 0.5, 1.0), ((0.0, 0.0), 1.0 / 3.0, 1.0),
+       ((0.0, 0.0), _CLOSED_FORM_DECAY, _CLOSED_FORM_AMP), ((-0.4, 0.3), 2.0 / 3.0, 1.0)]
+)
+
+
+def mesh_gaussian(grid, center, decay, amplitude=1.0):
+    """The samples GridFunction.gaussian made from one r^2 array, kept as its reference."""
+    x = grid.axis_coordinates()
+    r2 = (x[:, None] - center[0]) ** 2 + (x[None, :] - center[1]) ** 2
+    return np.array(amplitude * np.exp(-float(decay) * r2), dtype=np.complex128)
+
+
 class TestGridFunction:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.sampled_from([32, 64, 128, 256, 512]),
+        extent=st.floats(4.0, 40.0),
+        fn=st.sampled_from(AXIS_CALLABLES),
+    )
+    def test_axis_sampling_is_the_mesh_sampling(self, points, extent, fn):
+        # two broadcast axes give the samples of the coordinate meshes, bit for bit
+        grid = Grid2n(1, points, extent)
+        x = grid.axis_coordinates()
+        got = GridFunction.from_callable(grid, fn).samples
+        want = np.asarray(fn(*np.meshgrid(x, x, indexing="ij")), dtype=np.complex128)
+        assert got.shape == grid.shape
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+    @pytest.mark.parametrize("center, decay, amplitude", SUITE_GAUSSIANS)
+    def test_gaussian_is_the_one_array_formula(self, grid, center, decay, amplitude):
+        f = GridFunction.gaussian(grid, center, decay, amplitude=amplitude)
+        assert np.array_equal(f.samples, mesh_gaussian(grid, center, decay, amplitude))
+
     def test_gaussian_matches_callable(self, grid):
         f = GridFunction.gaussian(grid, (0.3, -0.2), 0.7)
         ref = GridFunction.from_callable(
@@ -1032,6 +1084,17 @@ class TestPullback:
             grid, lambda x, p: np.exp(1j * (alpha[0] * x + alpha[1] * p + shift))
         )
         assert sup_gap(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("phi", [
+        AffineSymplecticMap.rotation(np.pi / 6),
+        AffineSymplecticMap.shear(0.3),
+        AffineSymplecticMap(np.diag([2.0, 2.0])),
+    ], ids=["rot30", "shear-0.3", "diag-2-2"])
+    def test_zero_function_pulls_back_to_exact_zero(self, grid, phi):
+        # an empty spectrum runs the general path: no block, a zero image
+        got = pullback(GridFunction(grid, np.zeros(grid.shape)), phi)
+        assert got.grid == grid
+        assert np.array_equal(got.samples, np.zeros(grid.shape, dtype=np.complex128))
 
     def test_wraparound_leak_is_detected_then_waivable(self, grid):
         # rotating an off-center bump drags periodic copies onto the faces;

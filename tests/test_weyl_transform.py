@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, expm
+from scipy.special import gammaln, xlogy
 
 from quantaequiv import rieffel
 from quantaequiv.rieffel import (
@@ -160,6 +161,69 @@ def folded_eigenvalue_symbols(lam, s, symbol):
     if n_trunc % 2:
         folded[:, 0] *= 0.5
     return folded
+
+
+def normalized_laguerre_rows(x, count):
+    """Rows n = 0 .. count - 1 of l_n^(d)(x), each a (count, len(x)) array over d < count.
+
+    l_n^(d)(x) = sqrt(n! / (n + d)!) x^(d/2) e^(-x/2) L_n^(d)(x) is the
+    normalized Laguerre function.  Row 0 is taken in logs; the others follow
+    the normalized three-term recurrence
+        l_(n+1) = ((2n + 1 + d - x) l_n - sqrt(n (n + d)) l_(n-1))
+                  / sqrt((n + 1) (n + 1 + d)).
+    """
+    d = np.arange(count, dtype=float)[:, None]
+    prev = np.zeros((count, len(x)))
+    cur = np.exp(xlogy(0.5 * d, x) - 0.5 * x - 0.5 * gammaln(d + 1.0))
+    for n in range(count):
+        yield cur
+        nxt = (2 * n + 1 + d - x) * cur - np.sqrt(n * (n + d)) * prev
+        prev, cur = cur, nxt / np.sqrt((n + 1) * (n + 1 + d))
+
+
+def closed_form_symbol(f, hbar, corner, orientation=1.0):
+    """(x, T) of f's significant modes, grouped by |k|^2 class c.
+
+    x_c = s_c^2 = |k|^2 hbar / 2 and T[c, d] = sum_{k in c} F_k e^{i phi_k d}
+    for d = -(corner - 1) .. corner - 1.  orientation=-1 plants the fault
+    phi -> -phi.
+    """
+    mvec, fval = _significant(_modes(f))
+    keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
+    phi = orientation * np.arctan2(mvec[:, 1], mvec[:, 0])
+    symbol = np.empty((len(keys), 2 * corner - 1), dtype=np.complex128)
+    for column, d in enumerate(range(-(corner - 1), corner)):
+        terms = fval * np.exp(1j * d * phi)
+        symbol[:, column] = np.bincount(members, terms.real, len(keys))
+        symbol[:, column] += 1j * np.bincount(members, terms.imag, len(keys))
+    return 0.5 * hbar * f.grid.mode_step**2 * keys, symbol
+
+
+def closed_form_block(x, symbol, unit=1j):
+    """The leading b x b block of sum_k F_k exp(i(k1 Q + k2 P)), no truncation of J.
+
+    exp(i(k1 Q + k2 P)) is the displacement operator D(alpha),
+    alpha = i s e^{i phi}, s = |k| sqrt(hbar/2), with elements
+    <a|D|a'> = i^|d| e^{i phi d} l_min(a, a')^(|d|)(s^2), d = a - a' (Cahill
+    and Glauber, Phys. Rev. 177, 1857 (1969)).  So entry (a, a') of the block
+    is i^|d| sum_c l_min(a, a')^(|d|)(x_c) T[c, d]; b comes from the symbol's
+    2b - 1 offsets.  unit=-1j plants the fault i -> -i.
+    """
+    corner = (symbol.shape[1] + 1) // 2
+    units = np.array([1.0, unit, unit * unit, unit * unit * unit])
+    block = np.empty((corner, corner), dtype=np.complex128)
+    for n, ell in enumerate(normalized_laguerre_rows(x, corner)):
+        d = np.arange(corner - n)
+        block[n + d, n] = units[d % 4] * np.einsum("dc,cd->d", ell[d], symbol[:, corner - 1 + d])
+        block[n, n + d] = units[d % 4] * np.einsum("dc,cd->d", ell[d], symbol[:, corner - 1 - d])
+    return block
+
+
+def plane_wave_block(k, hbar, corner, unit=1j, orientation=1.0):
+    """closed_form_block of the single mode e^{i k.z}."""
+    phi = orientation * np.arctan2(k[1], k[0])
+    symbol = np.exp(1j * phi * np.arange(-(corner - 1), corner))[None, :]
+    return closed_form_block(np.array([0.5 * hbar * (k[0] ** 2 + k[1] ** 2)]), symbol, unit)
 
 
 def _relative_gap(mat, ref):
@@ -785,3 +849,69 @@ class TestIntertwining:
         m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         a, b = m, m @ m
         assert weyl_homomorphism_residual(b, a, a) <= 1e-12
+
+
+# the planted faults of the closed form as (unit, orientation): i -> -i, and phi -> -phi
+CLOSED_FORM_FAULTS = ((-1j, 1.0), (1j, -1.0))
+_CLOSED_FORM_LEVELS = 128  # the largest default truncation; the wt-03 block is 96
+
+
+@pytest.fixture(scope="module")
+def closed_forms(pair_operands):
+    """The closed-form leading 128 x 128 blocks of (f, g, f*g) for each wt-03 pair."""
+    return [
+        [closed_form_block(*closed_form_symbol(h, HBAR, _CLOSED_FORM_LEVELS)) for h in operands]
+        for operands in pair_operands
+    ]
+
+
+class TestClosedFormDisplacement:
+    """A reference that does not truncate J: the displacement operator in closed form."""
+
+    @pytest.mark.parametrize("k", [(0.9, -0.6), (-3.0, -8.0)])
+    def test_closed_form_is_the_matrix_exponential(self, k):
+        # expm of i(k1 Q + k2 P) at 400 levels; its edge does not reach the corner
+        levels, corner = 400, 12
+        q, p = oscillator_position(levels, HBAR), oscillator_momentum(levels, HBAR)
+        exact = expm(1j * (k[0] * q + k[1] * p))[:corner, :corner]
+        assert np.abs(plane_wave_block(k, HBAR, corner) - exact).max() <= 1e-14
+        for unit, orientation in CLOSED_FORM_FAULTS:
+            wrong = plane_wave_block(k, HBAR, corner, unit, orientation)
+            assert np.abs(wrong - exact).max() >= 0.1
+
+    def test_window_corners_are_the_closed_form(self, window, windowed_coordinate):
+        # measured 8.8e-15 (window) and 4.2e-15 (coordinate) at n = 128
+        for f in (window, windowed_coordinate):
+            block = weyl_transform(f, HBAR, _CLOSED_FORM_LEVELS, corner=10)
+            ref = closed_form_block(*closed_form_symbol(f, HBAR, 10))
+            assert np.abs(block - ref).max() <= 5e-14
+
+    def test_wt03_operands_are_the_closed_form_on_the_three_quarter_block(
+        self, pair_operands, closed_forms
+    ):
+        # measured relative gaps at n = 128: f and g up to 1.4e-14, f*g 2.8e-12
+        # (pair 1) and 4.4e-15 (pair 2); the truncation of J sets them
+        block = (3 * _CLOSED_FORM_LEVELS) // 4
+        for operands, closed in zip(pair_operands, closed_forms):
+            for h, ref, bound in zip(operands, closed, (1e-13, 1e-13, 1e-11)):
+                mat = weyl_transform(h, HBAR, _CLOSED_FORM_LEVELS, support_tail=1.0)
+                assert _relative_gap(mat[:block, :block], ref[:block, :block]) <= bound
+
+    def test_planted_faults_miss_the_transform(self, pair_operands):
+        # g of pair 1 has no mirror symmetry, so phi -> -phi moves it
+        g = pair_operands[0][1]
+        mat = weyl_transform(g, HBAR, _CLOSED_FORM_LEVELS, support_tail=1.0)[:24, :24]
+        for unit, orientation in CLOSED_FORM_FAULTS:
+            wrong = closed_form_block(*closed_form_symbol(g, HBAR, 24, orientation), unit)
+            assert _relative_gap(mat, wrong) >= 0.1
+
+    @pytest.mark.parametrize("n_trunc", (32, 64, 128))
+    def test_intertwining_is_round_off_with_closed_form_elements(self, closed_forms, n_trunc):
+        # wt-03's residuals are the edge error of exp(isJ_n): with closed-form
+        # elements T(f*g) = T(f) T(g) holds at round-off (measured 5.0e-15 to 1.0e-14)
+        for left, right, product in closed_forms:
+            cut = slice(0, n_trunc)
+            residual = weyl_homomorphism_residual(
+                product[cut, cut], left[cut, cut], right[cut, cut]
+            )
+            assert residual <= 1e-13
