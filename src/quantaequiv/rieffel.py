@@ -23,7 +23,8 @@ A product runs in two stages.  The pair stage holds all that does not
 depend on hbar: the guards, the operand spectra, the mode boxes and where
 the result lands.  The twist stage makes the product's samples at one
 hbar from it.  Stages pass numpy arrays; a GridFunction is built only where
-a caller receives one.  The classical-limit defects take the whole
+a caller receives one, and it takes the array its kernel made without a
+copy.  The classical-limit defects take the whole
 schedule: star_defects builds the pair stage of f*g once, then one twist
 stage per hbar, and reads the von Neumann and the Dirac defect from each
 product; for real operands the reversed product is g*f = conj(f*g), the
@@ -54,18 +55,18 @@ _ORACLE_RADIUS, _ORACLE_MIN_NODES, _ORACLE_MAX_NODES = 9.0, 2048, 2**16  # box; 
 # Blocks bound the temporaries of the grid kernels.  One block of the
 # phase-power table in weyl_transforms (one row per power, built once per
 # operand at its corner or largest truncation) is _BLOCK_ENTRIES complex
-# entries (8 MiB); it never changes a result.  moyal_product needs no block size:
+# entries (1 MiB); it never changes a result.  moyal_product needs no block size:
 # its twist stage takes one k_p row per step, l_p x q entries per q-FFT
 # array, which stays in cache.  _SYNTHESIS_BLOCK counts grid-by-mode
 # entries of 64 bytes in pullback (64 MiB); it sets the order of
 # pullback's sums.
-_BLOCK_ENTRIES = 2**19
+_BLOCK_ENTRIES = 2**16
 _SYNTHESIS_BLOCK = 2**20
 _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
-# entries of weyl_transform's class symbol, classes x (2n - 1), and of its
-# cosine and sine tables, ceil(n/2) x classes each, counted as n x classes,
-# at the largest truncation whatever the corner; more than 2**25 (512 MiB
-# if all complex) are refused
+# entries of weyl_transform's class symbol, classes x (2n - 1), written once
+# into one array, and of its cosine and sine tables, ceil(n/2) x classes
+# each, counted as n x classes, at the largest truncation whatever the
+# corner; more than 2**25 (512 MiB if all complex) are refused
 _MAX_TRANSFORM_ENTRIES = 2**25
 
 
@@ -129,7 +130,17 @@ class GridFunction:
 
     def __init__(self, grid, samples):
         # C order: a broadcast sample array is copied into a contiguous one
-        samples = np.array(samples, dtype=np.complex128, order="C")
+        self._own(grid, np.array(samples, dtype=np.complex128, order="C"))
+
+    @classmethod
+    def _handed(cls, grid, samples):
+        """The module's kernels hand over a fresh C-contiguous complex array
+        they never touch again: the constructor's checks, and no copy."""
+        f = cls.__new__(cls)
+        f._own(grid, samples)
+        return f
+
+    def _own(self, grid, samples):
         if samples.shape != grid.shape:
             raise GridError("sample shape does not match the grid")
         if not np.all(np.isfinite(samples.view(np.float64))):
@@ -196,12 +207,14 @@ def _flip_origin(modes):
 
 
 def _modes(f):
-    return _flip_origin(np.fft.fftn(f.samples, norm="forward"))
+    """f's spectrum, both axis passes written into one fresh array."""
+    return _flip_origin(np.fft.fftn(f.samples, norm="forward", out=np.empty_like(f.samples)))
 
 
 def _from_modes(modes):
-    """The samples of a spectrum.  Takes ownership of `modes`, flipping it in place."""
-    return np.fft.ifftn(_flip_origin(modes), norm="forward")
+    """The samples of a spectrum.  Takes ownership of `modes`: flips it and
+    transforms it in place, and returns it."""
+    return np.fft.ifftn(_flip_origin(modes), norm="forward", out=modes)
 
 
 def translate(f, x):
@@ -211,17 +224,18 @@ def translate(f, x):
         raise GridError("shift must be a phase-space vector")
     freqs = _int_freqs(f.grid.points_per_axis)
     q_phase, p_phase = (np.exp(1j * f.grid.mode_step * freqs * c) for c in x)
-    modes = _modes(f) * q_phase[:, None] * p_phase[None, :]
-    return GridFunction(f.grid, _from_modes(modes))
+    modes = _modes(f)
+    modes *= q_phase[:, None]
+    modes *= p_phase[None, :]
+    return GridFunction._handed(f.grid, _from_modes(modes))
 
 
-def _bracket(f, g):
-    """The samples of d_q f d_p g, then d_p f d_q g subtracted in place:
-    one spectrum per operand, one pair of derivative fields alive at a time."""
-    _require_same_grid(f, g)
-    k = 1j * f.grid.mode_step * _int_freqs(f.grid.points_per_axis).astype(float)
+def _bracket(grid, modes_f, modes_g):
+    """The samples of d_q f d_p g, then d_p f d_q g subtracted in place, from
+    the operands' spectra, which it consumes: one pair of derivative fields
+    alive at a time."""
+    k = 1j * grid.mode_step * _int_freqs(grid.points_per_axis).astype(float)
     kq, kp = k[:, None], k[None, :]
-    modes_f, modes_g = _modes(f), _modes(g)
     out = _from_modes(modes_f * kq)
     out *= _from_modes(modes_g * kp)
     modes_f *= kp
@@ -234,7 +248,8 @@ def _bracket(f, g):
 
 def poisson_bracket_grid(f, g):
     """Canonical bracket d_q f d_p g - d_p f d_q g, one spectrum per operand."""
-    return GridFunction(f.grid, _bracket(f, g))
+    _require_same_grid(f, g)
+    return GridFunction._handed(f.grid, _bracket(f.grid, _modes(f), _modes(g)))
 
 
 def _significant(modes):
@@ -283,21 +298,23 @@ class _Pair:
     index: tuple = None
 
 
-def _pair_stage(f, g, boundary_threshold):
-    """Everything of f*g that does not depend on hbar, every guard included.
+def _require_pair(f, g, boundary_threshold):
+    _require_same_grid(f, g)
+    _require_interior_support(f, boundary_threshold)
+    _require_interior_support(g, boundary_threshold)
 
-    The support guards, the operand spectra and their significant modes,
-    the mode boxes, the work guard and the alias guard: a pair weighs
+
+def _pair_stage(grid, significant_f, significant_g):
+    """Everything of f*g that does not depend on hbar, from the operands'
+    significant modes; the support guards (_require_pair) come first.
+
+    The mode boxes, the work guard and the alias guard: a pair weighs
     |F_k||G_l| whatever hbar, so the aliased share (pairs leaving the
     Nyquist box) is the out-of-box part of |F| * |G|.  Work above _MAX_WORK
     (momentum pairs x q-FFT entries) is refused before any box is built.
     """
-    _require_same_grid(f, g)
-    _require_interior_support(f, boundary_threshold)
-    _require_interior_support(g, boundary_threshold)
-    grid, p = f.grid, f.grid.points_per_axis
-    fvec, fval = _significant(_modes(f))
-    gvec, gval = _significant(_modes(g))
+    p = grid.points_per_axis
+    (fvec, fval), (gvec, gval) = significant_f, significant_g
     if len(fval) == 0 or len(gval) == 0:
         return _Pair(grid)
     # boxes are indexed (q, p): entry 0 of each vector is q, entry 1 is p
@@ -349,7 +366,7 @@ def _twist_stage(pair, hbar):
         terms = np.fft.fft(frow * ftwist, q_entries)
         terms *= np.fft.fft(pair.grows * gtwist[k], q_entries)
         acc[k : k + gmomenta] += terms
-    acc = np.fft.ifft(acc)[:, : fq + gq - 1]
+    acc = np.fft.ifft(acc, out=acc)[:, : fq + gq - 1]
     out[pair.index] = acc.T[pair.keep]
     return _from_modes(out)
 
@@ -362,12 +379,14 @@ def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
     factor per operand: the pairs sum to one zero-padded FFT convolution
     along q of two twisted columns of the significant-mode boxes, and the
     terms sharing m_p = k_p + l_p add up before one inverse FFT.  The pair
-    stage (_pair_stage: guards, spectra, boxes) does not depend on hbar; the
-    twist stage (_twist_stage) does the rest.
+    stage (guards, spectra, then _pair_stage: boxes) does not depend on
+    hbar; the twist stage (_twist_stage) does the rest.
     """
     if not (hbar >= 0):
         raise GridError("the deformation parameter must be nonnegative")
-    return GridFunction(f.grid, _twist_stage(_pair_stage(f, g, boundary_threshold), hbar))
+    _require_pair(f, g, boundary_threshold)
+    pair = _pair_stage(f.grid, _significant(_modes(f)), _significant(_modes(g)))
+    return GridFunction._handed(f.grid, _twist_stage(pair, hbar))
 
 
 def star_defects(f, g, schedule):
@@ -375,28 +394,39 @@ def star_defects(f, g, schedule):
 
     Returns one (von Neumann, Dirac) pair per entry: sup |f*g - fg| and
     sup |(f*g - g*f)/(i hbar) - {f, g}|.  Everything that does not depend on
-    hbar is made once for the schedule: the pair stage of f*g, fg and
-    {f, g}.  The product respects the involution, (f*g)^* = g^* * f^*, so
-    when the samples of both operands are real g*f is conj(f*g); complex
-    operands get a pair stage of their own for g*f.  Every refusal (an
-    entry that is not positive, a support, work or alias guard) comes
-    before any twisted FFT; then the products are made one entry at a time,
-    as sample arrays: no GridFunction is built.
+    hbar is made once for the schedule, from one spectrum per operand: the
+    pair stage of f*g, then {f, g}, which consumes the spectra, then fg.
+    The product respects the involution, (f*g)^* = g^* * f^*, so when the
+    samples of both operands are real g*f is conj(f*g); complex operands
+    get a pair stage of their own for g*f, from the same spectra.  Every
+    refusal (an entry that is not positive, a support, work or alias guard)
+    comes before any twisted FFT; then the products are made one entry at
+    a time, as sample arrays, and each entry's two arrays take its
+    differences in place: no GridFunction is built.
     """
     schedule = tuple(schedule)
     if not all(hbar > 0 for hbar in schedule):
         raise GridError("the commutator comparison needs positive parameters")
-    forward = _pair_stage(f, g, _BOUNDARY_THRESHOLD)
+    _require_pair(f, g, _BOUNDARY_THRESHOLD)
+    grid, modes_f, modes_g = f.grid, _modes(f), _modes(g)
+    significant_f, significant_g = _significant(modes_f), _significant(modes_g)
+    forward = _pair_stage(grid, significant_f, significant_g)
     backward = None
     if f.samples.imag.any() or g.samples.imag.any():
-        backward = _pair_stage(g, f, _BOUNDARY_THRESHOLD)
-    pointwise, bracket = f.samples * g.samples, _bracket(f, g)
+        backward = _pair_stage(grid, significant_g, significant_f)
+    bracket = _bracket(grid, modes_f, modes_g)
+    del modes_f, modes_g  # consumed by the bracket; freed before any product is made
+    pointwise = f.samples * g.samples
     defects = []
     for hbar in schedule:
         product = _twist_stage(forward, hbar)
         reverse = np.conj(product) if backward is None else _twist_stage(backward, hbar)
-        commutator_scaled = (product - reverse) * (1.0 / (1j * hbar))
-        defects.append((_sup(product - pointwise), _sup(commutator_scaled - bracket)))
+        np.subtract(product, reverse, out=reverse)
+        reverse *= 1.0 / (1j * hbar)
+        reverse -= bracket
+        product -= pointwise
+        defects.append((_sup(product), _sup(reverse)))
+        del product, reverse  # freed before the next entry's product is made
     return defects
 
 
@@ -459,7 +489,7 @@ def pullback(f, phi, boundary_threshold=_BOUNDARY_THRESHOLD):
         left = np.exp(1j * np.outer(x, alpha[block, 0]))
         right = np.exp(1j * np.outer(x, alpha[block, 1]))
         result += (left * coeff[block][None, :]) @ right.T
-    out = GridFunction(grid, result)
+    out = GridFunction._handed(grid, result)
     _require_interior_support(out, boundary_threshold)
     return out
 
@@ -529,14 +559,13 @@ def _class_symbols(members, phi, fval, n_trunc):
     takes the same products at every n_trunc above |d|, so the middle
     2n - 1 columns of T at a larger truncation are T at n, bit for bit.
     """
-    # Row c of `half` holds T[c, d] for d >= 0, row C + c holds conj(T[c, -d]):
-    # the class sums of F_k z_k^d and conj(F_k) z_k^d, z_k = e^{i phi_k}.
+    # Column n - 1 + d holds T[c, d]: for d >= 0 the class sums of F_k z_k^d,
+    # z_k = e^{i phi_k}, and for d < 0 the conjugates of those of conj(F_k) z_k^-d.
     sizes = np.bincount(members)
-    classes = len(sizes)
     order = np.argsort(members, kind="stable")
     starts = np.cumsum(sizes) - sizes
     z = np.exp(1j * phi)
-    half = np.empty((2 * classes, n_trunc), dtype=np.complex128)
+    symbol = np.empty((len(sizes), 2 * n_trunc - 1), dtype=np.complex128)
     # the distinct sizes, ascending; np.unique would import numpy.ma on first use
     for m in np.flatnonzero(np.bincount(sizes)):
         same = np.nonzero(sizes == m)[0]
@@ -545,9 +574,10 @@ def _class_symbols(members, phi, fval, n_trunc):
         for start in range(0, len(same), rows):
             c, modes = same[start : start + rows], table[start : start + rows]
             powers = _powers(z[modes.ravel()], n_trunc).reshape(n_trunc, len(c), m)
-            half[c] = np.einsum("cm,dcm->cd", fval[modes], powers)
-            half[classes + c] = np.einsum("cm,dcm->cd", fval[modes].conj(), powers)
-    return np.concatenate([half[classes:, :0:-1].conj(), half[:classes]], axis=1)
+            symbol[c, n_trunc - 1 :] = np.einsum("cm,dcm->cd", fval[modes], powers)
+            negative = np.einsum("cm,dcm->cd", fval[modes].conj(), powers)
+            symbol[c, : n_trunc - 1] = negative[:, :0:-1].conj()
+    return symbol
 
 
 def _half_spectrum_symbols(lam, s, symbol):

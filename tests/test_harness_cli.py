@@ -399,11 +399,11 @@ class TestRunSuite:
         # the oracle check's operands and product, each study's operands
         pairs, twists, built = [], [], []
         pair_stage, twist_stage = rieffel._pair_stage, rieffel._twist_stage
-        init = rieffel.GridFunction.__init__
+        own = rieffel.GridFunction._own
 
-        def counted_init(self, grid, samples):
+        def counted_own(self, grid, samples):
             built.append(grid)
-            init(self, grid, samples)
+            own(self, grid, samples)
 
         def counted_pair(*args):
             pairs.append(args[:2])
@@ -415,7 +415,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(rieffel, "_pair_stage", counted_pair)
         monkeypatch.setattr(rieffel, "_twist_stage", counted_twist)
-        monkeypatch.setattr(rieffel.GridFunction, "__init__", counted_init)
+        monkeypatch.setattr(rieffel.GridFunction, "_own", counted_own)
         report = run_suite(default_config("rieffel-sdq"))
         assert len(twists) == 14
         assert len(pairs) == 5

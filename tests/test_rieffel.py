@@ -37,6 +37,8 @@ from quantaequiv.rieffel import (
 
 HBAR = 0.1
 SCHEDULE = (0.4, 0.2, 0.1, 0.05)
+# pair 1 of the weyl-transform suite's wt-03 checks, for the peak-memory tests
+TRANSFORM_PAIR = (((0.5, 0.0), 1.0), ((-0.4, 0.3), 2.0 / 3.0))
 
 # mode pairs per block of the reference pair sum (about 32 MiB of temporaries)
 _PAIR_BLOCK = 2**18
@@ -155,13 +157,13 @@ def dirac_defect_grid(f, g, hbar):
 
 
 def count_stages(patch):
-    """Record the operands of each pair stage and the hbar of each twist stage."""
+    """Record the significant modes each pair stage reads and the hbar of each twist stage."""
     pairs, twists = [], []
     pair_stage, twist_stage = rieffel._pair_stage, rieffel._twist_stage
 
-    def counted_pair(f, g, *args):
-        pairs.append((f, g))
-        return pair_stage(f, g, *args)
+    def counted_pair(grid, significant_f, significant_g):
+        pairs.append((significant_f, significant_g))
+        return pair_stage(grid, significant_f, significant_g)
 
     def counted_twist(pair, hbar):
         twists.append(hbar)
@@ -174,6 +176,15 @@ def count_stages(patch):
 
 def no_twist(*args):
     raise AssertionError("a twisted FFT ran")
+
+
+def modes_are(pair, f, g):
+    """Whether a recorded pair stage read the significant modes of f and g, in that order."""
+    return all(
+        np.array_equal(got, want)
+        for significant, h in zip(pair, (f, g))
+        for got, want in zip(significant, _significant(_modes(h)))
+    )
 
 
 def lie_derivative(f, direction):
@@ -402,6 +413,48 @@ class TestGridFunction:
         for binary in (poisson_bracket_grid, lambda a, b: moyal_product(a, b, HBAR)):
             with pytest.raises(GridError, match="different grids"):
                 binary(f, g)
+
+
+class TestOwnership:
+    def test_the_constructor_copies(self, grid):
+        samples = np.ones(grid.shape, dtype=np.complex128)
+        f = GridFunction(grid, samples)
+        samples[0, 0] = 5.0
+        assert f.samples[0, 0] == 1.0
+        assert not np.shares_memory(f.samples, samples)
+
+    def test_kernel_results_own_their_samples(self, grid, offset_pair):
+        # handed over without a copy, read-only, sharing nothing with an operand
+        f, g = offset_pair
+        results = [
+            moyal_product(f, g, HBAR),
+            poisson_bracket_grid(f, g),
+            translate(f, (0.3, -0.2)),
+            pullback(f, AffineSymplecticMap(np.eye(2), (0.2, -0.1))),
+        ]
+        for h in results:
+            assert h.grid == grid
+            assert h.samples.dtype == np.complex128 and h.samples.flags.c_contiguous
+            assert not h.samples.flags.writeable
+            for operand in (f, g):
+                assert not np.shares_memory(h.samples, operand.samples)
+
+    @pytest.mark.parametrize(
+        "result, message",
+        [
+            (lambda grid: np.full(grid.shape, np.nan, dtype=np.complex128), "samples must be finite"),
+            (lambda grid: np.zeros((4, 4), dtype=np.complex128), "sample shape does not match the grid"),
+        ],
+        ids=["nan", "shape"],
+    )
+    def test_a_handed_over_result_is_checked(self, grid, offset_pair, result, message, monkeypatch):
+        # the constructor's checks and messages, on the path that makes no copy
+        f, g = offset_pair
+        monkeypatch.setattr(rieffel, "_twist_stage", lambda pair, hbar: result(grid))
+        with pytest.raises(GridError) as info:
+            moyal_product(f, g, HBAR)
+        assert type(info.value) is GridError
+        assert str(info.value) == message
 
 
 class TestTranslationAndDerivatives:
@@ -795,7 +848,7 @@ class TestBlocksAndLimits:
             (c1, a), (c2, b) = GAUSSIAN_PAIRS[int(operands[-1])]
             f = GridFunction.gaussian(grid, c1, a)
             g = GridFunction.gaussian(grid, c2, b)
-        pair = rieffel._pair_stage(f, g, float("inf"))
+        pair = rieffel._pair_stage(grid, _significant(_modes(f)), _significant(_modes(g)))
         for hbar in SCHEDULE:
             assert np.array_equal(rieffel._twist_stage(pair, hbar), whole_box_twist(pair, hbar))
 
@@ -857,6 +910,36 @@ class TestBlocksAndLimits:
         assert transforms == [f, g]  # the operand spectra, nothing more
 
 
+@pytest.fixture(scope="module")
+def fine_pair():
+    """wt-03 pair 1 on a 1024-point grid, where a complex sample array is 16 MiB."""
+    fine = Grid2n(1, 1024, 20.0)
+    return tuple(GridFunction.gaussian(fine, c, a) for c, a in TRANSFORM_PAIR)
+
+
+class TestPeakMemory:
+    # tracemalloc peaks at 1024 points; each bound lies between the peak of
+    # copied results and two-pass transforms and the peak measured now
+    def test_product(self, fine_pair, traced_mib):
+        # one spectrum and its significant-mode mask at a time: 25.3 MiB;
+        # 48.8 MiB with copies
+        peak, _ = traced_mib(lambda: moyal_product(*fine_pair, HBAR))
+        assert peak <= 36
+
+    def test_defects(self, fine_pair, traced_mib):
+        # two spectra, then the bracket's four arrays, then pointwise,
+        # bracket and one entry's two arrays: 72.5 MiB; 128.8 MiB with
+        # out-of-place differences
+        peak, _ = traced_mib(lambda: star_defects(*fine_pair, (0.2, 0.1)))
+        assert peak <= 100
+
+    def test_bracket(self, fine_pair, traced_mib):
+        # two spectra, the result and one derivative field: 64.4 MiB;
+        # 96.1 MiB with two-pass transforms
+        peak, _ = traced_mib(lambda: poisson_bracket_grid(*fine_pair))
+        assert peak <= 80
+
+
 class TestDefectsAndConvergence:
     def test_frozen_defect_anchors(self, offset_pair):
         f, g = offset_pair
@@ -873,7 +956,7 @@ class TestDefectsAndConvergence:
             pairs, twists = count_stages(patch)
             got = star_defects(f, g, SCHEDULE)
         # real operands: one pair stage for the schedule, g*f = conj(f*g)
-        assert pairs == [(f, g)]
+        assert len(pairs) == 1 and modes_are(pairs[0], f, g)
         assert twists == list(SCHEDULE)
         # the defect is a difference of terms of the size of {f, g}: the two
         # routes agree to round-off on that scale (up to 1.7e-12 of the defect
@@ -883,18 +966,42 @@ class TestDefectsAndConvergence:
             assert von_neumann == von_neumann_defect_grid(f, g, hbar)
             assert abs(dirac - dirac_defect_grid(f, g, hbar)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("complex_operand", [False, True], ids=["real", "complex"])
+    def test_one_spectrum_per_operand(self, grid, complex_operand, monkeypatch):
+        # the pair stages and the bracket read the same two spectra, and the
+        # support guards refuse before the first of them
+        (c1, a), (c2, b) = GAUSSIAN_PAIRS[0]
+        f, g = GridFunction.gaussian(grid, c1, a), GridFunction.gaussian(grid, c2, b)
+        if complex_operand:
+            f = times(f, GridFunction.from_callable(grid, lambda x, p: np.exp(1j * x)))
+        transforms = []
+        modes = rieffel._modes
+
+        def counted_modes(h):
+            transforms.append(h)
+            return modes(h)
+
+        monkeypatch.setattr(rieffel, "_modes", counted_modes)
+        star_defects(f, g, SCHEDULE)
+        assert transforms == [f, g]
+        transforms.clear()
+        wide = GridFunction.gaussian(grid, (8.0, 0.0), 0.5)
+        with pytest.raises(SupportError):
+            star_defects(f, wide, SCHEDULE)
+        assert transforms == []
+
     def test_no_grid_function_is_built(self, offset_pair, monkeypatch):
         # the stages pass arrays: six GridFunctions per hbar went only to
         # read two sup norms
         f, g = offset_pair
         built = []
-        init = GridFunction.__init__
+        own = GridFunction._own
 
         def counted(self, grid, samples):
             built.append(grid)
-            init(self, grid, samples)
+            own(self, grid, samples)
 
-        monkeypatch.setattr(GridFunction, "__init__", counted)
+        monkeypatch.setattr(GridFunction, "_own", counted)
         assert len(star_defects(f, g, SCHEDULE)) == len(SCHEDULE)
         assert built == []
 
@@ -911,7 +1018,8 @@ class TestDefectsAndConvergence:
                 pairs, twists = count_stages(patch)
                 got = star_defects(left, right, schedule)
             assert got == refs
-            assert pairs == [(left, right), (right, left)]
+            assert len(pairs) == 2
+            assert modes_are(pairs[0], left, right) and modes_are(pairs[1], right, left)
             assert twists == [HBAR, HBAR, HBAR / 2, HBAR / 2]
 
     def test_von_neumann_study_slope_near_one(self, offset_pair):

@@ -358,6 +358,20 @@ class TestTruncationDetector:
         assert mat.shape == (16, 16)
 
 
+def block_transforms(window, pair_operands):
+    """The window at corner 10 (n = 64) and whole (n = 96), then each wt-03
+    operand and product at n = 32, 64, 128 and 129, each a call of its own."""
+    mats = [weyl_transform(window, HBAR, 64, corner=10), weyl_transform(window, HBAR, 96)]
+    for f in (h for operands in pair_operands for h in operands):
+        mats += [weyl_transform(f, HBAR, n, support_tail=1.0) for n in (32, 64, 128, 129)]
+    return mats
+
+
+@pytest.fixture(scope="module")
+def default_block_transforms(window, pair_operands):
+    return block_transforms(window, pair_operands)
+
+
 class TestClassSymbolsAndEigenpairs:
     @pytest.mark.parametrize("count", (1, 2, 3, 5, 31, 64, 128))
     def test_powers_are_the_column_table_stored_by_power(self, count):
@@ -386,17 +400,17 @@ class TestClassSymbolsAndEigenpairs:
             ref = reference_class_symbols(*args, n_trunc)
             assert _relative_gap(_class_symbols(*args, n_trunc), ref) <= 1e-15
 
-    @pytest.mark.parametrize("n_trunc", (32, 128))
+    @pytest.mark.parametrize("block", (1, 7, 2**16, 2**19))
     def test_block_size_never_changes_the_transform(
-        self, window, gaussian_pair, n_trunc, monkeypatch
+        self, window, pair_operands, default_block_transforms, block, monkeypatch
     ):
-        # a block holds whole classes, so one class per block sums alike; the
-        # window overflows n = 32, so the truncation detector is waived
-        functions = (gaussian_pair[0], window)
-        default = [weyl_transform(f, HBAR, n_trunc, support_tail=1.0) for f in functions]
-        monkeypatch.setattr(rieffel, "_BLOCK_ENTRIES", 1)
-        for f, mat in zip(functions, default):
-            assert np.array_equal(weyl_transform(f, HBAR, n_trunc, support_tail=1.0), mat)
+        # a block holds whole classes, so the classes sum alike in any grouping,
+        # one class per block included
+        monkeypatch.setattr(rieffel, "_BLOCK_ENTRIES", block)
+        got = block_transforms(window, pair_operands)
+        assert len(got) == len(default_block_transforms) == 2 + 6 * 4
+        for mat, want in zip(got, default_block_transforms):
+            assert np.array_equal(mat, want)
 
     @pytest.mark.parametrize("n_trunc", (32, 64, 128))
     def test_eigenpairs_match_the_tridiagonal_solver(self, n_trunc):
@@ -434,6 +448,14 @@ class TestClassSymbolsAndEigenpairs:
         peak, _ = traced_mib(stream)
         # with the sparse class sum one transform at n = 128 peaked at 77.1 MiB
         assert peak <= 77.1
+
+    def test_window_corner_peak_at_1024_points(self, traced_mib):
+        # one spectrum, made in one array, and the class symbol written once
+        # in 1 MiB blocks: 58.4 MiB; 77.1 MiB with two-pass transforms,
+        # 8 MiB blocks and the symbol held twice
+        fine = GridFunction.from_callable(Grid2n(1, 1024, 20.0), window_fn)
+        peak, _ = traced_mib(lambda: weyl_transform(fine, HBAR, 64, corner=10))
+        assert peak <= 67
 
 
 class TestWeylTransforms:
