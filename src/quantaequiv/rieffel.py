@@ -624,26 +624,22 @@ def _jacobi_eigenpairs(n_trunc):
 
 
 def _assemble(lam, w, s, symbol):
-    """The leading b x b block of the n x n transform, one column per offset.
+    """The leading b x b block of the n x n transform, in one einsum:
+    total[a, b'] = sum_m W[a, m] W[b', m] G[b - 1 + a - b', m].
 
     n = len(lam) sets J's eigenpairs; the symbol's 2b - 1 offsets set b.
     Only the eigenvectors of the non-negative eigenvalues enter, and each
     stands for its pair (_half_spectrum_symbols); only their first b rows
-    meet the block.  b = n is the whole transform.
+    meet the block.  b = n is the whole transform.  Row b - 1 + d of G is
+    the offset d = a - b', read through the strided Toeplitz view
+    toeplitz[a, m, b'] = G[b - 1 + a - b', m], which copies nothing.
     """
     n_trunc = len(lam)
     corner = (symbol.shape[1] + 1) // 2
     g = _half_spectrum_symbols(lam, s, symbol)
     w = w[:corner, n_trunc // 2 :]
-    # diagonals d and -d share the products W[a + d, m] W[a, m]
-    levels = np.arange(corner)
-    total = np.empty((corner, corner), dtype=np.complex128)
-    for d in range(corner):
-        a = levels[: corner - d]
-        pair = w[d:] * w[: corner - d]
-        total[a + d, a] = np.einsum("am,m->a", pair, g[corner - 1 + d])
-        total[a, a + d] = np.einsum("am,m->a", pair, g[corner - 1 - d])
-    return total
+    toeplitz = np.lib.stride_tricks.sliding_window_view(g, corner, axis=0)[:, :, ::-1]
+    return np.einsum("am,bm,amb->ab", w, w, toeplitz)
 
 
 def weyl_transforms(functions, hbar, truncations, support_tail=1e-3, corner=None):

@@ -68,9 +68,11 @@ def reference_moyal_product(f, g, hbars, boundary_threshold=_BOUNDARY_THRESHOLD)
     """The twisted double sum moyal_product replaced, kept as its reference.
 
     One complex exponential per pair of significant modes, accumulated with
-    np.add.at in row-major pair order, blocks of about _PAIR_BLOCK pairs,
-    and the aliased mass summed per block.  The pair structure is shared
-    across the values of hbar; returns one product per value.
+    np.add.at in row-major pair order, blocks of about _PAIR_BLOCK pairs.
+    A pair's mass |F_k G_l e^{i theta}| is |F_k| |G_l| whatever hbar is, so
+    one pass over the same blocks sums the aliased mass first and raises
+    AliasError before any exponential is taken.  The pair structure is
+    shared across the values of hbar; returns one product per value.
     """
     _require_interior_support(f, boundary_threshold)
     _require_interior_support(g, boundary_threshold)
@@ -79,33 +81,34 @@ def reference_moyal_product(f, g, hbars, boundary_threshold=_BOUNDARY_THRESHOLD)
     half = p // 2
     fvec, fval = _significant(_modes(f))
     gvec, gval = _significant(_modes(g))
+    chunk = max(1, _PAIR_BLOCK // len(gval))
+    blocks = [slice(start, start + chunk) for start in range(0, len(fval), chunk)]
+
+    def summed(rows):
+        # the pair sums k + l of the block, per axis, and which lie in the box
+        q, k = (fvec[rows, None, i] + gvec[None, :, i] for i in (0, 1))
+        return (q, k), (q >= -half) & (q < half) & (k >= -half) & (k < half)
+
+    aliased = total = 0.0
+    for rows in blocks:
+        mags = np.abs(fval[rows, None] * gval[None, :])
+        total += float(mags.sum())
+        aliased += float(mags[~summed(rows)[1]].sum())
+    if total > 0.0 and aliased / total > _ALIAS_TOLERANCE:
+        raise AliasError(
+            "aliased mass ratio %.3e exceeds %.1e" % (aliased / total, _ALIAS_TOLERANCE)
+        )
     f_j = fvec.astype(float) @ STANDARD_FORM
     outs = [np.zeros(p**2, dtype=np.complex128) for _ in hbars]
-    alias_mass = [0.0] * len(hbars)
-    total_mass = [0.0] * len(hbars)
-    chunk = max(1, _PAIR_BLOCK // len(gval))
-    for start in range(0, len(fval), chunk):
-        stop = min(start + chunk, len(fval))
-        sigma = f_j[start:stop] @ gvec.T.astype(float)
-        weights = fval[start:stop, None] * gval[None, :]
-        combined = fvec[start:stop, None, :] + gvec[None, :, :]
-        in_range = np.all((combined >= -half) & (combined < half), axis=2)
-        kept = combined[in_range] % p
-        flat = np.ravel_multi_index(tuple(kept.T), grid.shape)
-        for i, hbar in enumerate(hbars):
+    for rows in blocks:
+        sigma = f_j[rows] @ gvec.T.astype(float)
+        weights = fval[rows, None] * gval[None, :]
+        combined, in_range = summed(rows)
+        flat = np.ravel_multi_index(tuple(c[in_range] % p for c in combined), grid.shape)
+        for out, hbar in zip(outs, hbars):
             contrib = weights * np.exp(-1j * (0.5 * hbar * grid.mode_step**2) * sigma)
-            mags = np.abs(contrib)
-            total_mass[i] += float(mags.sum())
-            alias_mass[i] += float(mags[~in_range].sum())
-            np.add.at(outs[i], flat, contrib[in_range])
-    products = []
-    for out, aliased, total in zip(outs, alias_mass, total_mass):
-        if total > 0.0 and aliased / total > _ALIAS_TOLERANCE:
-            raise AliasError(
-                "aliased mass ratio %.3e exceeds %.1e" % (aliased / total, _ALIAS_TOLERANCE)
-            )
-        products.append(GridFunction(grid, _from_modes(out.reshape(grid.shape))))
-    return products
+            np.add.at(out, flat, contrib[in_range])
+    return [GridFunction(grid, _from_modes(out.reshape(grid.shape))) for out in outs]
 
 
 def parity_table(points):
