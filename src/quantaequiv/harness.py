@@ -76,7 +76,7 @@ from .rieffel import (
     weyl_transforms,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # --- check plumbing -----------------------------------------------------------
@@ -164,18 +164,11 @@ def _run_checks(checks, workers):
 
 
 def _environment_stamp():
-    import importlib.metadata  # loads the email package: keep it off import time
-
-    try:
-        scipy_version = importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        scipy_version = None
     return {
         "numpy": np.__version__,
         "platform": sys.platform,
         "machine": platform.machine(),
         "python": platform.python_version(),
-        "scipy": scipy_version,
     }
 
 

@@ -100,8 +100,8 @@ class Grid2n:
         p = self.points_per_axis
         if p < 32 or (p & (p - 1)) != 0:
             raise GridError("points_per_axis must be a power of two, at least 32")
-        if not (self.extent > 0):
-            raise GridError("extent must be positive")
+        if not 0 < self.extent < np.inf:
+            raise GridError("extent must be positive and finite, got %r" % (self.extent,))
 
     @property
     def shape(self):

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from quantaequiv.harness import (
+    SCHEMA_VERSION,
     SUITE_NAMES,
     default_config,
     emit_tables,
@@ -272,5 +273,5 @@ def test_all_suites_fully_green(battery):
 def test_reports_are_valid_json(battery):
     for suite in SUITE_NAMES:
         loaded = json.loads(report_to_json(battery["runs"][suite]["first"]))
-        assert loaded["schema_version"] == 1
+        assert loaded["schema_version"] == SCHEMA_VERSION == 2
         assert loaded["suite"] == suite

@@ -5,7 +5,7 @@ and references, not what happens to be importable at run time.  A use is
 a reference from ``src/`` or a name in a ``perfbench/`` module; tests and
 docs do not count, so code only a test calls does not stay in the package.
 A fresh interpreter checks what ``import quantaequiv`` loads: numpy, not
-scipy or jsonschema.
+scipy or jsonschema; and that a suite run loads no package metadata.
 """
 
 import ast
@@ -143,11 +143,28 @@ def test_every_public_method_is_used():
     assert not idle, "method referenced by no module and named by no perfbench module: %s" % idle
 
 
-def test_import_loads_neither_scipy_nor_jsonschema(fresh_env):
+def _modules_after(fresh_env, code):
+    """The names in sys.modules of a fresh interpreter that has run `code`."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quantaequiv; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", code + "\nimport sys; print(*sorted(sys.modules))"],
         capture_output=True, text=True, env=fresh_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = [m for m in proc.stdout.split() if m.startswith(("scipy", "jsonschema"))]
+    return proc.stdout.split()
+
+
+def test_import_loads_neither_scipy_nor_jsonschema(fresh_env):
+    loaded = [m for m in _modules_after(fresh_env, "import quantaequiv")
+              if m.startswith(("scipy", "jsonschema"))]
     assert not loaded, "import quantaequiv loaded %s" % ", ".join(loaded)
+
+
+def test_suite_run_loads_no_package_metadata(fresh_env):
+    # importlib.metadata pulls in the email package, csv and socket
+    code = (
+        "from quantaequiv.harness import default_config, run_suite\n"
+        "run_suite(default_config('weyl-sdq'))"
+    )
+    loaded = [m for m in _modules_after(fresh_env, code)
+              if m == "importlib.metadata" or m.startswith(("importlib.metadata.", "email"))]
+    assert not loaded, "a weyl-sdq run loaded %s" % ", ".join(loaded)

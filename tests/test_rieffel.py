@@ -313,6 +313,8 @@ class TestGrid:
             Grid2n(1, 16, 10.0)  # too coarse
         with pytest.raises(GridError):
             Grid2n(1, 64, 0.0)
+        with pytest.raises(GridError, match="extent must be positive and finite, got inf"):
+            Grid2n(1, 256, float("inf"))
 
     def test_only_the_phase_plane_is_built(self):
         with pytest.raises(GridError, match="phase plane"):

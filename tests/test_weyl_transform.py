@@ -2,7 +2,6 @@
 
 import subprocess
 import sys
-from math import atan2
 
 import numpy as np
 import pytest
@@ -41,38 +40,25 @@ TRANSFORM_PAIRS = (
 )
 
 
-def _mode_exponential(n_trunc, hbar, mode_step, class_key):
-    """exp(i |k| Q) for one |k|^2 class, from its own tridiagonal eigenproblem."""
-    absk = mode_step * np.sqrt(float(class_key))
-    off = absk * np.sqrt(0.5 * hbar * np.arange(1, n_trunc))
-    w, v = eigh_tridiagonal(np.zeros(n_trunc), off)
-    return (v * np.exp(1j * w)) @ v.T
+def reference_weyl_transform(f, hbar, n_trunc):
+    """The per-mode sum weyl_transform replaced, kept as its reference.
 
-
-def reference_weyl_transform(f, hbar, n_trunc, bases):
-    """The per-mode assembly weyl_transform replaced, kept as its reference.
-
-    One eigendecomposition per |k|^2 class (memoized in `bases`, keyed by
-    truncation, hbar and class) and one n x n update
-    F_k U_phi base U_phi^dagger per significant mode.
+    sum_k F_k U_phi exp(i |k| sqrt(hbar/2) J) U_phi^dagger, U_phi = diag(e^{i phi a}),
+    from one tridiagonal eigenproblem sqrt(hbar/2) J = V diag(w) V^T: a |k|^2
+    class's exponential is V e^{i |k| w} V^T, and its m modes enter as one
+    (n x m)(m x n) product of their phase columns e^{i phi_k a}, weighted by F_k.
     """
-    grid = f.grid
     mvec, fval = _significant(_modes(f))
-    class_keys = (mvec[:, 0] ** 2 + mvec[:, 1] ** 2).astype(np.int64)
-    total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    keys, members = np.unique(mvec[:, 0] ** 2 + mvec[:, 1] ** 2, return_inverse=True)
     levels = np.arange(n_trunc)
-    for j in range(len(fval)):
-        key = int(class_keys[j])
-        if key == 0:
-            total[levels, levels] += fval[j]
-            continue
-        tag = (n_trunc, hbar, key)
-        if tag not in bases:
-            bases[tag] = _mode_exponential(n_trunc, hbar, grid.mode_step, key)
-        k1 = grid.mode_step * mvec[j, 0]
-        k2 = grid.mode_step * mvec[j, 1]
-        phases = np.exp(1j * atan2(k2, k1) * levels)
-        total += np.outer(fval[j] * phases, phases.conj()) * bases[tag]
+    w, v = eigh_tridiagonal(np.zeros(n_trunc), np.sqrt(0.5 * hbar * levels[1:]))
+    classes = np.split(np.argsort(members, kind="stable"), np.cumsum(np.bincount(members))[:-1])
+    total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    for key, modes in zip(keys, classes):
+        phi = np.arctan2(mvec[modes, 1], mvec[modes, 0])
+        columns = np.exp(1j * np.multiply.outer(levels, phi))
+        base = (v * np.exp(1j * f.grid.mode_step * np.sqrt(key) * w)) @ v.T
+        total += ((columns * fval[modes]) @ columns.conj().T) * base
     return total
 
 
@@ -856,30 +842,25 @@ class TestCornerGuards:
             weyl_transforms([window], HBAR, (64, 32), support_tail=1.0, corner=32)
 
 
-@pytest.fixture(scope="module")
-def class_bases():
-    return {}
-
-
 class TestAgainstReference:
-    """The class-symbol assembly against the per-mode loop, at 1e-12 relative."""
+    """The class-symbol assembly against the per-mode sum, at 1e-12 relative."""
 
-    def test_window_and_windowed_coordinate(self, window, windowed_coordinate, class_bases):
+    def test_window_and_windowed_coordinate(self, window, windowed_coordinate):
         for f in (window, windowed_coordinate):
-            ref = reference_weyl_transform(f, HBAR, 64, class_bases)
+            ref = reference_weyl_transform(f, HBAR, 64)
             assert _relative_gap(weyl_transform(f, HBAR, 64), ref) <= 1e-12
 
     @pytest.mark.parametrize("index", range(len(TRANSFORM_PAIRS)))
-    def test_gaussian_pairs_and_products(self, pair_operands, index, class_bases):
+    def test_gaussian_pairs_and_products(self, pair_operands, index):
         for n in (32, 64, 128):
             for h in pair_operands[index]:
-                ref = reference_weyl_transform(h, HBAR, n, class_bases)
+                ref = reference_weyl_transform(h, HBAR, n)
                 mat = weyl_transform(h, HBAR, n, support_tail=1.0)
                 assert _relative_gap(mat, ref) <= 1e-12
 
-    def test_complex_input(self, plane_wave_gaussian, class_bases):
+    def test_complex_input(self, plane_wave_gaussian):
         h = plane_wave_gaussian
-        ref = reference_weyl_transform(h, HBAR, 64, class_bases)
+        ref = reference_weyl_transform(h, HBAR, 64)
         mat = weyl_transform(h, HBAR, 64)
         assert hermiticity_defect(mat) > 1e-3
         assert _relative_gap(mat, ref) <= 1e-12
