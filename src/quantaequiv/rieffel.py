@@ -86,6 +86,19 @@ class TruncationError(GridError):
     """Oscillator truncation too small for the function's phase-space support."""
 
 
+def _positive(name, value):
+    if not 0 < value < np.inf:
+        raise GridError("%s must be positive and finite, got %s" % (name, value))
+    return value
+
+
+def _point(name, value):
+    point = np.array(value, dtype=float)
+    if point.shape != (2,) or not np.all(np.isfinite(point)):
+        raise GridError("%s must be a finite phase-space vector, got %s" % (name, value))
+    return point
+
+
 @dataclass(frozen=True)
 class Grid2n:
     """The grid over the phase plane; n, the degrees of freedom, is always 1."""
@@ -100,8 +113,7 @@ class Grid2n:
         p = self.points_per_axis
         if p < 32 or (p & (p - 1)) != 0:
             raise GridError("points_per_axis must be a power of two, at least 32")
-        if not 0 < self.extent < np.inf:
-            raise GridError("extent must be positive and finite, got %r" % (self.extent,))
+        _positive("extent", self.extent)
 
     @property
     def shape(self):
@@ -162,9 +174,7 @@ class GridFunction:
     @classmethod
     def gaussian(cls, grid, center, decay, amplitude=1.0):
         """amplitude * exp(-decay * |z - center|^2)."""
-        center = np.asarray(center, dtype=float)
-        if center.shape != (2,):
-            raise GridError("center must be a phase-space point")
+        center = _point("center", center)
         return cls.from_callable(grid, lambda q, p: amplitude * np.exp(
             -float(decay) * ((q - center[0]) ** 2 + (p - center[1]) ** 2)))
 
@@ -219,11 +229,8 @@ def _from_modes(modes):
 
 def translate(f, x):
     """Compose with the shift z -> z + x, spectrally (exact group law)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise GridError("shift must be a phase-space vector")
     freqs = _int_freqs(f.grid.points_per_axis)
-    q_phase, p_phase = (np.exp(1j * f.grid.mode_step * freqs * c) for c in x)
+    q_phase, p_phase = (np.exp(1j * f.grid.mode_step * freqs * c) for c in _point("shift x", x))
     modes = _modes(f)
     modes *= q_phase[:, None]
     modes *= p_phase[None, :]
@@ -382,8 +389,8 @@ def moyal_product(f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
     stage (guards, spectra, then _pair_stage: boxes) does not depend on
     hbar; the twist stage (_twist_stage) does the rest.
     """
-    if not (hbar >= 0):
-        raise GridError("the deformation parameter must be nonnegative")
+    if hbar != 0:  # hbar = 0 is the pointwise product
+        _positive("nonzero hbar", hbar)
     _require_pair(f, g, boundary_threshold)
     pair = _pair_stage(f.grid, _significant(_modes(f)), _significant(_modes(g)))
     return GridFunction._handed(f.grid, _twist_stage(pair, hbar))
@@ -399,14 +406,12 @@ def star_defects(f, g, schedule):
     The product respects the involution, (f*g)^* = g^* * f^*, so when the
     samples of both operands are real g*f is conj(f*g); complex operands
     get a pair stage of their own for g*f, from the same spectra.  Every
-    refusal (an entry that is not positive, a support, work or alias guard)
+    refusal (an entry not positive and finite, a support, work or alias guard)
     comes before any twisted FFT; then the products are made one entry at
     a time, as sample arrays, and each entry's two arrays take its
     differences in place: no GridFunction is built.
     """
-    schedule = tuple(schedule)
-    if not all(hbar > 0 for hbar in schedule):
-        raise GridError("the commutator comparison needs positive parameters")
+    schedule = tuple(_positive("schedule entry", hbar) for hbar in schedule)
     _require_pair(f, g, _BOUNDARY_THRESHOLD)
     grid, modes_f, modes_g = f.grid, _modes(f), _modes(g)
     significant_f, significant_g = _significant(modes_f), _significant(modes_g)
@@ -446,11 +451,10 @@ class AffineSymplecticMap:
         linear = np.array(linear, dtype=float)
         if linear.shape != (2, 2):
             raise GridError("linear part must be a 2 x 2 matrix on the phase plane")
-        if not np.all(np.isfinite(linear)) or abs(np.linalg.det(linear)) < 1e-12:
+        (a, b), (c, d) = linear.tolist()
+        if not 1e-12 <= abs(a * d - b * c) < np.inf:  # a non-finite entry makes it nan or inf
             raise GridError("linear part must be finite and invertible")
-        offset = np.array((0.0, 0.0) if offset is None else offset, dtype=float)
-        if offset.shape != (2,) or not np.all(np.isfinite(offset)):
-            raise GridError("offset must be a finite phase-space vector")
+        offset = _point("offset", (0.0, 0.0) if offset is None else offset)
         linear.flags.writeable = False
         offset.flags.writeable = False
         self.linear = linear
@@ -523,7 +527,7 @@ def morphism_star_defect(phi, f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD
 
 def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOLD):
     """Relative sup defect of pullback(translate(f, A X)) vs translate(pullback(f), X)."""
-    direction = np.asarray(direction, dtype=float)
+    direction = _point("direction", direction)
     lhs = pullback(translate(f, phi.linear @ direction), phi, boundary_threshold)
     rhs = translate(pullback(f, phi, boundary_threshold), direction)
     return _relative(_sup(lhs.samples - rhs.samples), f.sup_norm())
@@ -668,8 +672,7 @@ def weyl_transforms(functions, hbar, truncations, support_tail=1e-3, corner=None
         or not 1 <= corner <= low
     ):
         raise GridError("corner must be an int from 1 to the smallest truncation, %d" % low)
-    if not (hbar > 0):
-        raise GridError("the deformation parameter must be positive")
+    _positive("hbar", hbar)
     spectra = []
     for f in functions:
         _require_interior_support(f, _BOUNDARY_THRESHOLD)
@@ -809,16 +812,13 @@ def moyal_quadrature_oracle(f_factors, g_factors, hbar, points):
     whose bits do not depend on the BLAS thread count.  Independent of
     every grid code path: it is quadrature, not a grid spectrum.
     """
-    if not (hbar > 0):
-        raise GridError("the deformation parameter must be positive")
+    _positive("hbar", hbar)
     try:
         points = np.asarray(points, dtype=float)
     except (TypeError, ValueError):  # ragged or not numbers
         points = np.empty(0)
-    if points.ndim != 2 or points.shape[1] != 2 or not len(points):
-        raise GridError("oracle points must be a non-empty (k, 2) array")
-    if not np.all(np.isfinite(points)):
-        raise GridError("oracle points must be finite")
+    if points.shape[1:] != (2,) or not len(points) or not np.isfinite(points).all():
+        raise GridError("oracle points must be a non-empty finite (k, 2) array")
     (f_q, f_p), (g_q, g_p) = f_factors, g_factors
     nodes = _oracle_nodes(hbar)
     step = 2.0 * _ORACLE_RADIUS / nodes

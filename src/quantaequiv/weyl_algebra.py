@@ -324,6 +324,18 @@ def _checked_coeff(coeff):
     return coeff
 
 
+def _fiber_value(hbar):
+    # hbar as an exact Fraction in [0, 1]; Fraction raises OverflowError on
+    # an infinity and ValueError on a nan
+    try:
+        h = Fraction(hbar)
+    except (OverflowError, ValueError):
+        h = None
+    if h is None or not 0 <= h <= 1:
+        raise AlgebraError("fiber parameter must lie in [0, 1], got %s" % (hbar,))
+    return h
+
+
 class WeylElement:
     """A finite combination  sum_f c_f W(f)  over one symplectic space.
 
@@ -344,9 +356,7 @@ class WeylElement:
         # each label is checked (SpaceError) before its coefficient (AlgebraError)
         clean = merge_terms((space.vector(f), _checked_coeff(c)) for f, c in terms)
         self.space = space
-        self.hbar = None if hbar is None else Fraction(hbar)
-        if self.hbar is not None and not (0 <= self.hbar <= 1):
-            raise AlgebraError("fiber parameter must lie in [0, 1]")
+        self.hbar = None if hbar is None else _fiber_value(hbar)
         d = lcm(*[x.denominator for f in clean for x in f])
         self._den = d
         self._terms = {
@@ -526,9 +536,7 @@ def evaluate_at(a, hbar):
     """
     if a.hbar is not None:
         raise AlgebraError("element is already pinned to a parameter value")
-    h = Fraction(hbar)
-    if not (0 <= h <= 1):
-        raise AlgebraError("exact parameter values must lie in [0, 1]")
+    h = _fiber_value(hbar)
     hn, hd = h.numerator, h.denominator
     # substitution can merge and cancel phases: a label may vanish
     out = merge_terms((f, c.substitute(hn, hd)) for f, c in a._terms.items())

@@ -120,9 +120,12 @@ def compose_morphisms(m2, m1):
 
 
 def _fiber(value):
-    v = value if isinstance(value, Fraction) else Fraction(value)
-    if not (0 <= v.numerator <= v.denominator):
-        raise FunctorError("fiber parameter must lie in [0, 1]")
+    try:  # Fraction raises OverflowError on an infinity and ValueError on a nan
+        v = value if isinstance(value, Fraction) else Fraction(value)
+    except (OverflowError, ValueError):
+        v = None
+    if v is None or not (0 <= v.numerator <= v.denominator):
+        raise FunctorError("fiber parameter must lie in [0, 1], got %s" % (value,))
     # every zero is _CLASSICAL, the fiber evaluate_at pins classical elements to
     return v if v.numerator else _CLASSICAL
 

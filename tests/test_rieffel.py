@@ -1,5 +1,6 @@
 """Grid-side deformation tests: torus discretization, deformed product, defects."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,8 @@ from quantaequiv.rieffel import (
     pullback,
     star_defects,
     translate,
+    weyl_transform,
+    weyl_transforms,
 )
 
 HBAR = 0.1
@@ -348,6 +351,77 @@ AXIS_CALLABLES = (
     lambda q, p: np.exp(1j * (1.5 * q - 0.7 * p)),
     lambda q, p: np.ones_like(q),
 )
+
+
+def _unsampled(x):
+    raise AssertionError("an oracle factor was sampled")
+
+
+# each entry point's hbar argument: (the name its refusal gives, call(hbar, f, g))
+_HBAR_ENTRIES = {
+    "moyal_product": ("nonzero hbar", lambda h, f, g: moyal_product(f, g, h)),
+    "star_defects": ("schedule entry", lambda h, f, g: star_defects(f, g, (0.4, 0.2, 0.1, h))),
+    "weyl_transform": ("hbar", lambda h, f, g: weyl_transform(f, h, 16)),
+    "weyl_transforms": ("hbar", lambda h, f, g: weyl_transforms([f, g], h, [16, 32])),
+    "moyal_quadrature_oracle": ("hbar", lambda h, f, g: moyal_quadrature_oracle(
+        (_unsampled, _unsampled), (_unsampled, _unsampled), h, [(0.0, 0.0)])),
+}
+# each entry point's phase-space vector: (the name its refusal gives, call(x, f))
+_VECTOR_ENTRIES = {
+    "translate": ("shift x", lambda x, f: translate(f, x)),
+    "GridFunction.gaussian": ("center", lambda x, f: GridFunction.gaussian(f.grid, x, 1.0)),
+    "AffineSymplecticMap": ("offset", lambda x, f: AffineSymplecticMap(np.eye(2), x)),
+    "equivariance_defect": (
+        "direction", lambda x, f: equivariance_defect(AffineSymplecticMap.rotation(0.3), f, x)
+    ),
+}
+
+
+class TestInputRules:
+    """hbar is positive and finite, a phase-space vector a finite 2-vector:
+    every entry point refuses anything else with a GridError that names the
+    argument and its value, before any spectrum or sample is made and with
+    no RuntimeWarning on the way."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a spectrum or samples were made")
+
+        monkeypatch.setattr(rieffel, "_modes", no_work)
+        monkeypatch.setattr(GridFunction, "from_callable", classmethod(no_work))
+
+        def check(call, message):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(GridError) as info:
+                    call()
+            assert type(info.value) is GridError
+            assert str(info.value) == message
+
+        return check
+
+    # hbar = 0 is refused wherever it was; moyal_product takes it as the pointwise product
+    @pytest.mark.parametrize(
+        "entry, hbar",
+        [(e, h) for e in _HBAR_ENTRIES for h in (np.inf, -np.inf, np.nan, 0.0, -0.5)
+         if (e, h) != ("moyal_product", 0.0)],
+    )
+    def test_hbar_not_positive_and_finite_is_refused(self, offset_pair, refused, entry, hbar):
+        name, call = _HBAR_ENTRIES[entry]
+        message = "%s must be positive and finite, got %s" % (name, hbar)
+        refused(lambda: call(hbar, *offset_pair), message)
+
+    @pytest.mark.parametrize("entry", sorted(_VECTOR_ENTRIES))
+    @pytest.mark.parametrize(
+        "x", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 0.0), (0.1, 0.2, 0.3)],
+        ids=["inf", "minus-inf", "nan", "three-coordinates"],
+    )
+    def test_vector_not_a_finite_2_vector_is_refused(self, offset_pair, refused, entry, x):
+        name, call = _VECTOR_ENTRIES[entry]
+        message = "%s must be a finite phase-space vector, got %s" % (name, x)
+        refused(lambda: call(x, offset_pair[0]), message)
+
 
 # every (center, decay, amplitude) that a suite hands GridFunction.gaussian at
 # the default config: GAUSSIAN_PAIRS (rieffel-sdq; pair 2 is also

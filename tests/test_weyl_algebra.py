@@ -252,6 +252,20 @@ def test_evaluate_at_reads_floats_as_exact_rationals():
         evaluate_at(a, math.pi)
 
 
+@pytest.mark.parametrize("hbar", [math.inf, math.nan], ids=["inf", "nan"])
+def test_evaluate_at_refuses_a_non_finite_fiber(hbar):
+    message = r"fiber parameter must lie in \[0, 1\], got %s$" % hbar
+    with pytest.raises(AlgebraError, match=message):
+        evaluate_at(weyl_generator(SP1, [1, 0]), hbar)
+
+
+@pytest.mark.parametrize("hbar", [math.inf, math.nan], ids=["inf", "nan"])
+def test_weyl_element_refuses_a_non_finite_fiber(hbar):
+    message = r"fiber parameter must lie in \[0, 1\], got %s$" % hbar
+    with pytest.raises(AlgebraError, match=message):
+        WeylElement(SP1, {}, hbar=hbar)
+
+
 def test_norm_bounds_single_term_exact():
     a = weyl_generator(SP1, [1, 0]).scale_coeff(CoeffExpr.gaussian(3, 4))
     lo, hi = norm_bounds(evaluate_at(a, Fraction(1, 2)))

@@ -451,6 +451,21 @@ def test_quotient_of_section_product_loses_the_twist():
 # --- defect scalars -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("hbar", [math.inf, math.nan], ids=["inf", "nan"])
+def test_rescale_refuses_a_non_finite_fiber(hbar):
+    a = evaluate_at(weyl_generator(SP1, [1, 0]), 0)
+    message = r"fiber parameter must lie in \[0, 1\], got %s$" % hbar
+    with pytest.raises(FunctorError, match=message):
+        rescale(a, 0, hbar)
+
+
+@pytest.mark.parametrize("hbar", [math.inf, math.nan], ids=["inf", "nan"])
+def test_von_neumann_defect_refuses_a_non_finite_fiber(hbar):
+    message = r"fiber parameter must lie in \[0, 1\], got %s$" % hbar
+    with pytest.raises(FunctorError, match=message):
+        von_neumann_defect(SP1, [1, 0], [0, 1], hbar)
+
+
 def test_von_neumann_defect_frozen_value():
     # sigma((1,0),(0,1)) = 1: defect at hbar=1 is 2 sin(1/4)
     d = von_neumann_defect(SP1, [1, 0], [0, 1], 1)

@@ -858,12 +858,18 @@ class TestAgainstReference:
                 mat = weyl_transform(h, HBAR, n, support_tail=1.0)
                 assert _relative_gap(mat, ref) <= 1e-12
 
-    def test_complex_input(self, plane_wave_gaussian):
-        h = plane_wave_gaussian
-        ref = reference_weyl_transform(h, HBAR, 64)
-        mat = weyl_transform(h, HBAR, 64)
-        assert hermiticity_defect(mat) > 1e-3
-        assert _relative_gap(mat, ref) <= 1e-12
+    def test_complex_input(self, grid, plane_wave_gaussian):
+        # plane_wave_gaussian is even in p, so a reflection p -> -p (a sign
+        # error in the mode angle) leaves it alone; the second operand, centred
+        # off both axes and waving along q + p, is moved by it
+        x = grid.axis_coordinates()
+        wave = np.exp(0.5j * (x[:, None] + x[None, :]))
+        off_axis = GridFunction(grid, GridFunction.gaussian(grid, (0.5, 0.4), 1.0).samples * wave)
+        for h in (plane_wave_gaussian, off_axis):
+            ref = reference_weyl_transform(h, HBAR, 64)
+            mat = weyl_transform(h, HBAR, 64)
+            assert hermiticity_defect(mat) > 1e-3
+            assert _relative_gap(mat, ref) <= 1e-12
 
 
 @pytest.fixture(scope="module")
