@@ -488,6 +488,8 @@ def _suite_rieffel_morphisms(config):
     hbar = config["hbar"]
     f = GridFunction.gaussian(grid, (0.5, 0.0), 1.0)
     g = GridFunction.gaussian(grid, (-0.4, 0.3), 1.0)
+    # one f*g for all six maps; each map's pullbacks guard f and g at its threshold
+    star = moyal_product(f, g, hbar, boundary_threshold=1e-9)
 
     symplectic_maps = (
         ("rot30", AffineSymplecticMap.rotation(math.pi / 6)),
@@ -498,14 +500,13 @@ def _suite_rieffel_morphisms(config):
     )
 
     def symplectic_check(name, phi):
-        value = morphism_star_defect(phi, f, g, hbar, boundary_threshold=1e-9)
+        value = morphism_star_defect(phi, f, g, hbar, star, boundary_threshold=1e-9)
         return [_record("morph-01-star-%s" % name, value <= 1e-3, value=value,
                         tolerance=1e-3)]
 
     def control_check():
         phi = AffineSymplecticMap(np.diag([2.0, 2.0]))
-        value = morphism_star_defect(phi, f, g, hbar,
-                                     boundary_threshold=float("inf"))
+        value = morphism_star_defect(phi, f, g, hbar, star, boundary_threshold=float("inf"))
         return [_record("morph-02-scaling-control", value >= 1e-1, value=value,
                         tolerance=1e-1,
                         witness={"expectation": "defect stays large"})]

@@ -49,6 +49,7 @@ import numpy as np
 # convergence studies and negative controls waive those guards on purpose.
 _PRUNE_THRESHOLD = 1e-14  # modes below this fraction of the peak are dropped
 _ALIAS_TOLERANCE = 1e-9  # largest aliased share of the pair mass in a product
+_MAX_PHASE = _ALIAS_TOLERANCE * 2.0**53  # largest phase argument of translate
 _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_MIN_NODES, _ORACLE_MAX_NODES = 9.0, 2048, 2**16  # box; nodes per axis
@@ -173,8 +174,11 @@ class GridFunction:
 
     @classmethod
     def gaussian(cls, grid, center, decay, amplitude=1.0):
-        """amplitude * exp(-decay * |z - center|^2)."""
+        """amplitude * exp(-decay * |z - center|^2), decay > 0 and both finite."""
         center = _point("center", center)
+        _positive("decay", decay)
+        if not np.isfinite(amplitude):
+            raise GridError("amplitude must be a finite number, got %s" % (amplitude,))
         return cls.from_callable(grid, lambda q, p: amplitude * np.exp(
             -float(decay) * ((q - center[0]) ** 2 + (p - center[1]) ** 2)))
 
@@ -228,13 +232,26 @@ def _from_modes(modes):
 
 
 def translate(f, x):
-    """Compose with the shift z -> z + x, spectrally (exact group law)."""
-    freqs = _int_freqs(f.grid.points_per_axis)
-    q_phase, p_phase = (np.exp(1j * f.grid.mode_step * freqs * c) for c in _point("shift x", x))
+    """Compose with the shift z -> z + x, spectrally (exact group law).
+
+    The largest phase is theta = max(|x_q|, |x_p|) mode_step points / 2; its
+    rounding, about theta 2^-53 rad, stays within _ALIAS_TOLERANCE only up
+    to theta = _MAX_PHASE, about 9.0e6 rad (|x| up to about 2.2e5 on 256
+    points over an extent of 20).  A larger shift is refused, not reduced
+    modulo the period.
+    """
+    grid = f.grid
+    shift = _point("shift x", x)
+    theta = float(np.abs(shift).max()) * float(grid.mode_step) * (grid.points_per_axis / 2)
+    if theta > _MAX_PHASE:
+        raise GridError("shift x = %s makes a phase of %s rad, above the limit of %s rad"
+                        % (x, theta, _MAX_PHASE))
+    freqs = _int_freqs(grid.points_per_axis)
+    q_phase, p_phase = (np.exp(1j * grid.mode_step * freqs * c) for c in shift)
     modes = _modes(f)
     modes *= q_phase[:, None]
     modes *= p_phase[None, :]
-    return GridFunction._handed(f.grid, _from_modes(modes))
+    return GridFunction._handed(grid, _from_modes(modes))
 
 
 def _bracket(grid, modes_f, modes_g):
@@ -503,7 +520,7 @@ def _relative(gap, scale):
     return gap if scale == 0.0 else gap / scale
 
 
-def morphism_star_defect(phi, f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD):
+def morphism_star_defect(phi, f, g, hbar, star, boundary_threshold=_BOUNDARY_THRESHOLD):
     """Relative sup defect of pullback against the deformed product.
 
     Small for symplectic affine maps (the product only sees the form),
@@ -511,8 +528,10 @@ def morphism_star_defect(phi, f, g, hbar, boundary_threshold=_BOUNDARY_THRESHOLD
     quantized-morphism multiplicativity.  Rotated off-center functions keep
     a little periodic leakage near the boundary, so callers measuring at
     coarse tolerances may relax boundary_threshold accordingly.
+
+    star is moyal_product(f, g, hbar), which a caller comparing several maps
+    makes once; pullback guards f and g at boundary_threshold.
     """
-    star = moyal_product(f, g, hbar, boundary_threshold)
     star_then_pull = pullback(star, phi, boundary_threshold)
     pull_then_star = moyal_product(
         pullback(f, phi, boundary_threshold),
@@ -537,6 +556,10 @@ def equivariance_defect(phi, f, direction, boundary_threshold=_BOUNDARY_THRESHOL
 
 
 def oscillator_position(n_trunc, hbar):
+    """Q on the first n_trunc oscillator levels (an int, at least 1), hbar > 0 finite."""
+    if isinstance(n_trunc, bool) or not isinstance(n_trunc, (int, np.integer)) or n_trunc < 1:
+        raise GridError("n_trunc must be an int of at least 1, got %s" % (n_trunc,))
+    _positive("hbar", hbar)
     off = np.sqrt(0.5 * hbar * np.arange(1, n_trunc))
     return (np.diag(off, 1) + np.diag(off, -1)).astype(np.complex128)
 

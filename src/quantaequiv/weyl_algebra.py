@@ -45,8 +45,8 @@ from . import rational_linalg as rl
 from .cyclotomic import phase_sum_is_zero
 
 
-# the classical fiber: every element that evaluate_at pins to 0 carries this
-# one object, so comparing two such fibers is an identity test
+# the classical fiber: _fiber_value reads every zero as this one object, so
+# comparing two classical fibers is an identity test
 _CLASSICAL = Fraction(0)
 
 
@@ -324,16 +324,16 @@ def _checked_coeff(coeff):
     return coeff
 
 
-def _fiber_value(hbar):
-    # hbar as an exact Fraction in [0, 1]; Fraction raises OverflowError on
-    # an infinity and ValueError on a nan
+def _fiber_value(hbar, error=AlgebraError):
+    # hbar as an exact Fraction in [0, 1], every zero as _CLASSICAL, or `error`;
+    # Fraction raises OverflowError on an infinity and ValueError on a nan
     try:
-        h = Fraction(hbar)
+        h = hbar if isinstance(hbar, Fraction) else Fraction(hbar)
     except (OverflowError, ValueError):
         h = None
-    if h is None or not 0 <= h <= 1:
-        raise AlgebraError("fiber parameter must lie in [0, 1], got %s" % (hbar,))
-    return h
+    if h is None or not 0 <= h.numerator <= h.denominator:
+        raise error("fiber parameter must lie in [0, 1], got %s" % (hbar,))
+    return h if h.numerator else _CLASSICAL
 
 
 class WeylElement:
@@ -422,8 +422,8 @@ class WeylElement:
 
     def _require_compatible(self, other):
         # equal spaces and fibers are mostly one object: operands share their
-        # space, results carry their left operand's fiber, and evaluate_at
-        # pins every classical element to _CLASSICAL
+        # space, results carry their left operand's fiber, and every
+        # classical element carries _CLASSICAL
         if self.space is not other.space and self.space != other.space:
             raise AlgebraError("elements live on different spaces")
         if self.hbar is not other.hbar and self.hbar != other.hbar:
@@ -540,7 +540,7 @@ def evaluate_at(a, hbar):
     hn, hd = h.numerator, h.denominator
     # substitution can merge and cancel phases: a label may vanish
     out = merge_terms((f, c.substitute(hn, hd)) for f, c in a._terms.items())
-    return WeylElement._from_ints(a.space, out, a._den, h if hn else _CLASSICAL)
+    return WeylElement._from_ints(a.space, out, a._den, h)
 
 
 def norm_bounds(a):

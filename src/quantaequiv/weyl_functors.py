@@ -44,6 +44,7 @@ from .weyl_algebra import (
     AlgebraError,
     CoeffExpr,
     WeylElement,
+    _fiber_value,
     evaluate_at,
     merge_terms,
     multiply,
@@ -119,17 +120,6 @@ def compose_morphisms(m2, m1):
     )
 
 
-def _fiber(value):
-    try:  # Fraction raises OverflowError on an infinity and ValueError on a nan
-        v = value if isinstance(value, Fraction) else Fraction(value)
-    except (OverflowError, ValueError):
-        v = None
-    if v is None or not (0 <= v.numerator <= v.denominator):
-        raise FunctorError("fiber parameter must lie in [0, 1], got %s" % (value,))
-    # every zero is _CLASSICAL, the fiber evaluate_at pins classical elements to
-    return v if v.numerator else _CLASSICAL
-
-
 def apply_morphism(m, a):
     """Extend W(f) -> chi(f) W(Tf) linearly over the coefficients.
 
@@ -166,8 +156,8 @@ def rescale(a, src, dst):
     retag; src and dst may be 0, which makes quantization itself the
     transport from the classical fiber.
     """
-    src = _fiber(src)
-    dst = _fiber(dst)
+    src = _fiber_value(src, FunctorError)
+    dst = _fiber_value(dst, FunctorError)
     if a.hbar is None or (a.hbar is not src and a.hbar != src):
         raise FunctorError("element is not in the quantized image at the source fiber")
     return a._at_fiber(dst)
@@ -177,23 +167,9 @@ def rescale(a, src, dst):
 
 
 def smooth_check(m):
-    """True iff each basis generator lands on a finite combination of generators.
-
-    True by construction for well-formed data; shape corruption (a linear
-    part that cannot act on the domain or lands outside the codomain) comes
-    back False.
-    """
-    try:
-        for f in rl.identity(m.dom.space.dim):
-            image = apply_morphism(m, weyl_generator(m.dom.space, f))
-            if image.space != m.cod.space:
-                return False
-            for label, coeff in image.terms.items():
-                if len(label) != m.cod.space.dim or not isinstance(coeff, CoeffExpr):
-                    return False
-    except (AlgebraError, SpaceError, ValueError, TypeError):
-        return False
-    return True
+    """True iff W(f) -> chi(f) W(Tf) lands on codomain generators: the shapes
+    checked at construction, False for a spec corrupted past it."""
+    return m.linear.dim_in == m.dom.space.dim and m.linear.dim_out == m.cod.space.dim
 
 
 def scaling_check(m, hbar, hbar2):
@@ -212,8 +188,8 @@ def scaling_check(m, hbar, hbar2):
     carries that of sigma_cod(Tf, Tg), the character factors agreeing by
     multiplicativity.
     """
-    h1 = _fiber(hbar)
-    h2 = _fiber(hbar2)
+    h1 = _fiber_value(hbar, FunctorError)
+    h2 = _fiber_value(hbar2, FunctorError)
     if h1 is _CLASSICAL or h2 is _CLASSICAL:
         raise FunctorError("scaling compares fibers away from the classical one")
     return poisson_morphism_check(m)
@@ -280,7 +256,7 @@ def von_neumann_defect(space, f, g, hbar):
     For generator pairs the defect element has one label, so the bound pair
     collapses and the value equals 2|sin(hbar sigma(f,g)/4)|.
     """
-    h = _fiber(hbar)
+    h = _fiber_value(hbar, FunctorError)
     a0 = evaluate_at(weyl_generator(space, f), 0)
     b0 = evaluate_at(weyl_generator(space, g), 0)
     defect = multiply(rescale(a0, 0, h), rescale(b0, 0, h)) - rescale(
@@ -295,7 +271,7 @@ def dirac_defect(space, f, g, hbar):
     For generator pairs this equals |(2/hbar) sin(hbar sigma(f,g)/2) - sigma(f,g)|.
     Finite sums with several labels return the coefficient-sum upper bound.
     """
-    h = _fiber(hbar)
+    h = _fiber_value(hbar, FunctorError)
     if h is _CLASSICAL:
         raise FunctorError("the commutator scale 1/hbar needs a positive fiber")
     a0 = evaluate_at(weyl_generator(space, f), 0)
@@ -321,7 +297,5 @@ def rieffel_condition_check(a, schedule):
         raise AlgebraError("expects a classical (fiber 0) element")
     if len(a.coeffs()) > 1:
         raise AlgebraError("exact norms need single-generator elements")
-    norms = [norm_bounds(rescale(a, 0, _fiber(h)))[1] for h in schedule]
-    if not norms:
-        return True
-    return max(norms) - min(norms) <= _NORM_SPREAD_TOLERANCE
+    norms = [norm_bounds(rescale(a, 0, h))[1] for h in schedule]
+    return not norms or max(norms) - min(norms) <= _NORM_SPREAD_TOLERANCE

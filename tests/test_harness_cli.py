@@ -423,6 +423,22 @@ class TestRunSuite:
         assert len(built) == 4 + 3 + 3 * 2
         assert report["checks"] == rsdq_report["checks"]
 
+    def test_rieffel_morphisms_makes_one_product_per_map_and_one_shared(self, monkeypatch):
+        # f*g once for the six maps, then one product of the pulled-back
+        # operands per map: 7 twist stages, where each map making its own
+        # f*g took 12
+        twists = []
+        twist_stage = rieffel._twist_stage
+
+        def counted_twist(pair, hbar):
+            twists.append(hbar)
+            return twist_stage(pair, hbar)
+
+        monkeypatch.setattr(rieffel, "_twist_stage", counted_twist)
+        report = run_suite(default_config("rieffel-morphisms"))
+        assert twists == [default_config("rieffel-morphisms")["hbar"]] * 7
+        assert report["summary"] == {"total": 7, "passed": 7, "failed": 0, "saturated": 0}
+
     def test_saturated_weyl_sdq_study_is_saturated(self, monkeypatch):
         # a defect below the saturation floor leaves no slope to compare
         monkeypatch.setattr(harness, "dirac_defect", lambda space, f, g, h: 0.0)

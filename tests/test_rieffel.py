@@ -30,6 +30,7 @@ from quantaequiv.rieffel import (
     morphism_star_defect,
     moyal_product,
     moyal_quadrature_oracle,
+    oscillator_position,
     poisson_bracket_grid,
     pullback,
     star_defects,
@@ -357,8 +358,11 @@ def _unsampled(x):
     raise AssertionError("an oracle factor was sampled")
 
 
-# each entry point's hbar argument: (the name its refusal gives, call(hbar, f, g))
+# each entry point's hbar argument, and the Gaussian's decay, which takes the
+# same rule: (the name its refusal gives, call(hbar, f, g))
 _HBAR_ENTRIES = {
+    "oscillator_position": ("hbar", lambda h, f, g: oscillator_position(4, h)),
+    "GridFunction.gaussian": ("decay", lambda h, f, g: GridFunction.gaussian(f.grid, (0, 0), h)),
     "moyal_product": ("nonzero hbar", lambda h, f, g: moyal_product(f, g, h)),
     "star_defects": ("schedule entry", lambda h, f, g: star_defects(f, g, (0.4, 0.2, 0.1, h))),
     "weyl_transform": ("hbar", lambda h, f, g: weyl_transform(f, h, 16)),
@@ -421,6 +425,41 @@ class TestInputRules:
         name, call = _VECTOR_ENTRIES[entry]
         message = "%s must be a finite phase-space vector, got %s" % (name, x)
         refused(lambda: call(x, offset_pair[0]), message)
+
+    @pytest.mark.parametrize("amplitude", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_gaussian_amplitude_not_finite_is_refused(self, grid, refused, amplitude):
+        message = "amplitude must be a finite number, got %s" % (amplitude,)
+        refused(lambda: GridFunction.gaussian(grid, (0.0, 0.0), 1.0, amplitude), message)
+
+    @pytest.mark.parametrize("n_trunc", [0, -3, True, False, 4.0])
+    def test_truncation_not_an_int_of_at_least_1_is_refused(self, refused, n_trunc):
+        message = "n_trunc must be an int of at least 1, got %s" % (n_trunc,)
+        refused(lambda: oscillator_position(n_trunc, HBAR), message)
+
+    # theta = |x| mode_step points / 2: (1e308, 0) overflows it, and the
+    # limit x_max = _MAX_PHASE / (mode_step points / 2) is about 2.2e5 here
+    @pytest.mark.parametrize("x", [(1e308, 0.0), (0.0, -1e308), "past"])
+    def test_shift_past_the_phase_limit_is_refused(self, grid, offset_pair, refused, x):
+        half = grid.points_per_axis / 2
+        if x == "past":
+            x = (0.0, -np.nextafter(rieffel._MAX_PHASE / (grid.mode_step * half), np.inf))
+        theta = max(abs(c) for c in x) * grid.mode_step * half
+        assert theta > rieffel._MAX_PHASE
+        message = "shift x = %s makes a phase of %s rad, above the limit of %s rad" % (
+            x, theta, rieffel._MAX_PHASE)
+        refused(lambda: translate(offset_pair[0], x), message)
+
+    def test_shift_just_inside_the_phase_limit_passes(self, grid, offset_pair):
+        half = grid.points_per_axis / 2
+        x = (rieffel._MAX_PHASE / (grid.mode_step * half), 0.0)
+        assert x[0] * grid.mode_step * half <= rieffel._MAX_PHASE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            moved = translate(offset_pair[0], x)
+        assert np.all(np.isfinite(moved.samples))
+        # a shift is unitary on the trigonometric interpolant
+        norms = [np.linalg.norm(h.samples) for h in (moved, offset_pair[0])]
+        assert abs(norms[0] - norms[1]) <= 1e-12 * norms[1]
 
 
 # every (center, decay, amplitude) that a suite hands GridFunction.gaussian at
@@ -1315,13 +1354,15 @@ class TestMorphismDefects:
     )
     def test_symplectic_maps_preserve_the_product(self, tight_pair, factory):
         f, g = tight_pair
-        defect = morphism_star_defect(factory(), f, g, HBAR, boundary_threshold=1e-9)
+        star = moyal_product(f, g, HBAR, boundary_threshold=1e-9)
+        defect = morphism_star_defect(factory(), f, g, HBAR, star, boundary_threshold=1e-9)
         assert defect <= 1e-12
 
     def test_uniform_scaling_breaks_the_product(self, tight_pair):
         f, g = tight_pair
         phi = AffineSymplecticMap(np.diag([2.0, 2.0]))
-        defect = morphism_star_defect(phi, f, g, HBAR, boundary_threshold=float("inf"))
+        star = moyal_product(f, g, HBAR, boundary_threshold=float("inf"))
+        defect = morphism_star_defect(phi, f, g, HBAR, star, boundary_threshold=float("inf"))
         assert defect >= 1e-1
 
     def test_equivariance_of_translations(self, tight_pair):
