@@ -8,6 +8,33 @@ product on periodic phase-space grids, measures its defect scalings, and
 represents grid functions as truncated oscillator matrices.
 """
 
+# The grid half's names.  They resolve on each read (PEP 562), so that
+# `import quantaequiv` and a run of the exact suites load no numpy; each is
+# the object rieffel binds at that moment.  Bound before the submodules
+# load: harness resolves them too, and Python probes its attributes
+# (__path__) while it is imported.
+_GRID_NAMES = (
+    "AffineSymplecticMap",
+    "AliasError",
+    "Grid2n",
+    "GridFunction",
+    "SupportError",
+    "TruncationError",
+    "equivariance_defect",
+    "gaussian_star_closed_form",
+    "morphism_star_defect",
+    "moyal_product",
+    "moyal_quadrature_oracle",
+    "oscillator_position",
+    "poisson_bracket_grid",
+    "pullback",
+    "star_defects",
+    "translate",
+    "weyl_homomorphism_residual",
+    "weyl_transform",
+    "weyl_transforms",
+)
+
 from .symplectic import (
     CharacterSpec,
     LinearMapSpec,
@@ -75,29 +102,7 @@ from .weyl_equivalence import (
     sample_classical_arrows,
     unit_transformation,
 )
-from .rieffel import (
-    AffineSymplecticMap,
-    AliasError,
-    Grid2n,
-    GridError,
-    GridFunction,
-    SupportError,
-    TruncationError,
-    convergence_study,
-    equivariance_defect,
-    gaussian_star_closed_form,
-    morphism_star_defect,
-    moyal_product,
-    moyal_quadrature_oracle,
-    oscillator_position,
-    poisson_bracket_grid,
-    pullback,
-    star_defects,
-    translate,
-    weyl_homomorphism_residual,
-    weyl_transform,
-    weyl_transforms,
-)
+from .convergence import GridError, convergence_study
 from .sampling import child_seed, make_rng
 from .harness import (
     SCHEMA_VERSION,
@@ -112,3 +117,17 @@ from .harness import (
 )
 
 __version__ = "1.0.0"
+
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_GRID_NAMES)
+
+
+def __getattr__(name):
+    if name in _GRID_NAMES:
+        from . import rieffel
+
+        return getattr(rieffel, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_GRID_NAMES))

@@ -9,6 +9,7 @@ import argparse
 import os
 import sys
 
+from .convergence import GridError
 from .harness import (
     SUITE_NAMES,
     ConfigError,
@@ -17,7 +18,6 @@ from .harness import (
     load_config,
     run_suite,
 )
-from .rieffel import GridError
 
 
 def _build_parser():

@@ -44,6 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import convergence
+from .convergence import GridError
+
 
 # Fixed tolerances.  Only boundary_threshold and support_tail are parameters:
 # convergence studies and negative controls waive those guards on purpose.
@@ -51,7 +54,6 @@ _PRUNE_THRESHOLD = 1e-14  # modes below this fraction of the peak are dropped
 _ALIAS_TOLERANCE = 1e-9  # largest aliased share of the pair mass in a product
 _MAX_PHASE = _ALIAS_TOLERANCE * 2.0**53  # largest phase argument of translate
 _BOUNDARY_THRESHOLD = 1e-12  # default largest boundary-to-peak magnitude ratio
-_SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 _ORACLE_RADIUS, _ORACLE_MIN_NODES, _ORACLE_MAX_NODES = 9.0, 2048, 2**16  # box; nodes per axis
 # Blocks bound the temporaries of the grid kernels.  One block of the
 # phase-power table in weyl_transforms (one row per power, built once per
@@ -69,10 +71,6 @@ _MAX_WORK = 2**30  # momentum pairs x q-FFT entries; larger products are refused
 # each, counted as n x classes, at the largest truncation whatever the
 # corner; more than 2**25 (512 MiB if all complex) are refused
 _MAX_TRANSFORM_ENTRIES = 2**25
-
-
-class GridError(ValueError):
-    """Bad grid parameters or incompatible operands."""
 
 
 class SupportError(GridError):
@@ -694,7 +692,8 @@ def weyl_transforms(functions, hbar, truncations, support_tail=1e-3, corner=None
         isinstance(corner, bool) or not isinstance(corner, (int, np.integer))
         or not 1 <= corner <= low
     ):
-        raise GridError("corner must be an int from 1 to the smallest truncation, %d" % low)
+        raise GridError("corner must be an int from 1 to the smallest truncation, %d, got %s"
+                        % (low, corner))
     _positive("hbar", hbar)
     spectra = []
     for f in functions:
@@ -878,42 +877,6 @@ def gaussian_star_closed_form(decay_a, decay_b, hbar):
     return 1.0 / denom, (decay_a + decay_b) / denom
 
 
-# --- schedules and convergence tables ----------------------------------------
-
-
-def loglog_fit(hs, ds):
-    """Least-squares line through (log h, log d): (slope, rms residual)."""
-    logh = np.log(np.asarray(hs, dtype=float))
-    logd = np.log(np.asarray(ds, dtype=float))
-    design = np.stack([logh, np.ones_like(logh)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, logd, rcond=None)
-    residual = float(np.sqrt(np.mean((logd - design @ coef) ** 2)))
-    return float(coef[0]), residual
-
-
-def convergence_study(defect_fn, f, g, schedule):
-    """Defect tables along a decreasing schedule with log-log slope fits.
-
-    The schedule is read once.  Once it is checked, defect_fn(f, g, schedule)
-    gets its entries as they are (an exact Fraction stays a Fraction) and
-    returns the defects per entry: one sequence each, all of one length.
-    Each position of those sequences gives one table, in their order: rows
-    of (float(h), defect), the slope and rms residual of the log-log fit,
-    and `saturated`, set (with no fit) when a defect falls below the
-    saturation floor.
-    """
-    schedule = tuple(schedule)
-    hs = [float(h) for h in schedule]
-    if len(hs) < 4:
-        raise GridError("schedule needs at least 4 points")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise GridError("schedule must be strictly decreasing")
-    defects = [[float(d) for d in row] for row in defect_fn(f, g, schedule)]
-    return [_slope_table(list(zip(hs, column))) for column in zip(*defects)]
-
-
-def _slope_table(rows):
-    if any(d < _SATURATION_FLOOR for _, d in rows):
-        return {"rows": rows, "slope": None, "residual": None, "saturated": True}
-    slope, residual = loglog_fit(*zip(*rows))
-    return {"rows": rows, "slope": slope, "residual": residual, "saturated": False}
+# perfbench's tracer wraps the study as rieffel.convergence_study: this
+# binding goes with the tracer (ROADMAP item 6)
+convergence_study = convergence.convergence_study

@@ -4,16 +4,23 @@ The scans read the source with ``ast``, so they see what a module binds
 and references, not what happens to be importable at run time.  A use is
 a reference from ``src/`` or a name in a ``perfbench/`` module; tests and
 docs do not count, so code only a test calls does not stay in the package.
-A fresh interpreter checks what ``import quantaequiv`` loads: numpy, not
-scipy or jsonschema; and that a suite run loads no package metadata.
+Fresh interpreters check what the package loads: ``import quantaequiv``
+loads neither scipy, jsonschema nor numpy; a run of an exact suite loads no
+numpy; a grid suite loads it; and a suite run loads no package metadata.
 """
 
 import ast
+import json
 import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
+
+import quantaequiv
+from quantaequiv import harness, rieffel
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "quantaequiv"
@@ -76,8 +83,18 @@ def _perfbench_words():
     return set(re.findall(r"\w+", "\n".join(text)))
 
 
+def _lazy_exports(tree):
+    """The names a module resolves on first read: its _GRID_NAMES tuple."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and [_names(t) for t in stmt.targets] == [{"_GRID_NAMES"}]:
+            return list(ast.literal_eval(stmt.value))
+    return []
+
+
 def test_every_export_is_used():
-    exports = [name for name, _ in _imported_names(_tree(PACKAGE / "__init__.py"))]
+    init = _tree(PACKAGE / "__init__.py")
+    exports = [name for name, _ in _imported_names(init)] + _lazy_exports(init)
+    assert "moyal_product" in exports
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
@@ -153,7 +170,13 @@ def _modules_after(fresh_env, code):
     return proc.stdout.split()
 
 
+def _numpy(modules):
+    return [m for m in modules if m == "numpy" or m.startswith("numpy.")]
+
+
 def test_import_loads_neither_scipy_nor_jsonschema(fresh_env):
+    """The package needs neither: the tests use scipy as a reference, and
+    config validation is the package's own."""
     loaded = [m for m in _modules_after(fresh_env, "import quantaequiv")
               if m.startswith(("scipy", "jsonschema"))]
     assert not loaded, "import quantaequiv loaded %s" % ", ".join(loaded)
@@ -168,3 +191,71 @@ def test_suite_run_loads_no_package_metadata(fresh_env):
     loaded = [m for m in _modules_after(fresh_env, code)
               if m == "importlib.metadata" or m.startswith(("importlib.metadata.", "email"))]
     assert not loaded, "a weyl-sdq run loaded %s" % ", ".join(loaded)
+
+
+def test_import_loads_no_numpy(fresh_env):
+    loaded = _numpy(_modules_after(fresh_env, "import quantaequiv"))
+    assert not loaded, "import quantaequiv loaded %s" % ", ".join(loaded[:5])
+
+
+@pytest.mark.parametrize("suite", ["weyl-laws", "weyl-sdq", "equivalence-weyl"])
+def test_exact_suite_run_loads_no_numpy(fresh_env, tmp_path, suite):
+    # set up as the benchmark's exact workload does, then run through the CLI
+    code = (
+        "from quantaequiv import cli, harness\n"
+        "harness.validate_config(harness.default_config(%r))\n"
+        "assert cli.main(['run', %r, '--out', %r, '--format', 'csv']) == 0"
+        % (suite, suite, str(tmp_path))
+    )
+    loaded = _numpy(_modules_after(fresh_env, code))
+    assert not loaded, "a %s run loaded %s" % (suite, ", ".join(loaded[:5]))
+
+
+@pytest.mark.parametrize("suite", ["rieffel-sdq", "rieffel-morphisms", "weyl-transform"])
+def test_grid_config_validation_loads_numpy(fresh_env, suite):
+    # validating a grid config builds its Grid2n: the grid half loads at set-up
+    code = "from quantaequiv import harness\nharness.validate_config(harness.default_config(%r))"
+    assert "numpy" in _modules_after(fresh_env, code % suite)
+
+
+def test_first_read_of_a_grid_name_loads_the_grid_half(fresh_env):
+    code = "import quantaequiv\nquantaequiv.moyal_product"
+    modules = _modules_after(fresh_env, code)
+    assert "quantaequiv.rieffel" in modules and "numpy" in modules
+
+
+def test_lazy_grid_names_are_rieffels():
+    for module in (quantaequiv, harness):
+        for name in quantaequiv._GRID_NAMES:
+            assert getattr(module, name) is getattr(rieffel, name), (module.__name__, name)
+    assert set(quantaequiv._GRID_NAMES) <= set(dir(quantaequiv))
+    star = {}
+    exec("from quantaequiv import *", star)
+    assert set(quantaequiv._GRID_NAMES) <= set(star)
+    assert star["GridError"] is rieffel.GridError
+    assert star["convergence_study"] is rieffel.convergence_study
+    for module in (quantaequiv, harness):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            getattr(module, "no_such_name")
+
+
+_STAMP_KEYS = {
+    "weyl-sdq": ["machine", "platform", "python"],
+    "weyl-transform": ["machine", "numpy", "platform", "python"],
+}
+
+
+@pytest.mark.parametrize("preload", ["", "import numpy\n"], ids=["fresh", "numpy-preloaded"])
+@pytest.mark.parametrize("suite", sorted(_STAMP_KEYS))
+def test_stamp_keys_follow_the_suite(fresh_env, suite, preload):
+    # the suite decides the stamp, not what the process happened to import
+    code = preload + (
+        "import json\n"
+        "from quantaequiv.harness import default_config, run_suite\n"
+        "print(json.dumps(sorted(run_suite(default_config(%r))['environment'])))" % suite
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=fresh_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == _STAMP_KEYS[suite]

@@ -511,9 +511,12 @@ class TestRunSuite:
         tasks = build_checks(default_config("weyl-laws"))
         assert len(tasks) == 1
 
-    def test_environment_stamp_fields(self, sdq_report):
-        env = sdq_report["environment"]
-        assert set(env) == {"numpy", "python", "platform", "machine"}
+    def test_environment_stamp_fields_of_an_exact_suite(self, sdq_report):
+        # numpy is loaded in this process, but an exact suite runs no numpy code
+        assert set(sdq_report["environment"]) == {"python", "platform", "machine"}
+
+    def test_environment_stamp_fields_of_a_grid_suite(self, rsdq_report):
+        assert set(rsdq_report["environment"]) == {"numpy", "python", "platform", "machine"}
 
 
 class TestEmitTables:
@@ -854,8 +857,8 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys
     ):
         # hbar = 1e-3 needs 1.03e5 nodes per axis, above the cap of 2**16
-        calls = []
-        oracle = harness.moyal_quadrature_oracle
+        calls, reached = [], []
+        oracle = rieffel.moyal_quadrature_oracle
 
         def recording(factor):
             def sampled(x):
@@ -865,10 +868,12 @@ class TestCli:
             return sampled
 
         def recorded_oracle(f_factors, g_factors, hbar, points):
+            reached.append(hbar)
             f_factors, g_factors = (tuple(map(recording, h)) for h in (f_factors, g_factors))
             return oracle(f_factors, g_factors, hbar, points)
 
-        monkeypatch.setattr(harness, "moyal_quadrature_oracle", recorded_oracle)
+        # the rieffel-sdq builder reads the oracle from rieffel when it is called
+        monkeypatch.setattr(rieffel, "moyal_quadrature_oracle", recorded_oracle)
         cfg = dict(default_config("rieffel-sdq"), hbar=1e-3)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -878,7 +883,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: GridError: the oracle needs" in err
         assert str(rieffel._ORACLE_MAX_NODES) in err
-        assert calls == []
+        assert reached == [1e-3] and calls == []
         assert not out.exists()
 
     def test_grid_guard_under_default_config_is_not_a_config_error(self, tmp_path, monkeypatch):

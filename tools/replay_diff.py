@@ -7,8 +7,9 @@ then runs `python -m quantaequiv.cli run <suite> --format csv` for every
 suite of this tree's `list-suites`, on both trees, once under the default
 thread pool and once under QUANTAEQUIV_THREADS=1.  Each pair of runs writes
 a report and its CSV tables; the files are compared byte for byte with the
-report's "timestamp" line stripped.  Every file that differs is printed,
-and for a report every check whose value moved, old and new side by side,
+report's "timestamp" line stripped.  Every file that differs is printed;
+for a report, every check whose value moved and every other top-level
+field that differs (such as "environment"), old and new side by side;
 then the first changed lines of each file.
 Exits 1 on any difference, 0 when every file matches.
 """
@@ -58,15 +59,24 @@ def stripped(path):
     return b"".join(lines)
 
 
-def moved_values(old_path, new_path):
+def moved_values(old, new):
     """(check id, old value, new value) for each check whose value differs."""
-    old, new = (json.loads(p.read_text()) for p in (old_path, new_path))
     old_checks = {c["id"]: c.get("value") for c in old.get("checks", [])}
     new_checks = {c["id"]: c.get("value") for c in new.get("checks", [])}
     return [
         (cid, old_checks.get(cid), new_checks.get(cid))
         for cid in sorted(set(old_checks) | set(new_checks))
         if old_checks.get(cid) != new_checks.get(cid)
+    ]
+
+
+def moved_fields(old, new):
+    """(field, old, new) for each top-level field but "checks" and "timestamp"
+    that differs; a field one report lacks is None there."""
+    return [
+        (field, old.get(field), new.get(field))
+        for field in sorted((set(old) | set(new)) - {"checks", "timestamp"})
+        if old.get(field) != new.get(field)
     ]
 
 
@@ -86,8 +96,9 @@ def compare(old_dir, new_dir, label):
         differences += 1
         print("%s: %s differs" % (label, name))
         if name.endswith(".report.json"):
-            for cid, before, after in moved_values(old_path, new_path):
-                print("    %s: %r -> %r" % (cid, before, after))
+            old, new = (json.loads(p.read_text()) for p in (old_path, new_path))
+            for key, before, after in moved_values(old, new) + moved_fields(old, new):
+                print("    %s: %r -> %r" % (key, before, after))
         changed = [
             line for line in difflib.unified_diff(
                 stripped(old_path).decode().splitlines(), stripped(new_path).decode().splitlines(),
