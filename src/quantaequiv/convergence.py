@@ -18,21 +18,30 @@ class GridError(ValueError):
 _SATURATION_FLOOR = 1e-12  # a defect below this leaves no slope to fit
 
 
+def _centred_logs(hs):
+    """(x, sum(x x)) with x = log h less its mean: the abscissae of the fit,
+    or a GridError when log h takes one float value at every entry, as it
+    does for consecutive floats near 1e300.  validate_config reads it too."""
+    logh = [math.log(h) for h in hs]
+    mean_h = sum(logh) / len(logh)
+    xs = [x - mean_h for x in logh]
+    spread = sum(x * x for x in xs)
+    if spread == 0.0:
+        raise GridError("log h takes one value at every schedule entry: no slope to fit")
+    return xs, spread
+
+
 def loglog_fit(hs, ds):
     """Least-squares line through (log h, log d): (slope, rms residual).
 
     The closed form of the two-parameter fit, over centred sums: slope
     sum(x y) / sum(x x) with x = log h and y = log d less their means.
     """
-    logh = [math.log(h) for h in hs]
+    xs, spread = _centred_logs(hs)
     logd = [math.log(d) for d in ds]
-    count = len(logh)
-    mean_h, mean_d = sum(logh) / count, sum(logd) / count
-    xs = [x - mean_h for x in logh]
+    count = len(logd)
+    mean_d = sum(logd) / count
     ys = [y - mean_d for y in logd]
-    spread = sum(x * x for x in xs)
-    if spread == 0.0:
-        raise GridError("log h takes one value at every schedule entry: no slope to fit")
     slope = sum(x * y for x, y in zip(xs, ys)) / spread
     residual = math.sqrt(sum((y - slope * x) ** 2 for x, y in zip(xs, ys)) / count)
     return slope, residual

@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .convergence import GridError, convergence_study
+from .convergence import GridError, _centred_logs, convergence_study
 from .weyl_algebra import (
     CoeffExpr,
     evaluate_at,
@@ -118,7 +118,7 @@ def _openblas_threads():
     import ctypes
     import glob
 
-    import numpy as np
+    from .rieffel import np
 
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     paths = glob.glob(os.path.join(libs, "libscipy_openblas*.so"))
@@ -169,7 +169,7 @@ def _environment_stamp(grid):
         "python": platform.python_version(),
     }
     if grid:  # the exact suites run no numpy code, so their stamp names none
-        import numpy as np
+        from .rieffel import np
 
         stamp["numpy"] = np.__version__
     return stamp
@@ -426,13 +426,12 @@ GAUSSIAN_PAIRS = (
 
 
 def _suite_rieffel_sdq(config):
-    import numpy as np
-
     from .rieffel import (
         GridFunction,
         gaussian_star_closed_form,
         moyal_product,
         moyal_quadrature_oracle,
+        np,
         star_defects,
     )
 
@@ -499,14 +498,13 @@ def _suite_rieffel_sdq(config):
 
 
 def _suite_rieffel_morphisms(config):
-    import numpy as np
-
     from .rieffel import (
         AffineSymplecticMap,
         GridFunction,
         equivariance_defect,
         morphism_star_defect,
         moyal_product,
+        np,
     )
 
     grid = _grid(config)
@@ -553,11 +551,10 @@ _WINDOW_CORNER = 10
 
 
 def _suite_weyl_transform(config):
-    import numpy as np
-
     from .rieffel import (
         GridFunction,
         moyal_product,
+        np,
         oscillator_position,
         weyl_homomorphism_residual,
         weyl_transform,
@@ -770,6 +767,10 @@ def validate_config(config):
                     raise ConfigError("weyl-sdq schedule entry %r is above 1" % (raw,))
         if any(b >= a for a, b in zip(values, values[1:])):
             raise ConfigError("schedule must be strictly decreasing")
+        try:  # refused here, before any defect is made, not by the fit after them
+            _centred_logs(values)
+        except GridError as exc:
+            raise ConfigError("schedule %s: %s" % (_shown(config["schedule"]), exc)) from exc
     if "truncations" in config:
         t = config["truncations"]
         if any(b <= a for a, b in zip(t, t[1:])):

@@ -40,9 +40,25 @@ between two chirps, so each bilinear form is one FFT correlation: no
 kernel is ever built.  Its node count grows as 1/hbar, to resolve the chirp.
 """
 
+import os
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+# numpy loads here, and only here, for the whole package.  Every suite run
+# pins OpenBLAS to one thread (harness._one_blas_thread), so a second thread
+# started at load would only spin: unless numpy is loaded already or the
+# user names a thread count, OpenBLAS reads OPENBLAS_NUM_THREADS=1 at load.
+# The variable is set for the import alone: os.environ and every child
+# process see only what the user set.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" in sys.modules or any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import convergence
 from .convergence import GridError

@@ -536,7 +536,11 @@ def evaluate_at(a, hbar):
     """
     if a.hbar is not None:
         raise AlgebraError("element is already pinned to a parameter value")
-    h = _fiber_value(hbar)
+    return _evaluated(a, _fiber_value(hbar))
+
+
+def _evaluated(a, h):
+    # evaluate_at past its checks: a symbolic, h a fiber _fiber_value decided
     hn, hd = h.numerator, h.denominator
     # substitution can merge and cancel phases: a label may vanish
     out = merge_terms((f, c.substitute(hn, hd)) for f, c in a._terms.items())

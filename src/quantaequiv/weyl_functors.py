@@ -44,8 +44,8 @@ from .weyl_algebra import (
     AlgebraError,
     CoeffExpr,
     WeylElement,
+    _evaluated,
     _fiber_value,
-    evaluate_at,
     merge_terms,
     multiply,
     norm_bounds,
@@ -250,6 +250,13 @@ def k0_membership(s):
 # --- strict deformation defect scalars ---------------------------------------
 
 
+def _classical_generator(space, f):
+    # W(f) on the classical fiber.  The defects decide their fiber h once:
+    # rescale(., 0, h) of this element, and of a product or bracket of two
+    # such, is the retag _at_fiber(h), with nothing left to check.
+    return _evaluated(weyl_generator(space, f), _CLASSICAL)
+
+
 def von_neumann_defect(space, f, g, hbar):
     """Norm distance between quantize-then-multiply and multiply-then-quantize.
 
@@ -257,11 +264,8 @@ def von_neumann_defect(space, f, g, hbar):
     collapses and the value equals 2|sin(hbar sigma(f,g)/4)|.
     """
     h = _fiber_value(hbar, FunctorError)
-    a0 = evaluate_at(weyl_generator(space, f), 0)
-    b0 = evaluate_at(weyl_generator(space, g), 0)
-    defect = multiply(rescale(a0, 0, h), rescale(b0, 0, h)) - rescale(
-        multiply(a0, b0), 0, h
-    )
+    a0, b0 = _classical_generator(space, f), _classical_generator(space, g)
+    defect = multiply(a0._at_fiber(h), b0._at_fiber(h)) - multiply(a0, b0)._at_fiber(h)
     return norm_bounds(defect)[1]
 
 
@@ -274,13 +278,11 @@ def dirac_defect(space, f, g, hbar):
     h = _fiber_value(hbar, FunctorError)
     if h is _CLASSICAL:
         raise FunctorError("the commutator scale 1/hbar needs a positive fiber")
-    a0 = evaluate_at(weyl_generator(space, f), 0)
-    b0 = evaluate_at(weyl_generator(space, g), 0)
-    qa = rescale(a0, 0, h)
-    qb = rescale(b0, 0, h)
+    a0, b0 = _classical_generator(space, f), _classical_generator(space, g)
+    qa, qb = a0._at_fiber(h), b0._at_fiber(h)
     commutator = multiply(qa, qb) - multiply(qb, qa)
     scaled = commutator.scale_coeff(CoeffExpr.gaussian(0, Fraction(1, 1) / h))
-    defect = scaled - rescale(poisson_bracket(a0, b0), 0, h)
+    defect = scaled - poisson_bracket(a0, b0)._at_fiber(h)
     return norm_bounds(defect)[1]
 
 

@@ -6,7 +6,8 @@ a reference from ``src/`` or a name in a ``perfbench/`` module; tests and
 docs do not count, so code only a test calls does not stay in the package.
 Fresh interpreters check what the package loads: ``import quantaequiv``
 loads neither scipy, jsonschema nor numpy; a run of an exact suite loads no
-numpy; a grid suite loads it; and a suite run loads no package metadata.
+numpy; a grid suite loads it, through the one import in ``rieffel``; and a
+suite run loads no package metadata.
 """
 
 import ast
@@ -216,6 +217,19 @@ def test_grid_config_validation_loads_numpy(fresh_env, suite):
     # validating a grid config builds its Grid2n: the grid half loads at set-up
     code = "from quantaequiv import harness\nharness.validate_config(harness.default_config(%r))"
     assert "numpy" in _modules_after(fresh_env, code % suite)
+
+
+def test_numpy_is_imported_only_by_rieffel():
+    # rieffel's import holds the one-OpenBLAS-thread rule; every other module
+    # reads numpy from rieffel, so no path loads it around the rule
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
+    }
+    assert importers == {"rieffel.py"}
 
 
 def test_first_read_of_a_grid_name_loads_the_grid_half(fresh_env):

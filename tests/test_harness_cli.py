@@ -600,6 +600,32 @@ class TestCli:
         assert "config error: weyl-sdq schedule entry '2' is above 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_schedule_with_one_float_log_exits_two_before_any_product(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # four consecutive floats below 1e300 share one float logarithm: the
+        # fit would refuse them, so the validator does, before any product
+        schedule = [1e300]
+        for _ in range(3):
+            schedule.append(math.nextafter(schedule[-1], 0.0))
+        assert len({math.log(h) for h in schedule}) == 1
+        twists = []
+        twist_stage = rieffel._twist_stage
+
+        def counted_twist(pair, hbar):
+            twists.append(hbar)
+            return twist_stage(pair, hbar)
+
+        monkeypatch.setattr(rieffel, "_twist_stage", counted_twist)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(default_config("rieffel-sdq"), schedule=schedule)))
+        out = tmp_path / "out"
+        code = cli.main(["run", "rieffel-sdq", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "log h takes one value at every schedule entry" in capsys.readouterr().err
+        assert twists == []
+        assert not out.exists()
+
     def test_out_naming_a_file_exits_two_before_the_suite_runs(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quantaequiv import rational_linalg as rl
-from quantaequiv import sampling, weyl_equivalence
+from quantaequiv import harness, sampling, weyl_algebra, weyl_equivalence, weyl_functors
 from quantaequiv.category import ArrowRecord
 from quantaequiv.sampling import darboux_frame, make_rng, random_element
 from quantaequiv.symplectic import (
@@ -502,6 +502,39 @@ def test_dirac_defect_rejects_zero_fiber():
     for zero in (0, 0.0, Fraction(0)):
         with pytest.raises(FunctorError):
             dirac_defect(SP1, [1, 0], [0, 1], zero)
+
+
+@pytest.fixture
+def fiber_calls(monkeypatch):
+    """The hbar arguments of every _fiber_value call, in both modules."""
+    calls = []
+    decide = weyl_algebra._fiber_value
+
+    def counted(hbar, *args):
+        calls.append(hbar)
+        return decide(hbar, *args)
+
+    monkeypatch.setattr(weyl_algebra, "_fiber_value", counted)
+    monkeypatch.setattr(weyl_functors, "_fiber_value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("defect", [von_neumann_defect, dirac_defect])
+def test_each_defect_decides_its_fiber_once(defect, fiber_calls):
+    # the classical generators and their retags to hbar need no second rule
+    h = Fraction(1, 8)
+    value = defect(SP1, [1, 0], [0, 1], h)
+    assert fiber_calls == [h]
+    assert value == defect(SP1, [1, 0], [0, 1], 0.125)
+
+
+def test_default_weyl_sdq_run_decides_1250_fibers(fiber_calls):
+    # one decision per defect call (800; nine each made 7,650 in all), two
+    # per rescale of rieffel_condition_check (50 elements x 4 entries) and
+    # one per evaluate_at of those 50 elements
+    report = harness.run_suite(harness.default_config("weyl-sdq"))
+    assert report["summary"]["failed"] == 0
+    assert len(fiber_calls) == 1250
 
 
 def test_rieffel_condition():
